@@ -591,9 +591,6 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 	if stats.Items > stats.Failed {
 		fmt.Printf("cycles: mean %d, min %d, max %d (mean %.3f ms @ 8 MHz)\n",
 			stats.MeanCycles, stats.MinCycles, stats.MaxCycles, stats.LatencyMS())
-		fmt.Printf("latency: p50 %d, p95 %d, p99 %d, p999 %d cycles (p99 %.3f ms @ 8 MHz)\n",
-			stats.P50Cycles, stats.P95Cycles, stats.P99Cycles, stats.P999Cycles,
-			device.CyclesToMS(stats.P99Cycles))
 	}
 	if image.Telemetry && stats.Items > stats.Failed {
 		layerStats, err := telemetry.Aggregate(image, results, ws)

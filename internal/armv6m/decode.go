@@ -16,13 +16,13 @@ type Kind uint8
 
 // Instruction kinds.
 const (
-	KindUnknown Kind = iota // undecodable halfword (data)
-	KindALU                 // register-writing data processing
-	KindCompare             // flags only: CMP, CMN, TST
-	KindLoad                // single load (incl. PC- and SP-relative)
-	KindStore               // single store
-	KindLoadMulti           // LDMIA
-	KindStoreMulti          // STMIA
+	KindUnknown    Kind = iota // undecodable halfword (data)
+	KindALU                    // register-writing data processing
+	KindCompare                // flags only: CMP, CMN, TST
+	KindLoad                   // single load (incl. PC- and SP-relative)
+	KindStore                  // single store
+	KindLoadMulti              // LDMIA
+	KindStoreMulti             // STMIA
 	KindPush
 	KindPop
 	KindBranch     // B
@@ -115,52 +115,6 @@ func (in *Instr) RegCount() int {
 		n++
 	}
 	return n
-}
-
-// MemAccesses is the number of data-memory accesses the instruction
-// performs (used to charge flash wait states conservatively).
-func (in *Instr) MemAccesses() int {
-	switch in.Kind {
-	case KindLoad, KindStore:
-		return 1
-	case KindLoadMulti, KindStoreMulti, KindPush, KindPop:
-		return in.RegCount()
-	}
-	return 0
-}
-
-// MaxCycles is the worst-case execution cost of the instruction under
-// the given core profile and multiplier configuration, excluding flash
-// wait states (charge those separately via MemAccesses and the fetch).
-// Branch costs assume the taken path, matching the Cortex-M0 TRM model
-// implemented by the emulator.
-func (in *Instr) MaxCycles(p Profile, mulCycles int) int {
-	switch in.Kind {
-	case KindALU:
-		if in.IsMul {
-			return mulCycles
-		}
-		if in.WritesPC {
-			return 1 + p.PipelineRefill
-		}
-		return 1
-	case KindLoad, KindStore:
-		return 2
-	case KindLoadMulti, KindStoreMulti, KindPush:
-		return 1 + in.RegCount()
-	case KindPop:
-		n := in.RegCount()
-		if in.RegList&(1<<15) != 0 {
-			return 2 + n + p.PipelineRefill // 4+N on the M0
-		}
-		return 1 + n
-	case KindBranch, KindBranchCond, KindBX, KindBLX:
-		return 1 + p.PipelineRefill
-	case KindBL:
-		return 2 + p.PipelineRefill
-	default: // compare, hints, CPS, BKPT, AddSP, SVC, UDF, unknown
-		return 1
-	}
 }
 
 func regName(n uint32) string {

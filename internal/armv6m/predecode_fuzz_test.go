@@ -43,10 +43,10 @@ func fuzzBoot(t *testing.T, img []byte, legacy bool) *armv6m.CPU {
 func FuzzPredecodeParity(f *testing.F) {
 	// Seeds: straight-line ALU ops, a tight loop, memory traffic, a
 	// fault, and an instruction the predecoder refuses (UDF).
-	f.Add([]byte{0x01, 0x20, 0x42, 0x1c, 0x00, 0xbe}) // movs r0,#1; adds r2,r0,r1; bkpt
-	f.Add([]byte{0x01, 0x30, 0xfd, 0xe7})             // adds r0,#1; b .-2 (endless loop)
-	f.Add([]byte{0x40, 0x68, 0x41, 0x60, 0x00, 0xbe}) // ldr/str through r0 (faults at 0)
-	f.Add([]byte{0xde, 0xde, 0x00, 0xbe})             // UDF, then bkpt
+	f.Add([]byte{0x01, 0x20, 0x42, 0x1c, 0x00, 0xbe})             // movs r0,#1; adds r2,r0,r1; bkpt
+	f.Add([]byte{0x01, 0x30, 0xfd, 0xe7})                         // adds r0,#1; b .-2 (endless loop)
+	f.Add([]byte{0x40, 0x68, 0x41, 0x60, 0x00, 0xbe})             // ldr/str through r0 (faults at 0)
+	f.Add([]byte{0xde, 0xde, 0x00, 0xbe})                         // UDF, then bkpt
 	f.Add([]byte{0x00, 0xf0, 0x02, 0xf8, 0x00, 0xbe, 0x00, 0xbe}) // bl +4
 	f.Add([]byte{0x80, 0xb5, 0x80, 0xbd, 0x00, 0xbe})             // push {r7,lr}; pop {r7,pc}
 	f.Fuzz(func(t *testing.T, code []byte) {

@@ -151,14 +151,10 @@ type ctxInfo struct {
 	calls    []callSite
 	callSeen map[string]bool
 
-	// memoized interprocedural bounds (0 = not yet computed; guarded by
-	// the done flags)
+	// memoized interprocedural stack bound (guarded by stackDone)
 	stackMemo  int
 	stackDone  bool
-	cycleMemo  uint64
-	cycleDone  bool
 	stackOnDFS bool
-	cycleOnDFS bool
 }
 
 // analyzeContexts runs the abstract interpreter over every (function,

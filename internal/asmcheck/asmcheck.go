@@ -4,9 +4,11 @@
 // armv6m.Decode), abstractly interprets register and stack state to
 // check AAPCS callee-saved contracts (r4-r7 and lr), push/pop balance on
 // every path, classifies every load/store against the flash/SRAM memory
-// map, bounds worst-case stack depth per entry symbol, and derives a
-// worst-case cycle bound from the emulator's published cycle model plus
-// "asmcheck: loop N" annotations on loop back edges.
+// map, and bounds worst-case stack depth per entry symbol. Its per-
+// instruction cycle formulas (the emulator's published cycle model) and
+// the "asmcheck: loop N" annotations on loop back edges are exported as
+// a neuroc-cert/v1 certificate, whose evaluator gives the worst-case
+// cycle bound.
 //
 // The analysis is context-sensitive in r0: a kernel BL'd with distinct
 // descriptor constants is analyzed once per constant, so descriptor
@@ -21,6 +23,7 @@ import (
 	"sort"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
+	"github.com/neuro-c/neuroc/internal/cert"
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
 
@@ -129,8 +132,9 @@ type FuncReport struct {
 	LocalStack uint32 `json:"local_stack"`
 	TotalStack uint32 `json:"total_stack"`
 	// CycleBound is the worst-case execution cycles including callees,
-	// maximized over calling contexts. Unbounded when a loop bound or
-	// the call graph defeated the analysis.
+	// as the certificate evaluator (cert.Certificate.Bounds) prices the
+	// exported facts. Unbounded when a loop bound or the call graph
+	// defeated the analysis.
 	CycleBound uint64 `json:"cycle_bound"`
 	// Contexts is the number of distinct r0 contexts analyzed.
 	Contexts int `json:"contexts"`
@@ -175,7 +179,8 @@ func Check(p *thumb.Program, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ck.report(rootAddrs, isrAddrs), nil
+	rep, _ := ck.report(rootAddrs, isrAddrs)
+	return rep, nil
 }
 
 // run is the shared analysis pipeline behind Check and Certify:
@@ -371,14 +376,17 @@ func (ck *checker) readMem(addr uint32, width int, signed bool) (uint32, bool) {
 	return v, true
 }
 
-// report assembles the final Report after all contexts are analyzed.
-func (ck *checker) report(rootAddrs, isrAddrs []uint32) *Report {
+// report assembles the final Report after all contexts are analyzed,
+// together with the certificate its cycle bounds are read off.
+func (ck *checker) report(rootAddrs, isrAddrs []uint32) (*Report, *cert.Certificate) {
 	rep := &Report{UnprovenLoads: ck.unprovenLoads}
+	c := ck.certificate(rootAddrs, isrAddrs)
 
-	// Aggregate per-function bounds over contexts.
+	// Aggregate per-function stack bounds over contexts. Cycle bounds
+	// need no aggregation: instruction costs never depend on the r0
+	// context.
 	type agg struct {
 		local, total uint32
-		cycles       uint64
 		contexts     int
 	}
 	aggs := make(map[uint32]*agg)
@@ -393,42 +401,53 @@ func (ck *checker) report(rootAddrs, isrAddrs []uint32) *Report {
 		if uint32(ci.maxDepth) > a.local {
 			a.local = uint32(ci.maxDepth)
 		}
-		if t := ck.stackTotal(k, nil); uint32(t) > a.total {
+		if t := ck.stackTotal(k); uint32(t) > a.total {
 			a.total = uint32(t)
 		}
-		if c := ck.cycleBound(k, nil); c > a.cycles {
-			a.cycles = c
+	}
+	// A function missing from bounds has an unbounded loop, recursion
+	// (each already reported as a violation) or a bound past 64 bits.
+	bounds := c.Bounds(ck.cfg.FlashWaitStates)
+	cycleBound := func(addr uint32) uint64 {
+		if b, ok := bounds[addr]; ok {
+			return b
 		}
+		return Unbounded
 	}
 	for _, addr := range ck.funcOrder {
 		f := ck.funcs[addr]
 		fr := &FuncReport{Name: f.name, Addr: addr}
 		if a := aggs[addr]; a != nil {
 			fr.LocalStack, fr.TotalStack = a.local, a.total
-			fr.CycleBound = a.cycles
 			fr.Contexts = a.contexts
+		}
+		if f.entry != nil {
+			fr.CycleBound = cycleBound(addr)
 		}
 		rep.Funcs = append(rep.Funcs, fr)
 	}
 
-	maxOver := func(addrs []uint32, total func(*agg) uint64) uint64 {
-		var m uint64
+	maxStack := func(addrs []uint32) uint32 {
+		var m uint32
 		for _, a := range addrs {
-			if ag := aggs[a]; ag != nil && total(ag) > m {
-				m = total(ag)
+			if ag := aggs[a]; ag != nil && ag.total > m {
+				m = ag.total
 			}
 		}
 		return m
 	}
-	mainStack := maxOver(rootAddrs, func(a *agg) uint64 { return uint64(a.total) })
-	rep.StackBound = uint32(mainStack)
+	rep.StackBound = maxStack(rootAddrs)
 	if len(isrAddrs) > 0 {
 		// An exception can fire at the main thread's deepest point: the
 		// hardware stacks an 8-word frame, then the handler runs.
-		isrStack := maxOver(isrAddrs, func(a *agg) uint64 { return uint64(a.total) })
-		rep.StackBound = uint32(mainStack) + 32 + uint32(isrStack)
+		rep.StackBound += 32 + maxStack(isrAddrs)
 	}
-	rep.CycleBound = maxOver(rootAddrs, func(a *agg) uint64 { return a.cycles })
+	for _, a := range rootAddrs {
+		if b := cycleBound(a); b > rep.CycleBound {
+			rep.CycleBound = b
+		}
+	}
+	c.StackBound, c.WCETCycles = rep.StackBound, rep.CycleBound
 
 	if ck.cfg.StackBudget > 0 && rep.StackBound > ck.cfg.StackBudget {
 		addr := uint32(0)
@@ -450,5 +469,5 @@ func (ck *checker) report(rootAddrs, isrAddrs []uint32) *Report {
 		return ck.violations[i].Code < ck.violations[j].Code
 	})
 	rep.Violations = ck.violations
-	return rep
+	return rep, c
 }

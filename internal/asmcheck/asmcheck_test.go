@@ -212,6 +212,9 @@ spin:
 			if !tc.noLine && rep.Violations[0].Line == 0 {
 				t.Errorf("violation carries no source line: %s", rep.Violations[0])
 			}
+			if tc.want == CodeCycleUnbounded && rep.CycleBound != Unbounded {
+				t.Errorf("CycleBound = %d for an unannotated loop, want Unbounded", rep.CycleBound)
+			}
 		})
 	}
 }
@@ -247,6 +250,19 @@ fill:
 	if rep.CycleBound < 8*7 {
 		t.Errorf("CycleBound = %d, impossibly small for an 8-iteration loop", rep.CycleBound)
 	}
+
+	// A load through an unknown pointer is unproven but clean. Its
+	// target may be flash, so the bound charges it the data wait state:
+	// at ws=1 the ldr pays fetch + data and the bx its fetch.
+	unproven := "entry:\n\tldr r1, [r0]\n\tbx lr\n"
+	ws0 := check(t, unproven, nil)
+	ws1 := check(t, unproven, func(c *Config) { c.FlashWaitStates = 1 })
+	if !ws0.OK() || !ws1.OK() || ws0.UnprovenLoads != 1 {
+		t.Fatalf("unproven load: violations %v %v, %d unproven loads", ws0.Violations, ws1.Violations, ws0.UnprovenLoads)
+	}
+	if got := ws1.CycleBound - ws0.CycleBound; got != 3 {
+		t.Errorf("unproven load at ws=1 adds %d wait-state cycles, want 3 (two fetches + the data access)", got)
+	}
 }
 
 // TestLoopBoundScalesCycles: doubling the annotated bound must grow the
@@ -269,6 +285,28 @@ spin:
 	}
 	if b.CycleBound <= a.CycleBound {
 		t.Errorf("loop 16 bound %d not larger than loop 8 bound %d", b.CycleBound, a.CycleBound)
+	}
+}
+
+// TestHugeLoopBoundIsUnbounded: an annotation whose cycle product
+// passes 64 bits must give Unbounded, not a wrapped small number. The
+// loop costs 4 cycles an iteration at ws=0 (subs 1 + taken bne 3), so
+// 2^62+1 iterations charge 2^62·4 = 2^64 cycles for the repeats.
+func TestHugeLoopBoundIsUnbounded(t *testing.T) {
+	src := "entry:\n\tmovs r0, #1\nspin:\n\tsubs r0, #1\n\tbne spin @ asmcheck: loop 4611686018427387905\n\tbx lr\n"
+	p, err := thumb.Assemble(src, armv6m.FlashBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, rep, err := Certify(p, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CycleBound != Unbounded || c.WCETCycles != Unbounded {
+		t.Errorf("CycleBound = %d, wcet_cycles = %d, want Unbounded for an overflowing loop bound", rep.CycleBound, c.WCETCycles)
+	}
+	if w, err := c.WCET("entry", 0); err == nil {
+		t.Errorf("WCET = %d, want an overflow error", w)
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
 
-// Certificate export: after the analysis proves a program clean,
-// Certify re-walks the recovered CFGs and emits the neuroc-cert/v1
-// artifact — per-instruction cycle formulas and memory classes, block
-// costs, successor edges, loop bounds, and the whole-image stack/WCET
-// bounds. The cycle formulas are EXACT (not the conservative WCET
-// model in wcet.go): they mirror the emulator's published Cortex-M0
-// cost model instruction for instruction, which is what lets checked
-// execution (internal/cert) validate every retire against them with
-// zero tolerance.
+// Certificate export: every analysis re-walks the recovered CFGs into
+// the neuroc-cert/v1 facts — per-instruction cycle formulas and memory
+// classes, block costs, successor edges, loop bounds — and reads the
+// report's cycle bounds off the certificate evaluator
+// (cert.Certificate.Bounds), so Check, Certify and the encoding search
+// share one cycle-bound engine. The cycle formulas mirror the
+// emulator's published Cortex-M0 cost model instruction for
+// instruction, which is what lets checked execution (internal/cert)
+// validate every exact retire against them with zero tolerance.
 
 // Certify analyzes the program like Check and, when it passes every
 // check, exports the proof as a certificate. A program with violations
@@ -26,20 +26,24 @@ func Certify(p *thumb.Program, cfg Config) (*cert.Certificate, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := ck.report(rootAddrs, isrAddrs)
+	rep, c := ck.report(rootAddrs, isrAddrs)
 	if !rep.OK() {
 		return nil, rep, fmt.Errorf("asmcheck: refusing to certify a program with %d violation(s); first: %s",
 			len(rep.Violations), rep.Violations[0])
 	}
+	return c, rep, nil
+}
+
+// certificate exports every analyzed function. The whole-image stack
+// and cycle bounds are filled in by report.
+func (ck *checker) certificate(rootAddrs, isrAddrs []uint32) *cert.Certificate {
 	c := &cert.Certificate{
 		Version:        cert.Version,
 		Profile:        ck.cfg.Profile.Name,
 		PipelineRefill: ck.cfg.Profile.PipelineRefill,
 		MulCycles:      ck.cfg.MulCycles,
-		CodeBase:       p.Base,
+		CodeBase:       ck.p.Base,
 		CodeLimit:      ck.cfg.CodeLimit,
-		StackBound:     rep.StackBound,
-		WCETCycles:     rep.CycleBound,
 		WCETWaitStates: ck.cfg.FlashWaitStates,
 		Roots:          rootAddrs,
 		ISRRoots:       isrAddrs,
@@ -51,11 +55,14 @@ func Certify(p *thumb.Program, cfg Config) (*cert.Certificate, *Report, error) {
 		}
 		c.Funcs = append(c.Funcs, ck.certFunc(f))
 	}
-	return c, rep, nil
+	return c
 }
 
 // certFunc exports one function: blocks in address order, loops with
-// their proven bounds.
+// their proven bounds. Iteration bounds come from "asmcheck: loop N"
+// annotations on the latch (back-edge) branches; a loop with none is
+// a CYCLE_UNBOUNDED violation, exported with bound 0, which the
+// evaluator refuses to price.
 func (ck *checker) certFunc(f *fn) cert.Func {
 	cf := cert.Func{Name: f.name, Addr: f.addr}
 	for _, b := range f.blockList {
@@ -89,6 +96,10 @@ func (ck *checker) certFunc(f *fn) cert.Func {
 		for b := range l.blocks { //neurolint:allow maporder (sorted below before export)
 			cl.Blocks = append(cl.Blocks, b.start)
 		}
+		if cl.Bound == 0 {
+			ck.violate(CodeCycleUnbounded, f, l.latches[0].last().Addr,
+				"loop back edge to 0x%08x has no \"asmcheck: loop N\" bound", cl.Header)
+		}
 		sortU32(cl.Blocks)
 		sortU32(cl.Latches)
 		cf.Loops = append(cf.Loops, cl)
@@ -96,12 +107,14 @@ func (ck *checker) certFunc(f *fn) cert.Func {
 	return cf
 }
 
-// certInstr derives one instruction's exact fact set from its decode
-// and the joined memory classification. The formula mirrors the
-// emulator's cost model: every fetch is one flash read paying one
-// wait-state unit; only a single load/store whose data target is
-// proven flash pays a second unit (LDM/STM/PUSH/POP data and BL's
-// second fetch halfword are wait-state free).
+// certInstr derives one instruction's fact set from its decode and the
+// joined memory classification. The formula mirrors the emulator's
+// cost model: every fetch is one flash read paying one wait-state
+// unit; only a single load/store whose data target is proven flash
+// pays a second unit (LDM/STM/PUSH/POP data and BL's second fetch
+// halfword are wait-state free). An unproven single load/store is
+// inexact and charged the second unit, so its cost bounds the
+// emulator's from above.
 func (ck *checker) certInstr(in *instr) cert.Instr {
 	refill := uint64(ck.cfg.Profile.PipelineRefill)
 	ci := cert.Instr{
@@ -148,20 +161,21 @@ func (ck *checker) certInstr(in *instr) cert.Instr {
 		cost.Base = 2
 		ci.Accesses = 1
 		ci.Store = in.Kind == armv6m.KindStore
-		if r, ok := classify(); ok {
-			switch r {
-			case regionFlash:
-				cost.WS++ // data access pays wait states
-				ci.FlashReads++
-			case regionSRAM:
-				if ci.Store {
-					ci.SRAMWrites = 1
-				} else {
-					ci.SRAMReads = 1
-				}
-			case regionPeriph:
-				// The peripheral window is zero-wait and uncounted.
+		r, ok := classify()
+		switch {
+		case !ok:
+			cost.WS++ // the target may be flash: bound by its wait states
+		case r == regionFlash:
+			cost.WS++ // data access pays wait states
+			ci.FlashReads++
+		case r == regionSRAM:
+			if ci.Store {
+				ci.SRAMWrites = 1
+			} else {
+				ci.SRAMReads = 1
 			}
+		default:
+			// The peripheral window is zero-wait and uncounted.
 		}
 
 	case armv6m.KindLoadMulti, armv6m.KindStoreMulti:

@@ -273,10 +273,8 @@ func (r *Runner) measureMicroOpts(name string, m *quant.Model, opts modelimg.Bui
 		LatencyMS: meas.ms, FlashBytes: meas.flashBytes, RAMBytes: meas.ramBytes,
 		Deployable: true,
 	}
-	// Distribution keys for the microbenchmark's farm run: the repeated
-	// single input makes every cycle percentile equal the measured cycle
-	// count — recorded anyway so the pareto/fig records carry the same
-	// exact-gated key set as the farm records.
+	// Distribution keys for the microbenchmark's farm run, with the
+	// input-invariance check every farm-backed record gets.
 	if meas.stats != nil {
 		latencyDist(&met, meas.stats)
 	}

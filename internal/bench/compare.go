@@ -90,13 +90,6 @@ func compareMetric(o, n *Metric, tolerance float64) []string {
 	exact("workers", o.Workers, n.Workers)
 	exact("tier", o.Tier, n.Tier)
 	exact("error", o.Error, n.Error)
-	// Cycle-domain latency percentiles are exact order statistics over
-	// exact cycle counts: deterministic at any worker count, so they
-	// gate exactly. The wall-domain percentiles are banded below.
-	exact("latency_cycles_p50", o.LatencyCyclesP50, n.LatencyCyclesP50)
-	exact("latency_cycles_p95", o.LatencyCyclesP95, n.LatencyCyclesP95)
-	exact("latency_cycles_p99", o.LatencyCyclesP99, n.LatencyCyclesP99)
-	exact("latency_cycles_p999", o.LatencyCyclesP999, n.LatencyCyclesP999)
 	// Energy keys are priced from exact cycle counts by a fixed model:
 	// fully deterministic, so they gate exactly like cycles do.
 	exact("uj_per_inference", o.UJPerInference, n.UJPerInference)

@@ -45,7 +45,7 @@ func (r *Runner) FarmBench() *report.Table {
 
 	t := report.New(fmt.Sprintf("Board farm: full digits test set on-emulator (%d samples, %d host cores)",
 		full.TestX.Rows, runtime.NumCPU()),
-		"pool", "on-device acc", "host ref acc", "latency/inf", "p99/inf", "wall", "infs/sec", "speedup", "host MIPS")
+		"pool", "on-device acc", "host ref acc", "latency/inf", "wall", "infs/sec", "speedup", "host MIPS")
 
 	// Live metrics: when a registry is configured (`-listen`), every
 	// farm item is published as it completes. The callback reads only
@@ -81,7 +81,7 @@ func (r *Runner) FarmBench() *report.Table {
 			speedup = baseWallMS / wallMS
 		}
 		t.Add(fmt.Sprintf("-j %d", j), report.Pct(acc), report.Pct(hostAcc),
-			report.MS(stats.LatencyMS()), report.MS(device.CyclesToMS(stats.P99Cycles)),
+			report.MS(stats.LatencyMS()),
 			fmt.Sprintf("%.0f ms", wallMS),
 			fmt.Sprintf("%.0f", stats.Throughput()),
 			fmt.Sprintf("%.2fx", speedup),
@@ -101,10 +101,10 @@ func (r *Runner) FarmBench() *report.Table {
 		}
 		latencyDist(&m, stats)
 		r.record(m)
-		r.logf("farm -j %d: acc %.4f, %d samples in %.0f ms (%.0f inf/s, %.2fx, %.0f host MIPS, predecode %.2f ms, p50/p99 %d/%d cycles)",
+		r.logf("farm -j %d: acc %.4f, %d samples in %.0f ms (%.0f inf/s, %.2fx, %.0f host MIPS, predecode %.2f ms, %d cycles)",
 			j, acc, stats.Items, wallMS, stats.Throughput(), speedup,
 			stats.HostMIPS(), float64(stats.PredecodeBuild.Microseconds())/1000,
-			stats.P50Cycles, stats.P99Cycles)
+			stats.MinCycles)
 	}
 	// Tier comparison point: the same reference pool pinned to the
 	// predecoded tier. The accuracy and per-input cycles are identical

@@ -58,16 +58,10 @@ type Metric struct {
 	InfersPerSec float64 `json:"infers_per_sec,omitempty"`
 	Speedup      float64 `json:"speedup,omitempty"`
 
-	// Per-inference latency distribution over the record's batch.
-	// The cycle-domain percentiles are exact nearest-rank order
-	// statistics from the farm (farm.Stats.P50Cycles...) — fully
-	// deterministic, exact-gated by metricscheck -compare. The
-	// wall-domain percentiles and the listen overhead are host
-	// measurements — banded, never exact-gated.
-	LatencyCyclesP50  uint64  `json:"latency_cycles_p50,omitempty"`
-	LatencyCyclesP95  uint64  `json:"latency_cycles_p95,omitempty"`
-	LatencyCyclesP99  uint64  `json:"latency_cycles_p99,omitempty"`
-	LatencyCyclesP999 uint64  `json:"latency_cycles_p999,omitempty"`
+	// Per-inference host wall-clock distribution over the record's
+	// batch. These and the listen overhead are host measurements —
+	// banded, never exact-gated. (Cycles need no distribution: every
+	// farm-backed record is checked input-invariant, min == max.)
 	LatencyWallP50MS  float64 `json:"latency_wall_p50_ms,omitempty"`
 	LatencyWallP95MS  float64 `json:"latency_wall_p95_ms,omitempty"`
 	LatencyWallP99MS  float64 `json:"latency_wall_p99_ms,omitempty"`
@@ -140,13 +134,13 @@ type MetricsFile struct {
 }
 
 // latencyDist fills m's latency-distribution keys from a farm run:
-// exact cycle-domain percentiles, banded wall-domain percentiles, and
-// the observer overhead.
+// banded wall-domain percentiles and the observer overhead. It fails
+// the experiment when the batch's cycle counts vary with the input,
+// which the branch-free kernels rule out.
 func latencyDist(m *Metric, stats *farm.Stats) {
-	m.LatencyCyclesP50 = stats.P50Cycles
-	m.LatencyCyclesP95 = stats.P95Cycles
-	m.LatencyCyclesP99 = stats.P99Cycles
-	m.LatencyCyclesP999 = stats.P999Cycles
+	if stats.MinCycles != stats.MaxCycles {
+		panic(fmt.Sprintf("bench: %s: cycles vary with the input (%d..%d)", m.Name, stats.MinCycles, stats.MaxCycles))
+	}
 	if stats.WallHist != nil && stats.WallHist.Count() > 0 {
 		m.LatencyWallP50MS = float64(stats.WallHist.Quantile(0.50)) / 1e6
 		m.LatencyWallP95MS = float64(stats.WallHist.Quantile(0.95)) / 1e6
@@ -237,18 +231,6 @@ func ValidateMetricsJSON(data []byte) error {
 			var v float64
 			if err := json.Unmarshal(raw, &v); err != nil {
 				return fmt.Errorf("metrics: experiment %d key %q is not a number: %s", i, k, raw)
-			}
-		}
-		// Cycle-domain latency percentiles: exact non-negative integers
-		// (they are order statistics over exact cycle counts).
-		for _, k := range []string{"latency_cycles_p50", "latency_cycles_p95", "latency_cycles_p99", "latency_cycles_p999"} {
-			raw, ok := e[k]
-			if !ok {
-				continue
-			}
-			var v uint64
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return fmt.Errorf("metrics: experiment %d key %q is not a non-negative integer: %s", i, k, raw)
 			}
 		}
 		// Wall-domain latency keys: finite non-negative numbers (banded

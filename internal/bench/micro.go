@@ -182,9 +182,9 @@ func (r *Runner) Fig5() (latency, flash *report.Table) {
 // weight-specialized unrolled kernels and the certificate-driven auto
 // search: the same 400-input 10%-density layer, deployed as block (the
 // paper's scheme), unrolled at each factor, and auto. Each row is one
-// point on the latency/flash trade-off frontier; auto must land on the
-// frontier because its cost model is the exact per-layer WCET from the
-// image's own certificate (modelimg.SearchWaitStates).
+// point on the latency/flash trade-off frontier. auto's cost model is
+// the per-layer WCET bound from the image's own certificate
+// (modelimg.SearchWaitStates), an upper bound on the measured cycles.
 func (r *Runner) Pareto() *report.Table {
 	const inDim = 400
 	const density = 0.10
@@ -223,6 +223,6 @@ func (r *Runner) Pareto() *report.Table {
 			r.logf("pareto out=%d enc=%s: %d cycles %s", out, c.key, meas.cycles, report.KB(meas.flashBytes))
 		}
 	}
-	t.Note = "unrolled trades flash for cycles; auto picks per-layer via exact cert WCET and never lands off the frontier"
+	t.Note = "unrolled trades flash for cycles; auto minimizes the cert WCET bound per layer under the flash budget"
 	return t
 }

@@ -31,7 +31,9 @@ const Version = "neuroc-cert/v1"
 // fetch, plus each single load/store whose target is proven to be
 // flash. (LDM/STM/PUSH/POP pay no data wait states in the Cortex-M0
 // model, and BL's second fetch halfword is free; both match the
-// emulator exactly.)
+// emulator exactly.) An inexact single load/store, whose region is
+// unproven, is charged the data wait state too, so its formula is an
+// upper bound rather than the exact cost.
 type Formula struct {
 	Base uint64 `json:"base"`
 	WS   uint64 `json:"ws"`
@@ -170,9 +172,9 @@ type Certificate struct {
 	// StackBound is the whole-image worst-case stack depth in bytes
 	// (hardware exception frame and deepest ISR included when ISRs are
 	// certified). WCETCycles is the whole-image worst-case cycle bound
-	// evaluated at WCETWaitStates (the bound is conservative, not a
-	// closed form: the worst path may change with the wait-state
-	// setting).
+	// over the main-thread roots, evaluated by Bound at WCETWaitStates
+	// (not a closed form: the worst path may change with the
+	// wait-state setting).
 	StackBound     uint32 `json:"stack_bound"`
 	WCETCycles     uint64 `json:"wcet_cycles"`
 	WCETWaitStates int    `json:"wcet_wait_states"`

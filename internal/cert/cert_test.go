@@ -24,6 +24,14 @@ const codeBase = 0x08000100
 // emulator cross-checks.
 func certifyHarness(t *testing.T, src string) (*thumb.Program, *cert.Certificate) {
 	t.Helper()
+	prog, c, _ := certifyHarnessAt(t, src, 0)
+	return prog, c
+}
+
+// certifyHarnessAt certifies at a flash wait-state setting, also
+// returning asmcheck's report.
+func certifyHarnessAt(t *testing.T, src string, ws int) (*thumb.Program, *cert.Certificate, *asmcheck.Report) {
+	t.Helper()
 	prog, err := thumb.Assemble(src, codeBase)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -31,6 +39,7 @@ func certifyHarness(t *testing.T, src string) (*thumb.Program, *cert.Certificate
 	cfg := asmcheck.DefaultConfig()
 	cfg.Strict = true
 	cfg.StackBudget = 1024
+	cfg.FlashWaitStates = ws
 	if desc, err := prog.Symbol("desc"); err == nil {
 		cfg.CodeLimit = desc
 	}
@@ -49,7 +58,7 @@ func certifyHarness(t *testing.T, src string) (*thumb.Program, *cert.Certificate
 	if err != nil {
 		t.Fatalf("cert parse: %v", err)
 	}
-	return prog, parsed
+	return prog, parsed, rep
 }
 
 // bootHarness loads prog behind a minimal vector table on a fresh core.

@@ -2,6 +2,8 @@ package cert
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -9,23 +11,29 @@ import (
 // function, computed purely from the artifact — block cost formulas,
 // successor edges, taken-edge extras, loop bounds, and call facts. No
 // re-analysis of the machine code happens here; the certificate is the
-// single source of truth, which is what makes the number trustworthy as
-// the cost model of the per-layer encoding search (internal/modelimg).
+// single source of truth. This is the repository's only cycle-bound
+// engine: asmcheck's report and the certificate's WCETCycles are read
+// off it (via Bounds), and the per-layer encoding search
+// (internal/modelimg) ranks encodings with it (via WCET).
 //
 // The computation is the classic hierarchical loop collapse: innermost
 // loops first, each natural loop is replaced by a single super-node
 // whose cost is (Bound-1) worst iterations plus the worst final path to
 // each exit edge, then the reduced function body is a DAG and the
-// answer is its longest path from the entry block. For the generated
-// kernels — counted loops whose trip counts equal their annotated
-// bounds and whose bodies have no data-dependent branches — the result
-// is not merely an upper bound but EXACT: wcet_test.go pins
-// WCET == measured cycles for every kernel variant on both interpreters
-// across wait-state settings.
+// answer is its longest path from the entry block. The result is a
+// sound upper bound. It equals the measured cycle count only when every
+// loop runs its annotated bound, as in the kernels' uniform self-check
+// harnesses (wcet_test.go pins WCET == measured cycles for every kernel
+// variant on both interpreters across wait-state settings). On real
+// layers most loops run short of their bounds and the figure is an
+// upper bound (1.2x to 6x the measured count, depending on the
+// encoding; see docs/ASMCHECK.md).
 //
 // WCET requires every reachable block to be exact (proven cost
-// formulas); an inexact certificate can only bound, not price, and the
-// search must never rank encodings with unproven numbers.
+// formulas): the search must never rank encodings with unproven
+// numbers. Bounds also accepts inexact blocks, whose formulas charge
+// each unproven single load/store a data wait state, the most the
+// access can pay.
 
 // gnode is one node of the reduction graph: a basic block, or a
 // collapsed loop.
@@ -35,18 +43,55 @@ type gnode struct {
 }
 
 // WCET returns the worst-case cycle count of the named certified
-// function at the given flash wait-state setting, callees included.
+// function at the given flash wait-state setting, callees included. It
+// refuses functions with inexact blocks.
 func (c *Certificate) WCET(name string, ws int) (uint64, error) {
 	f := c.FuncByName(name)
 	if f == nil {
 		return 0, fmt.Errorf("cert: no certified function %q", name)
 	}
-	memo := make(map[uint32]uint64)
-	active := make(map[uint32]bool)
-	return c.funcWCET(f, uint64(ws), memo, active)
+	return c.funcWCET(f, uint64(ws), true, make(map[uint32]uint64), make(map[uint32]bool))
 }
 
-func (c *Certificate) funcWCET(f *Func, ws uint64, memo map[uint32]uint64, active map[uint32]bool) (uint64, error) {
+// satAdd and satMul saturate at the 64-bit maximum, which funcWCET
+// turns into an error: loop bounds come from source annotations and
+// can be large enough to wrap a plain product.
+func satAdd(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return s
+}
+
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// Bounds returns an upper bound on the cycles of every certified
+// function at the given flash wait-state setting, callees included,
+// keyed by function address. Unlike WCET it prices inexact blocks by
+// their conservative formulas; on a fully exact function the two
+// agree. A function whose bound is undefined (an unbounded loop,
+// recursion, or a count past 64 bits) has no entry. One evaluation
+// serves all functions, so a shared callee is priced once.
+func (c *Certificate) Bounds(ws int) map[uint32]uint64 {
+	memo := make(map[uint32]uint64)
+	active := make(map[uint32]bool)
+	out := make(map[uint32]uint64, len(c.Funcs))
+	for i := range c.Funcs {
+		if v, err := c.funcWCET(&c.Funcs[i], uint64(ws), false, memo, active); err == nil {
+			out[c.Funcs[i].Addr] = v
+		}
+	}
+	return out
+}
+
+func (c *Certificate) funcWCET(f *Func, ws uint64, exact bool, memo map[uint32]uint64, active map[uint32]bool) (uint64, error) {
 	if v, ok := memo[f.Addr]; ok {
 		return v, nil
 	}
@@ -60,7 +105,7 @@ func (c *Certificate) funcWCET(f *Func, ws uint64, memo map[uint32]uint64, activ
 	nodes := make(map[uint32]*gnode, len(f.Blocks))
 	for i := range f.Blocks {
 		b := &f.Blocks[i]
-		if !b.Exact {
+		if exact && !b.Exact {
 			return 0, fmt.Errorf("cert: block 0x%08x of %s is not exact; WCET requires proven cost formulas", b.Start, f.Name)
 		}
 		n := &gnode{cost: b.Cost.Eval(ws), out: make(map[uint32]uint64, len(b.Succs))}
@@ -71,11 +116,11 @@ func (c *Certificate) funcWCET(f *Func, ws uint64, memo map[uint32]uint64, activ
 				if callee == nil {
 					return 0, fmt.Errorf("cert: %s calls uncertified address 0x%08x", f.Name, call)
 				}
-				sub, err := c.funcWCET(callee, ws, memo, active)
+				sub, err := c.funcWCET(callee, ws, exact, memo, active)
 				if err != nil {
 					return 0, err
 				}
-				n.cost += sub
+				n.cost = satAdd(n.cost, sub)
 			}
 		}
 		// The taken-edge extra applies to the conditional terminator's
@@ -131,7 +176,7 @@ func (c *Certificate) funcWCET(f *Func, ws uint64, memo map[uint32]uint64, activ
 			if !ok {
 				return 0, fmt.Errorf("cert: %s loop 0x%08x: latch 0x%08x unreachable from header", f.Name, l.Header, latch)
 			}
-			w := d + nodes[lr].out[h]
+			w := satAdd(d, nodes[lr].out[h])
 			if w > iterMax {
 				iterMax = w
 			}
@@ -147,14 +192,14 @@ func (c *Certificate) funcWCET(f *Func, ws uint64, memo map[uint32]uint64, activ
 				if members[s] || s == h {
 					continue
 				}
-				w := dist[m] + extra
+				w := satAdd(dist[m], extra)
 				if old, ok := exits[s]; !ok || w > old {
 					exits[s] = w
 				}
 			}
 		}
 		super := nodes[h]
-		super.cost = (l.Bound - 1) * iterMax
+		super.cost = satMul(l.Bound-1, iterMax)
 		super.out = exits
 		for m := range members { //neurolint:allow maporder (commutative deletes; no output order)
 			if m != h {
@@ -171,6 +216,9 @@ func (c *Certificate) funcWCET(f *Func, ws uint64, memo map[uint32]uint64, activ
 	total, err := dagLongest(nodes, entry)
 	if err != nil {
 		return 0, fmt.Errorf("cert: %s: %w", f.Name, err)
+	}
+	if total == math.MaxUint64 {
+		return 0, fmt.Errorf("cert: %s: cycle count overflows 64 bits", f.Name)
 	}
 	memo[f.Addr] = total
 	return total, nil
@@ -208,7 +256,7 @@ func loopPaths(nodes map[uint32]*gnode, members map[uint32]bool, header uint32) 
 				continue
 			}
 			if reachable {
-				if w := du + extra + nodes[s].cost; w > dist[s] {
+				if w := satAdd(satAdd(du, extra), nodes[s].cost); w > dist[s] {
 					dist[s] = w
 				}
 			}
@@ -259,7 +307,7 @@ func dagLongest(nodes map[uint32]*gnode, entry uint32) (uint64, error) {
 				continue // edge out of the function body (tail jump)
 			}
 			if reachable {
-				if w := du + extra + nodes[s].cost; w > dist[s] {
+				if w := satAdd(satAdd(du, extra), nodes[s].cost); w > dist[s] {
 					dist[s] = w
 				}
 			}

@@ -15,24 +15,30 @@ import (
 // at every wait-state setting. This is only possible because the
 // self-check harness tables hold uniform real data (each loop runs
 // exactly its annotated bound) and the kernels have no data-dependent
-// branches; it is the property that lets the per-layer encoding search
-// use WCET("entry") as an exact cost, not a slack upper bound.
+// branches; on real layers, where loops run short of their bounds, the
+// same figure is an upper bound. The evaluator is also the only cycle
+// engine: asmcheck's report bound and the certificate's wcet_cycles,
+// certified at the same wait-state setting, must be the same number.
 func TestWCETEqualsMeasuredCycles(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
-			prog, c := certifyHarness(t, v.Harness)
-			for _, legacy := range []bool{false, true} {
-				for ws := 0; ws <= 2; ws++ {
+			for ws := 0; ws <= 2; ws++ {
+				prog, c, rep := certifyHarnessAt(t, v.Harness, ws)
+				wcet, err := c.WCET("entry", ws)
+				if err != nil {
+					t.Fatalf("WCET: %v", err)
+				}
+				if rep.CycleBound != wcet || c.WCETCycles != wcet {
+					t.Fatalf("ws=%d: report bound %d, wcet_cycles %d, WCET %d: want one number",
+						ws, rep.CycleBound, c.WCETCycles, wcet)
+				}
+				for _, legacy := range []bool{false, true} {
 					name := fmt.Sprintf("predecoded/ws=%d", ws)
 					if legacy {
 						name = fmt.Sprintf("legacy/ws=%d", ws)
 					}
 					t.Run(name, func(t *testing.T) {
-						wcet, err := c.WCET("entry", ws)
-						if err != nil {
-							t.Fatalf("WCET: %v", err)
-						}
 						cpu := bootHarness(t, prog, ws, legacy)
 						if err := cpu.Run(3_000_000); err != nil {
 							t.Fatalf("run: %v", err)

@@ -16,7 +16,6 @@ package farm
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,19 +137,11 @@ type Stats struct {
 	// when the image carries none).
 	TranslateBuild time.Duration
 
-	// CycleHist and WallHist are the per-inference latency
-	// distributions over successful items: device cycles (cycle domain,
-	// deterministic — merging the per-worker histograms is exact, so
-	// the result is identical at any worker count) and host wall
-	// nanoseconds (wall domain, banded). See internal/obs.
-	CycleHist *obs.Hist
-	WallHist  *obs.Hist
-
-	// P50Cycles..P999Cycles are exact nearest-rank order statistics
-	// over the successful items' cycle counts — not histogram
-	// approximations — so they are deterministic and exact-gated by
-	// metricscheck -compare like every other cycle figure.
-	P50Cycles, P95Cycles, P99Cycles, P999Cycles uint64
+	// WallHist is the per-inference host wall-nanosecond distribution
+	// over successful items (wall domain, banded; see internal/obs).
+	// Cycle counts need no distribution: the kernels are branch-free,
+	// so MinCycles == MaxCycles on every batch.
+	WallHist *obs.Hist
 
 	// ObserveOverhead is the total host time spent inside
 	// Options.Observe callbacks, summed across workers; zero when no
@@ -214,9 +205,7 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 	results := make([]Result, len(inputs))
 	// Per-worker histograms: each worker records its own items without
 	// synchronization, and the merge after the barrier is exact bucket
-	// addition — the merged distributions are bit-identical to a serial
-	// run's, whatever the scheduling (tested: TestFarmHistMergeProperty).
-	cycleHists := make([]obs.Hist, workers)
+	// addition (tested: obs.TestHistMergeProperty).
 	wallHists := make([]obs.Hist, workers)
 	var observeNS atomic.Int64
 	var next atomic.Int64
@@ -251,7 +240,6 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 						Telemetry:        res.Telemetry,
 						TelemetryDropped: res.TelemetryDropped,
 					}
-					cycleHists[w].Record(res.Cycles)
 					wallHists[w].Record(uint64(dur.Nanoseconds()))
 				}
 				results[i].Worker = w
@@ -271,16 +259,13 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 		Items: len(inputs), Workers: workers, Wall: time.Since(start),
 		PredecodeBuild:  fi.Table.BuildTime(),
 		TranslateBuild:  fi.TransBuild,
-		CycleHist:       &obs.Hist{},
 		WallHist:        &obs.Hist{},
 		ObserveOverhead: time.Duration(observeNS.Load()),
 	}
-	for w := range cycleHists {
-		stats.CycleHist.Merge(&cycleHists[w])
+	for w := range wallHists {
 		stats.WallHist.Merge(&wallHists[w])
 	}
 	var firstErr error
-	okCycles := make([]uint64, 0, len(results))
 	for i := range results {
 		if results[i].Err != nil {
 			stats.Failed++
@@ -291,7 +276,6 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 		}
 		stats.Instructions += results[i].Instructions
 		c := results[i].Cycles
-		okCycles = append(okCycles, c)
 		stats.TotalCycles += c
 		if stats.MinCycles == 0 || c < stats.MinCycles {
 			stats.MinCycles = c
@@ -303,14 +287,6 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 	if ok := stats.Items - stats.Failed; ok > 0 {
 		stats.MeanCycles = stats.TotalCycles / uint64(ok)
 	}
-	// Exact order statistics over the successful items, independent of
-	// worker count (the multiset of cycle counts is): the exact-gated
-	// latency percentiles.
-	sort.Slice(okCycles, func(i, j int) bool { return okCycles[i] < okCycles[j] })
-	stats.P50Cycles = obs.Percentile(okCycles, 0.50)
-	stats.P95Cycles = obs.Percentile(okCycles, 0.95)
-	stats.P99Cycles = obs.Percentile(okCycles, 0.99)
-	stats.P999Cycles = obs.Percentile(okCycles, 0.999)
 	return results, stats, firstErr
 }
 

@@ -13,7 +13,12 @@ import (
 // Cross-validation of the static analyzer against the emulator: for
 // every encoding, the statically derived stack and cycle bounds must
 // dominate what the device actually does. A bound below an observed
-// value is a soundness bug in asmcheck, not a tolerance issue.
+// value is a soundness bug in asmcheck or the certificate evaluator,
+// not a tolerance issue. Each case also logs the bound over the
+// measured cycles; the MNIST-sized "mnist-" cases give the figures
+// docs/ASMCHECK.md cites:
+//
+//	go test -v -run TestStaticBoundsDominateObserved ./internal/modelimg
 func TestStaticBoundsDominateObserved(t *testing.T) {
 	r := rng.New(1234)
 	ternary := &quant.Model{
@@ -30,6 +35,22 @@ func TestStaticBoundsDominateObserved(t *testing.T) {
 			randDenseLayer(r, 16, 8, false),
 		},
 	}
+	r = rng.New(7)
+	ternary784 := &quant.Model{
+		InputScale: 127,
+		Layers: []*quant.Layer{
+			randTernaryLayer(r, 784, 128, 0.08, true, true),
+			randTernaryLayer(r, 128, 48, 0.15, true, true),
+			randTernaryLayer(r, 48, 10, 0.30, false, false),
+		},
+	}
+	dense784 := &quant.Model{
+		InputScale: 127,
+		Layers: []*quant.Layer{
+			randDenseLayer(r, 784, 32, true),
+			randDenseLayer(r, 32, 10, false),
+		},
+	}
 	cases := []struct {
 		name  string
 		model *quant.Model
@@ -40,6 +61,12 @@ func TestStaticBoundsDominateObserved(t *testing.T) {
 		{"delta", ternary, UseDelta},
 		{"mixed", ternary, UseMixed},
 		{"dense", dense, UseBlock},
+		{"mnist-block", ternary784, UseBlock},
+		{"mnist-csc", ternary784, UseCSC},
+		{"mnist-delta", ternary784, UseDelta},
+		{"mnist-mixed", ternary784, UseMixed},
+		{"mnist-unrolled", ternary784, UseUnrolled},
+		{"mnist-dense", dense784, UseBlock},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +79,16 @@ func TestStaticBoundsDominateObserved(t *testing.T) {
 			}
 			if img.Check.CycleBound == asmcheck.Unbounded {
 				t.Fatal("cycle bound is unbounded on a fully annotated image")
+			}
+			// One cycle engine: the checker's bound is the certificate's
+			// WCET, not a second model of its own.
+			wcet, err := img.Cert.WCET("entry", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img.Check.CycleBound != wcet || img.Cert.WCETCycles != wcet {
+				t.Fatalf("check bound %d, wcet_cycles %d, WCET(entry) %d: want one number",
+					img.Check.CycleBound, img.Cert.WCETCycles, wcet)
 			}
 			dev, err := device.New(img)
 			if err != nil {
@@ -73,6 +110,10 @@ func TestStaticBoundsDominateObserved(t *testing.T) {
 				if img.Check.CycleBound < res.Cycles {
 					t.Errorf("static cycle bound %d < measured %d cycles",
 						img.Check.CycleBound, res.Cycles)
+				}
+				if trial == 0 {
+					t.Logf("cycle bound %d, measured %d: %.2fx", img.Check.CycleBound, res.Cycles,
+						float64(img.Check.CycleBound)/float64(res.Cycles))
 				}
 			}
 		})

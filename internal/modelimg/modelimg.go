@@ -11,11 +11,11 @@
 // Encodings are chosen PER LAYER: a single uniform choice (the classic
 // Build path), an explicit per-layer mix (BuildOptions.PerLayer), or
 // the certificate-driven search (UseAuto, see search.go) that prices
-// every candidate with the exact cert WCET and picks the fastest
-// deployable mix. Loop-bound annotations are tight — each shared kernel
-// is generated with the maximum dimensions of the layers that call it,
-// not the device-capacity ceiling — so the certificate's bounds make
-// WCET pricing exact.
+// every candidate with the cert WCET bound and picks the deployable mix
+// with the smallest one. Loop-bound annotations are tight — each shared
+// kernel is generated with the maximum dimensions of the layers that
+// call it, not the device-capacity ceiling — so the bound is as small
+// as the annotations allow.
 //
 // SRAM layout: two ping-pong int8 activation buffers sized to the
 // widest layer, one int32 accumulator buffer sized to the widest output,

@@ -12,13 +12,17 @@ import (
 // Per-layer encoding search (UseAuto): pick, for every ternary layer,
 // the encoding (block, csc, delta, mixed, or unrolled at each factor)
 // that minimizes whole-inference cycles subject to the image fitting in
-// flash. The cost model is not a heuristic: each candidate is priced by
-// really building a one-layer image and evaluating the exact
-// certificate-driven WCET (cert.Certificate.WCET), which wcet_test.go
-// pins equal to measured cycles for every kernel the generators emit.
-// Inference is a straight-line sequence of layer calls, so whole-model
-// cost is additive in the per-layer costs and ranking combinations by
-// the probe-WCET sum ranks them by true cycle count.
+// flash. Each candidate is priced by really building a one-layer image
+// and evaluating the certificate-driven WCET (cert.Certificate.WCET), a
+// sound upper bound on its cycles. The bound equals the measured count
+// only when every loop runs its annotated bound, as in the self-check
+// harnesses wcet_test.go pins; on real layers the loops run short and
+// the bound over-prices by an encoding-dependent factor (1.2x for
+// unrolled/4 up to about 6x for block), so the search minimizes the
+// guaranteed worst case, not the measured cycles. Inference is a
+// straight-line sequence of layer calls, so whole-model WCET is
+// additive in the per-layer costs and ranking combinations by the
+// probe-WCET sum ranks them by whole-model WCET.
 
 // SearchWaitStates is the flash wait-state setting the search prices
 // WCET at: one wait state, the modeled STM32F072 flash timing at full

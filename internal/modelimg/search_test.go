@@ -32,7 +32,7 @@ func searchTestModel() *quant.Model {
 
 // TestAutoSearchNeverDominated is the acceptance gate for the encoding
 // search: against a full exhaustive enumeration of every per-layer
-// combination (really built, priced with the exact certificate WCET the
+// combination (really built, priced with the certificate WCET the
 // search itself uses), the auto choice must be Pareto-optimal — no
 // deployable combination is strictly faster, and none is equally fast
 // yet smaller.

@@ -135,18 +135,18 @@ type literal struct {
 // item is one assembled unit: an instruction, a data directive, padding,
 // or a literal pool.
 type item struct {
-	line  int
-	addr  uint32
-	size  int
-	mn    string   // instruction mnemonic ("" for data items)
-	args  []string // operands
-	data  []byte   // raw data for .byte/.hword/.space
-	exprs []string // expressions for .word (resolved pass 2)
-	width int      // element width for exprs (4 for .word, 2 for .hword, 1 for .byte)
-	lit       *literal // for "ldr rd, =expr"
-	pool      []*literal
-	align     int // alignment request (bytes) for align items and pools
-	loopBound int // "asmcheck: loop N" annotation (0 = none)
+	line       int
+	addr       uint32
+	size       int
+	mn         string   // instruction mnemonic ("" for data items)
+	args       []string // operands
+	data       []byte   // raw data for .byte/.hword/.space
+	exprs      []string // expressions for .word (resolved pass 2)
+	width      int      // element width for exprs (4 for .word, 2 for .hword, 1 for .byte)
+	lit        *literal // for "ldr rd, =expr"
+	pool       []*literal
+	align      int    // alignment request (bytes) for align items and pools
+	loopBound  int    // "asmcheck: loop N" annotation (0 = none)
 	loadRegion string // "asmcheck: load <region>" annotation ("" = none)
 }
 

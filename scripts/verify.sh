@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== go build"
 go build ./...
 
+echo "== gofmt"
+test -z "$(gofmt -l .)"
+
 echo "== static (go vet + race detector + fuzz corpus)"
 go vet ./...
 go test -race ./...
@@ -37,6 +40,12 @@ fi
 
 echo "== go test"
 go test ./...
+
+echo "== neuroc-perf (the benchmark's nested module, outside ./...)"
+# It builds against asmcheck.Certify and cert.Certificate.WCET through
+# the module's replace directive, so it needs no network.
+go -C cmd/neuroc-perf vet .
+go -C cmd/neuroc-perf test .
 
 echo "== asmcheck (static verification of all generated kernels)"
 go run ./cmd/asmcheck -kernels
