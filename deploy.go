@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/farm"
@@ -14,6 +15,9 @@ import (
 )
 
 // Deployment is a quantized model loaded on the emulated Cortex-M0.
+// QModel, Img, Dev and Encoding are fixed after construction, and Dev
+// is required: the flash image its board booted from (Dev.Flash) is the
+// deployed artifact every batch evaluation runs on.
 type Deployment struct {
 	QModel *quant.Model
 	Img    *modelimg.Image
@@ -41,11 +45,21 @@ type Deployment struct {
 	// concurrently from the farm workers and must be safe for that; nil
 	// (the default) keeps every path identical to an unobserved run.
 	Observe func(i int, r *farm.Result)
+
+	// twin is the telemetry twin's flash image, built on the first
+	// MeasureLayers or MeasureEnergy call and reused by every later one.
+	twinOnce sync.Once
+	twin     *device.FlashImage
+	twinErr  error
 }
 
 // ErrNotDeployable reports a model that exceeds the device's flash or
 // SRAM, the paper's non-deployable condition (Fig. 6a's red line).
 var ErrNotDeployable = errors.New("neuroc: model not deployable on the target device")
+
+// errEmptyTestSplit is returned by every method that evaluates test
+// rows when the dataset has none.
+var errEmptyTestSplit = errors.New("neuroc: empty test split")
 
 // Deploy quantizes the trained model (calibrating on the training
 // split) and builds + loads the flash image with the chosen encoding.
@@ -58,6 +72,12 @@ func (m *Model) Deploy(ds *Dataset, enc Encoding) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("neuroc: quantize: %w", err)
 	}
+	return deploy(qm, enc)
+}
+
+// deploy builds qm's flash image with enc and boots the deployment's
+// board on it. An image that exceeds the device is ErrNotDeployable.
+func deploy(qm *quant.Model, enc Encoding) (*Deployment, error) {
 	img, err := modelimg.Build(qm, enc)
 	if err != nil {
 		var nd *modelimg.ErrNotDeployable
@@ -71,6 +91,25 @@ func (m *Model) Deploy(ds *Dataset, enc Encoding) (*Deployment, error) {
 		return nil, err
 	}
 	return &Deployment{QModel: qm, Img: img, Dev: dev, Encoding: enc}, nil
+}
+
+// testInputs quantizes n test rows starting at row first, wrapping
+// around the test split.
+func (d *Deployment) testInputs(ds *Dataset, first, n int) ([][]int8, error) {
+	if ds.TestX.Rows == 0 {
+		return nil, errEmptyTestSplit
+	}
+	inputs := make([][]int8, n)
+	for i := range inputs {
+		inputs[i] = d.QModel.QuantizeInput(ds.TestX.Row((first + i) % ds.TestX.Rows))
+	}
+	return inputs, nil
+}
+
+// runFarm evaluates inputs on fi across the board farm with the
+// deployment's batch options.
+func (d *Deployment) runFarm(fi *device.FlashImage, inputs [][]int8) ([]farm.Result, *farm.Stats, error) {
+	return farm.Run(fi, inputs, farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
 }
 
 // QuantizedSizeBytes estimates the flash footprint without building the
@@ -110,21 +149,15 @@ func (d *Deployment) MeasureStats(ds *Dataset, runs int) (ms float64, cycles, in
 	if runs <= 0 {
 		runs = 10
 	}
-	inputs := make([][]int8, runs)
-	for i := range inputs {
-		inputs[i] = d.QModel.QuantizeInput(ds.TestX.Row(i % ds.TestX.Rows))
-	}
-	results, _, err := farm.Map(d.Img, inputs, farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
+	inputs, err := d.testInputs(ds, 0, runs)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	var totalCycles, totalInstrs uint64
-	for _, res := range results {
-		totalCycles += res.Cycles
-		totalInstrs += res.Instructions
+	_, stats, err := d.runFarm(d.Dev.Flash, inputs)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	meanCycles := totalCycles / uint64(runs)
-	return device.CyclesToMS(meanCycles), meanCycles, totalInstrs / uint64(runs), nil
+	return stats.LatencyMS(), stats.MeanCycles, stats.Instructions / uint64(runs), nil
 }
 
 // TelemetryTwin builds the deployment's telemetry twin: the same
@@ -132,7 +165,8 @@ func (d *Deployment) MeasureStats(ds *Dataset, runs int) (ms float64, cycles, in
 // on-device layer markers. The twin is what MeasureLayers,
 // MeasureEnergy, and the run-timeline builders execute — its
 // marker-corrected layer costs equal the uninstrumented deployment's
-// exactly (see internal/telemetry).
+// exactly (see internal/telemetry). Every call builds a new image;
+// MeasureLayers and MeasureEnergy build theirs once per Deployment.
 func (d *Deployment) TelemetryTwin() (*modelimg.Image, error) {
 	img, err := modelimg.BuildOpts(d.QModel, modelimg.BuildOptions{
 		Encoding:  d.Encoding,
@@ -145,26 +179,39 @@ func (d *Deployment) TelemetryTwin() (*modelimg.Image, error) {
 	return img, nil
 }
 
-// MeasureLayers measures per-layer cycle attribution with the on-device
-// telemetry pipeline: it builds the deployment's telemetry twin (same
-// quantized model and encoding, plus layer markers), runs the inferences
-// across the board farm, and aggregates the decoded per-layer costs.
-// The costs are corrected for the fixed marker overhead, so each equals
-// — exactly, cycle for cycle — what that layer costs in the
-// uninstrumented deployment (see internal/telemetry).
-func (d *Deployment) MeasureLayers(ds *Dataset, runs int) ([]telemetry.LayerStats, error) {
+// runTwin runs runs test rows on the telemetry twin across the board
+// farm. The twin's flash image is built on first use and reused by every
+// later call on this Deployment.
+func (d *Deployment) runTwin(ds *Dataset, runs int) (*modelimg.Image, []farm.Result, error) {
 	if runs <= 0 {
 		runs = 10
 	}
-	img, err := d.TelemetryTwin()
+	inputs, err := d.testInputs(ds, 0, runs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inputs := make([][]int8, runs)
-	for i := range inputs {
-		inputs[i] = d.QModel.QuantizeInput(ds.TestX.Row(i % ds.TestX.Rows))
+	d.twinOnce.Do(func() {
+		var img *modelimg.Image
+		if img, d.twinErr = d.TelemetryTwin(); d.twinErr == nil {
+			d.twin, d.twinErr = device.NewFlashImage(img)
+		}
+	})
+	if d.twinErr != nil {
+		return nil, nil, d.twinErr
 	}
-	results, _, err := farm.Map(img, inputs, farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
+	results, _, err := d.runFarm(d.twin, inputs)
+	return d.twin.Img, results, err
+}
+
+// MeasureLayers measures per-layer cycle attribution with the on-device
+// telemetry pipeline: it runs the inferences on the deployment's
+// telemetry twin (same quantized model and encoding, plus layer
+// markers) across the board farm, and aggregates the decoded per-layer
+// costs. The costs are corrected for the fixed marker overhead, so each
+// equals — exactly, cycle for cycle — what that layer costs in the
+// uninstrumented deployment (see internal/telemetry).
+func (d *Deployment) MeasureLayers(ds *Dataset, runs int) ([]telemetry.LayerStats, error) {
+	img, results, err := d.runTwin(ds, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -173,24 +220,13 @@ func (d *Deployment) MeasureLayers(ds *Dataset, runs int) ([]telemetry.LayerStat
 
 // MeasureEnergy measures per-layer energy attribution: MeasureLayers'
 // telemetry pipeline priced with the board's calibrated energy model
-// (device.EnergyModel). It builds the deployment's telemetry twin, runs
-// the inferences across the board farm, and returns the batch-level
+// (device.EnergyModel). It runs the inferences on the deployment's
+// telemetry twin across the board farm and returns the batch-level
 // neuroc-energy/v1 aggregate — whole-batch and per-layer µJ, derived
 // from the exact marker-corrected cycle counts, so the figures are
 // fully deterministic and sum exactly (see internal/telemetry).
 func (d *Deployment) MeasureEnergy(ds *Dataset, runs int) (*telemetry.EnergyAggregate, error) {
-	if runs <= 0 {
-		runs = 10
-	}
-	img, err := d.TelemetryTwin()
-	if err != nil {
-		return nil, err
-	}
-	inputs := make([][]int8, runs)
-	for i := range inputs {
-		inputs[i] = d.QModel.QuantizeInput(ds.TestX.Row(i % ds.TestX.Rows))
-	}
-	results, _, err := farm.Map(img, inputs, farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
+	img, results, err := d.runTwin(ds, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -201,8 +237,11 @@ func (d *Deployment) MeasureEnergy(ds *Dataset, runs int) (*telemetry.EnergyAggr
 // returns the device result carrying the full cycle-attribution trace
 // (symbolize with profile.New(res.Trace, d.Img.Prog.Symbols)).
 func (d *Deployment) Profile(ds *Dataset, idx int) (*device.Result, error) {
-	row := ds.TestX.Row(idx % ds.TestX.Rows)
-	return d.Dev.RunProfiled(d.QModel.QuantizeInput(row))
+	inputs, err := d.testInputs(ds, idx, 1)
+	if err != nil {
+		return nil, err
+	}
+	return d.Dev.RunProfiled(inputs[0])
 }
 
 // Accuracy evaluates the quantized model on the test split. The
@@ -218,21 +257,8 @@ func (d *Deployment) Accuracy(ds *Dataset) float64 {
 // makes full-test-set on-emulator evaluation practical; the result is
 // bit-identical to running every sample serially on one board.
 func (d *Deployment) DeviceAccuracy(ds *Dataset, n int) (float64, error) {
-	acc, _, err := d.deviceAccuracyStats(ds, n)
+	acc, _, err := d.deviceAccuracy(ds, n, false)
 	return acc, err
-}
-
-// deviceAccuracyStats is DeviceAccuracy also returning the farm's
-// aggregate statistics (cycle spread, wall-clock, throughput).
-func (d *Deployment) deviceAccuracyStats(ds *Dataset, n int) (float64, *farm.Stats, error) {
-	if n <= 0 || n > ds.TestX.Rows {
-		n = ds.TestX.Rows
-	}
-	inputs := make([][]int8, n)
-	for i := range inputs {
-		inputs[i] = d.QModel.QuantizeInput(ds.TestX.Row(i))
-	}
-	return farm.Accuracy(d.Img, inputs, ds.TestY[:n], farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
 }
 
 // DeviceAccuracyChecked is DeviceAccuracy with a differential gate:
@@ -243,24 +269,33 @@ func (d *Deployment) deviceAccuracyStats(ds *Dataset, n int) (float64, *farm.Sta
 // accuracy measurement: the returned value is a true on-emulator
 // result, proven equal to the bit-exact Go reference.
 func (d *Deployment) DeviceAccuracyChecked(ds *Dataset, n int) (float64, *farm.Stats, error) {
+	return d.deviceAccuracy(ds, n, true)
+}
+
+// deviceAccuracy runs n test samples on the deployed image and scores
+// the device predictions against the labels; checked cross-checks each
+// prediction against the host reference first.
+func (d *Deployment) deviceAccuracy(ds *Dataset, n int, checked bool) (float64, *farm.Stats, error) {
 	if n <= 0 || n > ds.TestX.Rows {
 		n = ds.TestX.Rows
 	}
-	inputs := make([][]int8, n)
-	for i := range inputs {
-		inputs[i] = d.QModel.QuantizeInput(ds.TestX.Row(i))
+	inputs, err := d.testInputs(ds, 0, n)
+	if err != nil {
+		return 0, nil, err
 	}
-	results, stats, err := farm.Map(d.Img, inputs, farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
+	results, stats, err := d.runFarm(d.Dev.Flash, inputs)
 	if err != nil {
 		return 0, stats, err
 	}
 	correct := 0
 	for i := range results {
 		pred := results[i].Argmax()
-		if ref := d.QModel.Predict(inputs[i]); pred != ref {
-			return 0, stats, fmt.Errorf(
-				"neuroc: device/reference divergence on test sample %d: device predicts %d, host reference %d",
-				i, pred, ref)
+		if checked {
+			if ref := d.QModel.Predict(inputs[i]); pred != ref {
+				return 0, stats, fmt.Errorf(
+					"neuroc: device/reference divergence on test sample %d: device predicts %d, host reference %d",
+					i, pred, ref)
+			}
 		}
 		if pred == ds.TestY[i] {
 			correct++
@@ -274,16 +309,7 @@ func (d *Deployment) DeviceAccuracyChecked(ds *Dataset, n int) (float64, *farm.S
 // the paper's Sec. 5.2 procedure for measuring the latency and memory
 // cost attributable to w_j alone.
 func (d *Deployment) DeployWithoutScale(enc Encoding) (*Deployment, error) {
-	qm := quant.StripPerNeuron(d.QModel)
-	img, err := modelimg.Build(qm, enc)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := device.New(img)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{QModel: qm, Img: img, Dev: dev, Encoding: enc}, nil
+	return deploy(quant.StripPerNeuron(d.QModel), enc)
 }
 
 // SaveModel writes the quantized model in the portable NCQ1 binary
@@ -298,17 +324,5 @@ func LoadDeployment(r io.Reader, enc Encoding) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := modelimg.Build(qm, enc)
-	if err != nil {
-		var nd *modelimg.ErrNotDeployable
-		if errors.As(err, &nd) {
-			return nil, fmt.Errorf("%w: %v", ErrNotDeployable, err)
-		}
-		return nil, err
-	}
-	dev, err := device.New(img)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{QModel: qm, Img: img, Dev: dev, Encoding: enc}, nil
+	return deploy(qm, enc)
 }

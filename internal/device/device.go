@@ -124,6 +124,11 @@ type Device struct {
 	CPU *armv6m.CPU
 	Img *modelimg.Image
 
+	// Flash is the immutable image the board booted from. Further
+	// boards booted from it (a farm's workers) share its flash array
+	// and execution tables with this one.
+	Flash *FlashImage
+
 	// Tier pins the execution tier for every Run; TierAuto (the zero
 	// value) uses the fastest path available. TierTranslated fails the
 	// run when the image carries no certificate or the certificate
@@ -149,38 +154,23 @@ type Device struct {
 	Checked bool
 }
 
-// New loads img into a fresh board. The returned device can run many
-// inferences; each Run resets the core but keeps flash contents. The
-// predecoded execution table (armv6m.Predecode) is built here, once per
-// image, so the first inference is as fast as every later one.
+// New loads img into a fresh board: NewFlashImage(img).NewBoard(). The
+// returned device can run many inferences; each Run resets the core but
+// keeps flash contents. The predecode and translation tables are built
+// here, once per image, so the first inference is as fast as every later
+// one, and Device.Flash hands them on to further boards.
 func New(img *modelimg.Image) (*Device, error) {
-	cpu := armv6m.New()
-	if err := cpu.Bus.LoadFlash(0, img.Prog.Code); err != nil {
-		return nil, fmt.Errorf("device: %w", err)
+	fi, err := NewFlashImage(img)
+	if err != nil {
+		return nil, err
 	}
-	if tt := cert.Translate(img.Cert, cpu.PredecodeNow()); tt != nil {
-		cpu.UseTranslation(tt)
-	}
-	d := &Device{CPU: cpu, Img: img}
-	d.attachTimer()
-	return d, nil
+	return fi.NewBoard(), nil
 }
 
-// attachTimer maps the telemetry peripheral when the image stores layer
-// markers. Without it the peripheral window stays unmapped and marker
-// stores would fault — a plain image never references the window, so
-// non-telemetry boards are left untouched.
-func (d *Device) attachTimer() {
-	if d.Img.Telemetry {
-		d.CPU.EnableTimer()
-	}
-}
-
-// SharedFlash returns a full-size flash array populated with img,
-// suitable for NewOnFlash. Building it once and booting many boards on
-// it is how the farm shares one program image across workers: the
-// emulated core can never write flash, so the array is immutable for
-// the lifetime of every board referencing it.
+// SharedFlash returns a full-size flash array populated with img, the
+// array every FlashImage board aliases: the emulated core can never
+// write flash, so the array is immutable for the lifetime of every
+// board referencing it.
 func SharedFlash(img *modelimg.Image) ([]byte, error) {
 	if len(img.Prog.Code) > armv6m.FlashSize {
 		return nil, fmt.Errorf("device: image (%d bytes) exceeds flash (%d bytes)",
@@ -189,18 +179,6 @@ func SharedFlash(img *modelimg.Image) ([]byte, error) {
 	flash := make([]byte, armv6m.FlashSize)
 	copy(flash, img.Prog.Code)
 	return flash, nil
-}
-
-// NewOnFlash boots a board on a shared flash array built by
-// SharedFlash. The board has private SRAM, registers, and counters;
-// only the read-only program image is shared. Callers must not mutate
-// flash while any board built on it is running. Each board predecodes
-// the image privately on its first Step; use FlashImage to share one
-// table across boards as well.
-func NewOnFlash(img *modelimg.Image, flash []byte) *Device {
-	d := &Device{CPU: armv6m.NewSharedFlash(flash), Img: img}
-	d.attachTimer()
-	return d
 }
 
 // FlashImage is a program image prepared for mass deployment: the
@@ -245,9 +223,16 @@ func NewFlashImage(img *modelimg.Image) (*FlashImage, error) {
 }
 
 // NewBoard boots a fresh board on the shared flash and attaches the
-// shared predecode and translation tables.
+// shared predecode and translation tables. The board has private SRAM,
+// registers, and counters; only the read-only image is shared. A
+// telemetry image gets the timer peripheral its layer markers store
+// into; other boards leave the window unmapped, as a plain image never
+// references it.
 func (f *FlashImage) NewBoard() *Device {
-	d := NewOnFlash(f.Img, f.Flash)
+	d := &Device{CPU: armv6m.NewSharedFlash(f.Flash), Img: f.Img, Flash: f}
+	if f.Img.Telemetry {
+		d.CPU.EnableTimer()
+	}
 	d.CPU.UsePredecode(f.Table)
 	if f.Trans != nil {
 		d.CPU.UseTranslation(f.Trans)

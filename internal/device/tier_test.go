@@ -171,7 +171,8 @@ func TestTierParityAndSelection(t *testing.T) {
 }
 
 // TestSharedTranslationTable pins that FlashImage boards share one
-// translation table and still agree with a privately translated board.
+// translation table, that device.New boots from a FlashImage of its own,
+// and that translated boards agree with a legacy-tier board.
 func TestSharedTranslationTable(t *testing.T) {
 	img, err := modelimg.Build(tinyModel(), modelimg.UseBlock)
 	if err != nil {
@@ -195,18 +196,24 @@ func TestSharedTranslationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := device.New(img)
+	if b1.Flash != fi || b2.Flash != fi {
+		t.Error("boards do not record the FlashImage they booted from")
+	}
+	legacy, err := device.New(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv.Tier = device.TierTranslated
-	r3, err := priv.Run(in)
+	if legacy.Flash == nil || legacy.Flash == fi || legacy.Flash.Trans == nil {
+		t.Error("device.New did not boot from a translated FlashImage of its own")
+	}
+	legacy.Tier = device.TierLegacy
+	r3, err := legacy.Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []*device.Result{r2, r3} {
-		if !reflect.DeepEqual(r.Output, r1.Output) || r.Cycles != r1.Cycles {
-			t.Errorf("shared-table boards disagree: %+v vs %+v", r, r1)
+		if !reflect.DeepEqual(r.Output, r1.Output) || r.Cycles != r1.Cycles || r.Instructions != r1.Instructions {
+			t.Errorf("boards disagree: %+v vs %+v", r, r1)
 		}
 	}
 }

@@ -10,7 +10,8 @@
 // inference starts from an architectural core reset with its input
 // buffer fully rewritten, so an input's output vector and cycle count
 // depend only on the image and the input, never on which worker ran it,
-// in what order, or how many workers exist. Map preserves input order.
+// in what order, or how many workers exist. Run and Map preserve input
+// order.
 package farm
 
 import (
@@ -26,7 +27,7 @@ import (
 	"github.com/neuro-c/neuroc/internal/obs"
 )
 
-// Options configures a Map run.
+// Options configures a Run (or Map) batch.
 type Options struct {
 	// Workers is the number of emulated boards; <= 0 uses
 	// runtime.GOMAXPROCS(0). Determinism does not depend on it.
@@ -54,7 +55,7 @@ type Options struct {
 	// Tier pins the execution tier on every board (device.Device.Tier).
 	// The zero value (TierAuto) keeps the fastest available tier; an
 	// explicit tier that cannot be honored — TierTranslated without a
-	// certificate, or combined with Checked — fails the whole Map up
+	// certificate, or combined with Checked — fails the whole batch up
 	// front rather than per item, since no input could ever succeed.
 	Tier device.Tier
 
@@ -68,7 +69,7 @@ type Options struct {
 	Observe func(i int, r *Result)
 }
 
-// Result is the measurement for one input, at the same index Map
+// Result is the measurement for one input, at the same index Run
 // received it.
 type Result struct {
 	Output       []int8
@@ -114,7 +115,7 @@ func (r *Result) Argmax() int {
 	return best
 }
 
-// Stats aggregates a Map run.
+// Stats aggregates a Run batch.
 type Stats struct {
 	Items   int           // inputs processed
 	Failed  int           // items with Err != nil
@@ -129,12 +130,13 @@ type Stats struct {
 	Instructions uint64
 
 	// PredecodeBuild is the one-time host cost of decoding the image
-	// into the execution table shared by every worker.
+	// into the execution table shared by every worker: the FlashImage's
+	// Table.BuildTime(), paid when the image was flashed, not per batch.
 	PredecodeBuild time.Duration
 
 	// TranslateBuild is the one-time host cost of building the shared
 	// superblock translation table from the image's certificate (zero
-	// when the image carries none).
+	// when the image carries none): the FlashImage's TransBuild.
 	TranslateBuild time.Duration
 
 	// WallHist is the per-inference host wall-nanosecond distribution
@@ -169,24 +171,31 @@ func (s *Stats) HostMIPS() float64 {
 	return float64(s.Instructions) / s.Wall.Seconds() / 1e6
 }
 
-// Map runs every input through the image on a pool of emulated boards
-// and returns one Result per input, in input order. All items are
+// Map flashes img (device.NewFlashImage) and runs the inputs on it; see
+// Run. Callers that evaluate one image repeatedly build the FlashImage
+// once and call Run instead.
+func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, error) {
+	fi, err := device.NewFlashImage(img)
+	if err != nil {
+		return nil, nil, err
+	}
+	return Run(fi, inputs, opts)
+}
+
+// Run runs every input through the flash image on a pool of emulated
+// boards and returns one Result per input, in input order. All items are
 // always attempted — a failing item is recorded and the pool moves on —
 // and the returned error, non-nil if any item failed, is the
 // lowest-index item's error (deterministic regardless of worker count
 // or scheduling). The caller can therefore either treat the batch as
 // all-or-nothing via the error, or inspect per-item Errs.
-func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, error) {
+func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(inputs) && len(inputs) > 0 {
 		workers = len(inputs)
-	}
-	fi, err := device.NewFlashImage(img)
-	if err != nil {
-		return nil, nil, err
 	}
 	if _, err := device.ParseTier(string(opts.Tier)); err != nil {
 		return nil, nil, fmt.Errorf("farm: %w", err)
@@ -288,28 +297,4 @@ func Map(img *modelimg.Image, inputs [][]int8, opts Options) ([]Result, *Stats, 
 		stats.MeanCycles = stats.TotalCycles / uint64(ok)
 	}
 	return results, stats, firstErr
-}
-
-// Accuracy runs every input through the image and scores Argmax against
-// labels, the on-emulator equivalent of the host reference accuracy
-// path. It fails on the first (lowest-index) item error: a partially
-// evaluated test set is not an accuracy number.
-func Accuracy(img *modelimg.Image, inputs [][]int8, labels []int, opts Options) (float64, *Stats, error) {
-	if len(inputs) != len(labels) {
-		return 0, nil, fmt.Errorf("farm: %d inputs but %d labels", len(inputs), len(labels))
-	}
-	if len(inputs) == 0 {
-		return 0, nil, fmt.Errorf("farm: empty test set")
-	}
-	results, stats, err := Map(img, inputs, opts)
-	if err != nil {
-		return 0, stats, err
-	}
-	correct := 0
-	for i := range results {
-		if results[i].Argmax() == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(inputs)), stats, nil
 }

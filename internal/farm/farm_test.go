@@ -305,37 +305,34 @@ func TestMixedFailure(t *testing.T) {
 	}
 }
 
-// TestAccuracy scores the farm's argmax path against the host
-// quantized reference on the same inputs.
-func TestAccuracy(t *testing.T) {
+// TestRunReusesFlashImage pins the flash-once, run-many contract: batches
+// run on one FlashImage match Map's freshly flashed image bit for bit at
+// any pool size, and each reports the image's one-time table build costs.
+func TestRunReusesFlashImage(t *testing.T) {
 	img := testImage(t)
 	inputs := testInputs(40, img.InDim)
-	// Labels from the serial device itself: accuracy must then be 1.0,
-	// and any farm/serial divergence shows up as a miss.
-	dev, err := device.New(img)
+	ref, _, err := farm.Map(img, inputs, farm.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]int, len(inputs))
-	for i := range inputs {
-		pred, _, err := dev.Predict(inputs[i])
+	fi, err := device.NewFlashImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 5} {
+		got, stats, err := farm.Run(fi, inputs, farm.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels[i] = pred
-	}
-	acc, stats, err := farm.Accuracy(img, inputs, labels, farm.Options{Workers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 1.0 {
-		t.Errorf("accuracy %v, want 1.0 against device-derived labels", acc)
-	}
-	if stats.Items != len(inputs) || stats.Failed != 0 {
-		t.Errorf("stats %+v", stats)
-	}
-	if _, _, err := farm.Accuracy(img, inputs, labels[:3], farm.Options{}); err == nil {
-		t.Error("mismatched labels accepted")
+		for i := range ref {
+			if fmt.Sprint(got[i].Output) != fmt.Sprint(ref[i].Output) || got[i].Cycles != ref[i].Cycles {
+				t.Fatalf("-j %d input %d: Run %+v, Map %+v", workers, i, got[i], ref[i])
+			}
+		}
+		if stats.PredecodeBuild != fi.Table.BuildTime() || stats.TranslateBuild != fi.TransBuild {
+			t.Errorf("-j %d: build costs %v/%v, want the image's %v/%v", workers,
+				stats.PredecodeBuild, stats.TranslateBuild, fi.Table.BuildTime(), fi.TransBuild)
+		}
 	}
 }
 

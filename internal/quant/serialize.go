@@ -130,6 +130,9 @@ func Load(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("quant: loading layer %d: %w", i, err)
 		}
+		if i > 0 && l.In != m.Layers[i-1].Out {
+			return nil, fmt.Errorf("quant: layer %d input width %d, but layer %d outputs %d", i, l.In, i-1, m.Layers[i-1].Out)
+		}
 		m.Layers = append(m.Layers, l)
 	}
 	return m, nil

@@ -103,6 +103,22 @@ func TestLoadRejectsTruncatedLayer(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsMisChainedLayers pins that a file whose layer widths
+// do not chain (Layers[i].Out != Layers[i+1].In) fails at load rather
+// than loading cleanly and panicking in Infer. The root package's
+// TestSaveLoadDeployment asserts the same of LoadDeployment.
+func TestLoadRejectsMisChainedLayers(t *testing.T) {
+	m := randSerModel(3)
+	m.Layers = []*Layer{m.Layers[0], m.Layers[0]} // 37->19, then 37->19
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Error("mis-chained model accepted")
+	}
+}
+
 func TestPackTernaryRoundTrip(t *testing.T) {
 	r := rng.New(3)
 	for trial := 0; trial < 20; trial++ {

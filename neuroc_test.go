@@ -3,9 +3,12 @@ package neuroc
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/device"
+	"github.com/neuro-c/neuroc/internal/quant"
 	"github.com/neuro-c/neuroc/internal/telemetry"
 )
 
@@ -46,6 +49,19 @@ func TestEndToEndNeuroC(t *testing.T) {
 	}
 	if hostAcc := float64(host) / 40; dacc != hostAcc {
 		t.Errorf("device accuracy %v != host reference %v", dacc, hostAcc)
+	}
+	// The checked form agrees, and its batch ran on the deployed
+	// tables rather than a freshly flashed copy of the image.
+	cacc, stats, err := dep.DeviceAccuracyChecked(ds, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cacc != dacc {
+		t.Errorf("checked device accuracy %v != unchecked %v", cacc, dacc)
+	}
+	if stats.PredecodeBuild != dep.Dev.Flash.Table.BuildTime() {
+		t.Errorf("checked batch predecode build %v, want the deployed image's %v",
+			stats.PredecodeBuild, dep.Dev.Flash.Table.BuildTime())
 	}
 	// Latency and footprint are plausible.
 	ms, cycles, err := dep.MeasureLatency(ds, 5)
@@ -151,6 +167,24 @@ func TestNotDeployableError(t *testing.T) {
 	if !errors.Is(err, ErrNotDeployable) {
 		t.Errorf("error = %v, want ErrNotDeployable", err)
 	}
+
+	// Every deploy path reports it the same way: a 784-96-10 Neuro-C
+	// model's unrolled image exceeds flash with or without w_j.
+	mnist := MNIST().Subsample(600, 10)
+	nc := NewModel(ModelSpec{
+		InputDim: mnist.Dim(), NumClasses: mnist.NumClasses,
+		Hidden: []int{96}, Arch: ArchNeuroC, Seed: 1,
+	})
+	if _, err := nc.Deploy(mnist, EncodingUnrolled); !errors.Is(err, ErrNotDeployable) {
+		t.Fatalf("Deploy(unrolled) error = %v, want ErrNotDeployable", err)
+	}
+	dep, err := nc.Deploy(mnist, EncodingBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.DeployWithoutScale(EncodingUnrolled); !errors.Is(err, ErrNotDeployable) {
+		t.Errorf("DeployWithoutScale(unrolled) error = %v, want ErrNotDeployable", err)
+	}
 }
 
 func TestAllEncodingsDeployable(t *testing.T) {
@@ -174,6 +208,39 @@ func TestAllEncodingsDeployable(t *testing.T) {
 			ref = acc
 		} else if acc != ref {
 			t.Errorf("%v device accuracy %v differs from block %v", enc, acc, ref)
+		}
+	}
+}
+
+// TestEmptyTestSplit pins that every method evaluating test rows
+// returns the same error on a dataset without any, instead of a
+// NaN or a divide-by-zero panic.
+func TestEmptyTestSplit(t *testing.T) {
+	ds := smallDigits()
+	m := NewModel(ModelSpec{
+		InputDim: ds.Dim(), NumClasses: ds.NumClasses,
+		Hidden: []int{16}, Arch: ArchNeuroC, Seed: 9,
+	})
+	dep, err := m.Deploy(ds, EncodingBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := ds.Subsample(ds.TrainX.Rows, 0)
+	calls := map[string]func() error{
+		"MeasureLatency": func() error { _, _, err := dep.MeasureLatency(empty, 3); return err },
+		"MeasureStats":   func() error { _, _, _, err := dep.MeasureStats(empty, 3); return err },
+		"MeasureLayers":  func() error { _, err := dep.MeasureLayers(empty, 3); return err },
+		"MeasureEnergy":  func() error { _, err := dep.MeasureEnergy(empty, 3); return err },
+		"Profile":        func() error { _, err := dep.Profile(empty, 0); return err },
+		"DeviceAccuracy": func() error { _, err := dep.DeviceAccuracy(empty, 0); return err },
+		"DeviceAccuracyChecked": func() error {
+			_, _, err := dep.DeviceAccuracyChecked(empty, 0)
+			return err
+		},
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, errEmptyTestSplit) {
+			t.Errorf("%s on an empty test split: error = %v, want %v", name, err, errEmptyTestSplit)
 		}
 	}
 }
@@ -230,6 +297,16 @@ func TestSaveLoadDeployment(t *testing.T) {
 	if loaded.ProgramBytes() != dep.ProgramBytes() {
 		t.Errorf("reloaded image %d != original %d", loaded.ProgramBytes(), dep.ProgramBytes())
 	}
+	// A file whose layers do not chain is refused, not deployed.
+	bad := *dep.QModel
+	bad.Layers = []*quant.Layer{dep.QModel.Layers[0], dep.QModel.Layers[0]}
+	buf.Reset()
+	if err := bad.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDeployment(&buf, EncodingBlock); err == nil {
+		t.Error("LoadDeployment accepted a model whose layers do not chain")
+	}
 }
 
 // TestMeasureEnergy checks the public per-layer energy entry point: the
@@ -237,6 +314,8 @@ func TestSaveLoadDeployment(t *testing.T) {
 // identity over the measured cycles (no WFI sleep in the inference
 // images, so active == total bit-for-bit), and the per-layer figures
 // price exactly the marker-corrected cycle counts MeasureLayers reports.
+// Both run on one telemetry twin, built once per Deployment, and return
+// what a fresh Deployment returns.
 func TestMeasureEnergy(t *testing.T) {
 	ds := smallDigits()
 	m := NewModel(ModelSpec{
@@ -249,9 +328,17 @@ func TestMeasureEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 4
+	stats, err := dep.MeasureLayers(ds, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := dep.twin
 	agg, err := dep.MeasureEnergy(ds, runs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if twin == nil || dep.twin != twin {
+		t.Error("MeasureEnergy did not reuse the telemetry twin MeasureLayers built")
 	}
 	if agg.Schema != telemetry.EnergySchema {
 		t.Errorf("schema = %q, want %q", agg.Schema, telemetry.EnergySchema)
@@ -270,10 +357,6 @@ func TestMeasureEnergy(t *testing.T) {
 	if agg.MeanUJ != agg.TotalUJ/runs {
 		t.Errorf("mean %v != total %v / %d", agg.MeanUJ, agg.TotalUJ, runs)
 	}
-	stats, err := dep.MeasureLayers(ds, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(stats) != len(agg.Layers) {
 		t.Fatalf("MeasureLayers has %d layers, MeasureEnergy %d", len(stats), len(agg.Layers))
 	}
@@ -281,5 +364,31 @@ func TestMeasureEnergy(t *testing.T) {
 		if agg.Layers[i].TotalUJ != em.ActiveUJ(stats[i].Total) {
 			t.Errorf("layer %d: energy %v != ActiveUJ(%d)", i, agg.Layers[i].TotalUJ, stats[i].Total)
 		}
+	}
+
+	// A fresh Deployment, its twin raced for by both methods at once,
+	// returns the same figures.
+	fresh, err := m.Deploy(ds, EncodingBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		freshAgg         *telemetry.EnergyAggregate
+		freshStats       []telemetry.LayerStats
+		errAgg, errStats error
+		wg               sync.WaitGroup
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); freshAgg, errAgg = fresh.MeasureEnergy(ds, runs) }()
+	go func() { defer wg.Done(); freshStats, errStats = fresh.MeasureLayers(ds, runs) }()
+	wg.Wait()
+	if errAgg != nil || errStats != nil {
+		t.Fatal(errAgg, errStats)
+	}
+	if !reflect.DeepEqual(stats, freshStats) {
+		t.Errorf("MeasureLayers on the reused twin %+v, on a fresh Deployment %+v", stats, freshStats)
+	}
+	if !reflect.DeepEqual(agg, freshAgg) {
+		t.Errorf("MeasureEnergy on the reused twin %+v, on a fresh Deployment %+v", agg, freshAgg)
 	}
 }

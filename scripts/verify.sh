@@ -47,6 +47,15 @@ echo "== neuroc-perf (the benchmark's nested module, outside ./...)"
 go -C cmd/neuroc-perf vet .
 go -C cmd/neuroc-perf test .
 
+echo "== examples-smoke (the library walkthroughs, about 5 s)"
+# quickstart predicts on the deployed board (dep.Dev), anomaly prices a
+# batch on the telemetry twin (MeasureEnergy), and encodings deploys
+# under every encoding. examples/mnist trains for minutes and is left
+# out.
+go run ./examples/quickstart > /dev/null
+go run ./examples/anomaly > /dev/null
+go run ./examples/encodings > /dev/null
+
 echo "== asmcheck (static verification of all generated kernels)"
 go run ./cmd/asmcheck -kernels
 
