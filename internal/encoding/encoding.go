@@ -68,7 +68,9 @@ func (m *Matrix) Density() float64 {
 }
 
 // Apply computes the dense reference y[o] = Σ_i W[o][i]·x[i]. It is the
-// ground truth every encoding's traversal must match.
+// ground truth every encoding's traversal must match. The product is
+// branch-free: with W ∈ {-1,0,+1} each term is +x, -x or 0, and a
+// wrapping int32 sum does not depend on the order of its terms.
 func (m *Matrix) Apply(x, y []int32) {
 	if len(x) != m.In || len(y) != m.Out {
 		panic("encoding: Apply length mismatch")
@@ -77,12 +79,7 @@ func (m *Matrix) Apply(x, y []int32) {
 		row := m.W[o*m.In : (o+1)*m.In]
 		var sum int32
 		for i, w := range row {
-			switch w {
-			case 1:
-				sum += x[i]
-			case -1:
-				sum -= x[i]
-			}
+			sum += int32(w) * x[i]
 		}
 		y[o] = sum
 	}

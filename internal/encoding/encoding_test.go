@@ -69,6 +69,52 @@ func TestDenseApply(t *testing.T) {
 	}
 }
 
+// TestApplyMatchesSwitchReference pins the branch-free Apply to the
+// select-by-sign traversal it replaced, on random matrices and inputs
+// that include the int8 extremes -128 and 127 and the int32 extremes,
+// where the sums wrap.
+func TestApplyMatchesSwitchReference(t *testing.T) {
+	reference := func(m *Matrix, x, y []int32) {
+		for o := 0; o < m.Out; o++ {
+			var sum int32
+			for i, w := range m.W[o*m.In : (o+1)*m.In] {
+				switch w {
+				case 1:
+					sum += x[i]
+				case -1:
+					sum -= x[i]
+				}
+			}
+			y[o] = sum
+		}
+	}
+	r := rng.New(17)
+	extremes := []int32{-128, 127, -2147483648, 2147483647}
+	for trial := 0; trial < 200; trial++ {
+		in, out := r.Intn(300)+1, r.Intn(40)+1
+		m := randMatrix(r, in, out, []float64{0, 0.05, 0.3, 1}[trial%4])
+		x := make([]int32, in)
+		for i := range x {
+			switch {
+			case r.Bool(0.2):
+				x[i] = -128
+			case trial%2 == 1 && r.Bool(0.1):
+				x[i] = extremes[r.Intn(len(extremes))]
+			default:
+				x[i] = int32(r.Intn(256)) - 128
+			}
+		}
+		got, want := make([]int32, out), make([]int32, out)
+		m.Apply(x, got)
+		reference(m, x, want)
+		for o := range want {
+			if got[o] != want[o] {
+				t.Fatalf("trial %d (%dx%d): y[%d] = %d, reference %d", trial, out, in, o, got[o], want[o])
+			}
+		}
+	}
+}
+
 // TestAllEncodingsMatchDense is the core differential test: every
 // encoding's traversal must agree with the dense ground truth on random
 // matrices across shapes and densities.

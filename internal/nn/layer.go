@@ -33,10 +33,12 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Layer is one differentiable stage of a network. Forward caches
 // whatever Backward needs; Backward consumes the upstream gradient,
-// accumulates parameter gradients, and returns the input gradient.
+// accumulates parameter gradients, and returns the input gradient when
+// needInput is set (nil otherwise: the first layer's input gradient has
+// no consumer, and skipping it skips the widest product of the step).
 type Layer interface {
 	Forward(x *tensor.Mat, train bool) *tensor.Mat
-	Backward(grad *tensor.Mat) *tensor.Mat
+	Backward(grad *tensor.Mat, needInput bool) *tensor.Mat
 	Params() []*Param
 	Name() string
 	// OutDim returns the layer's output width given its input width
@@ -98,7 +100,7 @@ func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Mat) *tensor.Mat {
+func (d *Dense) Backward(grad *tensor.Mat, needInput bool) *tensor.Mat {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward(train=true)")
 	}
@@ -112,6 +114,9 @@ func (d *Dense) Backward(grad *tensor.Mat) *tensor.Mat {
 		for j := range row {
 			d.B.Grad.Data[j] += row[j]
 		}
+	}
+	if !needInput {
+		return nil
 	}
 	// dx = grad · W^T
 	dx := tensor.NewMat(grad.Rows, d.In)
@@ -156,9 +161,12 @@ func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Mat) *tensor.Mat {
+func (r *ReLU) Backward(grad *tensor.Mat, needInput bool) *tensor.Mat {
 	if r.mask == nil {
 		panic("nn: ReLU.Backward before Forward(train=true)")
+	}
+	if !needInput {
+		return nil
 	}
 	out := grad.Clone()
 	for i := range out.Data {
@@ -216,7 +224,10 @@ func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.Mat) *tensor.Mat {
+func (d *Dropout) Backward(grad *tensor.Mat, needInput bool) *tensor.Mat {
+	if !needInput {
+		return nil
+	}
 	if d.mask == nil {
 		return grad
 	}

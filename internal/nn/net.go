@@ -25,10 +25,10 @@ func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // Backward propagates the loss gradient through the stack, accumulating
-// parameter gradients.
+// parameter gradients. The first layer's input gradient is not computed.
 func (n *Network) Backward(grad *tensor.Mat) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
+		grad = n.Layers[i].Backward(grad, i > 0)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestDenseGradCheck(t *testing.T) {
 	d.B.ZeroGrad()
 	logits := d.Forward(x, true)
 	_, grad := SoftmaxCrossEntropy(logits, labels)
-	d.Backward(grad)
+	d.Backward(grad, true)
 
 	const eps = 1e-3
 	check := func(p *Param) {
@@ -86,7 +86,7 @@ func TestReLUForwardBackward(t *testing.T) {
 		}
 	}
 	grad := tensor.FromSlice(1, 4, []float32{1, 1, 1, 1})
-	back := relu.Backward(grad)
+	back := relu.Backward(grad, true)
 	wantG := []float32{0, 0, 1, 0}
 	for i, w := range wantG {
 		if back.Data[i] != w {
@@ -261,5 +261,44 @@ func TestLRSetterImplementations(t *testing.T) {
 	a.SetLR(0.25)
 	if a.BaseLR() != 0.25 {
 		t.Error("SetLR/BaseLR mismatch")
+	}
+}
+
+// TestBackwardWithoutInputGradient checks the needInput contract: with
+// it unset, Backward returns nil and accumulates exactly the parameter
+// gradients it accumulates with it set.
+func TestBackwardWithoutInputGradient(t *testing.T) {
+	makers := map[string]func() Layer{
+		"dense":   func() Layer { return NewDense(6, 4, rng.New(1)) },
+		"relu":    func() Layer { return NewReLU() },
+		"dropout": func() Layer { return NewDropout(0.3, rng.New(2)) },
+	}
+	r := rng.New(3)
+	x := tensor.NewMat(5, 6)
+	for i := range x.Data {
+		x.Data[i] = r.NormFloat32()
+	}
+	for name, mk := range makers {
+		with, without := mk(), mk()
+		out := with.Forward(x, true)
+		without.Forward(x, true)
+		grad := tensor.NewMat(out.Rows, out.Cols)
+		for i := range grad.Data {
+			grad.Data[i] = r.NormFloat32()
+		}
+		if dx := with.Backward(grad, true); dx == nil || dx.Rows != x.Rows || dx.Cols != x.Cols {
+			t.Fatalf("%s: Backward(needInput) returned no %dx%d input gradient", name, x.Rows, x.Cols)
+		}
+		if dx := without.Backward(grad, false); dx != nil {
+			t.Errorf("%s: Backward(!needInput) returned an input gradient", name)
+		}
+		for pi, p := range with.Params() {
+			q := without.Params()[pi]
+			for i := range p.Grad.Data {
+				if math.Float32bits(p.Grad.Data[i]) != math.Float32bits(q.Grad.Data[i]) {
+					t.Fatalf("%s: %s grad[%d] %v without input gradient, %v with", name, p.Name, i, q.Grad.Data[i], p.Grad.Data[i])
+				}
+			}
+		}
 	}
 }

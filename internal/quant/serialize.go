@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/encoding"
 )
 
@@ -27,7 +28,18 @@ import (
 //	Ternary: packed adjacency (2 bits/entry, row-major by output)
 //	Dense:   weights in*out int8
 //	multCount u32 | mults int16[] | bias int16[out]
+//
+// Load accepts only what Save writes and the device can hold: a layer's
+// input and output buffers must fit SRAM together, a dense layer's
+// weights must fit flash, shifts are 0-31 (the kernels' ASRS range),
+// and undefined flag bits and the packed adjacency's padding bits are
+// zero. It reads each table before allocating its in-memory form, so
+// an allocation is bounded both by those limits and by the bytes the
+// input actually holds.
 const magic = "NCQ1"
+
+// maxShift is the largest pre- or post-shift the kernels implement.
+const maxShift = 31
 
 // Save writes the model to w.
 func (m *Model) Save(w io.Writer) error {
@@ -122,7 +134,7 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("quant: implausible layer count %d", count)
 	}
 	m := &Model{InputScale: math.Float64frombits(scaleBits)}
-	if m.InputScale <= 0 || math.IsNaN(m.InputScale) {
+	if !(m.InputScale > 0) || math.IsInf(m.InputScale, 1) {
 		return nil, fmt.Errorf("quant: bad input scale %v", m.InputScale)
 	}
 	for i := 0; i < int(count); i++ {
@@ -139,9 +151,12 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 func loadLayer(r io.Reader) (*Layer, error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	hdr, err := readN(r, 12)
+	if err != nil {
 		return nil, err
+	}
+	if hdr[1]&^3 != 0 {
+		return nil, fmt.Errorf("undefined flag bits %#02x", hdr[1])
 	}
 	l := &Layer{
 		Kind:      Kind(hdr[0]),
@@ -150,31 +165,30 @@ func loadLayer(r io.Reader) (*Layer, error) {
 		PreShift:  uint(hdr[2]),
 		PostShift: uint(hdr[3]),
 	}
-	var in, out uint32
-	if err := binary.Read(r, binary.LittleEndian, &in); err != nil {
-		return nil, err
+	if l.PreShift > maxShift || l.PostShift > maxShift {
+		return nil, fmt.Errorf("shifts %d/%d outside 0-%d", l.PreShift, l.PostShift, maxShift)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &out); err != nil {
-		return nil, err
-	}
-	if in == 0 || out == 0 || in > 1<<16 || out > 1<<16 {
-		return nil, fmt.Errorf("implausible dims %dx%d", out, in)
+	in := binary.LittleEndian.Uint32(hdr[4:])
+	out := binary.LittleEndian.Uint32(hdr[8:])
+	if in == 0 || out == 0 || uint64(in)+uint64(out) > armv6m.SRAMSize {
+		return nil, fmt.Errorf("dims %dx%d: the input and output buffers exceed the device's %d-byte SRAM", out, in, armv6m.SRAMSize)
 	}
 	l.In, l.Out = int(in), int(out)
 	switch l.Kind {
 	case Ternary:
-		packed := make([]byte, (l.In*l.Out+3)/4)
-		if _, err := io.ReadFull(r, packed); err != nil {
-			return nil, err
-		}
-		a, err := unpackTernary(packed, l.In, l.Out)
+		packed, err := readN(r, (l.In*l.Out+3)/4)
 		if err != nil {
 			return nil, err
 		}
-		l.A = a
+		if l.A, err = unpackTernary(packed, l.In, l.Out); err != nil {
+			return nil, err
+		}
 	case DenseK:
-		buf := make([]byte, l.In*l.Out)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if l.In*l.Out > armv6m.FlashSize {
+			return nil, fmt.Errorf("dense %dx%d weights exceed the device's %d-byte flash", l.Out, l.In, armv6m.FlashSize)
+		}
+		buf, err := readN(r, l.In*l.Out)
+		if err != nil {
 			return nil, err
 		}
 		l.W = make([]int8, len(buf))
@@ -188,26 +202,47 @@ func loadLayer(r io.Reader) (*Layer, error) {
 	if err := binary.Read(r, binary.LittleEndian, &multCount); err != nil {
 		return nil, err
 	}
-	if multCount != 1 && multCount != uint32(l.Out) {
-		return nil, fmt.Errorf("implausible multiplier count %d for %d outputs", multCount, l.Out)
+	want := uint32(1)
+	if l.PerNeuron {
+		want = uint32(l.Out)
 	}
-	l.Mults = make([]int32, multCount)
-	for i := range l.Mults {
-		var v int16
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		l.Mults[i] = int32(v)
+	if multCount != want {
+		return nil, fmt.Errorf("multiplier count %d, want %d for %d outputs (per-neuron %v)", multCount, want, l.Out, l.PerNeuron)
 	}
-	l.Bias = make([]int32, l.Out)
-	for i := range l.Bias {
-		var v int16
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		l.Bias[i] = int32(v)
+	if l.Mults, err = readInt16s(r, int(multCount)); err != nil {
+		return nil, err
+	}
+	if l.Bias, err = readInt16s(r, l.Out); err != nil {
+		return nil, err
 	}
 	return l, nil
+}
+
+// readN reads exactly n bytes. Its buffer grows with the bytes read, so
+// a header that promises more than the input holds fails at the end of
+// the input without allocating what it promised.
+func readN(r io.Reader, n int) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf, nil
+}
+
+// readInt16s reads n little-endian int16 values, widened to int32.
+func readInt16s(r io.Reader, n int) ([]int32, error) {
+	buf, err := readN(r, 2*n)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]int32, n)
+	for i := range vals {
+		vals[i] = int32(int16(binary.LittleEndian.Uint16(buf[2*i:])))
+	}
+	return vals, nil
 }
 
 // packTernary packs {-1,0,+1} entries 2 bits each (00=0, 01=+1, 10=-1).
@@ -239,6 +274,9 @@ func unpackTernary(packed []byte, in, out int) (*encoding.Matrix, error) {
 		default:
 			return nil, fmt.Errorf("corrupt ternary entry at %d", i)
 		}
+	}
+	if n := len(a.W); n%4 != 0 && packed[n/4]>>uint(2*(n%4)) != 0 {
+		return nil, fmt.Errorf("nonzero padding bits after entry %d", n-1)
 	}
 	return a, nil
 }

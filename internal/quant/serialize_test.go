@@ -2,6 +2,9 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/encoding"
@@ -154,4 +157,126 @@ func TestSaveLoadStripPerNeuron(t *testing.T) {
 	if loaded.Layers[0].PerNeuron || len(loaded.Layers[0].Mults) != 1 {
 		t.Error("stripped multiplier table not preserved")
 	}
+}
+
+// layerHeader is one serialized layer header: kind, flags, shifts and
+// dims, as loadLayer reads them.
+func layerHeader(kind Kind, flags, pre, post uint8, in, out uint32) []byte {
+	h := []byte{uint8(kind), flags, pre, post}
+	h = binary.LittleEndian.AppendUint32(h, in)
+	return binary.LittleEndian.AppendUint32(h, out)
+}
+
+// modelHeader is the file header of a one-layer model.
+func modelHeader() []byte {
+	h := []byte(magic)
+	h = binary.LittleEndian.AppendUint64(h, math.Float64bits(127))
+	return binary.LittleEndian.AppendUint32(h, 1)
+}
+
+// TestLoadBoundsAllocations pins that a header promising a huge table
+// fails at the device limits or at the end of the input, without
+// allocating what it promised.
+func TestLoadBoundsAllocations(t *testing.T) {
+	cases := map[string][]byte{
+		"dense 65536x65536": layerHeader(DenseK, 0, 0, 0, 1<<16, 1<<16),
+		"ternary 8000x8000": layerHeader(Ternary, 0, 0, 0, 8000, 8000),
+		"dense 400x300":     layerHeader(DenseK, 0, 0, 0, 400, 300),
+		"ternary 16000x300": layerHeader(Ternary, 0, 0, 0, 16000, 300),
+	}
+	for name, hdr := range cases {
+		data := append(modelHeader(), hdr...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: header without its table accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: rejecting it allocated %d bytes", name, grew)
+		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeFields covers the fields Save never writes:
+// shifts past the kernels' ASRS range, undefined flag bits, a
+// multiplier table that does not match the per-neuron flag, nonzero
+// padding after the packed adjacency, and a non-finite input scale.
+func TestLoadRejectsOutOfRangeFields(t *testing.T) {
+	save := func(m *Model) []byte {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := save(randSerModel(5))
+	if _, err := Load(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	const layer0 = 16 // magic, input scale, layer count
+	mutate := map[string]func(b []byte) []byte{
+		"pre shift 32":   func(b []byte) []byte { b[layer0+2] = 32; return b },
+		"post shift 255": func(b []byte) []byte { b[layer0+3] = 255; return b },
+		"flag bit 2":     func(b []byte) []byte { b[layer0+1] |= 4; return b },
+		"input scale +Inf": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[4:], math.Float64bits(math.Inf(1)))
+			return b
+		},
+		"padding bits": func(b []byte) []byte {
+			// 37×19 = 703 entries: the last packed byte holds 3 of them.
+			b[layer0+12+(37*19+3)/4-1] |= 0xc0
+			return b
+		},
+		"per-neuron with one multiplier": func(b []byte) []byte {
+			m := randSerModel(5)
+			m.Layers[0].Mults = m.Layers[0].Mults[:1]
+			return save(m)
+		},
+		"per-layer with a table": func(b []byte) []byte {
+			m := randSerModel(5)
+			m.Layers[1].Mults = make([]int32, m.Layers[1].Out)
+			return save(m)
+		},
+	}
+	for name, f := range mutate {
+		data := f(append([]byte(nil), good...))
+		if _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzLoad: Load never panics, and a model it accepts is exactly what
+// Save writes back (so it round-trips) and runs through Infer.
+func FuzzLoad(f *testing.F) {
+	for _, m := range []*Model{randSerModel(1), StripPerNeuron(randSerModel(2))} {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(append(modelHeader(), layerHeader(DenseK, 0, 0, 0, 1<<16, 1<<16)...))
+	f.Add([]byte("NCQ1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("Save of a loaded model: %v", err)
+		}
+		if saved := buf.Bytes(); !bytes.HasPrefix(data, saved) {
+			t.Fatalf("Save wrote %d bytes that differ from the %d it loaded from", len(saved), len(data))
+		}
+		again, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved model: %v", err)
+		}
+		m.Infer(make([]int8, m.Layers[0].In))
+		again.Infer(make([]int8, again.Layers[0].In))
+	})
 }

@@ -6,6 +6,23 @@
 // requirements are correctness, determinism, and enough speed (parallel
 // blocked GEMM) to run the paper's model sweeps in CI time. Nothing in
 // this package is used on the simulated device.
+//
+// Neuro-C layers train on sparse ternary products instead of GEMMs:
+// Ternarize quantizes a latent matrix into per-row lists of the columns
+// it adds to and subtracts from, MatMulTernary computes x·A over them,
+// and MatMulTernaryBT computes the input gradient dz·Aᵀ. Both equal
+// MatMul and MatMulBT on A's dense {-1, 0, +1} form bit for bit, for
+// finite inputs:
+//
+//   - A dense term a·(±1) is exactly ±a, which is what the sparse
+//     kernels add or subtract.
+//   - Per output element, the nonzero terms come in the same order:
+//     ascending k in the forward product (rows of the input in turn),
+//     ascending j in the input gradient (the merge of the +1 and -1
+//     lists).
+//   - The terms the sparse kernels skip are ±0, and adding ±0 never
+//     changes an IEEE sum that starts at +0: such a sum can never be
+//     -0, and x + (±0) == x for every other x.
 package tensor
 
 import (
@@ -131,6 +148,117 @@ func MatMulBT(dst, a, b *Mat) {
 					sum += av * brow[k]
 				}
 				drow[j] = sum
+			}
+		}
+	})
+}
+
+// Ternary is a sparse matrix with entries in {-1, 0, +1}, stored by row
+// as the ascending columns that hold +1 and the ascending columns that
+// hold -1. A product with it is pure add/subtract over its nonzeros.
+type Ternary struct {
+	Rows, Cols int
+	// Row i adds to cols[start[i]:split[i]] and subtracts from
+	// cols[split[i]:start[i+1]].
+	start, split []int32
+	cols         []int32
+}
+
+// Ternarize quantizes m in one pass: entries above t become +1, entries
+// below -t become -1, and the rest (NaN included) 0. With t = 0 it
+// converts a matrix that already holds {-1, 0, +1}.
+func Ternarize(m *Mat, t float32) *Ternary {
+	q := &Ternary{Rows: m.Rows, Cols: m.Cols,
+		start: make([]int32, m.Rows+1), split: make([]int32, m.Rows)}
+	var neg []int32
+	for i := 0; i < m.Rows; i++ {
+		neg = neg[:0]
+		for j, v := range m.Row(i) {
+			if v > t {
+				q.cols = append(q.cols, int32(j))
+			} else if v < -t {
+				neg = append(neg, int32(j))
+			}
+		}
+		q.split[i] = int32(len(q.cols))
+		q.cols = append(q.cols, neg...)
+		q.start[i+1] = int32(len(q.cols))
+	}
+	return q
+}
+
+// Row returns the ascending columns of row i that hold +1 and -1,
+// aliasing the matrix storage.
+func (q *Ternary) Row(i int) (pos, neg []int32) {
+	return q.cols[q.start[i]:q.split[i]], q.cols[q.split[i]:q.start[i+1]]
+}
+
+// NNZ returns the number of nonzero entries.
+func (q *Ternary) NNZ() int { return len(q.cols) }
+
+// MatMulTernary computes dst = a · b for a ternary b: for each nonzero
+// a[i][k], dst[i][j] += a[i][k] over row k's +1 columns and -= over its
+// -1 columns. For finite a the result equals MatMul on b's dense form
+// bit for bit (see the package comment). dst must be a.Rows×b.Cols and
+// must not alias a.
+func MatMulTernary(dst, a *Mat, b *Ternary) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulTernary dims (%dx%d)·(%dx%d)->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	dst.Zero()
+	parallelRows(a.Rows, 8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			drow := dst.Row(i)
+			for k, av := range a.Row(i) {
+				if av == 0 {
+					continue
+				}
+				pos, neg := b.Row(k)
+				for _, j := range pos {
+					drow[j] += av
+				}
+				for _, j := range neg {
+					drow[j] -= av
+				}
+			}
+		}
+	})
+}
+
+// MatMulTernaryBT computes dst = a · bᵀ for a ternary b, i.e.
+// dst[i][k] = Σ_j a[i][j]·b[k][j]. It merges row k's +1 and -1 columns so
+// the sum runs over j in ascending order, as MatMulBT's does; for finite
+// a the result equals MatMulBT on b's dense form bit for bit. dst must
+// be a.Rows×b.Rows and must not alias a.
+func MatMulTernaryBT(dst, a *Mat, b *Ternary) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTernaryBT dims (%dx%d)·(%dx%d)T->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	parallelRows(a.Rows, 8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			drow := dst.Row(i)
+			for k := range drow {
+				pos, neg := b.Row(k)
+				var sum float32
+				for len(pos) > 0 && len(neg) > 0 {
+					if pos[0] < neg[0] {
+						sum += arow[pos[0]]
+						pos = pos[1:]
+					} else {
+						sum -= arow[neg[0]]
+						neg = neg[1:]
+					}
+				}
+				for _, j := range pos {
+					sum += arow[j]
+				}
+				for _, j := range neg {
+					sum -= arow[j]
+				}
+				drow[k] = sum
 			}
 		}
 	})

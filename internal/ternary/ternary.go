@@ -87,16 +87,16 @@ type Layer struct {
 	Scale, Bias *nn.Param
 
 	// fixedA is the adjacency for non-learned strategies.
-	fixedA *tensor.Mat
+	fixedA *tensor.Ternary
 	// frozenA caches the quantized adjacency after Freeze: structure
 	// stops moving while scales and biases keep calibrating, the
 	// standard final phase of quantization-aware training.
-	frozenA *tensor.Mat
+	frozenA *tensor.Ternary
 
 	// caches for backward
 	lastX *tensor.Mat
-	lastA *tensor.Mat
-	lastZ *tensor.Mat // x·A before scaling
+	lastA *tensor.Ternary // the adjacency the forward pass used
+	lastZ *tensor.Mat     // x·A before scaling
 }
 
 // New builds a Neuro-C layer from cfg, drawing any random structure
@@ -112,6 +112,7 @@ func New(cfg Config, r *rng.RNG) *Layer {
 	l.Scale = newParam("scale", 1, cfg.Out)
 	l.Bias = newParam("bias", 1, cfg.Out)
 
+	var dense *tensor.Mat // the fixed strategies' {-1,0,+1} adjacency
 	switch cfg.Strategy {
 	case Learned:
 		l.Latent = newParam("latent", cfg.In, cfg.Out)
@@ -121,13 +122,13 @@ func New(cfg Config, r *rng.RNG) *Layer {
 		if p <= 0 {
 			p = 0.05
 		}
-		l.fixedA = tensor.NewMat(cfg.In, cfg.Out)
-		for i := range l.fixedA.Data {
+		dense = tensor.NewMat(cfg.In, cfg.Out)
+		for i := range dense.Data {
 			if r.Bool(p) {
 				if r.Bool(0.5) {
-					l.fixedA.Data[i] = 1
+					dense.Data[i] = 1
 				} else {
-					l.fixedA.Data[i] = -1
+					dense.Data[i] = -1
 				}
 			}
 		}
@@ -136,7 +137,7 @@ func New(cfg Config, r *rng.RNG) *Layer {
 		if k <= 0 {
 			k = minInt(cfg.In, 16)
 		}
-		l.fixedA = tensor.NewMat(cfg.In, cfg.Out)
+		dense = tensor.NewMat(cfg.In, cfg.Out)
 		for o := 0; o < cfg.Out; o++ {
 			perm := r.Perm(cfg.In)
 			for _, i := range perm[:minInt(k, cfg.In)] {
@@ -144,7 +145,7 @@ func New(cfg Config, r *rng.RNG) *Layer {
 				if r.Bool(0.5) {
 					v = -1
 				}
-				l.fixedA.Set(i, o, v)
+				dense.Set(i, o, v)
 			}
 		}
 	case Locality:
@@ -152,7 +153,7 @@ func New(cfg Config, r *rng.RNG) *Layer {
 		if k <= 0 {
 			k = minInt(cfg.In, 16)
 		}
-		l.fixedA = tensor.NewMat(cfg.In, cfg.Out)
+		dense = tensor.NewMat(cfg.In, cfg.Out)
 		for o := 0; o < cfg.Out; o++ {
 			center := 0
 			if cfg.Out > 1 {
@@ -175,27 +176,34 @@ func New(cfg Config, r *rng.RNG) *Layer {
 				if r.Bool(0.5) {
 					v = -1
 				}
-				l.fixedA.Set(i, o, v)
+				dense.Set(i, o, v)
 			}
 		}
 	default:
 		panic(fmt.Sprintf("ternary: unknown strategy %v", cfg.Strategy))
 	}
+	if dense != nil {
+		l.fixedA = tensor.Ternarize(dense, 0)
+	}
 
 	// Initialize the per-neuron scale as the built-in normalizer: w_j ≈
 	// 1/sqrt(fan-in of neuron j). For the TNN ablation the scale is
 	// pinned to exactly 1.
+	fans := make([]int, cfg.Out)
 	a := l.adjacency()
-	for o := 0; o < cfg.Out; o++ {
+	for i := 0; i < cfg.In; i++ {
+		pos, neg := a.Row(i)
+		for _, o := range pos {
+			fans[o]++
+		}
+		for _, o := range neg {
+			fans[o]++
+		}
+	}
+	for o, fan := range fans {
 		if !cfg.UseScale {
 			l.Scale.Val.Data[o] = 1
 			continue
-		}
-		fan := 0
-		for i := 0; i < cfg.In; i++ {
-			if a.At(i, o) != 0 {
-				fan++
-			}
 		}
 		if fan == 0 {
 			fan = 1
@@ -251,26 +259,16 @@ func (l *Layer) Freeze() {
 // Unfreeze resumes quantization-aware structure learning.
 func (l *Layer) Unfreeze() { l.frozenA = nil }
 
-// adjacency materializes the current ternary adjacency matrix as a
-// float mat (in×out) with entries in {-1, 0, +1}.
-func (l *Layer) adjacency() *tensor.Mat {
+// adjacency returns the current in×out ternary adjacency: the fixed or
+// frozen one, or else the latents quantized at the current threshold.
+func (l *Layer) adjacency() *tensor.Ternary {
 	if l.fixedA != nil {
 		return l.fixedA
 	}
 	if l.frozenA != nil {
 		return l.frozenA
 	}
-	t := l.threshold()
-	a := tensor.NewMat(l.cfg.In, l.cfg.Out)
-	for i, v := range l.Latent.Val.Data {
-		switch {
-		case v > t:
-			a.Data[i] = 1
-		case v < -t:
-			a.Data[i] = -1
-		}
-	}
-	return a
+	return tensor.Ternarize(l.Latent.Val, l.threshold())
 }
 
 // Forward implements nn.Layer.
@@ -280,7 +278,7 @@ func (l *Layer) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	}
 	a := l.adjacency()
 	z := tensor.NewMat(x.Rows, l.cfg.Out)
-	tensor.MatMul(z, x, a)
+	tensor.MatMulTernary(z, x, a)
 	if train {
 		l.lastX, l.lastA, l.lastZ = x, a, z
 	}
@@ -299,7 +297,7 @@ func (l *Layer) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements nn.Layer with a straight-through estimator for
 // the ternary quantizer.
-func (l *Layer) Backward(grad *tensor.Mat) *tensor.Mat {
+func (l *Layer) Backward(grad *tensor.Mat, needInput bool) *tensor.Mat {
 	if l.lastX == nil {
 		panic("ternary: Backward before Forward(train=true)")
 	}
@@ -317,6 +315,11 @@ func (l *Layer) Backward(grad *tensor.Mat) *tensor.Mat {
 		}
 	}
 
+	learning := l.Latent != nil && l.frozenA == nil
+	if !learning && !needInput {
+		return nil
+	}
+
 	// dz = grad ⊙ scale (broadcast over rows).
 	dz := tensor.NewMat(grad.Rows, grad.Cols)
 	for i := 0; i < grad.Rows; i++ {
@@ -329,7 +332,7 @@ func (l *Layer) Backward(grad *tensor.Mat) *tensor.Mat {
 
 	// Latent gradient via STE: dLatent = x^T · dz, clipped where the
 	// latent has saturated. Frozen layers stop moving structure.
-	if l.Latent != nil && l.frozenA == nil {
+	if learning {
 		dA := tensor.NewMat(l.cfg.In, l.cfg.Out)
 		tensor.MatMulAT(dA, l.lastX, dz)
 		clip := float32(l.cfg.ClipAt)
@@ -341,9 +344,12 @@ func (l *Layer) Backward(grad *tensor.Mat) *tensor.Mat {
 		}
 	}
 
+	if !needInput {
+		return nil
+	}
 	// dx = dz · A^T.
 	dx := tensor.NewMat(grad.Rows, l.cfg.In)
-	tensor.MatMulBT(dx, dz, l.lastA)
+	tensor.MatMulTernaryBT(dx, dz, l.lastA)
 	return dx
 }
 
@@ -378,8 +384,12 @@ func (l *Layer) Adjacency() *encoding.Matrix {
 	a := l.adjacency()
 	m := encoding.NewMatrix(l.cfg.In, l.cfg.Out)
 	for i := 0; i < l.cfg.In; i++ {
-		for o := 0; o < l.cfg.Out; o++ {
-			m.Set(o, i, int8(a.At(i, o)))
+		pos, neg := a.Row(i)
+		for _, o := range pos {
+			m.Set(int(o), i, 1)
+		}
+		for _, o := range neg {
+			m.Set(int(o), i, -1)
 		}
 	}
 	return m
@@ -408,5 +418,5 @@ func (l *Layer) InDim() int { return l.cfg.In }
 // EffectiveParams is the paper's Fig. 1 parameter metric: the number of
 // neurons plus the nonzero entries of the adjacency matrix.
 func (l *Layer) EffectiveParams() int {
-	return l.cfg.Out + l.Adjacency().NNZ()
+	return l.cfg.Out + l.adjacency().NNZ()
 }

@@ -93,10 +93,11 @@ func TestForwardMatchesManualComputation(t *testing.T) {
 	r := rng.New(6)
 	l := New(Config{In: 3, Out: 2, Strategy: ConstrainedRandom, FanIn: 2, UseScale: true}, r)
 	// Overwrite structure deterministically: out0 = +x0 -x1, out1 = +x2.
-	l.fixedA.Zero()
-	l.fixedA.Set(0, 0, 1)
-	l.fixedA.Set(1, 0, -1)
-	l.fixedA.Set(2, 1, 1)
+	a := tensor.NewMat(3, 2)
+	a.Set(0, 0, 1)
+	a.Set(1, 0, -1)
+	a.Set(2, 1, 1)
+	l.fixedA = tensor.Ternarize(a, 0)
 	copy(l.Scale.Val.Data, []float32{2, 3})
 	copy(l.Bias.Val.Data, []float32{0.5, -1})
 	x := tensor.FromSlice(1, 3, []float32{10, 4, 7})
@@ -124,7 +125,7 @@ func TestScaleAndBiasGradCheck(t *testing.T) {
 	l.Bias.ZeroGrad()
 	logits := l.Forward(x, true)
 	_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-	l.Backward(grad)
+	l.Backward(grad, true)
 
 	const eps = 1e-3
 	for _, p := range []*nn.Param{l.Scale, l.Bias} {
@@ -153,7 +154,7 @@ func TestTNNScaleReceivesNoGradient(t *testing.T) {
 	}
 	logits := l.Forward(x, true)
 	_, grad := nn.SoftmaxCrossEntropy(logits, []int{0, 1})
-	l.Backward(grad)
+	l.Backward(grad, true)
 	for _, g := range l.Scale.Grad.Data {
 		if g != 0 {
 			t.Fatal("TNN scale received gradient")
@@ -232,7 +233,7 @@ func TestSTEClippingBlocksSaturatedGradients(t *testing.T) {
 	grad := tensor.NewMat(1, 1)
 	grad.Set(0, 0, 1)
 	_ = out
-	l.Backward(grad)
+	l.Backward(grad, true)
 	if l.Latent.Grad.At(0, 0) != 0 {
 		t.Error("saturated latent received gradient")
 	}
@@ -264,7 +265,7 @@ func TestFreezePinsStructure(t *testing.T) {
 		grad.Data[i] = 1
 	}
 	_ = out
-	l.Backward(grad)
+	l.Backward(grad, true)
 	for _, g := range l.Latent.Grad.Data {
 		if g != 0 {
 			t.Fatal("frozen latent received gradient")
@@ -273,7 +274,7 @@ func TestFreezePinsStructure(t *testing.T) {
 	// Unfreeze resumes learning.
 	l.Unfreeze()
 	l.Forward(x, true)
-	l.Backward(grad)
+	l.Backward(grad, true)
 	moved := false
 	for _, g := range l.Latent.Grad.Data {
 		if g != 0 {
@@ -282,5 +283,47 @@ func TestFreezePinsStructure(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("unfrozen latent still blocked")
+	}
+}
+
+// TestBackwardWithoutInputGradient checks the needInput contract on
+// every strategy, learning and frozen: with it unset, Backward returns
+// nil and accumulates exactly the parameter gradients it accumulates
+// with it set.
+func TestBackwardWithoutInputGradient(t *testing.T) {
+	r := rng.New(40)
+	x := tensor.NewMat(9, 30)
+	for i := range x.Data {
+		x.Data[i] = r.NormFloat32()
+	}
+	for _, strat := range []Strategy{Learned, Random, ConstrainedRandom, Locality} {
+		for _, frozen := range []bool{false, true} {
+			cfg := Config{In: 30, Out: 7, Strategy: strat, FanIn: 5, Sparsity: 0.3, UseScale: true}
+			with, without := New(cfg, rng.New(41)), New(cfg, rng.New(41))
+			if frozen {
+				with.Freeze()
+				without.Freeze()
+			}
+			out := with.Forward(x, true)
+			without.Forward(x, true)
+			grad := tensor.NewMat(out.Rows, out.Cols)
+			for i := range grad.Data {
+				grad.Data[i] = r.NormFloat32()
+			}
+			if dx := with.Backward(grad, true); dx == nil || dx.Rows != 9 || dx.Cols != 30 {
+				t.Fatalf("%v frozen=%v: Backward(needInput) returned no 9x30 input gradient", strat, frozen)
+			}
+			if dx := without.Backward(grad, false); dx != nil {
+				t.Errorf("%v frozen=%v: Backward(!needInput) returned an input gradient", strat, frozen)
+			}
+			for pi, p := range with.Params() {
+				q := without.Params()[pi]
+				for i := range p.Grad.Data {
+					if math.Float32bits(p.Grad.Data[i]) != math.Float32bits(q.Grad.Data[i]) {
+						t.Fatalf("%v frozen=%v: %s grad[%d] differs without the input gradient", strat, frozen, p.Name, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -82,6 +82,16 @@ echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins)"
 # FuzzOptimizerParity ./internal/kernels/` explores further locally.
 go test -run 'FuzzOptimizerParity|TestOptimizerParityDense' -count=1 ./internal/kernels/
 
+echo "== training bit-identity (sparse ternary kernels == dense GEMMs, training golden)"
+# The sparse forward and input-gradient kernels against MatMul/MatMulBT
+# with math.Float32bits on random ternary matrices (zero, cancelling and
+# negative rows; row counts on both sides of the parallel split), the
+# branch-free Apply against a select-by-sign reference, and the SHA-256
+# of trained parameters and SaveModel bytes, pinned from the dense
+# kernels they replaced. -cpu 1,4 shows the row split never moves a bit.
+go test -run 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestApplyMatchesSwitchReference|TestTrainingGolden' \
+	-count=1 -cpu 1,4 ./internal/tensor/ ./internal/encoding/ .
+
 echo "== encoding-search smoke (-encoding auto end to end)"
 # The farm experiment deployed with the per-layer encoding search:
 # exercises the flag through neuroc-bench -> Config -> Deploy(auto) ->
