@@ -32,10 +32,11 @@ import (
 
 // asmLine is one parsed line of kernel text.
 type asmLine struct {
-	raw  string // original text, kept verbatim for untouched lines
-	kind int    // lineInstr, lineLabel, lineDirective, lineBlank
-	norm string // instr only: comment-stripped, whitespace-normalized body
-	mnem string // instr only: first token of norm
+	raw   string // original text, kept verbatim for untouched lines
+	kind  int    // lineInstr, lineLabel, lineDirective, lineBlank
+	norm  string // instr only: comment-stripped, whitespace-normalized body
+	mnem  string // instr only: first token of norm
+	label string // label only: name, as a branch names it
 }
 
 const (
@@ -47,7 +48,7 @@ const (
 
 // parseAsm splits kernel text into lines, classifying each.
 func parseAsm(src string) []asmLine {
-	var out []asmLine
+	out := make([]asmLine, 0, strings.Count(src, "\n")+1)
 	for _, raw := range strings.Split(src, "\n") {
 		l := asmLine{raw: raw}
 		body := raw
@@ -60,6 +61,7 @@ func parseAsm(src string) []asmLine {
 			l.kind = lineBlank
 		case strings.HasSuffix(body, ":"):
 			l.kind = lineLabel
+			l.label = strings.TrimSuffix(strings.Join(strings.Fields(raw), ""), ":")
 		case strings.HasPrefix(strings.TrimSpace(raw), "."):
 			l.kind = lineDirective
 		default:
@@ -78,7 +80,12 @@ func parseAsm(src string) []asmLine {
 
 // renderAsm joins lines back into text, dropping deleted entries.
 func renderAsm(lines []asmLine) string {
+	n := 0
+	for _, l := range lines {
+		n += len(l.raw) + 1
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, l := range lines {
 		if l.kind == lineBlank && l.raw == "" && i == len(lines)-1 {
 			continue // preserve single trailing newline
@@ -117,6 +124,8 @@ var flagKillers = map[string]bool{
 // and unconditional branches, stops dead at full flag writers and
 // function exits, and gives up (flags live) at anything it cannot
 // rule out — calls, conditional branches, flag-consuming arithmetic.
+// In unrolled code every gather is followed by a flag-writing
+// accumulate, so the scan is short.
 func flagsDeadAfter(lines []asmLine, i int) bool {
 	for j := i + 1; j < len(lines); j++ {
 		l := lines[j]
@@ -131,18 +140,11 @@ func flagsDeadAfter(lines []asmLine, i int) bool {
 			return false // unknown callee
 		case m == "b":
 			// Follow the unconditional branch to its (forward) label.
-			target := strings.TrimSpace(strings.TrimPrefix(l.norm, "b "))
-			for k := range lines {
-				if lines[k].kind == lineLabel &&
-					strings.TrimSuffix(strings.Join(strings.Fields(lines[k].raw), ""), ":") == target {
-					if k <= j {
-						return false // backward edge: loop, give up
-					}
-					j = k
-					goto next
-				}
+			k := labelIndex(lines, strings.TrimSpace(strings.TrimPrefix(l.norm, "b ")))
+			if k <= j {
+				return false // unknown target, or a backward edge: loop, give up
 			}
-			return false
+			j = k
 		case m == "bx" || m == "bkpt":
 			return true // function exit: AAPCS makes flags dead
 		case m == "pop" && strings.Contains(l.norm, "pc"):
@@ -150,11 +152,23 @@ func flagsDeadAfter(lines []asmLine, i int) bool {
 		case flagKillers[m]:
 			return true
 		}
-	next:
 	}
 	return false
 }
 
+// labelIndex is the index of the first definition of label name, or -1.
+// An unrolled kernel's one branch skips its literal pool, and flag scans
+// meet a flag writer before they reach it, so this search is rare.
+func labelIndex(lines []asmLine, name string) int {
+	for k, l := range lines {
+		if l.kind == lineLabel && l.label == name {
+			return k
+		}
+	}
+	return -1
+}
+
+// Each regexp runs only on lines whose parsed mnemonic it can match.
 var (
 	reAddSubImm = regexp.MustCompile(`^(adds|subs) (r\d+), #(\d+)$`)
 	reMovsZero  = regexp.MustCompile(`^movs (r\d+), #0$`)
@@ -164,70 +178,129 @@ var (
 	reStmia     = regexp.MustCompile(`^stmia (r\d+)!, \{(.+)\}$`)
 )
 
+// movsZero returns the register of a "movs rX, #0".
+func movsZero(l asmLine) (string, bool) {
+	if l.mnem != "movs" {
+		return "", false
+	}
+	m := reMovsZero.FindStringSubmatch(l.norm)
+	if m == nil {
+		return "", false
+	}
+	return m[1], true
+}
+
+// addSubImm returns the register and signed immediate of an
+// "adds/subs rX, #imm".
+func addSubImm(l asmLine) (string, int, bool) {
+	if (l.mnem != "adds" && l.mnem != "subs") || !strings.Contains(l.norm, "#") {
+		return "", 0, false
+	}
+	m := reAddSubImm.FindStringSubmatch(l.norm)
+	if m == nil {
+		return "", 0, false
+	}
+	v, _ := strconv.Atoi(m[3])
+	if m[1] == "subs" {
+		v = -v
+	}
+	return m[2], v, true
+}
+
+// isWordByte is the regexp \w class: [0-9A-Za-z_].
+func isWordByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+}
+
 // readsReg conservatively reports whether the instruction body reads
 // register r (any mention that is not a pure destination is a read; to
 // stay safe, any mention at all counts except for "movs r, #imm").
+// A mention is r as a whole word, the regexp `\br\b`.
 func readsReg(l asmLine, r string) bool {
-	if !regexp.MustCompile(`\b` + r + `\b`).MatchString(l.norm) {
-		return false
+	mentioned := false
+	for off := 0; !mentioned; {
+		k := strings.Index(l.norm[off:], r)
+		if k < 0 {
+			return false
+		}
+		k += off
+		end := k + len(r)
+		mentioned = (k == 0 || !isWordByte(l.norm[k-1])) && (end == len(l.norm) || !isWordByte(l.norm[end]))
+		off = k + 1
 	}
-	if m := reMovsZero.FindStringSubmatch(l.norm); m != nil && m[1] == r {
+	if reg, ok := movsZero(l); ok && reg == r {
 		return false // pure write
 	}
 	return true
+}
+
+// netMoveLen is the number of immediate adds/subs (at most 255 each)
+// that coalesceAddSub emits for a net displacement.
+func netMoveLen(net int) int {
+	if net < 0 {
+		net = -net
+	}
+	return (net + 254) / 255
 }
 
 // coalesceAddSub folds maximal runs of >= 2 consecutive immediate
 // adds/subs on one register into the minimal instruction sequence for
 // their net displacement (deleting the run outright when it cancels).
 // Applied to the unrolled generator's rewind-to-zero + advance window
-// move pairs. Requires the run's flags to be dead.
-func coalesceAddSub(lines []asmLine) ([]asmLine, bool) {
+// move pairs. Requires the run's flags to be dead. When folding a whole
+// run would not shrink it, the run minus its first line is tried next,
+// and so on; when a run cancels, the line after it is kept as is for
+// this pass.
+func coalesceAddSub(out, lines []asmLine) ([]asmLine, bool) {
 	changed := false
-	for i := 0; i < len(lines); i++ {
-		m := reAddSubImm.FindStringSubmatch(lines[i].norm)
-		if lines[i].kind != lineInstr || m == nil {
+	for i := 0; i < len(lines); {
+		reg, _, ok := addSubImm(lines[i])
+		if !ok {
+			out = append(out, lines[i])
+			i++
 			continue
 		}
-		reg := m[2]
 		net := 0
 		j := i
 		for ; j < len(lines) && lines[j].kind == lineInstr; j++ {
-			mm := reAddSubImm.FindStringSubmatch(lines[j].norm)
-			if mm == nil || mm[2] != reg {
+			r, v, ok := addSubImm(lines[j])
+			if !ok || r != reg {
 				break
 			}
-			v, _ := strconv.Atoi(mm[3])
-			if mm[1] == "adds" {
-				net += v
-			} else {
+			net += v
+		}
+		start := -1 // first line of the folded suffix, if any
+		if j-i >= 2 && flagsDeadAfter(lines, j-1) {
+			for k := i; j-k >= 2; k++ {
+				if netMoveLen(net) < j-k {
+					start = k
+					break
+				}
+				_, v, _ := addSubImm(lines[k])
 				net -= v
 			}
 		}
-		runLen := j - i
-		if runLen < 2 || !flagsDeadAfter(lines, j-1) {
+		if start < 0 {
+			out = append(out, lines[i:j]...)
+			i = j
 			continue
 		}
+		out = append(out, lines[i:start]...)
 		op, mag := "adds", net
 		if net < 0 {
 			op, mag = "subs", -net
 		}
-		var repl []asmLine
-		for mag > 0 {
-			step := mag
-			if step > 255 {
-				step = 255
-			}
-			repl = append(repl, instrLine(fmt.Sprintf("%s %s, #%d", op, reg, step)))
-			mag -= step
+		for ; mag > 0; mag -= 255 {
+			out = append(out, instrLine(fmt.Sprintf("%s %s, #%d", op, reg, min(mag, 255))))
 		}
-		if len(repl) >= runLen {
-			continue // no win
-		}
-		lines = append(lines[:i], append(repl, lines[j:]...)...)
 		changed = true
+		if net == 0 && j < len(lines) {
+			out = append(out, lines[j])
+			j++
+		}
+		i = j
 	}
-	return lines, changed
+	return out, changed
 }
 
 // foldZeroInit deletes a "movs rX, #0" whose first and only use of rX is
@@ -236,114 +309,147 @@ func coalesceAddSub(lines []asmLine) ([]asmLine, bool) {
 // same value from a zero accumulator). The dead-flag analysis licenses
 // the rewrite: the scan aborts at any flag reader, and the mov form
 // additionally requires the accumulate's own flags to be dead.
-func foldZeroInit(lines []asmLine) ([]asmLine, bool) {
+func foldZeroInit(out, lines []asmLine) ([]asmLine, bool) {
 	changed := false
-	for i := 0; i < len(lines); i++ {
-		mz := reMovsZero.FindStringSubmatch(lines[i].norm)
-		if lines[i].kind != lineInstr || mz == nil {
+	for i := range lines {
+		if foldZeroAt(lines, i) {
+			changed = true
 			continue
 		}
-		reg := mz[1]
-		for j := i + 1; j < len(lines); j++ {
-			l := lines[j]
-			if l.kind == lineLabel || l.kind == lineDirective {
-				break // control may join here; keep the init
-			}
-			if l.kind != lineInstr {
-				continue
-			}
-			m := l.mnem
-			if condBranches[m] || m == "adcs" || m == "sbcs" ||
-				m == "b" || m == "bl" || m == "bx" || m == "bkpt" || m == "pop" {
-				break
-			}
-			if !readsReg(l, reg) {
-				continue
-			}
-			acc := reAcc3.FindStringSubmatch(l.norm)
-			if acc == nil || acc[2] != reg || acc[3] != reg || acc[4] == reg {
-				break // some other use: keep the init
-			}
-			if acc[1] == "adds" {
-				// adds sets NZCV, mov sets nothing: need the flags dead.
-				if !flagsDeadAfter(lines, j) {
-					break
-				}
-				lines[j] = instrLine(fmt.Sprintf("mov %s, %s", reg, acc[4]))
-			} else {
-				// rsbs computes 0-rS with the same flags subs did.
-				lines[j] = instrLine(fmt.Sprintf("rsbs %s, %s", reg, acc[4]))
-			}
-			lines = append(lines[:i], lines[i+1:]...)
-			changed = true
-			i--
-			break
-		}
+		out = append(out, lines[i])
 	}
-	return lines, changed
+	return out, changed
+}
+
+// foldZeroAt reports whether line i is a foldable "movs rX, #0"; if so
+// it has rewritten the accumulate that consumes it, ahead of i in
+// place.
+func foldZeroAt(lines []asmLine, i int) bool {
+	reg, ok := movsZero(lines[i])
+	if !ok {
+		return false
+	}
+	for j := i + 1; j < len(lines); j++ {
+		l := lines[j]
+		if l.kind == lineLabel || l.kind == lineDirective {
+			return false // control may join here; keep the init
+		}
+		if l.kind != lineInstr {
+			continue
+		}
+		m := l.mnem
+		if condBranches[m] || m == "adcs" || m == "sbcs" ||
+			m == "b" || m == "bl" || m == "bx" || m == "bkpt" || m == "pop" {
+			return false
+		}
+		if !readsReg(l, reg) {
+			continue
+		}
+		if m != "adds" && m != "subs" {
+			return false // some other use: keep the init
+		}
+		acc := reAcc3.FindStringSubmatch(l.norm)
+		if acc == nil || acc[2] != reg || acc[3] != reg || acc[4] == reg {
+			return false
+		}
+		if m == "adds" {
+			// adds sets NZCV, mov sets nothing: need the flags dead.
+			if !flagsDeadAfter(lines, j) {
+				return false
+			}
+			lines[j] = instrLine(fmt.Sprintf("mov %s, %s", reg, acc[4]))
+		} else {
+			// rsbs computes 0-rS with the same flags subs did.
+			lines[j] = instrLine(fmt.Sprintf("rsbs %s, %s", reg, acc[4]))
+		}
+		return true
+	}
+	return false
 }
 
 // strengthReduceStores rewrites "str rX, [rC]" + "adds rC, #4" into
 // "stmia rC!, {rX}" (3 cycles to 2), then merges adjacent ascending
 // stmia on the same cursor into one multi-register store (2n cycles to
 // 1+n). The adds' flags must be dead — stmia sets none.
-func strengthReduceStores(lines []asmLine) ([]asmLine, bool) {
+func strengthReduceStores(out, lines []asmLine) ([]asmLine, bool) {
 	changed := false
-	for i := 0; i+1 < len(lines); i++ {
-		st := reStr.FindStringSubmatch(lines[i].norm)
-		if lines[i].kind != lineInstr || st == nil || lines[i+1].kind != lineInstr {
-			continue
+	for i := 0; i < len(lines); i++ {
+		if i+1 < len(lines) && lines[i].mnem == "str" && lines[i+1].mnem == "adds" {
+			st := reStr.FindStringSubmatch(lines[i].norm)
+			ad := reAddImm.FindStringSubmatch(lines[i+1].norm)
+			if st != nil && ad != nil && ad[1] == st[2] && ad[2] == "4" && st[1] != st[2] &&
+				flagsDeadAfter(lines, i+1) {
+				out = append(out, instrLine(fmt.Sprintf("stmia %s!, {%s}", st[2], st[1])))
+				changed = true
+				i++
+				continue
+			}
 		}
-		ad := reAddImm.FindStringSubmatch(lines[i+1].norm)
-		if ad == nil || ad[1] != st[2] || ad[2] != "4" || st[1] == st[2] {
-			continue
-		}
-		if !flagsDeadAfter(lines, i+1) {
-			continue
-		}
-		lines[i] = instrLine(fmt.Sprintf("stmia %s!, {%s}", st[2], st[1]))
-		lines = append(lines[:i+1], lines[i+2:]...)
-		changed = true
+		out = append(out, lines[i])
 	}
-	for i := 0; i+1 < len(lines); i++ {
-		a := reStmia.FindStringSubmatch(lines[i].norm)
-		b := reStmia.FindStringSubmatch(lines[i+1].norm)
-		if a == nil || b == nil || a[1] != b[1] {
-			continue
+	merged := out[:0] // merging only ever shrinks: reuse the slice
+	for _, l := range out {
+		if n := len(merged); n > 0 {
+			if m, ok := mergeStmia(merged[n-1], l); ok {
+				merged[n-1] = m
+				changed = true
+				continue
+			}
 		}
-		// Register lists must stay ascending for the merged STMIA.
-		lastA := strings.TrimSpace(a[2][strings.LastIndex(a[2], ",")+1:])
-		firstB := strings.TrimSpace(b[2])
-		if i := strings.IndexByte(firstB, ','); i >= 0 {
-			firstB = firstB[:i]
-		}
-		na, _ := strconv.Atoi(strings.TrimPrefix(lastA, "r"))
-		nb, _ := strconv.Atoi(strings.TrimPrefix(firstB, "r"))
-		cursor, _ := strconv.Atoi(strings.TrimPrefix(a[1], "r"))
-		if nb <= na || na == cursor || nb == cursor {
-			continue
-		}
-		lines[i] = instrLine(fmt.Sprintf("stmia %s!, {%s, %s}", a[1], a[2], b[2]))
-		lines = append(lines[:i+1], lines[i+2:]...)
-		changed = true
-		i--
+		merged = append(merged, l)
 	}
-	return lines, changed
+	return merged, changed
+}
+
+// mergeStmia merges two adjacent stmia on the same cursor into one,
+// when the register lists stay ascending and exclude the cursor.
+func mergeStmia(x, y asmLine) (asmLine, bool) {
+	if x.mnem != "stmia" || y.mnem != "stmia" {
+		return asmLine{}, false
+	}
+	a := reStmia.FindStringSubmatch(x.norm)
+	b := reStmia.FindStringSubmatch(y.norm)
+	if a == nil || b == nil || a[1] != b[1] {
+		return asmLine{}, false
+	}
+	// Register lists must stay ascending for the merged STMIA.
+	lastA := strings.TrimSpace(a[2][strings.LastIndex(a[2], ",")+1:])
+	firstB := strings.TrimSpace(b[2])
+	if i := strings.IndexByte(firstB, ','); i >= 0 {
+		firstB = firstB[:i]
+	}
+	na, _ := strconv.Atoi(strings.TrimPrefix(lastA, "r"))
+	nb, _ := strconv.Atoi(strings.TrimPrefix(firstB, "r"))
+	cursor, _ := strconv.Atoi(strings.TrimPrefix(a[1], "r"))
+	if nb <= na || na == cursor || nb == cursor {
+		return asmLine{}, false
+	}
+	return instrLine(fmt.Sprintf("stmia %s!, {%s, %s}", a[1], a[2], b[2])), true
 }
 
 // Optimize applies the peephole passes to one generated kernel's text
 // until a fixed point. It is only ever applied to straight-line
 // (unrolled) kernels by the image builder, but is safe on any generated
 // kernel: every pass proves its flag and register conditions before
-// rewriting.
+// rewriting. The text is parsed once, and each pass is one sweep that
+// reads its input front to back and appends what it keeps to the other
+// of two buffers, so deleting a line costs nothing and a round is
+// linear in kernel length. A pass may rewrite a line ahead of its
+// cursor in place, but never inserts or deletes there, and never
+// touches a label.
 func Optimize(src string) string {
 	lines := parseAsm(src)
+	spare := make([]asmLine, 0, len(lines))
+	passes := []func(out, in []asmLine) ([]asmLine, bool){foldZeroInit, coalesceAddSub, strengthReduceStores}
 	for round := 0; round < 8; round++ {
-		var c1, c2, c3 bool
-		lines, c1 = foldZeroInit(lines)
-		lines, c2 = coalesceAddSub(lines)
-		lines, c3 = strengthReduceStores(lines)
-		if !c1 && !c2 && !c3 {
+		changed := false
+		for _, pass := range passes {
+			var c bool
+			spare, c = pass(spare[:0], lines)
+			lines, spare = spare, lines
+			changed = changed || c
+		}
+		if !changed {
 			break
 		}
 	}

@@ -5,18 +5,25 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/neuro-c/neuroc/internal/kernels"
 	"github.com/neuro-c/neuroc/internal/quant"
 )
 
 // Per-layer encoding search (UseAuto): pick, for every ternary layer,
-// the encoding (block, csc, delta, mixed, or unrolled at each factor)
-// that minimizes whole-inference cycles subject to the image fitting in
-// flash. Each candidate is priced by really building a one-layer image
-// and evaluating the certificate-driven WCET (cert.Certificate.WCET), a
-// sound upper bound on its cycles. The bound equals the measured count
-// only when every loop runs its annotated bound, as in the self-check
-// harnesses wcet_test.go pins; on real layers the loops run short and
+// the encoding (block, csc, delta, mixed, or unrolled/4) that minimizes
+// whole-inference cycles subject to the image fitting in flash. The
+// narrower unrolled factors 1 and 2 stay valid explicit encodings but
+// are not probed: they never beat unrolled/4 on WCET or flash
+// (TestUnrolledFourDominates). A group of f outputs shares one
+// ldrb+sxtb gather per touched input, and the adds/subs count is fixed
+// by the nonzeros, so a wider group never adds instructions (the
+// subexpression-sharing argument of "Unrolling Ternary Neural
+// Networks"). Where the factors emit the same code (Out <= 2) the tie
+// goes to unrolled/4, which is the same image bytes. Each candidate is
+// priced by really building a one-layer image and evaluating the
+// certificate-driven WCET (cert.Certificate.WCET), a sound upper bound
+// on its cycles. The bound equals the measured count only when every
+// loop runs its annotated bound, as in the self-check harnesses
+// wcet_test.go pins; on real layers the loops run short and
 // the bound over-prices by an encoding-dependent factor (1.2x for
 // unrolled/4 up to about 6x for block), so the search minimizes the
 // guaranteed worst case, not the measured cycles. Inference is a
@@ -32,7 +39,7 @@ import (
 const SearchWaitStates = 1
 
 // searchComboCap bounds exhaustive combination enumeration; beyond it
-// (more than 5 ternary layers at 7 candidates each) the search falls
+// (more than 6 ternary layers at 5 candidates each) the search falls
 // back to a greedy repair loop.
 const searchComboCap = 20000
 
@@ -59,9 +66,7 @@ func searchEncodings(model *quant.Model, opts BuildOptions) (*Image, error) {
 
 	choices := []LayerEncoding{
 		{Choice: UseBlock}, {Choice: UseCSC}, {Choice: UseDelta}, {Choice: UseMixed},
-	}
-	for _, f := range kernels.UnrollFactors {
-		choices = append(choices, LayerEncoding{Choice: UseUnrolled, Factor: f})
+		{Choice: UseUnrolled, Factor: DefaultUnrollFactor},
 	}
 
 	// Probe every candidate of every ternary layer with a real one-layer

@@ -10,12 +10,74 @@ import (
 	"github.com/neuro-c/neuroc/internal/rng"
 )
 
-// allCandidates is the per-layer search space the auto search draws
-// from, mirrored here for exhaustive enumeration.
+// allCandidates is every per-layer encoding, enumerated exhaustively
+// here. It keeps the unrolled factors the search no longer probes, so
+// TestAutoSearchNeverDominated checks the narrowed search against the
+// full space.
 func allCandidates() []LayerEncoding {
 	return []LayerEncoding{
 		{Choice: UseBlock}, {Choice: UseCSC}, {Choice: UseDelta}, {Choice: UseMixed},
 		{Choice: UseUnrolled, Factor: 1}, {Choice: UseUnrolled, Factor: 2}, {Choice: UseUnrolled, Factor: 4},
+	}
+}
+
+// TestUnrolledFourDominates pins the fact that lets the search probe
+// only unrolled/4: on seeded random layers, its one-layer probe (the
+// image the search prices) never has a larger WCET at SearchWaitStates
+// or larger layer flash than unrolled/1 or /2. Where both tie, the two
+// images are byte-identical, so dropping the narrower factor cannot
+// change which image the search deploys.
+func TestUnrolledFourDominates(t *testing.T) {
+	r := rng.New(16)
+	n := 48
+	if testing.Short() {
+		n = 12
+	}
+	probe := func(l *quant.Layer, factor int) (*Image, uint64, bool) {
+		m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{l}}
+		img, err := BuildOpts(m, BuildOptions{PerLayer: []LayerEncoding{{Choice: UseUnrolled, Factor: factor}}})
+		if err != nil {
+			if _, ok := err.(*ErrNotDeployable); ok {
+				return nil, 0, false
+			}
+			t.Fatalf("%dx%d unrolled/%d: %v", l.In, l.Out, factor, err)
+		}
+		w, err := img.Cert.WCET("entry", SearchWaitStates)
+		if err != nil {
+			t.Fatalf("%dx%d unrolled/%d WCET: %v", l.In, l.Out, factor, err)
+		}
+		return img, w, true
+	}
+	compared := 0
+	for k := 0; k < n; k++ {
+		in, out := 5+r.Intn(396), 1+r.Intn(64)
+		if k < 6 {
+			out = 1 + k%3 // the edge shapes: one group, or a partial one
+		}
+		density := 0.02 + 0.68*r.Float64()
+		l := randTernaryLayer(r, in, out, density, k%2 == 0, true)
+		img4, w4, ok4 := probe(l, 4)
+		for _, f := range []int{1, 2} {
+			img, w, ok := probe(l, f)
+			if !ok {
+				continue
+			}
+			if !ok4 {
+				t.Fatalf("%dx%d at %.0f%%: unrolled/%d deploys but unrolled/4 does not", in, out, 100*density, f)
+			}
+			f4, ff := img4.Layers[0].FlashBytes, img.Layers[0].FlashBytes
+			if w4 > w || f4 > ff {
+				t.Errorf("%dx%d at %.0f%%: unrolled/4 (%d cycles, %d bytes) loses to unrolled/%d (%d cycles, %d bytes)",
+					in, out, 100*density, w4, f4, f, w, ff)
+			}
+			if w4 == w && f4 == ff && !bytes.Equal(img4.Prog.Code, img.Prog.Code) {
+				t.Errorf("%dx%d at %.0f%%: unrolled/4 ties unrolled/%d with a different image", in, out, 100*density, f)
+			}
+			compared++
+		}
+	}
+	if compared < n {
+		t.Fatalf("only %d comparisons over %d layers deployed; the test is not exercising the space", compared, n)
 	}
 }
 

@@ -246,7 +246,9 @@ type Encoding = modelimg.EncodingChoice
 // Deployment encodings (paper Sec. 4.2). EncodingBlock is the paper's
 // selected scheme. EncodingUnrolled bakes the weights into straight-line
 // code (fastest, largest); EncodingAuto runs the certificate-priced
-// per-layer search over all of them (modelimg's searchEncodings).
+// per-layer search (modelimg's searchEncodings) over block, csc, delta,
+// mixed and unrolled/4, which never loses to the narrower unroll
+// factors.
 const (
 	EncodingBlock    = modelimg.UseBlock
 	EncodingCSC      = modelimg.UseCSC

@@ -73,14 +73,19 @@ echo "== translation parity (superblock tier bit-identical to both interpreters)
 go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 
-echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins)"
+echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden hash + unrolled/4 dominance)"
 # The peephole-optimized unrolled kernels against their unoptimized
 # form: bit-for-bit accumulator equality, optimized <= unoptimized
 # cycles, exact cycle parity across all three execution tiers at ws
 # 0-2, and strict certification of both forms. `-run` replays the
 # checked-in fuzz seed corpus deterministically; `go test -fuzz
 # FuzzOptimizerParity ./internal/kernels/` explores further locally.
-go test -run 'FuzzOptimizerParity|TestOptimizerParityDense' -count=1 ./internal/kernels/
+# TestOptimizerGolden pins the SHA-256 of the optimizer's output, so
+# the deployed unrolled bytes cannot move. TestUnrolledFourDominates
+# pins why the encoding search probes only unrolled/4: it never loses
+# to unrolled/1 or /2 on WCET or flash.
+go test -run 'FuzzOptimizerParity|TestOptimizerParityDense|TestOptimizerGolden' -count=1 ./internal/kernels/
+go test -run 'TestUnrolledFourDominates' -count=1 ./internal/modelimg/
 
 echo "== training bit-identity (sparse ternary kernels == dense GEMMs, training golden)"
 # The sparse forward and input-gradient kernels against MatMul/MatMulBT
@@ -104,13 +109,14 @@ go run ./cmd/neuroc-bench -exp farm -quick -j 4 -encoding auto > /dev/null
 echo "== farm race-stress (shared-flash board farm under the race detector)"
 go test -race -count=1 ./internal/farm/...
 
-echo "== bench-regression smoke (all three execution tiers still wired up)"
+echo "== bench-regression smoke (all three execution tiers still wired up, optimizer benchmark)"
 # One iteration of the Translated/Predecoded/Legacy benchmarks: proves
 # each tier is selected, runs, and stays in parity (the benchmark
 # bodies assert translation attachment and would fail on any execution
-# error). Real throughput comparisons need -benchtime 1s and an idle
-# host; this is a wiring gate, not a perf gate.
-go test -run '^$' -bench 'Inference|FarmMap' -benchtime 1x ./internal/armv6m/ ./internal/farm/
+# error). BenchmarkOptimizeUnrolled is compiled and run once too.
+# Real throughput comparisons need -benchtime 1s and an idle host; this
+# is a wiring gate, not a perf gate.
+go test -run '^$' -bench 'Inference|FarmMap|OptimizeUnrolled' -benchtime 1x ./internal/armv6m/ ./internal/farm/ ./internal/kernels/
 
 echo "== bench-smoke on the translated tier (explicit -tier plumbing end to end)"
 # The farm experiment pinned to -tier translated: exercises the tier
