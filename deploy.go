@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/farm"
@@ -24,7 +23,7 @@ type Deployment struct {
 	Dev    *device.Device
 
 	// Encoding is the adjacency encoding the image was built with, kept
-	// so derived builds (MeasureLayers' telemetry twin) match exactly.
+	// so derived builds (TelemetryTwin) match exactly.
 	Encoding Encoding
 
 	// Workers is the board-farm pool size used by batch evaluations
@@ -35,22 +34,20 @@ type Deployment struct {
 
 	// Tier pins the emulator execution tier for batch evaluations
 	// (device.Tier: legacy, predecoded, or translated). The zero value
-	// keeps the fastest available tier. Profile always retires through
-	// the tracing interpreter regardless of Tier — cycle-attribution
-	// needs per-instruction hooks the translated tier cannot provide.
+	// keeps the fastest available tier. Profile, MeasureLayers and
+	// MeasureEnergy are traced single-board runs: they always retire
+	// through the tracing interpreter regardless of Tier — cycle
+	// attribution needs per-instruction hooks the translated tier
+	// cannot provide.
 	Tier device.Tier
 
 	// Observe, when non-nil, is passed to every batch evaluation's farm
 	// run (farm.Options.Observe): the live-metrics hook. It is called
 	// concurrently from the farm workers and must be safe for that; nil
 	// (the default) keeps every path identical to an unobserved run.
+	// The traced single-board runs (Profile, MeasureLayers,
+	// MeasureEnergy) do not feed it.
 	Observe func(i int, r *farm.Result)
-
-	// twin is the telemetry twin's flash image, built on the first
-	// MeasureLayers or MeasureEnergy call and reused by every later one.
-	twinOnce sync.Once
-	twin     *device.FlashImage
-	twinErr  error
 }
 
 // ErrNotDeployable reports a model that exceeds the device's flash or
@@ -162,11 +159,9 @@ func (d *Deployment) MeasureStats(ds *Dataset, runs int) (ms float64, cycles, in
 
 // TelemetryTwin builds the deployment's telemetry twin: the same
 // quantized model, encoding, and resolved per-layer choices, plus the
-// on-device layer markers. The twin is what MeasureLayers,
-// MeasureEnergy, and the run-timeline builders execute — its
+// on-device layer markers. Run timelines execute it — its
 // marker-corrected layer costs equal the uninstrumented deployment's
-// exactly (see internal/telemetry). Every call builds a new image;
-// MeasureLayers and MeasureEnergy build theirs once per Deployment.
+// exactly (see internal/telemetry). Every call builds a new image.
 func (d *Deployment) TelemetryTwin() (*modelimg.Image, error) {
 	img, err := modelimg.BuildOpts(d.QModel, modelimg.BuildOptions{
 		Encoding:  d.Encoding,
@@ -179,10 +174,10 @@ func (d *Deployment) TelemetryTwin() (*modelimg.Image, error) {
 	return img, nil
 }
 
-// runTwin runs runs test rows on the telemetry twin across the board
-// farm. The twin's flash image is built on first use and reused by every
-// later call on this Deployment.
-func (d *Deployment) runTwin(ds *Dataset, runs int) (*modelimg.Image, []farm.Result, error) {
+// measureInputs quantizes runs test rows (10 when runs <= 0) and boots
+// a private board on the deployed image to segment them on, so
+// concurrent callers never share d.Dev.
+func (d *Deployment) measureInputs(ds *Dataset, runs int) (*device.Device, [][]int8, error) {
 	if runs <= 0 {
 		runs = 10
 	}
@@ -190,47 +185,35 @@ func (d *Deployment) runTwin(ds *Dataset, runs int) (*modelimg.Image, []farm.Res
 	if err != nil {
 		return nil, nil, err
 	}
-	d.twinOnce.Do(func() {
-		var img *modelimg.Image
-		if img, d.twinErr = d.TelemetryTwin(); d.twinErr == nil {
-			d.twin, d.twinErr = device.NewFlashImage(img)
-		}
-	})
-	if d.twinErr != nil {
-		return nil, nil, d.twinErr
-	}
-	results, _, err := d.runFarm(d.twin, inputs)
-	return d.twin.Img, results, err
+	return d.Dev.Flash.NewBoard(), inputs, nil
 }
 
-// MeasureLayers measures per-layer cycle attribution with the on-device
-// telemetry pipeline: it runs the inferences on the deployment's
-// telemetry twin (same quantized model and encoding, plus layer
-// markers) across the board farm, and aggregates the decoded per-layer
-// costs. The costs are corrected for the fixed marker overhead, so each
-// equals — exactly, cycle for cycle — what that layer costs in the
-// uninstrumented deployment (see internal/telemetry).
+// MeasureLayers measures per-layer cycle attribution on the deployed
+// image itself: it runs the inferences one after another on a private
+// board, traced, and segments each at the image's layer-boundary labels
+// (telemetry.HostAggregate). Each layer cost is exact, cycle for cycle,
+// and equals what the on-device telemetry pipeline decodes from the
+// telemetry twin's markers (see internal/telemetry).
 func (d *Deployment) MeasureLayers(ds *Dataset, runs int) ([]telemetry.LayerStats, error) {
-	img, results, err := d.runTwin(ds, runs)
+	dev, inputs, err := d.measureInputs(ds, runs)
 	if err != nil {
 		return nil, err
 	}
-	return telemetry.Aggregate(img, results, 0)
+	return telemetry.HostAggregate(dev, inputs)
 }
 
 // MeasureEnergy measures per-layer energy attribution: MeasureLayers'
-// telemetry pipeline priced with the board's calibrated energy model
-// (device.EnergyModel). It runs the inferences on the deployment's
-// telemetry twin across the board farm and returns the batch-level
-// neuroc-energy/v1 aggregate — whole-batch and per-layer µJ, derived
-// from the exact marker-corrected cycle counts, so the figures are
-// fully deterministic and sum exactly (see internal/telemetry).
+// segmentation priced with the board's calibrated energy model
+// (device.EnergyModel). It returns the batch-level neuroc-energy/v1
+// aggregate — whole-batch and per-layer µJ, derived from the exact
+// cycle counts of the deployed image, so the figures are fully
+// deterministic and sum exactly (see internal/telemetry).
 func (d *Deployment) MeasureEnergy(ds *Dataset, runs int) (*telemetry.EnergyAggregate, error) {
-	img, results, err := d.runTwin(ds, runs)
+	dev, inputs, err := d.measureInputs(ds, runs)
 	if err != nil {
 		return nil, err
 	}
-	return telemetry.AggregateEnergy(img, results, 0, device.EnergyModel())
+	return telemetry.HostAggregateEnergy(dev, inputs, device.EnergyModel())
 }
 
 // Profile runs one profiled inference on test-split sample idx and

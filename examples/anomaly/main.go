@@ -104,9 +104,10 @@ func main() {
 	fmt.Printf("energy: %.2f µJ per event (%d measured cycles)\n",
 		perInference.TotalUJ(), cycles)
 
-	// Per-layer attribution: the telemetry twin measures each layer's
-	// exact marker-corrected cycle cost on-device, and the energy model
-	// prices those cycles — so the µJ rows sum to the whole inference.
+	// Per-layer attribution: each inference on the deployed image is
+	// segmented at its layer boundaries into exact per-layer cycle
+	// costs, and the energy model prices those cycles — so the µJ rows
+	// sum to the layers' share of the whole inference.
 	agg, err := dep.MeasureEnergy(ds, 10)
 	if err != nil {
 		log.Fatal(err)

@@ -101,7 +101,10 @@ type Trace struct {
 	FlashWaitCycles uint64
 
 	// PCs is the cycle/instruction histogram keyed by instruction
-	// address.
+	// address. NewTrace allocates it; a trace whose PCs is nil keeps no
+	// histogram (every other counter and OnInstr still run), which is
+	// how hook-only consumers such as the host layer segmenter avoid
+	// one map cell per straight-line address.
 	PCs map[uint32]*PCSample
 
 	// SPMin is the lowest stack-pointer value observed after any retired
@@ -202,13 +205,15 @@ func (t *Trace) record(c *CPU, addr, op uint32, cycles uint64, fr, sr, sw, sleep
 	t.SRAMReads += sramR
 	t.SRAMWrites += sramW
 	t.FlashWaitCycles += flash * uint64(c.Bus.FlashWaitStates)
-	s := t.PCs[addr]
-	if s == nil {
-		s = &PCSample{}
-		t.PCs[addr] = s
+	if t.PCs != nil {
+		s := t.PCs[addr]
+		if s == nil {
+			s = &PCSample{}
+			t.PCs[addr] = s
+		}
+		s.Count++
+		s.Cycles += cycles - sleep
 	}
-	s.Count++
-	s.Cycles += cycles - sleep
 	if t.OnInstr != nil {
 		t.OnInstr(InstrInfo{
 			Addr: addr, Op: uint16(op), Class: cl,

@@ -1,6 +1,7 @@
 package armv6m_test
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
@@ -107,6 +108,41 @@ func TestTraceAttributionSums(t *testing.T) {
 			}
 			if ws == 0 && tr.FlashWaitCycles != 0 {
 				t.Errorf("%s ws=0: spurious flash wait cycles %d", k.name, tr.FlashWaitCycles)
+			}
+		}
+	}
+}
+
+// TestTraceWithoutPCHistogram: a trace whose PCs map is nil keeps no
+// histogram, and every other counter and the OnInstr stream are exactly
+// those of a full trace.
+func TestTraceWithoutPCHistogram(t *testing.T) {
+	for _, k := range traceKernels {
+		for _, ws := range []int{0, 1} {
+			var full, bare []armv6m.InstrInfo
+			run := func(tr *armv6m.Trace, into *[]armv6m.InstrInfo) {
+				cpu, _ := boot(t, k.src)
+				cpu.Bus.FlashWaitStates = ws
+				tr.OnInstr = func(ii armv6m.InstrInfo) { *into = append(*into, ii) }
+				cpu.Trace = tr
+				if err := cpu.Run(1_000_000); err != nil {
+					t.Fatalf("%s ws=%d: %v", k.name, ws, err)
+				}
+			}
+			trFull := armv6m.NewTrace()
+			run(trFull, &full)
+			trBare := armv6m.NewTrace()
+			trBare.PCs = nil
+			run(trBare, &bare)
+			if trBare.PCs != nil {
+				t.Fatalf("%s ws=%d: a nil histogram was allocated", k.name, ws)
+			}
+			trFull.PCs, trFull.OnInstr, trBare.OnInstr = nil, nil, nil
+			if !reflect.DeepEqual(trFull, trBare) {
+				t.Errorf("%s ws=%d: counters %+v without the histogram, %+v with it", k.name, ws, trBare, trFull)
+			}
+			if !reflect.DeepEqual(full, bare) {
+				t.Errorf("%s ws=%d: OnInstr streams differ", k.name, ws)
 			}
 		}
 	}

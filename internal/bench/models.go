@@ -87,9 +87,9 @@ func (r *Runner) runCandidate(ds *dataset.Dataset, c candidate) *outcome {
 	if err != nil {
 		panic(fmt.Sprintf("bench: on-device accuracy for %s: %v", c.name, err))
 	}
-	// Per-layer cycle attribution via the on-device telemetry markers;
-	// the decoded costs are marker-corrected, so they slot under the
-	// uninstrumented cycle total recorded above.
+	// Per-layer cycle attribution, segmented from the deployed image
+	// itself; the costs equal the telemetry twin's marker-corrected
+	// ones, so they slot under the cycle total recorded above.
 	layerStats, err := dep.MeasureLayers(ds, 3)
 	if err != nil {
 		panic(fmt.Sprintf("bench: layer telemetry for %s: %v", c.name, err))
@@ -104,8 +104,8 @@ func (r *Runner) runCandidate(ds *dataset.Dataset, c candidate) *outcome {
 		if cycles > 0 {
 			layers[i].Share = float64(mean) / float64(cycles)
 		}
-		// Per-layer encoding and flash attribution from the image the
-		// telemetry twin was derived from.
+		// Per-layer encoding and flash attribution from the deployed
+		// image.
 		if s.Index < len(dep.Img.Layers) {
 			layers[i].Encoding = dep.Img.Layers[s.Index].Encoding
 			layers[i].FlashBytes = dep.Img.Layers[s.Index].FlashBytes

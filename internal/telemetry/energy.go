@@ -169,36 +169,53 @@ type EnergyAggregate struct {
 	Layers       []LayerEnergyStats `json:"layers"`
 }
 
-// AggregateEnergy folds a farm run into per-layer and whole-batch
-// energy. The same strictness as Aggregate applies: any successful item
-// with a truncated or undecodable stream is an error.
+// AggregateEnergy folds a telemetry-image farm run into per-layer and
+// whole-batch energy. The same strictness as Aggregate applies: any
+// successful item with a truncated or undecodable stream is an error.
+// The whole-batch figures price the twin's own cycles, markers
+// included.
 func AggregateEnergy(img *modelimg.Image, results []farm.Result, ws int, m energy.Model) (*EnergyAggregate, error) {
-	stats, err := Aggregate(img, results, ws)
+	b, err := twinBatch(img, results, ws)
 	if err != nil {
 		return nil, err
 	}
-	agg := &EnergyAggregate{Schema: EnergySchema, ClockHz: m.ClockHz}
-	for i := range results {
-		if results[i].Err != nil {
-			continue
-		}
-		agg.Items++
-		agg.TotalCycles += results[i].Cycles
-		agg.SleepCycles += results[i].SleepCycles
+	return b.energy(m), nil
+}
+
+// HostAggregateEnergy is AggregateEnergy measured on the host, the way
+// HostAggregate is Aggregate: on an uninstrumented image the per-layer
+// figures equal the twin's and the whole-batch figures price exactly
+// the cycles the deployed image spends.
+func HostAggregateEnergy(d *device.Device, inputs [][]int8, m energy.Model) (*EnergyAggregate, error) {
+	b, err := hostBatch(d, inputs)
+	if err != nil {
+		return nil, err
 	}
-	agg.ActiveCycles = agg.TotalCycles - agg.SleepCycles
+	return b.energy(m), nil
+}
+
+// energy prices the fold with m.
+func (b *batch) energy(m energy.Model) *EnergyAggregate {
+	agg := &EnergyAggregate{
+		Schema:       EnergySchema,
+		ClockHz:      m.ClockHz,
+		Items:        b.items,
+		TotalCycles:  b.cycles,
+		ActiveCycles: b.cycles - b.sleep,
+		SleepCycles:  b.sleep,
+	}
 	agg.TotalUJ = m.ActiveUJ(agg.ActiveCycles) + m.SleepJPerCycle()*float64(agg.SleepCycles)*1e6
 	if agg.Items > 0 {
 		agg.MeanUJ = agg.TotalUJ / float64(agg.Items)
 	}
-	for _, s := range stats {
+	for _, s := range b.stats() {
 		agg.Layers = append(agg.Layers, LayerEnergyStats{
 			LayerStats: s,
 			TotalUJ:    m.ActiveUJ(s.Total),
 			MeanUJ:     m.ActiveUJ(s.Total) / float64(max(s.Count, 1)),
 		})
 	}
-	return agg, nil
+	return agg
 }
 
 // WriteJSON emits the batch-level neuroc-energy/v1 summary.

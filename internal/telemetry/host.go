@@ -9,7 +9,10 @@ import (
 )
 
 // Host-side attribution: the independent measurement the on-device
-// markers are checked against. A HostSegmenter rides the emulator's
+// markers are checked against, and the one Deployment.MeasureLayers and
+// MeasureEnergy take on the deployed image (HostAggregate,
+// HostAggregateEnergy), so no instrumented twin is built for them. A
+// HostSegmenter rides the emulator's
 // trace hook (armv6m.Trace.OnInstr) and records the running cycle total
 // at chosen instruction addresses; because entry code is straight-line,
 // the totals at the image's per-layer call labels segment an inference
@@ -22,7 +25,7 @@ import (
 // interrupt-free inferences.
 
 // Mark is one watched instruction address and the cycle totals observed
-// at its first retirement.
+// at its first retirement after the previous mark's.
 type Mark struct {
 	Addr   uint32
 	Before uint64 // cycles retired before the instruction at Addr began
@@ -30,22 +33,25 @@ type Mark struct {
 	Hit    bool
 }
 
-// HostSegmenter records cycle totals at watched addresses. Attach to a
-// trace before running; each address is captured at its first
-// retirement only (entry code runs once, so that is the layer
-// boundary).
+// HostSegmenter records cycle totals at watched addresses, in order.
+// Attach to a trace before running. The addresses must be listed in
+// the order they first retire: the segmenter compares each retired
+// instruction against the next unhit mark only, so a mark is captured
+// at its first retirement after its predecessor's (entry code runs
+// once, so that is the layer boundary). A mark listed out of
+// retirement order, or one that never retires, stays unhit.
 type HostSegmenter struct {
 	Marks   []Mark
-	byAddr  map[uint32]int
+	next    int
 	running uint64
 }
 
-// NewHostSegmenter watches the given instruction addresses.
+// NewHostSegmenter watches the given instruction addresses, in
+// retirement order.
 func NewHostSegmenter(addrs []uint32) *HostSegmenter {
-	s := &HostSegmenter{byAddr: make(map[uint32]int, len(addrs))}
-	for _, a := range addrs {
-		s.byAddr[a] = len(s.Marks)
-		s.Marks = append(s.Marks, Mark{Addr: a})
+	s := &HostSegmenter{Marks: make([]Mark, len(addrs))}
+	for i, a := range addrs {
+		s.Marks[i].Addr = a
 	}
 	return s
 }
@@ -54,10 +60,12 @@ func NewHostSegmenter(addrs []uint32) *HostSegmenter {
 // slot.
 func (s *HostSegmenter) Attach(tr *armv6m.Trace) {
 	tr.OnInstr = func(ii armv6m.InstrInfo) {
-		if i, ok := s.byAddr[ii.Addr]; ok && !s.Marks[i].Hit {
-			s.Marks[i].Hit = true
-			s.Marks[i].Before = s.running
-			s.Marks[i].After = s.running + ii.Cycles
+		if s.next < len(s.Marks) && ii.Addr == s.Marks[s.next].Addr {
+			m := &s.Marks[s.next]
+			m.Hit = true
+			m.Before = s.running
+			m.After = s.running + ii.Cycles
+			s.next++
 		}
 		s.running += ii.Cycles
 	}
@@ -70,10 +78,7 @@ func (s *HostSegmenter) Attach(tr *armv6m.Trace) {
 func LayerBoundaryAddrs(img *modelimg.Image) ([]uint32, error) {
 	addrs := make([]uint32, 0, len(img.Layers)+1)
 	for i := 0; i <= len(img.Layers); i++ {
-		name := fmt.Sprintf("l%d_call", i)
-		if i == len(img.Layers) {
-			name = "entry_end"
-		}
+		name := boundaryName(img, i)
 		a, ok := img.Prog.Symbols[name]
 		if !ok {
 			return nil, fmt.Errorf("telemetry: image has no %q symbol (built before layer labels?)", name)
@@ -81,6 +86,15 @@ func LayerBoundaryAddrs(img *modelimg.Image) ([]uint32, error) {
 		addrs = append(addrs, a)
 	}
 	return addrs, nil
+}
+
+// boundaryName is the symbol of an image's i-th layer boundary:
+// l<i>_call, or entry_end after the last layer.
+func boundaryName(img *modelimg.Image, i int) string {
+	if i == len(img.Layers) {
+		return "entry_end"
+	}
+	return fmt.Sprintf("l%d_call", i)
 }
 
 // HostLayerCycles runs one traced inference and attributes its cycles
@@ -107,7 +121,9 @@ func HostLayerCycles(d *device.Device, input []int8) ([]uint64, *device.Result, 
 // instructions (no marker correction applies, there are no markers),
 // and on an uninstrumented image each span's Cycles is the pure layer
 // cost, bit-equal to the marker-corrected cost the telemetry twin
-// reports (tested in host_test.go).
+// reports (tested in host_test.go). The trace it runs under keeps no
+// per-PC histogram (Result.Trace.PCs is nil); the class, bus and stack
+// counters are complete.
 func HostLayerSpans(d *device.Device, input []int8) ([]Span, *device.Result, error) {
 	addrs, err := LayerBoundaryAddrs(d.Img)
 	if err != nil {
@@ -115,17 +131,20 @@ func HostLayerSpans(d *device.Device, input []int8) ([]Span, *device.Result, err
 	}
 	seg := NewHostSegmenter(addrs)
 	tr := armv6m.NewTrace()
+	tr.PCs = nil
 	seg.Attach(tr)
 	res, err := d.RunTraced(input, tr)
 	if err != nil {
 		return nil, nil, err
 	}
+	for i, m := range seg.Marks {
+		if !m.Hit {
+			return nil, nil, fmt.Errorf("telemetry: boundary %s never retired in order", boundaryName(d.Img, i))
+		}
+	}
 	spans := make([]Span, len(addrs)-1)
 	for i := range spans {
 		lo, hi := seg.Marks[i], seg.Marks[i+1]
-		if !lo.Hit || !hi.Hit {
-			return nil, nil, fmt.Errorf("telemetry: boundary l%d_call never retired", i)
-		}
 		spans[i] = Span{
 			Layer:  i,
 			Kernel: d.Img.Layers[i].Kernel,

@@ -62,31 +62,62 @@ func randInput(r *rng.RNG, n int) []int8 {
 	return x
 }
 
+// autoMixModel is large enough that unrolled/4 on every layer
+// overflows flash, so the auto search resolves a per-layer mix.
+func autoMixModel() *quant.Model {
+	r := rng.New(99)
+	return &quant.Model{
+		InputScale: 127,
+		Layers: []*quant.Layer{
+			randTernaryLayer(r, 400, 128, 0.5),
+			randTernaryLayer(r, 128, 96, 0.9),
+			randTernaryLayer(r, 96, 10, 0.4),
+		},
+	}
+}
+
 // The model-level acceptance test: a telemetry build must change
 // nothing about the inference (same outputs), cost exactly the
 // closed-form overhead, and its decoded per-layer cycles must equal
 // host-side boundary-label attribution of the *uninstrumented* image,
 // layer by layer, cycle for cycle — at several wait-state settings, on
 // the fast interpreter (Run) and the traced legacy one (RunTraced).
+// The instrumented image is built the way a Deployment builds its
+// telemetry twin, from the plain image's resolved per-layer encodings.
+// The cases cover every encoding a deployment can segment: unrolled/4,
+// whose entry code goes through the entry optimizer, and a per-layer
+// mix the auto search resolved under flash pressure included.
 func TestModelTelemetryExact(t *testing.T) {
-	m := testModel()
-	for _, enc := range []modelimg.EncodingChoice{
-		modelimg.UseBlock, modelimg.UseCSC, modelimg.UseDelta, modelimg.UseMixed,
+	for _, c := range []struct {
+		enc modelimg.EncodingChoice
+		m   *quant.Model
+	}{
+		{modelimg.UseBlock, testModel()},
+		{modelimg.UseCSC, testModel()},
+		{modelimg.UseDelta, testModel()},
+		{modelimg.UseMixed, testModel()},
+		{modelimg.UseUnrolled, testModel()},
+		{modelimg.UseAuto, autoMixModel()},
 	} {
+		m := c.m
+		imgOff, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: c.enc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.enc == modelimg.UseAuto && imgOff.Layers[0].Encoding == imgOff.Layers[1].Encoding {
+			t.Fatalf("auto resolved %q for the first two layers, want a per-layer mix", imgOff.Layers[0].Encoding)
+		}
+		imgOn, err := modelimg.BuildOpts(m, modelimg.BuildOptions{
+			Encoding: c.enc, PerLayer: imgOff.Encodings, Telemetry: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !imgOn.Telemetry || len(imgOn.Layers) != len(m.Layers) {
+			t.Fatalf("%v: telemetry image metadata: Telemetry=%v Layers=%d", c.enc, imgOn.Telemetry, len(imgOn.Layers))
+		}
 		for _, ws := range []int{0, 1, 2} {
-			t.Run(fmt.Sprintf("%v/ws%d", enc, ws), func(t *testing.T) {
-				imgOff, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: enc})
-				if err != nil {
-					t.Fatal(err)
-				}
-				imgOn, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: enc, Telemetry: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !imgOn.Telemetry || len(imgOn.Layers) != len(m.Layers) {
-					t.Fatalf("telemetry image metadata: Telemetry=%v Layers=%d", imgOn.Telemetry, len(imgOn.Layers))
-				}
-
+			t.Run(fmt.Sprintf("%v/ws%d", c.enc, ws), func(t *testing.T) {
 				devOff, err := device.New(imgOff)
 				if err != nil {
 					t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/device"
+	"github.com/neuro-c/neuroc/internal/farm"
 	"github.com/neuro-c/neuroc/internal/quant"
 	"github.com/neuro-c/neuroc/internal/telemetry"
 )
@@ -312,10 +313,12 @@ func TestSaveLoadDeployment(t *testing.T) {
 // TestMeasureEnergy checks the public per-layer energy entry point: the
 // aggregate carries the neuroc-energy/v1 schema, its total is the paper
 // identity over the measured cycles (no WFI sleep in the inference
-// images, so active == total bit-for-bit), and the per-layer figures
-// price exactly the marker-corrected cycle counts MeasureLayers reports.
-// Both run on one telemetry twin, built once per Deployment, and return
-// what a fresh Deployment returns.
+// images, so active == total bit-for-bit) and prices the deployed
+// image's own cycles, not the telemetry twin's, and the per-layer
+// figures price exactly the cycle counts MeasureLayers reports. Those
+// equal the on-device telemetry pipeline's decoded aggregate over the
+// twin, and a fresh Deployment measured from two goroutines at once
+// returns the same figures.
 func TestMeasureEnergy(t *testing.T) {
 	ds := smallDigits()
 	m := NewModel(ModelSpec{
@@ -332,13 +335,40 @@ func TestMeasureEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := dep.twin
 	agg, err := dep.MeasureEnergy(ds, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if twin == nil || dep.twin != twin {
-		t.Error("MeasureEnergy did not reuse the telemetry twin MeasureLayers built")
+
+	// The on-device pipeline is the reference: the twin's decoded
+	// marker stream over the same rows, aggregated.
+	twin, err := dep.TelemetryTwin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, err := dep.testInputs(ds, 0, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := farm.Map(twin, inputs, farm.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinStats, err := telemetry.Aggregate(twin, results, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stats, twinStats) {
+		t.Errorf("MeasureLayers %+v, telemetry twin aggregate %+v", stats, twinStats)
+	}
+
+	_, cycles, _, err := dep.MeasureStats(ds, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.TotalCycles != uint64(agg.Items)*cycles {
+		t.Errorf("batch prices %d cycles, want %d items x %d deployed cycles",
+			agg.TotalCycles, agg.Items, cycles)
 	}
 	if agg.Schema != telemetry.EnergySchema {
 		t.Errorf("schema = %q, want %q", agg.Schema, telemetry.EnergySchema)
@@ -366,8 +396,8 @@ func TestMeasureEnergy(t *testing.T) {
 		}
 	}
 
-	// A fresh Deployment, its twin raced for by both methods at once,
-	// returns the same figures.
+	// A fresh Deployment, measured by both methods at once, returns the
+	// same figures.
 	fresh, err := m.Deploy(ds, EncodingBlock)
 	if err != nil {
 		t.Fatal(err)
@@ -386,9 +416,9 @@ func TestMeasureEnergy(t *testing.T) {
 		t.Fatal(errAgg, errStats)
 	}
 	if !reflect.DeepEqual(stats, freshStats) {
-		t.Errorf("MeasureLayers on the reused twin %+v, on a fresh Deployment %+v", stats, freshStats)
+		t.Errorf("MeasureLayers %+v, on a fresh Deployment %+v", stats, freshStats)
 	}
 	if !reflect.DeepEqual(agg, freshAgg) {
-		t.Errorf("MeasureEnergy on the reused twin %+v, on a fresh Deployment %+v", agg, freshAgg)
+		t.Errorf("MeasureEnergy %+v, on a fresh Deployment %+v", agg, freshAgg)
 	}
 }

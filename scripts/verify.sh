@@ -49,9 +49,9 @@ go -C cmd/neuroc-perf test .
 
 echo "== examples-smoke (the library walkthroughs, about 5 s)"
 # quickstart predicts on the deployed board (dep.Dev), anomaly prices a
-# batch on the telemetry twin (MeasureEnergy), and encodings deploys
-# under every encoding. examples/mnist trains for minutes and is left
-# out.
+# batch segmented from the deployed image (MeasureEnergy), and encodings
+# deploys under every encoding. examples/mnist trains for minutes and is
+# left out.
 go run ./examples/quickstart > /dev/null
 go run ./examples/anomaly > /dev/null
 go run ./examples/encodings > /dev/null
@@ -87,6 +87,15 @@ echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden ha
 go test -run 'FuzzOptimizerParity|TestOptimizerParityDense|TestOptimizerGolden' -count=1 ./internal/kernels/
 go test -run 'TestUnrolledFourDominates' -count=1 ./internal/modelimg/
 
+echo "== layer attribution parity (host segmentation of the deployed image == telemetry twin)"
+# MeasureLayers and MeasureEnergy segment the deployed image on the host
+# instead of running the telemetry twin. Host spans of the plain image
+# must equal the twin's decoded spans cycle for cycle under every
+# encoding (unrolled/4 and an auto-resolved per-layer mix included) at
+# ws 0-2; MeasureLayers must equal the twin's farm aggregate and
+# MeasureEnergy must price the deployed cycles, under concurrent callers.
+go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy' ./internal/telemetry/ .
+
 echo "== training bit-identity (sparse ternary kernels == dense GEMMs, training golden)"
 # The sparse forward and input-gradient kernels against MatMul/MatMulBT
 # with math.Float32bits on random ternary matrices (zero, cancelling and
@@ -109,14 +118,16 @@ go run ./cmd/neuroc-bench -exp farm -quick -j 4 -encoding auto > /dev/null
 echo "== farm race-stress (shared-flash board farm under the race detector)"
 go test -race -count=1 ./internal/farm/...
 
-echo "== bench-regression smoke (all three execution tiers still wired up, optimizer benchmark)"
+echo "== bench-regression smoke (all three execution tiers still wired up, optimizer and segmenter benchmarks)"
 # One iteration of the Translated/Predecoded/Legacy benchmarks: proves
 # each tier is selected, runs, and stays in parity (the benchmark
 # bodies assert translation attachment and would fail on any execution
-# error). BenchmarkOptimizeUnrolled is compiled and run once too.
-# Real throughput comparisons need -benchtime 1s and an idle host; this
-# is a wiring gate, not a perf gate.
-go test -run '^$' -bench 'Inference|FarmMap|OptimizeUnrolled' -benchtime 1x ./internal/armv6m/ ./internal/farm/ ./internal/kernels/
+# error). BenchmarkOptimizeUnrolled and BenchmarkHostLayerSpans (one
+# segmented inference, what MeasureLayers pays per row) are compiled
+# and run once too. Real throughput comparisons need -benchtime 1s and
+# an idle host; this is a wiring gate, not a perf gate.
+go test -run '^$' -bench 'Inference|FarmMap|OptimizeUnrolled|HostLayerSpans' -benchtime 1x \
+	./internal/armv6m/ ./internal/farm/ ./internal/kernels/ ./internal/telemetry/
 
 echo "== bench-smoke on the translated tier (explicit -tier plumbing end to end)"
 # The farm experiment pinned to -tier translated: exercises the tier
