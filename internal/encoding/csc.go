@@ -21,7 +21,7 @@ type CSC struct {
 
 // EncodeCSC builds the CSC representation of m.
 func EncodeCSC(m *Matrix) *CSC {
-	pos, neg := m.rows()
+	pos, neg := m.Rows()
 	e := &CSC{In: m.In, Out: m.Out}
 	build := func(rows [][]int) cscHalf {
 		h := cscHalf{Pointers: make([]int, m.Out+1)}

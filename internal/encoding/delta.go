@@ -28,7 +28,7 @@ type Delta struct {
 
 // EncodeDelta builds the delta representation of m.
 func EncodeDelta(m *Matrix) *Delta {
-	pos, neg := m.rows()
+	pos, neg := m.Rows()
 	e := &Delta{In: m.In, Out: m.Out}
 	maxFirst, maxDelta := 0, 0
 	build := func(rows [][]int) deltaHalf {

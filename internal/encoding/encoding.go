@@ -85,9 +85,10 @@ func (m *Matrix) Apply(x, y []int32) {
 	}
 }
 
-// rows extracts, for each output neuron, the ascending input indices of
-// positive and negative connections.
-func (m *Matrix) rows() (pos, neg [][]int) {
+// Rows extracts, for each output neuron, the ascending input indices of
+// positive and negative connections: the lists every sparse encoding
+// and the host reference's ternary forward pass traverse.
+func (m *Matrix) Rows() (pos, neg [][]int) {
 	pos = make([][]int, m.Out)
 	neg = make([][]int, m.Out)
 	for o := 0; o < m.Out; o++ {

@@ -20,7 +20,7 @@ type Mixed struct {
 
 // EncodeMixed builds the mixed representation of m.
 func EncodeMixed(m *Matrix) *Mixed {
-	pos, neg := m.rows()
+	pos, neg := m.Rows()
 	e := &Mixed{In: m.In, Out: m.Out}
 	build := func(rows [][]int) mixedHalf {
 		h := mixedHalf{Counts: make([]int, m.Out)}

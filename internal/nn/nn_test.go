@@ -2,8 +2,10 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"github.com/neuro-c/neuroc/internal/dataset"
 	"github.com/neuro-c/neuroc/internal/rng"
 	"github.com/neuro-c/neuroc/internal/tensor"
 )
@@ -178,6 +180,67 @@ func TestNetworkLearnsXOR(t *testing.T) {
 	})
 	if acc := net.Accuracy(x, y); acc != 1.0 {
 		t.Errorf("XOR accuracy = %v after loss %v, want 1.0", acc, res.FinalLoss)
+	}
+}
+
+// TestFitFewerRowsThanBatch trains on 20 rows at the default batch of
+// 32. Fit must clamp the batch to the row count instead of running no
+// batch at all, which left every parameter as initialized and reported
+// a FinalLoss of 0.
+func TestFitFewerRowsThanBatch(t *testing.T) {
+	ds := dataset.Generate(dataset.Digits()).Subsample(20, 10)
+	r := rng.New(11)
+	net := NewNetwork(NewDense(ds.TrainX.Cols, 16, r), NewReLU(), NewDense(16, ds.NumClasses, r))
+	var before [][]float32
+	for _, p := range net.Params() {
+		before = append(before, append([]float32(nil), p.Val.Data...))
+	}
+	res := Fit(net, ds.TrainX, ds.TrainY, TrainConfig{Epochs: 3, Seed: 1})
+	if res.FinalLoss <= 0 {
+		t.Errorf("FinalLoss = %v, want > 0", res.FinalLoss)
+	}
+	for i, p := range net.Params() {
+		changed := false
+		for j, v := range p.Val.Data {
+			if v != before[i][j] {
+				changed = true
+				break
+			}
+		}
+		if !changed {
+			t.Errorf("parameter %s unchanged after 3 epochs on %d rows", p.Name, ds.TrainX.Rows)
+		}
+	}
+}
+
+// TestAdamSplitMatchesSerial runs Adam on a parameter large enough to
+// be split across workers (with an odd tail) and on a small one, with
+// weight decay, and requires every value to equal a single-worker run
+// bit for bit: the update is elementwise, so the split changes nothing.
+func TestAdamSplitMatchesSerial(t *testing.T) {
+	run := func(procs int) [][]float32 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := rng.New(12)
+		params := []*Param{newParam("big", 3, adamMinPerWorker+5), newParam("small", 1, 7)}
+		opt := NewAdam(1e-2)
+		opt.WeightDecay = 1e-3
+		for step := 0; step < 4; step++ {
+			for _, p := range params {
+				for i := range p.Grad.Data {
+					p.Grad.Data[i] = r.NormFloat32()
+				}
+			}
+			opt.Step(params)
+		}
+		return [][]float32{params[0].Val.Data, params[1].Val.Data}
+	}
+	want, got := run(1), run(4)
+	for pi := range want {
+		for i := range want[pi] {
+			if math.Float32bits(got[pi][i]) != math.Float32bits(want[pi][i]) {
+				t.Fatalf("param %d element %d: 4 workers give %v, 1 gives %v", pi, i, got[pi][i], want[pi][i])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"github.com/neuro-c/neuroc/internal/tensor"
+)
 
 // Optimizer applies accumulated gradients to parameters.
 type Optimizer interface {
@@ -92,12 +96,22 @@ func (a *Adam) SetLR(lr float64) { a.LR = lr }
 // BaseLR implements LRSetter.
 func (a *Adam) BaseLR() float64 { return a.LR }
 
-// Step implements Optimizer.
+// adamMinPerWorker is the parameter size from which Adam.Step splits one
+// parameter's update across workers; smaller ones are not worth a
+// goroutine.
+const adamMinPerWorker = 1 << 14
+
+// Step implements Optimizer. The update is elementwise, so splitting a
+// large parameter across workers changes no bit.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	stepSize := a.LR * math.Sqrt(c2) / c1
+	stepSize := float32(a.LR * math.Sqrt(c2) / c1)
+	b1 := float32(a.Beta1)
+	b2 := float32(a.Beta2)
+	wd := float32(a.WeightDecay)
+	eps := float32(a.Eps)
 	for _, p := range params {
 		m := a.m[p]
 		v := a.v[p]
@@ -107,17 +121,17 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p] = m
 			a.v[p] = v
 		}
-		b1 := float32(a.Beta1)
-		b2 := float32(a.Beta2)
-		wd := float32(a.WeightDecay)
-		for i := range p.Val.Data {
-			g := p.Grad.Data[i]
-			if wd != 0 {
-				g += wd * p.Val.Data[i]
+		val, grad := p.Val.Data, p.Grad.Data
+		tensor.ParallelRows(len(val), adamMinPerWorker, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				g := grad[i]
+				if wd != 0 {
+					g += wd * val[i]
+				}
+				m[i] = b1*m[i] + (1-b1)*g
+				v[i] = b2*v[i] + (1-b2)*g*g
+				val[i] -= stepSize * m[i] / (float32(math.Sqrt(float64(v[i]))) + eps)
 			}
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
-			p.Val.Data[i] -= float32(stepSize) * m[i] / (float32(math.Sqrt(float64(v[i]))) + float32(a.Eps))
-		}
+		})
 	}
 }

@@ -44,6 +44,11 @@ func Fit(net *Network, x *tensor.Mat, labels []int, cfg TrainConfig) *TrainResul
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
+	// A batch larger than the data would fit no whole batch per epoch
+	// and silently train nothing.
+	if cfg.BatchSize > x.Rows && x.Rows > 0 {
+		cfg.BatchSize = x.Rows
+	}
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = NewAdam(1e-3)
 	}

@@ -28,6 +28,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"github.com/neuro-c/neuroc/internal/encoding"
 	"github.com/neuro-c/neuroc/internal/fixed"
@@ -43,12 +44,15 @@ const (
 	DenseK              // conventional int8 dense layer
 )
 
-// Layer is one integer-only layer ready for deployment.
+// Layer is one integer-only layer ready for deployment. It holds
+// Forward's cache, so build copies field by field, not by value.
 type Layer struct {
 	Kind    Kind
 	In, Out int
 
-	// A is the ternary adjacency (Ternary kind).
+	// A is the ternary adjacency (Ternary kind). Forward caches its
+	// connection lists on first use, so A must not change in place after
+	// that; assigning a different matrix is fine.
 	A *encoding.Matrix
 	// W is the int8 weight matrix, row-major Out×In (DenseK kind).
 	W []int8
@@ -69,6 +73,29 @@ type Layer struct {
 	// OutScale is the float calibration scale (out_int = OutScale·out_float),
 	// kept for diagnostics.
 	OutScale float64
+
+	// signs caches A's per-output +1/-1 index lists for Forward.
+	signs atomic.Pointer[signLists]
+}
+
+// signLists are the index lists of one adjacency matrix, as
+// encoding.Matrix.Rows extracts them.
+type signLists struct {
+	a        *encoding.Matrix
+	pos, neg [][]int
+}
+
+// connections returns the index lists of l.A, extracting them on first use.
+// Concurrent first callers may each extract an identical copy; the last
+// one stored wins. A must not be modified after the first Forward.
+func (l *Layer) connections() *signLists {
+	if s := l.signs.Load(); s != nil && s.a == l.A {
+		return s
+	}
+	s := &signLists{a: l.A}
+	s.pos, s.neg = l.A.Rows()
+	l.signs.Store(s)
+	return s
 }
 
 // Model is a deployable integer model.
@@ -128,14 +155,33 @@ func (m *Model) Accuracy(x *tensor.Mat, labels []int) float64 {
 
 // Forward executes one integer layer exactly as the assembly does.
 func (l *Layer) Forward(x []int8) []int8 {
+	out := make([]int8, l.Out)
+	for o, a := range l.accumulate(x) {
+		out[o] = l.requant(a, o)
+	}
+	return out
+}
+
+// accumulate computes the layer's int32 accumulators before
+// requantization.
+func (l *Layer) accumulate(x []int8) []int32 {
 	acc := make([]int32, l.Out)
 	switch l.Kind {
 	case Ternary:
-		x32 := make([]int32, len(x))
-		for i, v := range x {
-			x32[i] = int32(v)
+		// Sum over the connections only. A wrapping int32 sum does not
+		// depend on the order of its terms, so this equals the dense
+		// A.Apply exactly.
+		s := l.connections()
+		for o := range acc {
+			var sum int32
+			for _, i := range s.pos[o] {
+				sum += int32(x[i])
+			}
+			for _, i := range s.neg[o] {
+				sum -= int32(x[i])
+			}
+			acc[o] = sum
 		}
-		l.A.Apply(x32, acc)
 	case DenseK:
 		for o := 0; o < l.Out; o++ {
 			row := l.W[o*l.In : (o+1)*l.In]
@@ -146,11 +192,7 @@ func (l *Layer) Forward(x []int8) []int8 {
 			acc[o] = sum
 		}
 	}
-	out := make([]int8, l.Out)
-	for o, a := range acc {
-		out[o] = l.requant(a, o)
-	}
-	return out
+	return acc
 }
 
 // requant maps one accumulator to its int8 output, mirroring the
@@ -190,7 +232,9 @@ func (l *Layer) NumWeightBytes() int {
 func StripPerNeuron(m *Model) *Model {
 	out := &Model{InputScale: m.InputScale}
 	for _, l := range m.Layers {
-		c := *l
+		c := &Layer{Kind: l.Kind, In: l.In, Out: l.Out, A: l.A, W: l.W,
+			PerNeuron: l.PerNeuron, Mults: l.Mults, Bias: l.Bias,
+			PreShift: l.PreShift, PostShift: l.PostShift, ReLU: l.ReLU, OutScale: l.OutScale}
 		if l.PerNeuron {
 			var sum int64
 			for _, v := range l.Mults {
@@ -199,7 +243,7 @@ func StripPerNeuron(m *Model) *Model {
 			c.PerNeuron = false
 			c.Mults = []int32{int32(sum / int64(len(l.Mults)))}
 		}
-		out.Layers = append(out.Layers, &c)
+		out.Layers = append(out.Layers, c)
 	}
 	return out
 }

@@ -2,9 +2,11 @@ package quant
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/neuro-c/neuroc/internal/encoding"
 	"github.com/neuro-c/neuroc/internal/nn"
 	"github.com/neuro-c/neuroc/internal/rng"
 	"github.com/neuro-c/neuroc/internal/tensor"
@@ -280,5 +282,82 @@ func TestRequantMonotoneInAccumulator(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTernaryForwardMatchesApply pins the sparse ternary Forward to the
+// dense encoding.Matrix.Apply oracle on random matrices: the
+// accumulators must be equal and Forward must equal Apply followed by
+// requantization. The matrices include an output row with no
+// connections and rows whose every entry is +1 or -1, In = 1, and
+// inputs at both int8 extremes. The first calls race on a fresh layer,
+// so under -race they also check that extracting the cached lists is
+// safe for concurrent Predict.
+func TestTernaryForwardMatchesApply(t *testing.T) {
+	r := rng.New(31)
+	for _, dims := range [][2]int{{1, 1}, {1, 7}, {2, 3}, {17, 5}, {200, 40}, {784, 128}} {
+		in, out := dims[0], dims[1]
+		for _, density := range []float64{0, 0.1, 0.5, 1} {
+			a := encoding.NewMatrix(in, out)
+			for o := 0; o < out; o++ {
+				for i := 0; i < in; i++ {
+					switch {
+					case o == 1 && out > 3: // no connections
+					case o == 2 && out > 3:
+						a.Set(o, i, 1)
+					case o == 3 && out > 3:
+						a.Set(o, i, -1)
+					case r.Bool(density):
+						a.Set(o, i, int8(1-2*r.Intn(2)))
+					}
+				}
+			}
+			l := &Layer{Kind: Ternary, In: in, Out: out, A: a, PerNeuron: true,
+				Mults: make([]int32, out), Bias: make([]int32, out), PostShift: 4, ReLU: density == 0.5}
+			for o := range l.Mults {
+				l.Mults[o] = int32(r.Intn(65) - 32)
+				l.Bias[o] = int32(r.Intn(41) - 20)
+			}
+
+			inputs := [][]int8{make([]int8, in), make([]int8, in), make([]int8, in), make([]int8, in)}
+			for i := 0; i < in; i++ {
+				inputs[0][i] = -128
+				inputs[1][i] = 127
+				inputs[2][i] = int8(r.Intn(256) - 128)
+				inputs[3][i] = []int8{-128, 127}[r.Intn(2)]
+			}
+			var wg sync.WaitGroup
+			for _, x := range inputs {
+				wg.Add(1)
+				go func(x []int8) {
+					defer wg.Done()
+					l.Forward(x)
+				}(x)
+			}
+			wg.Wait()
+
+			for n, x := range inputs {
+				x32 := make([]int32, in)
+				for i, v := range x {
+					x32[i] = int32(v)
+				}
+				want := make([]int32, out)
+				a.Apply(x32, want)
+				got := l.accumulate(x)
+				for o := range want {
+					if got[o] != want[o] {
+						t.Fatalf("%dx%d density %v input %d: acc[%d] = %d, Apply gives %d",
+							in, out, density, n, o, got[o], want[o])
+					}
+				}
+				y := l.Forward(x)
+				for o, v := range want {
+					if y[o] != l.requant(v, o) {
+						t.Fatalf("%dx%d density %v input %d: out[%d] = %d, requant(Apply) gives %d",
+							in, out, density, n, o, y[o], l.requant(v, o))
+					}
+				}
+			}
+		}
 	}
 }

@@ -23,6 +23,13 @@
 //   - The terms the sparse kernels skip are ±0, and adding ±0 never
 //     changes an IEEE sum that starts at +0: such a sum can never be
 //     -0, and x + (±0) == x for every other x.
+//
+// MatMulAT, the latent gradient xᵀ·dz, is exact by the same argument.
+// For each output row i it collects the batch rows k with x[k][i] != 0
+// and adds them four at a time, holding dst[i][j] in a register across
+// the four additions. Each element still sums its terms one by one in
+// ascending k, as the textbook product does, and the skipped terms are
+// ±0 added to a sum that started at +0.
 package tensor
 
 import (
@@ -77,9 +84,11 @@ func (m *Mat) Zero() {
 	}
 }
 
-// parallelRows runs fn over row ranges of n rows using all CPUs when the
-// work is large enough to amortize goroutine startup.
-func parallelRows(n int, minPerWorker int, fn func(lo, hi int)) {
+// ParallelRows runs fn over disjoint ranges [lo, hi) that cover [0, n),
+// using up to GOMAXPROCS goroutines when there are at least
+// minPerWorker items per worker to amortize their startup, and the
+// calling goroutine alone otherwise.
+func ParallelRows(n int, minPerWorker int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n/minPerWorker {
 		workers = n / minPerWorker
@@ -113,7 +122,7 @@ func MatMul(dst, a, b *Mat) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	parallelRows(a.Rows, 8, func(lo, hi int) {
+	ParallelRows(a.Rows, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
@@ -137,7 +146,7 @@ func MatMulBT(dst, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMulBT dims (%dx%d)·(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelRows(a.Rows, 8, func(lo, hi int) {
+	ParallelRows(a.Rows, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
@@ -170,18 +179,23 @@ type Ternary struct {
 func Ternarize(m *Mat, t float32) *Ternary {
 	q := &Ternary{Rows: m.Rows, Cols: m.Cols,
 		start: make([]int32, m.Rows+1), split: make([]int32, m.Rows)}
-	var neg []int32
+	// Each column is written to both lists and kept by advancing their
+	// ends, so the loop has no branch on the latent's sign.
+	pos, neg := make([]int32, m.Cols), make([]int32, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		neg = neg[:0]
+		np, nn := 0, 0
 		for j, v := range m.Row(i) {
+			pos[np], neg[nn] = int32(j), int32(j)
 			if v > t {
-				q.cols = append(q.cols, int32(j))
-			} else if v < -t {
-				neg = append(neg, int32(j))
+				np++
+			}
+			if v < -t {
+				nn++
 			}
 		}
+		q.cols = append(q.cols, pos[:np]...)
 		q.split[i] = int32(len(q.cols))
-		q.cols = append(q.cols, neg...)
+		q.cols = append(q.cols, neg[:nn]...)
 		q.start[i+1] = int32(len(q.cols))
 	}
 	return q
@@ -207,7 +221,7 @@ func MatMulTernary(dst, a *Mat, b *Ternary) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	parallelRows(a.Rows, 8, func(lo, hi int) {
+	ParallelRows(a.Rows, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			drow := dst.Row(i)
 			for k, av := range a.Row(i) {
@@ -236,7 +250,7 @@ func MatMulTernaryBT(dst, a *Mat, b *Ternary) {
 		panic(fmt.Sprintf("tensor: MatMulTernaryBT dims (%dx%d)·(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	parallelRows(a.Rows, 8, func(lo, hi int) {
+	ParallelRows(a.Rows, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
@@ -265,29 +279,72 @@ func MatMulTernaryBT(dst, a *Mat, b *Ternary) {
 }
 
 // MatMulAT computes dst = aᵀ · b, i.e. dst[i][j] = Σ_k a[k][i]·b[k][j].
-// Used for weight gradients (inputsᵀ · deltas).
+// Used for weight gradients (inputsᵀ · deltas). dst must be
+// a.Cols×b.Cols and must not alias a or b.
 func MatMulAT(dst, a, b *Mat) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAT dims (%dx%d)T·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
-	parallelRows(a.Cols, 4, func(lo, hi int) {
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)
-			brow := b.Row(k)
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				drow := dst.Row(i)
-				for j, bv := range brow {
-					drow[j] += av * bv
+	MatMulATRows(a, b, func(i int, row []float32) { copy(dst.Row(i), row) })
+}
+
+// MatMulATRows computes aᵀ · b one output row at a time and hands row i
+// to emit, so a caller can fold the product into its own storage
+// without a temporary matrix. Rows are computed in parallel: emit runs
+// concurrently for distinct i and must not retain row. Each element is
+// summed over ascending k exactly as MatMulAT's definition reads (see
+// the package comment).
+func MatMulATRows(a, b *Mat, emit func(i int, row []float32)) {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulAT dims (%dx%d)T·(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	ParallelRows(a.Cols, 4, func(lo, hi int) {
+		row := make([]float32, b.Cols)
+		ks := make([]int, a.Rows)
+		for i := lo; i < hi; i++ {
+			// Collect the rows with a[k][i] != 0 without a branch per
+			// row: write k, then keep it by advancing n.
+			n := 0
+			for k := range ks {
+				ks[n] = k
+				if a.Data[k*a.Cols+i] != 0 {
+					n++
 				}
 			}
+			atRow(row, a, b, i, ks[:n])
+			emit(i, row)
 		}
 	})
+}
+
+// atRow sets d[j] = Σ_k a[k][i]·b[k][j] over the rows k in ks
+// (ascending). It takes the rows four at a time so each d[j] stays in a
+// register across four sequential additions.
+func atRow(d []float32, a, b *Mat, i int, ks []int) {
+	for j := range d {
+		d[j] = 0
+	}
+	n := len(d)
+	for ; len(ks) >= 4; ks = ks[4:] {
+		k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
+		a0, a1, a2, a3 := a.At(k0, i), a.At(k1, i), a.At(k2, i), a.At(k3, i)
+		b0, b1, b2, b3 := b.Row(k0)[:n], b.Row(k1)[:n], b.Row(k2)[:n], b.Row(k3)[:n]
+		for j, s := range d {
+			s += a0 * b0[j]
+			s += a1 * b1[j]
+			s += a2 * b2[j]
+			s += a3 * b3[j]
+			d[j] = s
+		}
+	}
+	for _, k := range ks {
+		av, brow := a.At(k, i), b.Row(k)[:n]
+		for j := range d {
+			d[j] += av * brow[j]
+		}
+	}
 }
 
 // AddRowVec adds vector v to every row of m in place.

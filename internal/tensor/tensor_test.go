@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -76,21 +77,41 @@ func TestMatMulBT(t *testing.T) {
 	}
 }
 
+// TestMatMulAT pins MatMulAT bit for bit to the textbook product: each
+// element summed in float32 over ascending k, zero terms included. The
+// batch sizes 1-9 and 31-33 hit every remainder of the kernel's block of
+// four rows; a's column counts fall on both sides of the parallel split
+// (run it with -cpu 1,4). The inputs carry zero rows, an all-zero column
+// of a, ±0 entries and magnitudes spanning 2^±20, so any reordered or
+// dropped term would round differently.
 func TestMatMulAT(t *testing.T) {
 	r := rng.New(3)
-	a := randMat(r, 9, 14) // a^T is 14x9
-	b := randMat(r, 9, 6)
-	got := NewMat(14, 6)
-	MatMulAT(got, a, b)
-	at := NewMat(14, 9)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 14; j++ {
-			at.Set(j, i, a.At(i, j))
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33} {
+		for _, cols := range []int{1, 3, 7, 8, 9, 33} {
+			for _, bcols := range []int{1, 5, 16} {
+				a := randInputs(r, rows, cols)
+				for k := 0; k < rows; k++ {
+					a.Set(k, cols/2, 0) // an all-zero column: an output row of +0
+				}
+				b := randInputs(r, rows, bcols)
+				want := NewMat(cols, bcols)
+				for i := 0; i < cols; i++ {
+					for j := 0; j < bcols; j++ {
+						var s float32
+						for k := 0; k < rows; k++ {
+							s += a.At(k, i) * b.At(k, j)
+						}
+						want.Set(i, j, s)
+					}
+				}
+				got := NewMat(cols, bcols)
+				for i := range got.Data {
+					got.Data[i] = 42 // dst is overwritten, not accumulated into
+				}
+				MatMulAT(got, a, b)
+				sameBits(t, fmt.Sprintf("MatMulAT %dx%d·%d", rows, cols, bcols), got, want)
+			}
 		}
-	}
-	want := naiveMul(at, b)
-	if !matsClose(got, want, 1e-3) {
-		t.Error("MatMulAT mismatch")
 	}
 }
 
@@ -202,5 +223,24 @@ func TestMatMulLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkMatMulAT times the first layer's latent gradient of the
+// 784-128-48-10 pipeline model: a 32-row batch of 784 inputs, about 63%
+// of them nonzero, against 128 output deltas.
+func BenchmarkMatMulAT(b *testing.B) {
+	r := rng.New(5)
+	x := NewMat(32, 784)
+	for i := range x.Data {
+		if r.Bool(0.63) {
+			x.Data[i] = r.Float32()
+		}
+	}
+	dz := randMat(r, 32, 128)
+	dst := NewMat(784, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulAT(dst, x, dz)
 	}
 }

@@ -68,7 +68,7 @@ func sameBits(t *testing.T, what string, got, want *Mat) {
 	t.Helper()
 	for i := range want.Data {
 		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("%s: element (%d,%d) = %v (%#08x), dense kernel gives %v (%#08x)",
+			t.Fatalf("%s: element (%d,%d) = %v (%#08x), want %v (%#08x)",
 				what, i/want.Cols, i%want.Cols, got.Data[i], math.Float32bits(got.Data[i]),
 				want.Data[i], math.Float32bits(want.Data[i]))
 		}
@@ -162,5 +162,16 @@ func TestTernaryKernelDimPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// BenchmarkTernarize quantizes the first layer's latents of the
+// 784-128-48-10 pipeline model: normal latents at its threshold of
+// 1.8 × mean(|v|), about 15% nonzero.
+func BenchmarkTernarize(b *testing.B) {
+	m := randMat(rng.New(6), 784, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Ternarize(m, 1.44)
 	}
 }

@@ -235,12 +235,11 @@ func (l *Layer) threshold() float32 {
 	if factor <= 0 {
 		factor = 0.7
 	}
+	// Branch-free |v|: a sign test mispredicts on random-signed latents.
+	// The sum stays sequential; partial sums would round differently.
 	var sum float64
 	for _, v := range l.Latent.Val.Data {
-		if v < 0 {
-			v = -v
-		}
-		sum += float64(v)
+		sum += math.Abs(float64(v))
 	}
 	mean := sum / float64(len(l.Latent.Val.Data))
 	return float32(factor * mean)
@@ -331,17 +330,20 @@ func (l *Layer) Backward(grad *tensor.Mat, needInput bool) *tensor.Mat {
 	}
 
 	// Latent gradient via STE: dLatent = x^T · dz, clipped where the
-	// latent has saturated. Frozen layers stop moving structure.
+	// latent has saturated, added row by row without a temporary.
+	// Frozen layers stop moving structure.
 	if learning {
-		dA := tensor.NewMat(l.cfg.In, l.cfg.Out)
-		tensor.MatMulAT(dA, l.lastX, dz)
 		clip := float32(l.cfg.ClipAt)
-		for i, v := range l.Latent.Val.Data {
-			if v > clip || v < -clip {
-				continue // gradient blocked outside the clip range
+		val, g := l.Latent.Val, l.Latent.Grad
+		tensor.MatMulATRows(l.lastX, dz, func(i int, row []float32) {
+			vr, gr := val.Row(i), g.Row(i)
+			for j, d := range row {
+				if v := vr[j]; v > clip || v < -clip {
+					continue // gradient blocked outside the clip range
+				}
+				gr[j] += d
 			}
-			l.Latent.Grad.Data[i] += dA.Data[i]
-		}
+		})
 	}
 
 	if !needInput {

@@ -96,15 +96,22 @@ echo "== layer attribution parity (host segmentation of the deployed image == te
 # MeasureEnergy must price the deployed cycles, under concurrent callers.
 go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy' ./internal/telemetry/ .
 
-echo "== training bit-identity (sparse ternary kernels == dense GEMMs, training golden)"
+echo "== training bit-identity (sparse ternary kernels == dense GEMMs, QAT step kernels, host reference, training golden)"
 # The sparse forward and input-gradient kernels against MatMul/MatMulBT
 # with math.Float32bits on random ternary matrices (zero, cancelling and
-# negative rows; row counts on both sides of the parallel split), the
-# branch-free Apply against a select-by-sign reference, and the SHA-256
-# of trained parameters and SaveModel bytes, pinned from the dense
-# kernels they replaced. -cpu 1,4 shows the row split never moves a bit.
-go test -run 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestApplyMatchesSwitchReference|TestTrainingGolden' \
-	-count=1 -cpu 1,4 ./internal/tensor/ ./internal/encoding/ .
+# negative rows; row counts on both sides of the parallel split); the
+# latent-gradient MatMulAT against a naive ascending-k product (every
+# remainder of its block of four rows, ±0 and 2^±20 entries); the
+# branch-free Apply against a select-by-sign reference and the host
+# reference's sparse ternary Forward against Apply; Adam split across
+# workers against one worker; Fit on fewer rows than a batch; and the
+# SHA-256 of trained parameters and SaveModel bytes, pinned from the
+# dense kernels they replaced (the 784-input case exercises Adam's
+# split). -cpu 1,4 shows the row split never moves a bit; the race run
+# covers the goroutines MatMulAT and Adam start.
+go test -run 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestMatMulAT|TestApplyMatchesSwitchReference|TestTernaryForwardMatchesApply|TestAdamSplitMatchesSerial|TestFitFewerRowsThanBatch|TestTrainingGolden' \
+	-count=1 -cpu 1,4 ./internal/tensor/ ./internal/encoding/ ./internal/quant/ ./internal/nn/ .
+go test -race -count=10 ./internal/nn/ ./internal/tensor/
 
 echo "== encoding-search smoke (-encoding auto end to end)"
 # The farm experiment deployed with the per-layer encoding search:
