@@ -1,6 +1,8 @@
 package armv6m_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
@@ -426,8 +428,55 @@ inner:
 	.pool
 `
 
-func benchRun(b *testing.B, disable bool) {
-	cpu, _ := boot(b, benchProgram)
+// benchBlockProgram mirrors the block kernel's connection loop from
+// internal/kernels (sparse.go, the `_k` loop) instruction for
+// instruction: an 8-bit block-local index load from flash, a signed
+// activation gather from SRAM through it, and an adds/subs accumulate
+// under a countdown latch — one pass of 64 connections per column,
+// alternating polarity, wrapped in a column loop that stores the
+// accumulator. It is the ternary counterpart of benchProgram.
+var benchBlockProgram = func() string {
+	idx := make([]string, 64)
+	for i := range idx {
+		idx[i] = fmt.Sprint(i * 37 % 251)
+	}
+	return `
+entry:
+	ldr r3, =1000           @ column pairs
+	ldr r1, =0x20000000     @ block input base (SRAM)
+	ldr r2, =0x20000100     @ accumulator (SRAM)
+col:
+	ldr r4, =idx            @ index cursor (flash)
+	movs r7, #0
+	movs r6, #64
+pos:
+	ldrb r5, [r4]           @ asmcheck: load flash
+	adds r4, #1
+	ldrsb r5, [r1, r5]      @ asmcheck: load sram
+	adds r7, r7, r5
+	subs r6, #1
+	bne pos                 @ asmcheck: loop 64
+	str r7, [r2]
+	ldr r4, =idx
+	movs r6, #64
+neg:
+	ldrb r5, [r4]           @ asmcheck: load flash
+	adds r4, #1
+	ldrsb r5, [r1, r5]      @ asmcheck: load sram
+	subs r7, r7, r5
+	subs r6, #1
+	bne neg                 @ asmcheck: loop 64
+	str r7, [r2]
+	subs r3, #1
+	bne col                 @ asmcheck: loop 1000
+	bkpt #0
+	.pool
+idx:
+	.byte ` + strings.Join(idx, ", ") + "\n"
+}()
+
+func benchRun(b *testing.B, src string, disable bool) {
+	cpu, _ := boot(b, src)
 	cpu.DisablePredecode = disable
 	if err := cpu.Run(10_000_000); err != nil { // warm up, build the table
 		b.Fatal(err)
@@ -452,8 +501,8 @@ func benchRun(b *testing.B, disable bool) {
 // benchRunTranslated is benchRun on the superblock translation tier:
 // the same program, certified, with the hot loop lowered to a fused
 // self-loop superblock.
-func benchRunTranslated(b *testing.B) {
-	prog, c := certifySrc(b, benchProgram, false)
+func benchRunTranslated(b *testing.B, src string) {
+	prog, c := certifySrc(b, src, false)
 	cpu := bootTier(b, prog, c, 0, "translated", false)
 	if err := cpu.Run(10_000_000); err != nil {
 		b.Fatal(err)
@@ -482,9 +531,18 @@ func benchRunTranslated(b *testing.B) {
 // BKPT) on all three tiers; the ratios of the MIPS figures are the
 // predecode and translation speedups.
 func BenchmarkInference(b *testing.B) {
-	b.Run("Translated", benchRunTranslated)
-	b.Run("Predecoded", func(b *testing.B) { benchRun(b, false) })
-	b.Run("Legacy", func(b *testing.B) { benchRun(b, true) })
+	b.Run("Translated", func(b *testing.B) { benchRunTranslated(b, benchProgram) })
+	b.Run("Predecoded", func(b *testing.B) { benchRun(b, benchProgram, false) })
+	b.Run("Legacy", func(b *testing.B) { benchRun(b, benchProgram, true) })
+}
+
+// BenchmarkInferenceBlock is BenchmarkInference on the block kernel's
+// gather loop (benchBlockProgram), the inner loop of the deployed
+// default encoding.
+func BenchmarkInferenceBlock(b *testing.B) {
+	b.Run("Translated", func(b *testing.B) { benchRunTranslated(b, benchBlockProgram) })
+	b.Run("Predecoded", func(b *testing.B) { benchRun(b, benchBlockProgram, false) })
+	b.Run("Legacy", func(b *testing.B) { benchRun(b, benchBlockProgram, true) })
 }
 
 // BenchmarkStep measures the per-instruction cost of the hot loop in

@@ -14,8 +14,13 @@ import (
 // certificate's closed forms (base + WS·ws) and applied in one shot at
 // block exit. Certified self-loops (single-block natural loops with a
 // proven trip bound) additionally iterate latch-to-header inside one
-// dispatch, so the steady-state cost of a kernel inner loop is a few
-// Go statements per emulated instruction.
+// dispatch. Two self-loop shapes run whole in host locals with no
+// per-op dispatch at all: the dense kernel's MAC loop (execMacLoop)
+// and the ternary kernels' gather loop — one index load, one gather,
+// one adds/subs per connection, optionally advancing a moving base
+// (execGatherLoop; the block, mixed and delta inner loops). There the
+// steady-state cost of a kernel inner loop is a few Go statements per
+// emulated instruction.
 //
 // The contract is the same bit-for-bit parity the predecoded tier
 // holds against the legacy interpreter, enforced by the differential
@@ -176,10 +181,17 @@ type tblock struct {
 
 	term     uint8
 	selfLoop bool
-	macLoop  bool // whole-loop fused: executes in execMacLoop
+	loop     uint8 // whole-loop executor: loopNone, loopMac or loopGather
 	bound    uint64
 	fused    int // architectural instructions folded into fused ops
 }
+
+// Whole-loop executors for certified self-loops of a recognized shape.
+const (
+	loopNone   uint8 = iota
+	loopMac          // detectMacLoop; runs in execMacLoop
+	loopGather       // detectGatherLoop; runs in execGatherLoop
+)
 
 // TranslationTable is the superblock execution cache for one certified
 // flash image. It references (and shares the lifetime of) the
@@ -194,9 +206,11 @@ type TranslationTable struct {
 	refill    int
 	mulCycles int
 
-	build     time.Duration
-	selfLoops int
-	fusedOps  int
+	build       time.Duration
+	selfLoops   int
+	macLoops    int
+	gatherLoops int
+	fusedOps    int
 }
 
 // Blocks is the number of translated superblocks.
@@ -204,6 +218,13 @@ func (t *TranslationTable) Blocks() int { return len(t.blocks) }
 
 // SelfLoops is the number of translated whole-loop superblocks.
 func (t *TranslationTable) SelfLoops() int { return t.selfLoops }
+
+// MacLoops is the number of self-loops that run whole in execMacLoop.
+func (t *TranslationTable) MacLoops() int { return t.macLoops }
+
+// GatherLoops is the number of self-loops that run whole in
+// execGatherLoop.
+func (t *TranslationTable) GatherLoops() int { return t.gatherLoops }
 
 // FusedInstrs is the number of architectural instructions folded into
 // multi-instruction fused ops.
@@ -296,6 +317,12 @@ func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *T
 		t.bidx[off>>1] = int32(len(t.blocks) - 1)
 		if blk.selfLoop {
 			t.selfLoops++
+		}
+		switch blk.loop {
+		case loopMac:
+			t.macLoops++
+		case loopGather:
+			t.gatherLoops++
 		}
 		t.fusedOps += blk.fused
 	}
@@ -409,7 +436,12 @@ func translateBlock(pt *PredecodeTable, cb *CertBlock, refill, mulCyc uint64) (t
 	if cb.SelfLoop && blk.term == tmCond && blk.btgt == blk.start && cb.Bound > 0 {
 		blk.selfLoop = true
 		blk.bound = cb.Bound
-		blk.macLoop = detectMacLoop(&blk)
+		switch {
+		case detectMacLoop(&blk):
+			blk.loop = loopMac
+		case detectGatherLoop(&blk):
+			blk.loop = loopGather
+		}
 	}
 	return blk, true
 }
@@ -455,6 +487,58 @@ func detectMacLoop(blk *tblock) bool {
 	return true
 }
 
+// detectGatherLoop recognizes the ternary gather loop, the inner loop of
+// the block, mixed and delta kernels: a certified self-loop whose fused
+// ops are exactly
+//
+//	ldrb|ldrh X,[P,#0]; adds P,#s         index load, cursor advance
+//	ldrsb V,[B,X]                         gather
+//	adds B,B,X                            optional moving base (delta)
+//	adds|subs A,A,V                       accumulate
+//	subs N,#d; b<cond> (to the header)    countdown latch
+//
+// P, B, A and N are pairwise distinct and distinct from X and V, so each
+// lives in a host local written only by its own role. X == V (the block
+// kernel's reuse of one register) is allowed only without the moving
+// base, which reads X after the gather. Deviation replay stays exact at
+// both loads: the index load is the block head, and the gather's
+// operands are live in registers when it is abandoned.
+func detectGatherLoop(blk *tblock) bool {
+	ops := blk.ops
+	n := len(ops)
+	if n != 5 && n != 6 {
+		return false
+	}
+	ld, adv, g, acc, latch := &ops[0], &ops[1], &ops[2], &ops[n-2], &ops[n-1]
+	if (ld.kind != kLdrbImm && ld.kind != kLdrhImm) || ld.imm != 0 ||
+		adv.kind != kAddsImm8 || g.kind != kLdrsbReg ||
+		(acc.kind != kAddsReg && acc.kind != kSubsReg) || latch.kind != tDecB {
+		return false
+	}
+	x, p, v, b, a, cnt := ld.rd, ld.rn, g.rd, g.rn, acc.rd, latch.rd
+	if adv.rd != p || g.rm != x || acc.rn != a || acc.rm != v {
+		return false
+	}
+	if n == 6 {
+		m := &ops[3]
+		if m.kind != kAddsReg || m.rd != b || m.rn != b || m.rm != x || x == v {
+			return false
+		}
+	}
+	roles := [4]uint8{p, b, a, cnt}
+	for i, r := range roles {
+		if r == x || r == v {
+			return false
+		}
+		for _, q := range roles[i+1:] {
+			if r == q {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // certRegion maps a certified instruction's proven region to the
 // translator's enum; unproven and non-exact accesses stay RegionNone.
 func certRegion(ci *CertInstr) uint8 {
@@ -477,6 +561,10 @@ func certRegion(ci *CertInstr) uint8 {
 // fused group can only deviate at one of its loads; replay safety
 // (re-executing from the group's first instruction) requires the first
 // load's destination to be distinct from its own address operands.
+// A self-loop whose fused ops form a MAC loop or a gather loop then runs
+// whole in its executor (detectMacLoop, detectGatherLoop); the gather
+// loop itself needs no new fused op — it is the unfused loads and
+// accumulate ahead of a tDecB latch.
 func fuseBlock(blk *tblock) {
 	ops := blk.ops
 	var out []ttop
@@ -647,8 +735,11 @@ func (x *tctx) init(c *CPU) {
 // either at the next block boundary, or on the instruction the block
 // abandoned (deviation), or at the fault point (error).
 func (c *CPU) execTBlock(x *tctx, blk *tblock, budget uint64) (uint64, error) {
-	if blk.macLoop {
+	switch blk.loop {
+	case loopMac:
 		return c.execMacLoop(x, blk, budget), nil
+	case loopGather:
+		return c.execGatherLoop(x, blk, budget), nil
 	}
 	sram, flash := x.sram, x.flash
 	ws := x.ws
@@ -660,13 +751,7 @@ func (c *CPU) execTBlock(x *tctx, blk *tblock, budget uint64) (uint64, error) {
 	var op *ttop
 	maxIter := uint64(1)
 	if blk.selfLoop {
-		maxIter = budget / blk.nInstr
-		if maxIter > blk.bound {
-			maxIter = blk.bound
-		}
-		if maxIter == 0 {
-			maxIter = 1
-		}
+		maxIter = loopIters(blk, budget)
 	}
 	ops := blk.ops
 	for it := uint64(0); it < maxIter; it++ {
@@ -1112,6 +1197,46 @@ deviate:
 	return retired, nil
 }
 
+// loopIters is the pass limit of one self-loop dispatch: the full passes
+// the budget covers, at most the certified bound, and at least one (the
+// dispatch loop admits a block only when the budget covers a pass).
+func loopIters(blk *tblock, budget uint64) uint64 {
+	n := budget / blk.nInstr
+	if n > blk.bound {
+		n = blk.bound
+	}
+	if n == 0 {
+		n = 1
+	}
+	return n
+}
+
+// loopExit ends a whole-loop executor after k completed passes, all but
+// possibly the last through the taken edge. On deviation (dev != nil)
+// the PC lands on dev's instruction and dev's prefix constants flush on
+// top of the passes; otherwise the PC follows the last latch. Returns
+// the instructions retired.
+func (c *CPU) loopExit(x *tctx, blk *tblock, k uint64, taken bool, dev *ttop) uint64 {
+	takenPasses := k
+	var b, w, fr, sr, sw, n uint64
+	switch {
+	case dev != nil:
+		c.R[PC] = dev.addr
+		b, w, fr, sr, sw, n = dev.preB, dev.preW, dev.preFR, dev.preSR, dev.preSW, dev.preN
+	case taken:
+		c.R[PC] = blk.btgt
+	default:
+		takenPasses = k - 1
+		c.R[PC] = blk.next
+	}
+	c.Cycles += k*(blk.totB+blk.totW*x.ws) + takenPasses*blk.takenExtra + b + w*x.ws
+	c.Bus.FlashReads += k*blk.totFR + fr
+	c.Bus.SRAMReads += k*blk.totSR + sr
+	c.Bus.SRAMWrites += k*blk.totSW + sw
+	c.Instructions += k*blk.totN + n
+	return k*blk.totN + n
+}
+
 // execMacLoop executes a whole-loop fused MAC superblock: every
 // architectural register of the loop lives in a host local across
 // iterations, so the steady-state cost of the certified kernel inner
@@ -1126,13 +1251,7 @@ deviate:
 // the interpreter.
 func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 	o0, o1 := &blk.ops[0], &blk.ops[1]
-	maxIter := budget / blk.nInstr
-	if maxIter > blk.bound {
-		maxIter = blk.bound
-	}
-	if maxIter == 0 {
-		maxIter = 1
-	}
+	maxIter := loopIters(blk, budget)
 	sram, flash := x.sram, x.flash
 	sBase, sLen := x.sramBase, x.sramLen
 	fBase, fLen := x.flashBase, x.flashLen
@@ -1148,22 +1267,22 @@ func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 	limv := c.R[o1.rm2&15]
 	fN, fZ, fC, fV := c.N, c.Z, c.C, c.V
 	var k uint64
+	var dev *ttop
 	taken := false
-	deviated := false
 	for k < maxIter {
 		a := b1v + iv
 		var t uint32
 		if s1 {
 			o := a - sBase
 			if o >= sLen {
-				deviated = true
+				dev = o0
 				break
 			}
 			t = uint32(int32(int8(sram[o])))
 		} else {
 			o := a - fBase
 			if o >= fLen {
-				deviated = true
+				dev = o0
 				break
 			}
 			t = uint32(int32(int8(flash[o])))
@@ -1173,14 +1292,14 @@ func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 		if s2 {
 			o := a - sBase
 			if o >= sLen {
-				deviated = true
+				dev = o0
 				break
 			}
 			t = uint32(int32(int8(sram[o])))
 		} else {
 			o := a - fBase
 			if o >= fLen {
-				deviated = true
+				dev = o0
 				break
 			}
 			t = uint32(int32(int8(flash[o])))
@@ -1212,22 +1331,101 @@ func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 	c.R[o0.rd4&15] = accv
 	c.R[o0.rm&15] = iv
 	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
-	takenPasses := k
-	switch {
-	case deviated:
-		c.R[PC] = blk.start
-	case taken:
-		c.R[PC] = blk.btgt
-	default:
-		takenPasses = k - 1
-		c.R[PC] = blk.next
+	return c.loopExit(x, blk, k, taken, dev)
+}
+
+// execGatherLoop executes a whole ternary gather loop (detectGatherLoop)
+// in host locals: per connection one index load, one cursor advance,
+// one sign-extending gather, the optional moving-base advance, one
+// accumulate and the countdown latch, with no dispatch and no
+// per-iteration counter traffic. Each load re-checks its address
+// against its certified region (and ldrh its alignment). Only the
+// latch's flags are live at a pass boundary, so the other flag writes
+// are not computed in the loop. A deviation exits before the access:
+// at the index load with the PC on the block head, at the gather with
+// the PC on the gather, that op's prefix flushed, and the flags of the
+// cursor advance; the dispatch loop then retries the instruction
+// through the interpreter.
+func (c *CPU) execGatherLoop(x *tctx, blk *tblock, budget uint64) uint64 {
+	ops := blk.ops
+	last := len(ops) - 1
+	ld, g, acc, latch := &ops[0], &ops[2], &ops[last-1], &ops[last]
+	maxIter := loopIters(blk, budget)
+	half := ld.kind == kLdrhImm
+	moving := len(ops) == 6
+	sub := acc.kind == kSubsReg
+	step, dec, cond := ops[1].imm, latch.imm, latch.cond
+	// Each load reads one region, chosen here: its bytes, base address,
+	// and the exclusive offset limit of an in-bounds access.
+	iMem, iBase, iLim := x.flash, x.flashBase, x.flashLen
+	if ld.cls == RegionSRAM {
+		iMem, iBase, iLim = x.sram, x.sramBase, x.sramLen
 	}
-	c.Cycles += k*(blk.totB+blk.totW*x.ws) + takenPasses*blk.takenExtra
-	c.Bus.FlashReads += k * blk.totFR
-	c.Bus.SRAMReads += k * blk.totSR
-	c.Bus.SRAMWrites += k * blk.totSW
-	c.Instructions += k * blk.totN
-	return k * blk.totN
+	if half {
+		iLim--
+	}
+	gMem, gBase, gLim := x.flash, x.flashBase, x.flashLen
+	if g.cls == RegionSRAM {
+		gMem, gBase, gLim = x.sram, x.sramBase, x.sramLen
+	}
+	rx, rp, rv, rb, ra, rn := ld.rd&15, ld.rn&15, g.rd&15, g.rn&15, acc.rd&15, latch.rd&15
+	xv, pv, vv, bv, av, nv := c.R[rx], c.R[rp], c.R[rv], c.R[rb], c.R[ra], c.R[rn]
+	fN, fZ, fC, fV := c.N, c.Z, c.C, c.V
+	var k uint64
+	var dev *ttop
+	taken := false
+	for k < maxIter {
+		o := pv - iBase
+		if o >= iLim || (half && pv&1 != 0) {
+			dev = ld
+			break
+		}
+		if half {
+			xv = uint32(iMem[o]) | uint32(iMem[o+1])<<8
+		} else {
+			xv = uint32(iMem[o])
+		}
+		pv += step
+		o = bv + xv - gBase
+		if o >= gLim {
+			// The architectural flags are those of adds P,#s.
+			a := pv - step
+			fC = pv < a
+			fV = (^(a^step)&(a^pv))>>31 != 0
+			fN, fZ = pv&0x8000_0000 != 0, pv == 0
+			dev = g
+			break
+		}
+		vv = uint32(int32(int8(gMem[o])))
+		if moving {
+			bv += xv
+		}
+		if sub {
+			av -= vv
+		} else {
+			av += vv
+		}
+		res := nv - dec
+		fC = nv >= dec
+		fV = ((nv^dec)&(nv^res))>>31 != 0
+		fN, fZ = res&0x8000_0000 != 0, res == 0
+		nv = res
+		k++
+		taken = condFlags(cond, fN, fZ, fC, fV)
+		if !taken {
+			break
+		}
+	}
+	// With X == V the register holds the gather unless the pass was
+	// abandoned at the gather, where it holds the fresh index.
+	if dev == g {
+		c.R[rv], c.R[rx] = vv, xv
+	} else {
+		c.R[rx], c.R[rv] = xv, vv
+	}
+	c.R[rp], c.R[rb], c.R[ra], c.R[rn] = pv, bv, av, nv
+	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
+	return c.loopExit(x, blk, k, taken, dev)
 }
 
 // condFlags is condPassed over local flag copies; conds 0xe/0xf never

@@ -41,7 +41,7 @@ var fuzzMenu = []string{
 
 // genFuzzProgram renders a certifiable harness from fuzz bytes: a
 // counted inner loop with a byte-chosen body, an optional countdown
-// loop, and a BKPT exit.
+// loop, an optional gather loop (genGatherLoop), and a BKPT exit.
 func genFuzzProgram(data []byte) string {
 	rd := func(i int) int { return int(data[i%len(data)]) }
 	trip := rd(1)%15 + 1
@@ -66,8 +66,89 @@ func genFuzzProgram(data []byte) string {
 		b.WriteString("\tsubs r7, #1\n")
 		fmt.Fprintf(&b, "\tbne loop2              @ asmcheck: loop %d\n", down)
 	}
+	var tables string
+	if rd(0)&2 != 0 {
+		tables = genGatherLoop(&b, rd)
+	}
 	b.WriteString("\tbkpt #0\n\t.pool\n")
+	b.WriteString(tables)
 	return b.String()
+}
+
+// genGatherLoop appends the ternary kernels' gather loop (the shape the
+// translated tier runs whole in execGatherLoop) and returns the flash
+// tables it reads. Fuzz bytes choose the index width (ldrb/ldrh), the
+// index table's region (flash, or SRAM filled by proven stores), the
+// optional moving base, adds/subs, X == V, the trip count, and the
+// indices. The gather base is SRAM's start, a point near SRAM's end
+// (large indices then fault), or a flash table reached through an SRAM
+// slot and certified as SRAM by annotation (every gather deviates); an
+// odd ldrh stride misaligns the second index load. So some loops run
+// clean, and others leave their certified facts at either load.
+func genGatherLoop(b *strings.Builder, rd func(int) int) string {
+	mode := rd(12)
+	width := 1 + mode&1
+	moving := mode&4 != 0
+	op := "adds"
+	if mode&8 != 0 {
+		op = "subs"
+	}
+	x, v := "r5", "r0"
+	if !moving && mode&16 != 0 {
+		v = "r5"
+	}
+	count := rd(13)%6 + 1
+	idx := make([]string, count)
+	for i := range idx {
+		n := rd(14 + i)
+		if width == 2 {
+			n |= rd(20+i) << 8 & 0x7fff
+		}
+		idx[i] = fmt.Sprint(n)
+	}
+	ld, dir, step := "ldrb", ".byte", width
+	if width == 2 {
+		ld, dir = "ldrh", ".hword"
+		if mode&32 != 0 {
+			step = 3
+		}
+	}
+	tables := "\t.align 4\ngtbl:\n\t" + dir + " " + strings.Join(idx, ", ") + "\n"
+	region := "flash"
+	if mode&2 != 0 {
+		// The index table in SRAM, written by proven stores.
+		region = "sram"
+		b.WriteString("\tldr r4, =0x20000100\n")
+		st := "strb"
+		if width == 2 {
+			st = "strh"
+		}
+		for i, n := range idx {
+			fmt.Fprintf(b, "\tldr r0, =%s\n\t%s r0, [r4, #%d]\n", n, st, i*width)
+		}
+	} else {
+		b.WriteString("\tldr r4, =gtbl\n")
+	}
+	switch rd(26) % 3 {
+	case 0:
+		b.WriteString("\tldr r1, =0x20000000\n")
+	case 1:
+		b.WriteString("\tldr r1, =0x20003f80\n")
+	default:
+		b.WriteString("\tldr r2, =0x20000200\n\tldr r3, =gtbl\n\tstr r3, [r2]\n\tldr r1, [r2]\n")
+	}
+	fmt.Fprintf(b, "\tmovs r6, #%d\n", count)
+	b.WriteString("gloop:\n")
+	fmt.Fprintf(b, "\t%s %s, [r4]           @ asmcheck: load %s\n", ld, x, region)
+	fmt.Fprintf(b, "\tadds r4, #%d\n", step)
+	fmt.Fprintf(b, "\tldrsb %s, [r1, %s]       @ asmcheck: load sram\n", v, x)
+	if moving {
+		fmt.Fprintf(b, "\tadds r1, r1, %s\n", x)
+	}
+	fmt.Fprintf(b, "\t%s r7, r7, %s\n", op, v)
+	b.WriteString("\tsubs r6, #1\n")
+	fmt.Fprintf(b, "\tbne gloop              @ asmcheck: loop %d\n", count)
+	return tables
 }
 
 // holeCert returns a JSON-round-tripped copy of the certificate with
@@ -123,25 +204,25 @@ func FuzzTranslateParity(f *testing.F) {
 		}
 		ws := int(data[0]) % 3
 
-		// Full-run parity across all three tiers.
+		// Full-run parity across all three tiers. A gather loop may
+		// fault (an index sends it off the bus); every tier must then
+		// report the same fault.
 		ref := bootTier(t, prog, c, ws, "legacy", false)
-		if err := ref.Run(500_000); err != nil {
-			t.Fatalf("legacy run: %v", err)
-		}
+		refErr := fmt.Sprint(ref.Run(500_000))
 		for _, tier := range []string{"predecoded", "translated"} {
 			cpu := bootTier(t, prog, c, ws, tier, false)
-			if err := cpu.Run(500_000); err != nil {
-				t.Fatalf("%s run: %v", tier, err)
+			if err := fmt.Sprint(cpu.Run(500_000)); err != refErr {
+				t.Fatalf("%s run: %s, want %s", tier, err, refErr)
 			}
 			requireSameState(t, tier, ref, cpu)
 		}
 
 		// Mid-run fallback: translated tier under a holed certificate.
 		holed := holeCert(t, c)
-		if tt := cert.Translate(holed, armv6m.New().PredecodeNow()); tt != nil {
+		if tt := translateProg(t, prog, holed); tt != nil {
 			cpu := bootTier(t, prog, holed, ws, "translated", false)
-			if err := cpu.Run(500_000); err != nil {
-				t.Fatalf("holed translated run: %v", err)
+			if err := fmt.Sprint(cpu.Run(500_000)); err != refErr {
+				t.Fatalf("holed translated run: %s, want %s", err, refErr)
 			}
 			requireSameState(t, "holed", ref, cpu)
 		}
@@ -153,7 +234,7 @@ func FuzzTranslateParity(f *testing.F) {
 		x := bootTier(t, prog, c, ws, "translated", false)
 		perr, xerr := p.Run(budget), x.Run(budget)
 		var pb, xb *armv6m.BudgetError
-		if errors.As(perr, &pb) != errors.As(xerr, &xb) || (perr == nil) != (xerr == nil) {
+		if errors.As(perr, &pb) != errors.As(xerr, &xb) || fmt.Sprint(perr) != fmt.Sprint(xerr) {
 			t.Fatalf("budget %d: error mismatch: predecoded %v, translated %v", budget, perr, xerr)
 		}
 		requireSameState(t, fmt.Sprintf("budget=%d", budget), p, x)

@@ -11,6 +11,7 @@ package armv6m_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
@@ -206,32 +207,56 @@ func TestTranslateParityTelemetry(t *testing.T) {
 	}
 }
 
+// gatherKernel reports whether a kernel variant's inner loops are gather
+// loops: the block, mixed and delta kernels.
+func gatherKernel(name string) bool {
+	return strings.HasPrefix(name, "k_block_") || strings.HasPrefix(name, "k_mixed_") ||
+		strings.HasPrefix(name, "k_delta_")
+}
+
 // TestTranslateBudgetLockstep advances a translated core and a
 // predecoded core under identical instruction budgets — including
 // budgets that land inside superblocks and mid-loop — and requires the
 // exact same truncation point, state, and error classification at
 // every checkpoint. This is the lockstep gate at budget granularity:
 // a budget that does not cover a full block pass must degrade to
-// per-instruction execution, not skew the cut point.
+// per-instruction execution, not skew the cut point. It runs the first
+// kernel variant and every block, mixed and delta variant, whose inner
+// loops run in the whole-loop gather executor; for those every budget
+// up to the full run is a checkpoint, so cuts land at each instruction
+// of a gather loop.
 func TestTranslateBudgetLockstep(t *testing.T) {
-	v := kernels.Variants()[0]
-	prog, c := certifySrc(t, v.Harness, false)
-	ref := bootTier(t, prog, c, 1, "predecoded", false)
-	if err := ref.Run(3_000_000); err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	total := ref.Instructions
-	budgets := []uint64{0, 1, 2, 3, 5, 8, 13, 21, 100, total / 3, total / 2, total - 1, total, total + 17}
-	for _, k := range budgets {
-		name := fmt.Sprintf("budget=%d", k)
-		p := bootTier(t, prog, c, 1, "predecoded", false)
-		x := bootTier(t, prog, c, 1, "translated", false)
-		perr, xerr := p.Run(k), x.Run(k)
-		var pb, xb *armv6m.BudgetError
-		if errors.As(perr, &pb) != errors.As(xerr, &xb) || (perr == nil) != (xerr == nil) {
-			t.Fatalf("%s: error mismatch: predecoded %v, translated %v", name, perr, xerr)
+	for i, v := range kernels.Variants() {
+		gather := gatherKernel(v.Name)
+		if i != 0 && !gather {
+			continue
 		}
-		requireSameState(t, name, p, x)
+		t.Run(v.Name, func(t *testing.T) {
+			prog, c := certifySrc(t, v.Harness, false)
+			ref := bootTier(t, prog, c, 1, "predecoded", false)
+			if err := ref.Run(3_000_000); err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			total := ref.Instructions
+			budgets := []uint64{0, 1, 2, 3, 5, 8, 13, 21, 100, total / 3, total / 2, total - 1, total, total + 17}
+			if gather {
+				budgets = budgets[:0]
+				for k := uint64(0); k <= total+1; k++ {
+					budgets = append(budgets, k)
+				}
+			}
+			for _, k := range budgets {
+				name := fmt.Sprintf("budget=%d", k)
+				p := bootTier(t, prog, c, 1, "predecoded", false)
+				x := bootTier(t, prog, c, 1, "translated", false)
+				perr, xerr := p.Run(k), x.Run(k)
+				var pb, xb *armv6m.BudgetError
+				if errors.As(perr, &pb) != errors.As(xerr, &xb) || (perr == nil) != (xerr == nil) {
+					t.Fatalf("%s: error mismatch: predecoded %v, translated %v", name, perr, xerr)
+				}
+				requireSameState(t, name, p, x)
+			}
+		})
 	}
 }
 
@@ -309,40 +334,161 @@ func TestTranslateStaleTableFallsBack(t *testing.T) {
 	requireSameState(t, "stale-table", ref, x)
 }
 
+// translateProg lowers a certified program's certificate over the
+// predecode table of a core with the program in flash.
+func translateProg(t testing.TB, prog *thumb.Program, c *cert.Certificate) *armv6m.TranslationTable {
+	t.Helper()
+	cpu := armv6m.New()
+	if err := cpu.Bus.LoadFlash(int(prog.Base-armv6m.FlashBase), prog.Code); err != nil {
+		t.Fatalf("load code: %v", err)
+	}
+	return cert.Translate(c, cpu.PredecodeNow())
+}
+
 // TestTranslateSuperblockCoverage pins the performance machinery
-// itself: the dense kernel's certificate must lower to at least one
-// self-loop superblock with fused MAC ops — if a refactor silently
-// demotes the hot loop back to per-instruction dispatch, this fails
+// itself: the dense kernel's inner loop must lower to a whole-loop MAC
+// executor, and every block, mixed and delta kernel's two inner loops
+// (one per polarity pass) to whole-loop gather executors. If a refactor
+// silently demotes a hot loop back to per-op dispatch, this fails
 // before the benchmark regression does.
 func TestTranslateSuperblockCoverage(t *testing.T) {
-	found := false
+	dense, gather := 0, 0
 	for _, v := range kernels.Variants() {
-		if v.Name != "k_dense" {
+		isGather := gatherKernel(v.Name)
+		if v.Name != "k_dense" && !isGather {
 			continue
 		}
-		found = true
 		prog, c := certifySrc(t, v.Harness, false)
-		cpu := armv6m.New()
-		if err := cpu.Bus.LoadFlash(int(prog.Base-armv6m.FlashBase), prog.Code); err != nil {
-			t.Fatalf("load code: %v", err)
-		}
-		tt := cert.Translate(c, cpu.PredecodeNow())
+		tt := translateProg(t, prog, c)
 		if tt == nil {
 			t.Fatalf("%s: nothing translated", v.Name)
-		}
-		if tt.Blocks() == 0 {
-			t.Fatalf("%s: zero translated blocks", v.Name)
 		}
 		if tt.SelfLoops() == 0 {
 			t.Errorf("%s: no self-loop superblocks (inner loop not translated)", v.Name)
 		}
-		if tt.FusedInstrs() == 0 {
-			t.Errorf("%s: no fused instructions (MAC/latch peepholes not firing)", v.Name)
+		if isGather {
+			gather++
+			if tt.GatherLoops() != 2 || tt.MacLoops() != 0 {
+				t.Errorf("%s: %d gather loops, %d MAC loops; want 2 and 0", v.Name, tt.GatherLoops(), tt.MacLoops())
+			}
+		} else {
+			dense++
+			if tt.MacLoops() != 1 || tt.GatherLoops() != 0 {
+				t.Errorf("%s: %d MAC loops, %d gather loops; want 1 and 0", v.Name, tt.MacLoops(), tt.GatherLoops())
+			}
 		}
-		t.Logf("%s: %d blocks, %d self-loops, %d fused instrs, build %v",
-			v.Name, tt.Blocks(), tt.SelfLoops(), tt.FusedInstrs(), tt.BuildTime())
+		t.Logf("%s: %d blocks, %d self-loops (%d MAC, %d gather), %d fused instrs, build %v",
+			v.Name, tt.Blocks(), tt.SelfLoops(), tt.MacLoops(), tt.GatherLoops(), tt.FusedInstrs(), tt.BuildTime())
 	}
-	if !found {
-		t.Fatal("k_dense variant not found")
+	if dense != 1 || gather == 0 {
+		t.Fatalf("found %d k_dense and %d block/mixed/delta variants", dense, gather)
+	}
+}
+
+// gatherDeviationSrc renders a certified harness around one gather loop
+// (the block kernel's connection loop, optionally with the delta
+// kernel's moving base) whose runtime behaviour leaves the certified
+// facts in the way scenario names. P is r4, B r1, A r7, N r6; x and v
+// are the index and gathered-value registers. A pointer the checker
+// must not see (so that an "asmcheck: load" annotation is what
+// certifies a wrong region) reaches its register through an SRAM slot.
+func gatherDeviationSrc(scenario string, width int, x, v, op string, moving bool) string {
+	hide := func(reg, val string) string {
+		return "\tldr r2, =0x20000200\n\tldr r3, =" + val + "\n\tstr r3, [r2]\n\tldr " + reg + ", [r2]\n"
+	}
+	ld, step, dir := "ldrb", 1, ".byte"
+	if width == 2 {
+		ld, step, dir = "ldrh", 2, ".hword"
+	}
+	idxRegion, count := "flash", 4
+	var setup string
+	switch scenario {
+	case "gather-leaves-sram": // the last index sends the gather past SRAM's end
+		setup = "\tldr r4, =tbl\n\tldr r1, =0x20003fc0\n"
+	case "gather-in-flash": // B is a flash table certified as SRAM
+		setup = "\tldr r4, =tbl\n" + hide("r1", "tbl")
+	case "cursor-leaves-sram": // P runs past SRAM's end
+		setup = "\tldr r4, =0x20003ffc\n\tldr r1, =0x20000000\n"
+		idxRegion, count = "sram", 6
+	case "cursor-in-sram": // P points into SRAM, certified as flash
+		setup = hide("r4", "0x20000100") + "\tldr r1, =0x20000000\n"
+	case "misaligned-cursor": // an odd stride misaligns the second ldrh
+		setup = "\tldr r4, =tbl\n\tldr r1, =0x20000000\n"
+		step = 3
+	}
+	mov := ""
+	if moving {
+		mov = "\tadds r1, r1, " + x + "\n"
+	}
+	return "entry:\n" + setup +
+		"\tmovs r7, #100\n\tmovs r0, #0\n\tmovs r5, #0\n" +
+		fmt.Sprintf("\tmovs r6, #%d\n", count) +
+		"loop:\n" +
+		fmt.Sprintf("\t%s %s, [r4]      @ asmcheck: load %s\n", ld, x, idxRegion) +
+		fmt.Sprintf("\tadds r4, #%d\n", step) +
+		fmt.Sprintf("\tldrsb %s, [r1, %s]  @ asmcheck: load sram\n", v, x) +
+		mov +
+		fmt.Sprintf("\t%s r7, r7, %s\n", op, v) +
+		"\tsubs r6, #1\n" +
+		fmt.Sprintf("\tbne loop             @ asmcheck: loop %d\n", count) +
+		"\tbkpt #0\n\t.pool\n" +
+		"tbl:\n\t" + dir + " 3, 1, 2, 250, 7, 9\n"
+}
+
+// TestTranslateGatherDeviation drives the whole-loop gather executor
+// off its certified facts at both loads — faulting and non-faulting,
+// on the first pass and after completed ones — and requires the
+// translated tier to match the predecoded tier and the legacy
+// interpreter in fault text, cycles, bus counters, registers and flags
+// at ws 0-2. A fault at the gather stops the run with the flags of the
+// cursor advance live, so the executor's flag hand-off is observable.
+func TestTranslateGatherDeviation(t *testing.T) {
+	regs := []struct {
+		name   string
+		x, v   string
+		moving bool
+	}{
+		{"x=v", "r5", "r5", false},
+		{"x!=v", "r5", "r0", false},
+		{"x!=v+moving", "r5", "r0", true},
+	}
+	scenarios := []string{"gather-leaves-sram", "gather-in-flash", "cursor-leaves-sram", "cursor-in-sram", "misaligned-cursor"}
+	for _, sc := range scenarios {
+		for _, width := range []int{1, 2} {
+			if sc == "misaligned-cursor" && width == 1 {
+				continue
+			}
+			for _, rg := range regs {
+				for _, op := range []string{"adds", "subs"} {
+					name := fmt.Sprintf("%s/w%d/%s/%s", sc, width, rg.name, op)
+					t.Run(name, func(t *testing.T) {
+						src := gatherDeviationSrc(sc, width, rg.x, rg.v, op, rg.moving)
+						prog, c := certifySrc(t, src, false)
+						if tt := translateProg(t, prog, c); tt == nil || tt.GatherLoops() != 1 {
+							t.Fatalf("harness loop does not lower to a gather loop")
+						}
+						for ws := 0; ws <= 2; ws++ {
+							cores := make(map[string]*armv6m.CPU, len(tierNames))
+							errs := make(map[string]string, len(tierNames))
+							for _, tier := range tierNames {
+								cpu := bootTier(t, prog, c, ws, tier, false)
+								errs[tier] = fmt.Sprint(cpu.Run(10_000))
+								cores[tier] = cpu
+							}
+							for _, tier := range tierNames[1:] {
+								if errs[tier] != errs["legacy"] {
+									t.Errorf("ws=%d %s: error %q, want %q", ws, tier, errs[tier], errs["legacy"])
+								}
+								requireSameState(t, fmt.Sprintf("ws=%d %s", ws, tier), cores["legacy"], cores[tier])
+							}
+							wantFault := !strings.HasSuffix(sc, "-in-flash") && sc != "cursor-in-sram"
+							if (errs["legacy"] != "<nil>") != wantFault {
+								t.Errorf("ws=%d: legacy run ended with %q, want a fault: %v", ws, errs["legacy"], wantFault)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -69,9 +69,11 @@ echo "== translation parity (superblock tier bit-identical to both interpreters)
 # Every kernel variant at ws 0-2 on legacy/predecoded/translated, plus
 # telemetry parity, budget lockstep, holed-certificate and stale-table
 # fallback, device/farm tier selection, and the fuzz seeds (the full
-# corpus replays in the plain `go test` stages above).
+# corpus replays in the plain `go test` stages above), then 15 s of
+# fuzzing that reaches the whole-loop MAC and gather executors.
 go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
+go test -run '^$' -fuzz FuzzTranslateParity -fuzztime 15s ./internal/armv6m/
 
 echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden hash + unrolled/4 dominance)"
 # The peephole-optimized unrolled kernels against their unoptimized
