@@ -197,33 +197,35 @@ func main() {
 		return
 	}
 
-	cpu := armv6m.New()
-	if err := cpu.Bus.LoadFlash(0, code); err != nil {
-		fatal(err)
+	// A -model image boots like every deployed board, from its
+	// FlashImage with the shared predecode and certified-loop tables
+	// attached (the telemetry timer too, for a -layers/-energy build); a
+	// raw -img file has no certificate and runs on a plain core.
+	var cpu *armv6m.CPU
+	if image != nil {
+		fi, err := device.NewFlashImage(image)
+		if err != nil {
+			fatal(err)
+		}
+		cpu = fi.NewBoard().CPU
+	} else {
+		cpu = armv6m.New()
+		if err := cpu.Bus.LoadFlash(0, code); err != nil {
+			fatal(err)
+		}
+		if *layers || *energyRep {
+			cpu.EnableTimer()
+		}
 	}
 	cpu.Bus.FlashWaitStates = *ws
-	if *layers || *energyRep {
-		cpu.EnableTimer()
-	}
 
+	// tierAudit has already rejected or downgraded every combination the
+	// tier could not honour.
 	switch effTier {
 	case device.TierLegacy:
 		cpu.DisablePredecode = true
 	case device.TierPredecoded:
 		cpu.DisableTranslation = true
-	case device.TierAuto, device.TierTranslated:
-		// Attach the certificate-derived superblock translation table
-		// when the image carries one; tierAudit has already rejected or
-		// downgraded every combination where it could not be honored.
-		if image != nil && image.Cert != nil && !profiling && !*checked {
-			if tt := cert.Translate(image.Cert, cpu.PredecodeNow()); tt != nil {
-				cpu.UseTranslation(tt)
-			} else if effTier == device.TierTranslated {
-				fatal(fmt.Errorf("-tier translated: the image certificate did not yield a translation table"))
-			}
-		} else if effTier == device.TierTranslated {
-			fatal(fmt.Errorf("-tier translated requires a certified image (-model)"))
-		}
 	}
 
 	var trace *armv6m.Trace

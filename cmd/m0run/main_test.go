@@ -28,7 +28,9 @@ func TestBatchFlagConflicts(t *testing.T) {
 // -tier combinations that silently change the executing tier must be
 // audited: meaningless combinations are hard errors, tracing flags
 // downgrade an explicit translated request with a notice, and everything
-// else passes through untouched.
+// else passes through untouched. A -model image always gets its
+// certified-loop table (it boots from its FlashImage), so the audit is
+// the only place an explicit translated request can be refused.
 func TestTierAudit(t *testing.T) {
 	cases := []struct {
 		name                      string
@@ -45,6 +47,10 @@ func TestTierAudit(t *testing.T) {
 		{name: "translated+checked rejected", tier: device.TierTranslated, checked: true, model: true, wantErr: true, wantErrSub: "-checked"},
 		{name: "translated without model rejected", tier: device.TierTranslated, wantErr: true, wantErrSub: "-model"},
 		{name: "translated+tracing downgraded with notice", tier: device.TierTranslated, profiling: true, model: true, wantTier: device.TierPredecoded, wantNotice: true},
+		{name: "auto without model passes", tier: device.TierAuto, wantTier: device.TierAuto},
+		{name: "predecoded without model passes", tier: device.TierPredecoded, wantTier: device.TierPredecoded},
+		{name: "translated+tracing without model rejected", tier: device.TierTranslated, profiling: true, wantErr: true, wantErrSub: "-model"},
+		{name: "translated+checked without model rejected for -checked", tier: device.TierTranslated, checked: true, wantErr: true, wantErrSub: "-checked"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

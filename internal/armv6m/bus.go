@@ -88,6 +88,9 @@ type Bus struct {
 	// (the whole array for a shared bus): the prefix worth predecoding.
 	// Execution beyond it falls back to the interpreted path.
 	loadedLen int
+
+	// Pads Bus to whole cache lines, for the reason CPU is padded.
+	_ [16]byte
 }
 
 // NewBus returns a bus with the STM32F072RB memory map (128 KB flash,

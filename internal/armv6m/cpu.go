@@ -99,17 +99,23 @@ type CPU struct {
 	// set against a predecoded one and require bit-identical state.
 	DisablePredecode bool
 
-	// ttab is the certificate-derived superblock translation table
-	// (see translate.go), attached via UseTranslation; ttabGen is the
-	// Bus.flashGen it was built against. Unlike the predecode table it
-	// is never rebuilt lazily — a stale generation simply drops the
-	// run to the predecoded tier.
+	// ttab is the certificate-derived loop table (see translate.go),
+	// attached via UseTranslation; ttabGen is the Bus.flashGen it was
+	// built against. Unlike the predecode table it is never rebuilt
+	// lazily — a stale generation simply runs without its loops.
 	ttab    *TranslationTable
 	ttabGen uint32
-	// DisableTranslation keeps Run on the predecoded tier even when a
-	// translation table is attached; the differential tests pin the
-	// translated tier against it.
+	// DisableTranslation keeps Run off the certified-loop fast path
+	// even when a translation table is attached; the differential tests
+	// pin the fast path against it.
 	DisableTranslation bool
+
+	// Pads CPU to whole 64-byte cache lines (TestHotStructsFillLines).
+	// A farm worker writes its core's fields on nearly every emulated
+	// instruction, and the allocator may place a core next to tables
+	// every worker reads (a loop table's arrays share its size class);
+	// a shared line would cost the readers a cache miss per access.
+	_ [24]byte
 }
 
 // New returns a CPU wired to a fresh STM32F072-like bus with the
@@ -397,13 +403,11 @@ func (e *BudgetError) Error() string {
 // nil), faults (returning the fault), or maxInstructions retire without
 // halting (returning a *BudgetError, to catch runaway kernels). With no
 // trace attached it runs the predecoded steady-state loop
-// (runPredecoded); the Step-per-instruction path below is semantically
-// identical and remains for traced and predecode-disabled runs.
+// (runPredecoded), with the certified loops of an attached translation
+// table; the Step-per-instruction path below is semantically identical
+// and remains for traced and predecode-disabled runs.
 func (c *CPU) Run(maxInstructions uint64) error {
 	if c.Trace == nil && !c.DisablePredecode {
-		if c.ttab != nil && !c.DisableTranslation {
-			return c.runTranslated(maxInstructions)
-		}
 		return c.runPredecoded(maxInstructions)
 	}
 	for i := uint64(0); i < maxInstructions; i++ {

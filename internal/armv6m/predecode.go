@@ -111,6 +111,7 @@ const (
 	kLdrbReg
 	kStrbReg
 	kLdrsbReg
+	kLoop // a certified loop head; only in a TranslationTable's entries (translate.go)
 )
 
 // PredecodeTable is a decode-once execution cache for one flash image.
@@ -210,7 +211,8 @@ func (c *CPU) pentryAt(addr uint32) *pentry {
 // the prefix, boot alias, faulting encoding) takes one interpreted
 // Step, so the two paths interleave freely with identical semantics —
 // the instruction-for-instruction contract with Run's Step loop is
-// enforced by the parity tests.
+// enforced by the parity tests. With an attached translation table, a
+// certified loop head runs its whole loop in a loop executor.
 func (c *CPU) runPredecoded(maxInstructions uint64) error {
 	t := c.ptab
 	if t == nil || c.ptabGen != c.Bus.flashGen {
@@ -225,6 +227,12 @@ func (c *CPU) runPredecoded(maxInstructions uint64) error {
 	}
 	entries := t.entries
 	base := t.base
+	// The certified-loop fast path (translate.go): with a table whose
+	// loops this core may run, dispatch goes over the table's copy of
+	// the entries, where each loop head has the kind kLoop.
+	if tt := c.loopTable(); tt != nil {
+		entries = tt.entries
+	}
 	bus := c.Bus
 	ws := uint64(bus.FlashWaitStates)
 	// The telemetry peripheral is reachable only through handler
@@ -702,6 +710,23 @@ func (c *CPU) runPredecoded(maxInstructions uint64) error {
 			} else {
 				goto delegate
 			}
+		case kLoop:
+			// The executor reads the architectural registers and flags
+			// and adds its own retires to the counters, which commute
+			// with the locals.
+			c.R[PC] = pc
+			c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
+			if k := c.runLoop(e.imm, maxInstructions-n); k != 0 {
+				pc = c.R[PC]
+				fN, fZ, fC, fV = c.N, c.Z, c.C, c.V
+				n += k - 1 // the loop statement counts one more
+				continue
+			}
+			// A pass the budget does not cover, or a deviation at the
+			// head before any progress: the head runs through its
+			// handler.
+			e = c.ttab.loops[e.imm].head
+			goto delegate
 		default:
 			goto delegate
 		}

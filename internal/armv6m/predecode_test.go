@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/kernels"
@@ -498,9 +499,8 @@ func benchRun(b *testing.B, src string, disable bool) {
 	b.ReportMetric(mips, "MIPS")
 }
 
-// benchRunTranslated is benchRun on the superblock translation tier:
-// the same program, certified, with the hot loop lowered to a fused
-// self-loop superblock.
+// benchRunTranslated is benchRun on the translated tier: the same
+// program, certified, with its hot loop run whole in a loop executor.
 func benchRunTranslated(b *testing.B, src string) {
 	prog, c := certifySrc(b, src, false)
 	cpu := bootTier(b, prog, c, 0, "translated", false)
@@ -575,5 +575,22 @@ func BenchmarkStep(b *testing.B) {
 			sink += cpu.Cycles
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "MIPS")
 		})
+	}
+}
+
+// TestHotStructsFillLines pins the padding of CPU and Bus to whole
+// 64-byte cache lines on 64-bit hosts: every farm worker writes its
+// board's CPU and Bus on nearly every emulated instruction, and a line
+// shared with a table other workers read (the allocator may place them
+// side by side) costs those readers a cache miss per access.
+func TestHotStructsFillLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(armv6m.CPU{}); n%64 != 0 {
+		t.Errorf("CPU is %d bytes, not a multiple of 64: resize its padding", n)
+	}
+	if n := unsafe.Sizeof(armv6m.Bus{}); n%64 != 0 {
+		t.Errorf("Bus is %d bytes, not a multiple of 64: resize its padding", n)
 	}
 }

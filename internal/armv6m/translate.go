@@ -1,64 +1,58 @@
 package armv6m
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// Superblock translation: the third execution tier. When an image
-// carries a neuroc-cert/v1 certificate, each certified basic block is
-// translated once into a fused execution record whose instructions run
-// back-to-back with no per-instruction dispatch, cycle accounting, or
-// bus classification: the block's cycle count, instruction count, and
-// bus-counter deltas are per-block constants derived from the
-// certificate's closed forms (base + WS·ws) and applied in one shot at
-// block exit. Certified self-loops (single-block natural loops with a
-// proven trip bound) additionally iterate latch-to-header inside one
-// dispatch. Two self-loop shapes run whole in host locals with no
-// per-op dispatch at all: the dense kernel's MAC loop (execMacLoop)
-// and the ternary kernels' gather loop — one index load, one gather,
-// one adds/subs per connection, optionally advancing a moving base
-// (execGatherLoop; the block, mixed and delta inner loops). There the
-// steady-state cost of a kernel inner loop is a few Go statements per
-// emulated instruction.
+// The certified-loop fast path. When an image carries a neuroc-cert/v1
+// certificate, Translate lowers its certified self-loops (single-block
+// natural loops with a proven trip bound) and keeps those of two known
+// shapes, which run whole in host locals with no per-instruction
+// dispatch: the dense kernel's MAC loop (execMacLoop) and the ternary
+// kernels' gather loop — one index load, one gather, one adds/subs per
+// connection, optionally advancing a moving base (execGatherLoop; the
+// block, mixed and delta inner loops). The predecoded dispatcher
+// (runPredecoded) runs over the table's copy of the predecode entries,
+// where each kept loop's head carries the kind kLoop, so at a loop head
+// the whole loop runs in its executor and the steady-state cost of a
+// kernel inner loop is a few Go statements per emulated instruction.
+// Every other instruction executes exactly as on the predecoded tier.
 //
 // The contract is the same bit-for-bit parity the predecoded tier
 // holds against the legacy interpreter, enforced by the differential
 // tests and FuzzTranslateParity:
 //
 //   - The translator never trusts a certified fact it cannot check.
-//     At build time every fast-path instruction's certified cost
-//     formula and bus-counter deltas are re-derived from the decoded
-//     encoding and the proven memory region; any mismatch demotes the
-//     instruction to handler delegation (real execution, real
-//     accounting), and structural problems (non-contiguous instrs, a
-//     control transfer mid-block, an encoding the interpreter would
-//     fault on) drop the whole block from the table.
-//   - At run time every fast memory access re-checks that its address
-//     falls in the certified region. A miss abandons the block before
-//     the access: the prefix already executed is flushed exactly
-//     (its constants commute with per-instruction accounting), the PC
-//     is left on the offending instruction, and the dispatch loop
-//     re-executes it through the interpreted path — which performs
-//     the real bus access and reports the same fault text, cycle
-//     charge, or cross-region access the predecoded tier would.
+//     At build time every instruction's certified cost formula and
+//     bus-counter deltas are re-derived from the decoded encoding and
+//     the proven memory region. A loop with any mismatch, a structural
+//     problem (non-contiguous instrs, a control transfer before the
+//     latch, an encoding the interpreter would fault on), or a shape no
+//     executor knows is not kept; its PCs run on the predecoded path.
+//   - At run time every load re-checks that its address falls in the
+//     certified region. A miss ends the loop before the access: the
+//     completed passes and the abandoned pass's prefix flush exactly
+//     (their constants commute with per-instruction accounting), the
+//     PC is left on the offending instruction, and the dispatcher
+//     executes it on the predecoded path — which performs the real bus
+//     access and reports the same fault text, cycle charge, or
+//     cross-region access. A miss at the head makes no progress, so the
+//     dispatcher then executes the head through its handler.
 //   - Tracing, checked execution, armed SysTick/pending IRQs, profile
 //     or multiplier mismatches, flash mutation, and the boot-alias
-//     overlap all fall back to the predecoded tier before any block
-//     runs; budget exhaustion and PCs outside certified ranges fall
-//     back mid-run, one interpreted Step at a time.
+//     overlap disable the fast path for the whole run. A loop head
+//     whose full pass the remaining budget does not cover executes
+//     through its handler, so budget exhaustion cuts exactly where the
+//     per-instruction tiers cut.
 //
 // The table is immutable after Translate returns and is shared across
-// all boards of a farm exactly like the predecode table it references.
+// all boards of a farm exactly like the predecode table it copies.
 
 // Translated memory regions, the armv6m-side mirror of the
-// certificate's proven classes. Only flash and SRAM have inline fast
-// paths; everything else delegates to the instruction's handler.
+// certificate's proven classes. Only flash and SRAM loads have
+// whole-loop fast paths; every other class is RegionNone.
 const (
 	RegionNone uint8 = iota
 	RegionFlash
 	RegionSRAM
-	RegionPeriph
 )
 
 // CertInstr is the per-instruction slice of certificate fact the
@@ -79,7 +73,7 @@ type CertInstr struct {
 	SRAMReads  uint64
 	SRAMWrites uint64
 
-	Region uint8 // RegionNone/Flash/SRAM/Periph
+	Region uint8 // RegionNone/Flash/SRAM
 	Store  bool
 	Exact  bool
 
@@ -89,58 +83,41 @@ type CertInstr struct {
 	Halt   bool
 }
 
-// CertBlock is one certified basic block [Start, End) in translator
-// form. TakenExtra is the extra cost of the conditional terminator's
-// taken edge. SelfLoop marks a single-block natural loop whose header
-// is its own latch; Bound is its proven trip bound.
+// CertBlock is one certified self-loop in translator form: the basic
+// block [Start, End), a single-block natural loop whose header is its
+// own latch, with proven trip bound Bound. A block with Bound 0 is not
+// a certified loop and is skipped.
 type CertBlock struct {
 	Start, End uint32
-	TakenExtra uint64
 	Instrs     []CertInstr
-	SelfLoop   bool
 	Bound      uint64
 }
 
 // TranslationConfig pins the cycle-model parameters the certificate's
-// formulas were derived under; a core whose configuration disagrees
-// falls back to the predecoded tier at run time.
+// formulas were derived under; on a core whose configuration disagrees
+// the fast path stays off.
 type TranslationConfig struct {
 	Profile        string
 	PipelineRefill int
 	MulCycles      int
 }
 
-// Translated-op kinds, continuing the predecode inline-dispatch kinds.
-// tDelegate routes through the instruction's predecode handler with
-// per-instruction accounting; the fused kinds execute several
-// architectural instructions in one case.
+// Fused-op kinds, continuing the predecode inline-dispatch kinds. Each
+// stands for several architectural instructions of a loop body; the
+// loop detectors match on them.
 const (
-	tDelegate uint8 = 200 + iota
-	tBkpt
-	tMac     // ldrsb Ra,[..]; ldrsb Rb,[..]; muls; adds — the kernel MAC
-	tIncCmpB // adds Rd, #imm8; cmp Ra, Rb; b<cond> — counted-loop latch
-	tDecB    // subs Rd, #imm8; b<cond> — countdown-loop latch
+	tMac     uint8 = 200 + iota // ldrsb Ra,[..]; ldrsb Rb,[..]; muls; adds — the kernel MAC
+	tIncCmpB                    // adds Rd, #imm8; cmp Ra, Rb; b<cond> — counted-loop latch
+	tDecB                       // subs Rd, #imm8; b<cond> — countdown-loop latch
 )
 
-// Block terminator categories.
-const (
-	tmFall uint8 = iota // falls through to blk.next
-	tmB                 // unconditional branch to blk.btgt
-	tmCond              // conditional: blk.btgt when taken, blk.next otherwise
-	tmHalt              // BKPT: halts with PC = blk.next
-	tmDyn               // delegated terminator; the handler sets the PC
-)
-
-// ttop is one translated operation: a run of 1-4 architectural
-// instructions executed by a single switch case. The c* fields are the
-// op's own certified constants; the pre* fields are prefix sums of the
-// fast-op constants strictly before this op, used to flush exact
-// partial totals when the block is abandoned at this op (deviation or
-// delegation).
+// ttop is one lowered loop operation: a run of 1-4 architectural
+// instructions. The c* fields are the op's own certified constants; the
+// pre* fields are prefix sums of the constants strictly before this op,
+// used to flush exact partial totals when a pass is abandoned at this
+// op.
 type ttop struct {
-	pe   *pentry // predecode entry of the (first) instruction
-	addr uint32  // its address: the replay point on deviation
-	tgt  uint32
+	addr uint32 // address of its (first) instruction: the replay point on deviation
 	imm  uint32
 
 	kind uint8
@@ -153,82 +130,76 @@ type ttop struct {
 	rd3, rm3      uint8
 	rd4, rn4, rm4 uint8
 
-	// Own certified constants (zero for tDelegate: those account
-	// through the handler).
-	cB, cW, cFR, cSR, cSW, cN uint64
-
-	// Prefix sums of the constants above over ops[0:i].
+	cB, cW, cFR, cSR, cSW, cN             uint64
 	preB, preW, preFR, preSR, preSW, preN uint64
 }
 
-// tblock is one translated superblock.
-type tblock struct {
-	start uint32
-	next  uint32 // fall-through / not-taken successor (== End)
-	btgt  uint32 // branch target of a fast terminator
+// tloop is one kept certified loop.
+type tloop struct {
+	head  *pentry // predecode entry of the head, run through its handler on fallback
+	start uint32  // the head: the taken latch's target
+	next  uint32  // the exit: the not-taken latch's successor (== End)
 
 	ops []ttop
 
-	// nInstr is the architectural instruction count of one full pass
-	// (delegated instructions included); the dispatch loop admits a
-	// block only when the remaining budget covers a full pass.
+	// nInstr is the architectural instruction count of one full pass;
+	// the dispatcher admits a loop only when the remaining budget
+	// covers a pass.
 	nInstr uint64
 
-	// Whole-block constants over the fast ops, terminator at its
-	// not-taken cost; takenExtra is added on a taken fast terminator.
+	// Whole-pass constants, latch at its not-taken cost; takenExtra is
+	// added for each pass that leaves through the taken edge.
 	totB, totW, totFR, totSR, totSW, totN uint64
 	takenExtra                            uint64
 
-	term     uint8
-	selfLoop bool
-	loop     uint8 // whole-loop executor: loopNone, loopMac or loopGather
-	bound    uint64
-	fused    int // architectural instructions folded into fused ops
+	kind  uint8 // loopMac or loopGather
+	bound uint64
 }
 
-// Whole-loop executors for certified self-loops of a recognized shape.
+// maxLoopBound caps the trip bound and pass length of a kept loop, so
+// that bound·pass never overflows (loopIters). Kernel loop bounds are
+// far below it.
+const maxLoopBound = 1 << 24
+
+// Whole-loop executors.
 const (
-	loopNone   uint8 = iota
-	loopMac          // detectMacLoop; runs in execMacLoop
-	loopGather       // detectGatherLoop; runs in execGatherLoop
+	loopMac    uint8 = iota + 1 // detectMacLoop; runs in execMacLoop
+	loopGather                  // detectGatherLoop; runs in execGatherLoop
 )
 
-// TranslationTable is the superblock execution cache for one certified
-// flash image. It references (and shares the lifetime of) the
-// PredecodeTable it was built against. Immutable after Translate
-// returns; safe to share across any number of cores.
+// TranslationTable is the certified-loop table for one certified flash
+// image. Immutable after Translate returns; safe to share across any
+// number of cores.
 type TranslationTable struct {
-	base   uint32
-	bidx   []int32 // (addr - base) >> 1 -> block index, -1 when none
-	blocks []tblock
+	// entries is the predecode table's entries (index-aligned, from
+	// FlashBase) with each kept loop's head re-kinded kLoop, its imm
+	// the index into loops; nil when no loop is kept, and the
+	// dispatcher then uses the predecode table.
+	entries []pentry
+	loops   []tloop
 
 	profile   string
 	refill    int
 	mulCycles int
 
-	build       time.Duration
-	selfLoops   int
-	macLoops    int
-	gatherLoops int
-	fusedOps    int
+	build time.Duration
 }
 
-// Blocks is the number of translated superblocks.
-func (t *TranslationTable) Blocks() int { return len(t.blocks) }
+// MacLoops is the number of loops that run whole in execMacLoop.
+func (t *TranslationTable) MacLoops() int { return t.count(loopMac) }
 
-// SelfLoops is the number of translated whole-loop superblocks.
-func (t *TranslationTable) SelfLoops() int { return t.selfLoops }
+// GatherLoops is the number of loops that run whole in execGatherLoop.
+func (t *TranslationTable) GatherLoops() int { return t.count(loopGather) }
 
-// MacLoops is the number of self-loops that run whole in execMacLoop.
-func (t *TranslationTable) MacLoops() int { return t.macLoops }
-
-// GatherLoops is the number of self-loops that run whole in
-// execGatherLoop.
-func (t *TranslationTable) GatherLoops() int { return t.gatherLoops }
-
-// FusedInstrs is the number of architectural instructions folded into
-// multi-instruction fused ops.
-func (t *TranslationTable) FusedInstrs() int { return t.fusedOps }
+func (t *TranslationTable) count(kind uint8) int {
+	n := 0
+	for i := range t.loops {
+		if t.loops[i].kind == kind {
+			n++
+		}
+	}
+	return n
+}
 
 // BuildTime is the host time spent translating.
 func (t *TranslationTable) BuildTime() time.Duration { return t.build }
@@ -247,183 +218,138 @@ func (c *CPU) TranslationAttached() bool {
 	return c.ttab != nil && c.ttabGen == c.Bus.flashGen
 }
 
+// loopTable returns the attached table when this run may use its loops:
+// translation enabled, some loop kept, the flash generation current,
+// the core's cycle model the certified one, and SRAM clear of the flash
+// boot alias (where the loops' region checks would misclassify).
+func (c *CPU) loopTable() *TranslationTable {
+	tt := c.ttab
+	if tt == nil || len(tt.loops) == 0 || c.DisableTranslation || c.ttabGen != c.Bus.flashGen ||
+		tt.profile != c.Profile.Name || tt.refill != c.Profile.PipelineRefill ||
+		tt.mulCycles != c.MulCycles || c.Bus.SRAMBase < uint32(len(c.Bus.Flash)) {
+		return nil
+	}
+	return tt
+}
+
 // fastFacts re-derives the exact cost formula and bus-counter deltas
-// the emulator charges for one retire of an inline-dispatch kind given
-// the proven memory region. ok is false when the kind has no certified
-// fast path (generic encodings, unproven or peripheral regions,
-// flash stores).
-func fastFacts(kind uint8, region uint8, store bool, refill, mulCyc uint64) (base, wsCo, fr, sr, sw uint64, ok bool) {
+// the emulator charges for one retire of a kind the MAC and gather
+// loops are made of, given the proven memory region. ok is false for
+// every other kind, and for a load whose region is not flash or SRAM.
+func fastFacts(kind uint8, region uint8, mulCyc uint64) (base, wsCo, fr, sr, sw uint64, ok bool) {
 	switch kind {
-	case kMovsImm8, kCmpImm8, kAddsImm8, kSubsImm8, kAddsReg, kSubsReg,
-		kAddsImm3, kSubsImm3, kAnds, kEors, kOrrs, kBics, kMvns, kCmpReg,
-		kLslsImm, kLsrsImm, kAsrsImm, kLslsReg, kLsrsReg, kAsrsReg,
-		kMovHi, kSxth, kSxtb, kUxth, kUxtb:
+	case kAddsImm8, kSubsImm8, kAddsReg, kSubsReg, kCmpReg:
 		return 1, 1, 1, 0, 0, true
 	case kMuls:
 		return mulCyc, 1, 1, 0, 0, true
-	case kB:
-		return 1 + refill, 1, 1, 0, 0, true
 	case kBCond:
 		return 1, 1, 1, 0, 0, true // + refill on the taken edge (TakenExtra)
-	case kLdrLit, kLdrImm, kLdrReg, kLdrbImm, kLdrbReg, kLdrhImm, kLdrsbReg:
+	case kLdrbImm, kLdrhImm, kLdrsbReg:
 		switch region {
 		case RegionFlash:
 			return 2, 2, 2, 0, 0, true // fetch ws + data ws
 		case RegionSRAM:
 			return 2, 1, 1, 1, 0, true
 		}
-	case kStrImm, kStrbImm, kStrhImm, kStrReg, kStrbReg:
-		if region == RegionSRAM && store {
-			return 2, 1, 1, 0, 1, true
-		}
 	}
 	return 0, 0, 0, 0, 0, false
 }
 
-// Translate builds a superblock table from certified blocks over a
-// predecode table of the same flash image. Blocks that fail structural
-// validation are dropped (their PCs execute on the predecoded tier);
-// instructions whose certified facts cannot be re-derived from the
-// encoding demote to handler delegation. Returns nil when nothing
-// translates.
+// Translate builds the certified-loop table for a flash image from its
+// certified self-loops and its predecode table. Blocks that are not
+// certified loops are skipped before lowering; loops that fail
+// validation or match no executor are not kept, and their PCs execute
+// on the predecoded path. The table is returned even when no loop is
+// kept; nil only for a nil predecode table.
 func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *TranslationTable {
 	start := time.Now() //neurolint:allow nondet (host-side translation build timing; never feeds emulated state)
-	if pt == nil || len(blocks) == 0 {
+	if pt == nil {
 		return nil
 	}
 	t := &TranslationTable{
-		base:      pt.base,
-		bidx:      make([]int32, len(pt.entries)),
 		profile:   cfg.Profile,
 		refill:    cfg.PipelineRefill,
 		mulCycles: cfg.MulCycles,
 	}
-	for i := range t.bidx {
-		t.bidx[i] = -1
-	}
-	refill := uint64(cfg.PipelineRefill)
-	mulCyc := uint64(cfg.MulCycles)
 	for bi := range blocks {
 		cb := &blocks[bi]
-		blk, ok := translateBlock(pt, cb, refill, mulCyc)
+		if cb.Bound == 0 {
+			continue
+		}
+		lp, ok := translateLoop(pt, cb, uint64(cfg.PipelineRefill), uint64(cfg.MulCycles))
 		if !ok {
 			continue
 		}
-		off := cb.Start - pt.base
-		if off&1 != 0 || off>>1 >= uint32(len(t.bidx)) {
-			continue
+		if t.entries == nil {
+			t.entries = append([]pentry(nil), pt.entries...)
 		}
-		t.blocks = append(t.blocks, blk)
-		t.bidx[off>>1] = int32(len(t.blocks) - 1)
-		if blk.selfLoop {
-			t.selfLoops++
-		}
-		switch blk.loop {
-		case loopMac:
-			t.macLoops++
-		case loopGather:
-			t.gatherLoops++
-		}
-		t.fusedOps += blk.fused
-	}
-	if len(t.blocks) == 0 {
-		return nil
+		e := &t.entries[(lp.start-pt.base)>>1]
+		e.kind, e.imm = kLoop, uint32(len(t.loops))
+		t.loops = append(t.loops, lp)
 	}
 	t.build = time.Since(start) //neurolint:allow nondet (host-side translation build timing; never feeds emulated state)
 	return t
 }
 
-// translateBlock validates one certified block against the decoded
-// image and lowers it to a tblock.
-func translateBlock(pt *PredecodeTable, cb *CertBlock, refill, mulCyc uint64) (tblock, bool) {
-	blk := tblock{start: cb.Start, next: cb.End}
-	if len(cb.Instrs) == 0 || cb.Instrs[0].Addr != cb.Start {
-		return blk, false
+// translateLoop validates one certified self-loop against the decoded
+// image and lowers it, keeping it only when every instruction has a
+// fast kind whose certified facts equal the re-derived ones, only the
+// last transfers control — a conditional branch back to the head — and
+// the body is a MAC loop or a gather loop.
+func translateLoop(pt *PredecodeTable, cb *CertBlock, refill, mulCyc uint64) (tloop, bool) {
+	lp := tloop{start: cb.Start, next: cb.End, bound: cb.Bound, nInstr: uint64(len(cb.Instrs))}
+	if cb.Bound > maxLoopBound || lp.nInstr > maxLoopBound {
+		return lp, false
 	}
-	blk.nInstr = uint64(len(cb.Instrs))
 	addr := cb.Start
 	last := len(cb.Instrs) - 1
-	blk.term = tmFall
 	for ii := range cb.Instrs {
 		ci := &cb.Instrs[ii]
 		if ci.Addr != addr || (ci.Size != 2 && ci.Size != 4) {
-			return blk, false
+			return lp, false
 		}
 		off := ci.Addr - pt.base
 		if off&1 != 0 || off>>1 >= uint32(len(pt.entries)) {
-			return blk, false
+			return lp, false
 		}
 		e := &pt.entries[off>>1]
 		// An encoding the interpreter faults on, or whose decoded size
-		// disagrees with the certificate, invalidates the block.
+		// disagrees with the certificate, invalidates the loop.
 		if e.fn == nil || e.next != ci.Addr+uint32(ci.Size) {
-			return blk, false
+			return lp, false
 		}
-		addr = ci.Addr + uint32(ci.Size)
+		addr = e.next
+		latch := ii == last
 		control := ci.Halt || ci.Ret || ci.Target != 0 || ci.Call != 0
-		if control && ii != last {
-			return blk, false
+		if control != latch || (e.kind == kBCond) != latch || (latch && e.tgt != cb.Start) {
+			return lp, false
 		}
-		op := ttop{pe: e, addr: ci.Addr, tgt: e.tgt, imm: e.imm,
-			cond: e.cond, rd: e.rd, rn: e.rn, rm: e.rm}
-		op.cls = certRegion(ci)
-		fast := false
-		switch {
-		case ci.Halt:
-			if e.kind == kGeneric && ci.CostBase == 1 && ci.CostWS == 1 &&
-				ci.FlashReads == 1 && ci.SRAMReads == 0 && ci.SRAMWrites == 0 {
-				op.kind = tBkpt
-				op.cB, op.cW, op.cFR, op.cN = 1, 1, 1, 1
-				blk.term = tmHalt
-				fast = true
-			}
-		case e.kind == kGeneric:
-			// No inline fast path (SP-relative, push/pop, hi-reg, BL, ...).
-		default:
-			base, wsCo, fr, sr, sw, ok := fastFacts(e.kind, op.cls, ci.Store, refill, mulCyc)
-			// The certified facts must equal the re-derived ones; a
-			// disagreement means the proof and the cycle model diverged,
-			// and the instruction executes through its handler instead
-			// of trusting either.
-			if ok && ci.Exact && ci.CostBase == base && ci.CostWS == wsCo &&
-				ci.FlashReads == fr && ci.SRAMReads == sr && ci.SRAMWrites == sw {
-				if e.kind == kBCond && ci.TakenExtra != refill {
-					break
-				}
-				op.kind = e.kind
-				op.cB, op.cW, op.cFR, op.cSR, op.cSW, op.cN = base, wsCo, fr, sr, sw, 1
-				fast = true
-				switch e.kind {
-				case kB:
-					blk.term = tmB
-					blk.btgt = e.tgt
-				case kBCond:
-					blk.term = tmCond
-					blk.btgt = e.tgt
-					blk.takenExtra = ci.TakenExtra // == refill, verified above
-				}
-			}
+		// The certified facts must equal the re-derived ones; a
+		// disagreement means the proof and the cycle model diverged,
+		// and the loop runs on the predecoded path instead of trusting
+		// either.
+		base, wsCo, fr, sr, sw, ok := fastFacts(e.kind, ci.Region, mulCyc)
+		if !ok || ci.Store || !ci.Exact || ci.CostBase != base || ci.CostWS != wsCo ||
+			ci.FlashReads != fr || ci.SRAMReads != sr || ci.SRAMWrites != sw ||
+			(latch && ci.TakenExtra != refill) {
+			return lp, false
 		}
-		if !fast {
-			op.kind = tDelegate
-			op.cls = RegionNone
-			if ii == last && control {
-				blk.term = tmDyn
-			}
+		if ii == 0 {
+			lp.head = e
 		}
-		blk.ops = append(blk.ops, op)
+		lp.ops = append(lp.ops, ttop{addr: ci.Addr, imm: e.imm, kind: e.kind, cls: ci.Region,
+			cond: e.cond, rd: e.rd, rn: e.rn, rm: e.rm,
+			cB: base, cW: wsCo, cFR: fr, cSR: sr, cSW: sw, cN: 1})
 	}
-	if addr != cb.End {
-		return blk, false
+	if lp.head == nil || addr != cb.End {
+		return lp, false
 	}
-	// A non-control final instruction falls through; a delegated
-	// non-control final instruction still does (the handler advances
-	// the PC to blk.next itself, term stays tmFall).
-	fuseBlock(&blk)
+	lp.takenExtra = refill
+	fuseLoop(&lp)
 	// Prefix sums and totals over the fused op sequence.
 	var b, w, fr, sr, sw, n uint64
-	for i := range blk.ops {
-		op := &blk.ops[i]
+	for i := range lp.ops {
+		op := &lp.ops[i]
 		op.preB, op.preW, op.preFR, op.preSR, op.preSW, op.preN = b, w, fr, sr, sw, n
 		b += op.cB
 		w += op.cW
@@ -432,18 +358,16 @@ func translateBlock(pt *PredecodeTable, cb *CertBlock, refill, mulCyc uint64) (t
 		sw += op.cSW
 		n += op.cN
 	}
-	blk.totB, blk.totW, blk.totFR, blk.totSR, blk.totSW, blk.totN = b, w, fr, sr, sw, n
-	if cb.SelfLoop && blk.term == tmCond && blk.btgt == blk.start && cb.Bound > 0 {
-		blk.selfLoop = true
-		blk.bound = cb.Bound
-		switch {
-		case detectMacLoop(&blk):
-			blk.loop = loopMac
-		case detectGatherLoop(&blk):
-			blk.loop = loopGather
-		}
+	lp.totB, lp.totW, lp.totFR, lp.totSR, lp.totSW, lp.totN = b, w, fr, sr, sw, n
+	switch {
+	case detectMacLoop(&lp):
+		lp.kind = loopMac
+	case detectGatherLoop(&lp):
+		lp.kind = loopGather
+	default:
+		return lp, false
 	}
-	return blk, true
+	return lp, true
 }
 
 // detectMacLoop recognizes the whole-loop fusion target: a certified
@@ -459,11 +383,11 @@ func translateBlock(pt *PredecodeTable, cb *CertBlock, refill, mulCyc uint64) (t
 // and accumulator are loop-invariant or written only by their own
 // role, and deviation replay from the group head stays idempotent.
 // Such a loop executes in execMacLoop with no per-op dispatch at all.
-func detectMacLoop(blk *tblock) bool {
-	if len(blk.ops) != 2 || blk.ops[0].kind != tMac || blk.ops[1].kind != tIncCmpB {
+func detectMacLoop(lp *tloop) bool {
+	if len(lp.ops) != 2 || lp.ops[0].kind != tMac || lp.ops[1].kind != tIncCmpB {
 		return false
 	}
-	o0, o1 := &blk.ops[0], &blk.ops[1]
+	o0, o1 := &lp.ops[0], &lp.ops[1]
 	d1, d2, acc, i := o0.rd, o0.rd2, o0.rd4, o0.rm
 	b1, b2, lim := o0.rn, o0.rn2, o1.rm2
 	if o0.rm2 != i || o1.rd != i || o1.rd2 != i {
@@ -501,10 +425,10 @@ func detectMacLoop(blk *tblock) bool {
 // lives in a host local written only by its own role. X == V (the block
 // kernel's reuse of one register) is allowed only without the moving
 // base, which reads X after the gather. Deviation replay stays exact at
-// both loads: the index load is the block head, and the gather's
+// both loads: the index load is the loop head, and the gather's
 // operands are live in registers when it is abandoned.
-func detectGatherLoop(blk *tblock) bool {
-	ops := blk.ops
+func detectGatherLoop(lp *tloop) bool {
+	ops := lp.ops
 	n := len(ops)
 	if n != 5 && n != 6 {
 		return false
@@ -539,17 +463,9 @@ func detectGatherLoop(blk *tblock) bool {
 	return true
 }
 
-// certRegion maps a certified instruction's proven region to the
-// translator's enum; unproven and non-exact accesses stay RegionNone.
-func certRegion(ci *CertInstr) uint8 {
-	if !ci.Exact {
-		return RegionNone
-	}
-	return ci.Region
-}
-
-// fuseBlock runs the peephole pass over a lowered block, replacing the
-// hot kernel sequences with single multi-instruction ops:
+// fuseLoop runs the peephole pass over a lowered loop body, replacing
+// the kernel sequences the loop detectors match with single
+// multi-instruction ops:
 //
 //	ldrsb Ra,[..]; ldrsb Rb,[..]; muls; adds  ->  tMac
 //	adds Rd,#imm8; cmp Ra,Rb; b<cond>         ->  tIncCmpB
@@ -560,21 +476,16 @@ func certRegion(ci *CertInstr) uint8 {
 // patterns' final flags come from their last flag-setting member. A
 // fused group can only deviate at one of its loads; replay safety
 // (re-executing from the group's first instruction) requires the first
-// load's destination to be distinct from its own address operands.
-// A self-loop whose fused ops form a MAC loop or a gather loop then runs
-// whole in its executor (detectMacLoop, detectGatherLoop); the gather
-// loop itself needs no new fused op — it is the unfused loads and
+// load's destination to be distinct from its own address operands. The
+// gather loop needs no fused op of its own: it is the unfused loads and
 // accumulate ahead of a tDecB latch.
-func fuseBlock(blk *tblock) {
-	ops := blk.ops
+func fuseLoop(lp *tloop) {
+	ops := lp.ops
 	var out []ttop
 	for i := 0; i < len(ops); i++ {
-		// The absorbed adds is never a branch, so a tMac can end a
-		// fall-through block but can never swallow a fast terminator.
 		if i+3 < len(ops) &&
 			ops[i].kind == kLdrsbReg && ops[i+1].kind == kLdrsbReg &&
 			ops[i+2].kind == kMuls && ops[i+3].kind == kAddsReg &&
-			ops[i].cls != RegionNone && ops[i+1].cls != RegionNone &&
 			ops[i].rd != ops[i].rn && ops[i].rd != ops[i].rm {
 			f := ops[i]
 			f.kind = tMac
@@ -584,36 +495,33 @@ func fuseBlock(blk *tblock) {
 			f.rd4, f.rn4, f.rm4 = ops[i+3].rd, ops[i+3].rn, ops[i+3].rm
 			sumInto(&f, &ops[i+1], &ops[i+2], &ops[i+3])
 			out = append(out, f)
-			blk.fused += 3
 			i += 3
 			continue
 		}
-		if blk.term == tmCond && i+2 == len(ops)-1 &&
-			ops[i].kind == kAddsImm8 && ops[i+1].kind == kCmpReg && ops[i+2].kind == kBCond {
+		// The latch is always the last op (translateLoop).
+		if i+2 == len(ops)-1 &&
+			ops[i].kind == kAddsImm8 && ops[i+1].kind == kCmpReg {
 			f := ops[i]
 			f.kind = tIncCmpB
 			f.rd2, f.rm2 = ops[i+1].rd, ops[i+1].rm
-			f.cond, f.tgt = ops[i+2].cond, ops[i+2].tgt
+			f.cond = ops[i+2].cond
 			sumInto(&f, &ops[i+1], &ops[i+2])
 			out = append(out, f)
-			blk.fused += 2
 			i += 2
 			continue
 		}
-		if blk.term == tmCond && i+1 == len(ops)-1 &&
-			ops[i].kind == kSubsImm8 && ops[i+1].kind == kBCond {
+		if i+1 == len(ops)-1 && ops[i].kind == kSubsImm8 {
 			f := ops[i]
 			f.kind = tDecB
-			f.cond, f.tgt = ops[i+1].cond, ops[i+1].tgt
+			f.cond = ops[i+1].cond
 			sumInto(&f, &ops[i+1])
 			out = append(out, f)
-			blk.fused++
 			i++
 			continue
 		}
 		out = append(out, ops[i])
 	}
-	blk.ops = out
+	lp.ops = out
 }
 
 // sumInto folds the certified constants of the absorbed ops into the
@@ -629,586 +537,32 @@ func sumInto(f *ttop, rest ...*ttop) {
 	}
 }
 
-// runTranslated is Run's superblock loop. Preconditions that hold for
-// the whole run (trace already excluded by Run) are checked once; any
-// failure falls back to the predecoded tier for the entire run.
-// Mid-run, any PC without a translated block — uncertified code, a
-// deviation replay point, a dropped block — takes interpreted Steps
-// until dispatch lands on a translated block again, and a block whose
-// full pass would overrun the budget is likewise stepped, so budget
-// exhaustion cuts exactly where the per-instruction tiers cut.
-func (c *CPU) runTranslated(maxInstructions uint64) error {
-	tt := c.ttab
-	if tt == nil || c.ttabGen != c.Bus.flashGen ||
-		c.SysTick.Reload > 0 || c.pendingIRQ ||
-		tt.profile != c.Profile.Name || tt.refill != c.Profile.PipelineRefill ||
-		tt.mulCycles != c.MulCycles ||
-		c.Bus.SRAMBase < uint32(len(c.Bus.Flash)) {
-		return c.runPredecoded(maxInstructions)
+// runLoop runs the attached table's loop i from its head, at the PC,
+// when the budget covers a full pass, and returns the instructions
+// retired: 0 when the budget does not cover a pass, or when the loop
+// deviated at its head before any progress (the PC is then still on
+// the head).
+func (c *CPU) runLoop(i uint32, budget uint64) uint64 {
+	lp := &c.ttab.loops[i]
+	if lp.nInstr > budget {
+		return 0
 	}
-	if c.Halted && maxInstructions > 0 {
-		return nil
+	if lp.kind == loopMac {
+		return c.execMacLoop(lp, budget)
 	}
-	var x tctx
-	x.init(c)
-	for n := uint64(0); n < maxInstructions; {
-		pc := c.R[PC]
-		bi := int32(-1)
-		if off := pc - tt.base; off&1 == 0 && off>>1 < uint32(len(tt.bidx)) {
-			bi = tt.bidx[off>>1]
-		}
-		if bi < 0 || n+tt.blocks[bi].nInstr > maxInstructions {
-			err := c.Step()
-			if err == nil {
-				n++
-				if c.Halted {
-					return nil
-				}
-				continue
-			}
-			if err == ErrHalted {
-				return nil
-			}
-			return err
-		}
-		retired, err := c.execTBlock(&x, &tt.blocks[bi], maxInstructions-n)
-		n += retired
-		if err != nil {
-			return err
-		}
-		if c.Halted {
-			return nil
-		}
-		if retired == 0 && c.R[PC] == pc {
-			// The block deviated at its first instruction (its very
-			// first access left the certified region), so the PC is
-			// back on the block head: execute that instruction through
-			// the interpreter to make progress before re-dispatching.
-			if err := c.Step(); err != nil {
-				if err == ErrHalted {
-					return nil
-				}
-				return err
-			}
-			n++
-			if c.Halted {
-				return nil
-			}
-		}
-	}
-	return &BudgetError{Instructions: maxInstructions, PC: c.R[PC]}
+	return c.execGatherLoop(lp, budget)
 }
 
-// tctx is the per-run bus context hoisted out of the block executor,
-// mirroring runPredecoded's loop invariants.
-type tctx struct {
-	ws                         uint64
-	sram, flash                []byte
-	sramBase, flashBase        uint32
-	sramLen, flashLen          uint32
-	sramWordLim, sramHalfLim   uint32
-	flashWordLim, flashHalfLim uint32
-	tmr                        *Timer
-}
-
-func (x *tctx) init(c *CPU) {
-	bus := c.Bus
-	x.ws = uint64(bus.FlashWaitStates)
-	x.sram, x.flash = bus.SRAM, bus.Flash
-	x.sramBase, x.flashBase = bus.SRAMBase, bus.FlashBase
-	x.sramLen, x.flashLen = uint32(len(bus.SRAM)), uint32(len(bus.Flash))
-	if x.sramLen >= 4 {
-		x.sramWordLim, x.sramHalfLim = x.sramLen-3, x.sramLen-1
+// loopIters is the pass limit of one loop run: the full passes the
+// budget covers, at most the certified bound, and at least one (runLoop
+// admits a loop only when the budget covers a pass). The common case,
+// a budget past the bound, costs a multiply rather than a division
+// (translateLoop keeps bounds small enough not to overflow).
+func loopIters(lp *tloop, budget uint64) uint64 {
+	if budget >= lp.bound*lp.nInstr {
+		return lp.bound
 	}
-	if x.flashLen >= 4 {
-		x.flashWordLim, x.flashHalfLim = x.flashLen-3, x.flashLen-1
-	}
-	x.tmr = bus.Timer
-}
-
-// execTBlock executes one translated superblock (iterating in place
-// when it is a certified self-loop) and returns the number of
-// instructions retired. Architectural counters are touched only at
-// delegation points, deviations, and block exits, where the certified
-// constants flush in sums that commute exactly with per-instruction
-// accounting. On return the architectural PC and flags are live:
-// either at the next block boundary, or on the instruction the block
-// abandoned (deviation), or at the fault point (error).
-func (c *CPU) execTBlock(x *tctx, blk *tblock, budget uint64) (uint64, error) {
-	switch blk.loop {
-	case loopMac:
-		return c.execMacLoop(x, blk, budget), nil
-	case loopGather:
-		return c.execGatherLoop(x, blk, budget), nil
-	}
-	sram, flash := x.sram, x.flash
-	ws := x.ws
-	fN, fZ, fC, fV := c.N, c.Z, c.C, c.V
-	var retired uint64
-	var flB, flW, flFR, flSR, flSW, flN uint64
-	var pend uint64 // deferred pure self-loop passes, each via the taken edge
-	var impure bool // this iteration flushed counters at a delegation
-	var op *ttop
-	maxIter := uint64(1)
-	if blk.selfLoop {
-		maxIter = loopIters(blk, budget)
-	}
-	ops := blk.ops
-	for it := uint64(0); it < maxIter; it++ {
-		flB, flW, flFR, flSR, flSW, flN = 0, 0, 0, 0, 0, 0
-		impure = false
-		taken := false
-		for i := 0; i < len(ops); i++ {
-			op = &ops[i]
-			switch op.kind {
-			case kMovsImm8:
-				v := op.imm
-				c.R[op.rd&15] = v
-				fN, fZ = v&0x8000_0000 != 0, v == 0
-			case kCmpImm8:
-				a, b := c.R[op.rn&15], op.imm
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kAddsImm8:
-				a, b := c.R[op.rd&15], op.imm
-				res := a + b
-				fC = res < a
-				fV = (^(a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kSubsImm8:
-				a, b := c.R[op.rd&15], op.imm
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kAddsReg:
-				a, b := c.R[op.rn&15], c.R[op.rm&15]
-				res := a + b
-				fC = res < a
-				fV = (^(a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kSubsReg:
-				a, b := c.R[op.rn&15], c.R[op.rm&15]
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kAddsImm3:
-				a, b := c.R[op.rn&15], op.imm
-				res := a + b
-				fC = res < a
-				fV = (^(a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kSubsImm3:
-				a, b := c.R[op.rn&15], op.imm
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kMuls:
-				res := c.R[op.rd&15] * c.R[op.rm&15]
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kAnds:
-				res := c.R[op.rd&15] & c.R[op.rm&15]
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kEors:
-				res := c.R[op.rd&15] ^ c.R[op.rm&15]
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kOrrs:
-				res := c.R[op.rd&15] | c.R[op.rm&15]
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kBics:
-				res := c.R[op.rd&15] &^ c.R[op.rm&15]
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kMvns:
-				res := ^c.R[op.rm&15]
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kCmpReg:
-				a, b := c.R[op.rd&15], c.R[op.rm&15]
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kLslsImm:
-				val := c.R[op.rm&15]
-				fC = val&(1<<(32-op.imm)) != 0
-				res := val << op.imm
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kLsrsImm:
-				val := c.R[op.rm&15]
-				fC = val&(1<<(op.imm-1)) != 0
-				res := val >> op.imm
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kAsrsImm:
-				val := c.R[op.rm&15]
-				fC = val&(1<<(op.imm-1)) != 0
-				res := uint32(int32(val) >> op.imm)
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kLslsReg:
-				c.C = fC
-				res := c.shiftReg(c.R[op.rd&15], c.R[op.rm&15], shiftLSL)
-				fC = c.C
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kLsrsReg:
-				c.C = fC
-				res := c.shiftReg(c.R[op.rd&15], c.R[op.rm&15], shiftLSR)
-				fC = c.C
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kAsrsReg:
-				c.C = fC
-				res := c.shiftReg(c.R[op.rd&15], c.R[op.rm&15], shiftASR)
-				fC = c.C
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case kMovHi:
-				c.R[op.rd&15] = c.R[op.rm&15]
-			case kSxth:
-				c.R[op.rd&15] = uint32(int32(int16(c.R[op.rm&15])))
-			case kSxtb:
-				c.R[op.rd&15] = uint32(int32(int8(c.R[op.rm&15])))
-			case kUxth:
-				c.R[op.rd&15] = c.R[op.rm&15] & 0xffff
-			case kUxtb:
-				c.R[op.rd&15] = c.R[op.rm&15] & 0xff
-			case kB:
-				// Fully charged in the block constants; PC set at exit.
-			case kBCond:
-				taken = condFlags(op.cond, fN, fZ, fC, fV)
-			case kLdrLit:
-				if o := op.tgt - x.flashBase; op.cls == RegionFlash && o < x.flashWordLim {
-					c.R[op.rd&15] = uint32(flash[o]) | uint32(flash[o+1])<<8 |
-						uint32(flash[o+2])<<16 | uint32(flash[o+3])<<24
-				} else {
-					goto deviate
-				}
-			case kLdrImm:
-				addr := c.R[op.rn&15] + op.imm
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; addr&3 == 0 && o < x.sramWordLim {
-						c.R[op.rd&15] = uint32(sram[o]) | uint32(sram[o+1])<<8 |
-							uint32(sram[o+2])<<16 | uint32(sram[o+3])<<24
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; addr&3 == 0 && o < x.flashWordLim {
-					c.R[op.rd&15] = uint32(flash[o]) | uint32(flash[o+1])<<8 |
-						uint32(flash[o+2])<<16 | uint32(flash[o+3])<<24
-				} else {
-					goto deviate
-				}
-			case kStrImm:
-				addr := c.R[op.rn&15] + op.imm
-				if o := addr - x.sramBase; addr&3 == 0 && o < x.sramWordLim {
-					v := c.R[op.rd&15]
-					sram[o], sram[o+1], sram[o+2], sram[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-				} else {
-					goto deviate
-				}
-			case kLdrbImm:
-				addr := c.R[op.rn&15] + op.imm
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; o < x.sramLen {
-						c.R[op.rd&15] = uint32(sram[o])
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; o < x.flashLen {
-					c.R[op.rd&15] = uint32(flash[o])
-				} else {
-					goto deviate
-				}
-			case kStrbImm:
-				addr := c.R[op.rn&15] + op.imm
-				if o := addr - x.sramBase; o < x.sramLen {
-					sram[o] = byte(c.R[op.rd&15])
-				} else {
-					goto deviate
-				}
-			case kLdrhImm:
-				addr := c.R[op.rn&15] + op.imm
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; addr&1 == 0 && o < x.sramHalfLim {
-						c.R[op.rd&15] = uint32(sram[o]) | uint32(sram[o+1])<<8
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; addr&1 == 0 && o < x.flashHalfLim {
-					c.R[op.rd&15] = uint32(flash[o]) | uint32(flash[o+1])<<8
-				} else {
-					goto deviate
-				}
-			case kStrhImm:
-				addr := c.R[op.rn&15] + op.imm
-				if o := addr - x.sramBase; addr&1 == 0 && o < x.sramHalfLim {
-					v := c.R[op.rd&15]
-					sram[o], sram[o+1] = byte(v), byte(v>>8)
-				} else {
-					goto deviate
-				}
-			case kLdrReg:
-				addr := c.R[op.rn&15] + c.R[op.rm&15]
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; addr&3 == 0 && o < x.sramWordLim {
-						c.R[op.rd&15] = uint32(sram[o]) | uint32(sram[o+1])<<8 |
-							uint32(sram[o+2])<<16 | uint32(sram[o+3])<<24
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; addr&3 == 0 && o < x.flashWordLim {
-					c.R[op.rd&15] = uint32(flash[o]) | uint32(flash[o+1])<<8 |
-						uint32(flash[o+2])<<16 | uint32(flash[o+3])<<24
-				} else {
-					goto deviate
-				}
-			case kStrReg:
-				addr := c.R[op.rn&15] + c.R[op.rm&15]
-				if o := addr - x.sramBase; addr&3 == 0 && o < x.sramWordLim {
-					v := c.R[op.rd&15]
-					sram[o], sram[o+1], sram[o+2], sram[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-				} else {
-					goto deviate
-				}
-			case kLdrbReg:
-				addr := c.R[op.rn&15] + c.R[op.rm&15]
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; o < x.sramLen {
-						c.R[op.rd&15] = uint32(sram[o])
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; o < x.flashLen {
-					c.R[op.rd&15] = uint32(flash[o])
-				} else {
-					goto deviate
-				}
-			case kStrbReg:
-				addr := c.R[op.rn&15] + c.R[op.rm&15]
-				if o := addr - x.sramBase; o < x.sramLen {
-					sram[o] = byte(c.R[op.rd&15])
-				} else {
-					goto deviate
-				}
-			case kLdrsbReg:
-				addr := c.R[op.rn&15] + c.R[op.rm&15]
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; o < x.sramLen {
-						c.R[op.rd&15] = uint32(int32(int8(sram[o])))
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; o < x.flashLen {
-					c.R[op.rd&15] = uint32(int32(int8(flash[o])))
-				} else {
-					goto deviate
-				}
-			case tMac:
-				addr := c.R[op.rn&15] + c.R[op.rm&15]
-				if op.cls == RegionSRAM {
-					if o := addr - x.sramBase; o < x.sramLen {
-						c.R[op.rd&15] = uint32(int32(int8(sram[o])))
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; o < x.flashLen {
-					c.R[op.rd&15] = uint32(int32(int8(flash[o])))
-				} else {
-					goto deviate
-				}
-				addr = c.R[op.rn2&15] + c.R[op.rm2&15]
-				if op.cls2 == RegionSRAM {
-					if o := addr - x.sramBase; o < x.sramLen {
-						c.R[op.rd2&15] = uint32(int32(int8(sram[o])))
-					} else {
-						goto deviate
-					}
-				} else if o := addr - x.flashBase; o < x.flashLen {
-					c.R[op.rd2&15] = uint32(int32(int8(flash[o])))
-				} else {
-					goto deviate
-				}
-				res := c.R[op.rd3&15] * c.R[op.rm3&15]
-				c.R[op.rd3&15] = res
-				a, b := c.R[op.rn4&15], c.R[op.rm4&15]
-				res = a + b
-				fC = res < a
-				fV = (^(a^b)&(a^res))>>31 != 0
-				c.R[op.rd4&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-			case tIncCmpB:
-				c.R[op.rd&15] += op.imm
-				a, b := c.R[op.rd2&15], c.R[op.rm2&15]
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-				taken = condFlags(op.cond, fN, fZ, fC, fV)
-			case tDecB:
-				a, b := c.R[op.rd&15], op.imm
-				res := a - b
-				fC = a >= b
-				fV = ((a^b)&(a^res))>>31 != 0
-				c.R[op.rd&15] = res
-				fN, fZ = res&0x8000_0000 != 0, res == 0
-				taken = condFlags(op.cond, fN, fZ, fC, fV)
-			case tBkpt:
-				c.Halted = true
-				c.HaltCode = uint8(op.imm)
-			default: // tDelegate
-				// Flush any deferred full passes, then the prefix
-				// constants, so the handler observes the exact
-				// per-instruction cycle count (the telemetry CNT register
-				// reads through c.Cycles); then account this retire
-				// individually, exactly as the predecoded loop's delegate
-				// path does.
-				impure = true
-				if pend != 0 {
-					c.Cycles += pend * (blk.totB + blk.totW*ws + blk.takenExtra)
-					c.Bus.FlashReads += pend * blk.totFR
-					c.Bus.SRAMReads += pend * blk.totSR
-					c.Bus.SRAMWrites += pend * blk.totSW
-					c.Instructions += pend * blk.totN
-					retired += pend * blk.totN
-					pend = 0
-				}
-				c.Cycles += (op.preB - flB) + (op.preW-flW)*ws
-				c.Bus.FlashReads += op.preFR - flFR
-				c.Bus.SRAMReads += op.preSR - flSR
-				c.Bus.SRAMWrites += op.preSW - flSW
-				c.Instructions += op.preN - flN
-				retired += op.preN - flN
-				flB, flW, flFR, flSR, flSW, flN = op.preB, op.preW, op.preFR, op.preSR, op.preSW, op.preN
-				c.R[PC] = op.addr
-				c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
-				c.Cycles += ws
-				cycles, err := op.pe.fn(c, op.pe)
-				fN, fZ, fC, fV = c.N, c.Z, c.C, c.V
-				if err != nil {
-					// The failing instruction's fetch was performed and
-					// its wait states pre-charged; it did not retire.
-					c.Bus.FlashReads++
-					return retired, fmt.Errorf("at 0x%08x (op 0x%04x): %w", op.addr, op.pe.op, err)
-				}
-				c.Cycles += uint64(cycles)
-				c.Bus.FlashReads++
-				c.Instructions++
-				retired++
-				if x.tmr != nil && x.tmr.pending() {
-					x.tmr.commit(c.Cycles)
-				}
-			}
-		}
-		// A continuing self-loop pass that stayed entirely on the fast
-		// path defers its constants: consecutive pure passes flush in
-		// one multiply at the next sync point (delegation, deviation,
-		// or loop exit), keeping the steady-state kernel loop free of
-		// architectural counter traffic.
-		if !impure && blk.selfLoop && taken && it+1 < maxIter {
-			pend++
-			continue
-		}
-		// Block exit: flush deferred passes and the remaining constants
-		// in one shot.
-		if pend != 0 {
-			c.Cycles += pend * (blk.totB + blk.totW*ws + blk.takenExtra)
-			c.Bus.FlashReads += pend * blk.totFR
-			c.Bus.SRAMReads += pend * blk.totSR
-			c.Bus.SRAMWrites += pend * blk.totSW
-			c.Instructions += pend * blk.totN
-			retired += pend * blk.totN
-			pend = 0
-		}
-		c.Cycles += (blk.totB - flB) + (blk.totW-flW)*ws
-		if taken {
-			c.Cycles += blk.takenExtra
-		}
-		c.Bus.FlashReads += blk.totFR - flFR
-		c.Bus.SRAMReads += blk.totSR - flSR
-		c.Bus.SRAMWrites += blk.totSW - flSW
-		c.Instructions += blk.totN - flN
-		retired += blk.totN - flN
-		switch blk.term {
-		case tmFall:
-			c.R[PC] = blk.next
-		case tmB:
-			c.R[PC] = blk.btgt
-		case tmCond:
-			if taken {
-				c.R[PC] = blk.btgt
-				if blk.selfLoop && it+1 < maxIter {
-					continue
-				}
-			} else {
-				c.R[PC] = blk.next
-			}
-		case tmHalt:
-			c.R[PC] = blk.next
-		case tmDyn:
-			// The delegated terminator's handler set the PC.
-		}
-		break
-	}
-	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
-	return retired, nil
-
-deviate:
-	// A fast memory op's address left the certified region (or its
-	// bounds): abandon the block before performing the access. The
-	// prefix constants flush exactly; the PC lands on the abandoned
-	// instruction — for a fused group, its first instruction, whose
-	// replayed members are idempotent by the fusion constraints — and
-	// the dispatch loop re-executes it through the interpreted path,
-	// which performs the real bus access with identical semantics,
-	// accounting, and fault text.
-	if pend != 0 {
-		c.Cycles += pend * (blk.totB + blk.totW*ws + blk.takenExtra)
-		c.Bus.FlashReads += pend * blk.totFR
-		c.Bus.SRAMReads += pend * blk.totSR
-		c.Bus.SRAMWrites += pend * blk.totSW
-		c.Instructions += pend * blk.totN
-		retired += pend * blk.totN
-	}
-	c.Cycles += (op.preB - flB) + (op.preW-flW)*ws
-	c.Bus.FlashReads += op.preFR - flFR
-	c.Bus.SRAMReads += op.preSR - flSR
-	c.Bus.SRAMWrites += op.preSW - flSW
-	c.Instructions += op.preN - flN
-	retired += op.preN - flN
-	c.R[PC] = op.addr
-	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
-	return retired, nil
-}
-
-// loopIters is the pass limit of one self-loop dispatch: the full passes
-// the budget covers, at most the certified bound, and at least one (the
-// dispatch loop admits a block only when the budget covers a pass).
-func loopIters(blk *tblock, budget uint64) uint64 {
-	n := budget / blk.nInstr
-	if n > blk.bound {
-		n = blk.bound
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return budget / lp.nInstr
 }
 
 // loopExit ends a whole-loop executor after k completed passes, all but
@@ -1216,7 +570,8 @@ func loopIters(blk *tblock, budget uint64) uint64 {
 // the PC lands on dev's instruction and dev's prefix constants flush on
 // top of the passes; otherwise the PC follows the last latch. Returns
 // the instructions retired.
-func (c *CPU) loopExit(x *tctx, blk *tblock, k uint64, taken bool, dev *ttop) uint64 {
+func (c *CPU) loopExit(lp *tloop, k uint64, taken bool, dev *ttop) uint64 {
+	ws := uint64(c.Bus.FlashWaitStates)
 	takenPasses := k
 	var b, w, fr, sr, sw, n uint64
 	switch {
@@ -1224,37 +579,38 @@ func (c *CPU) loopExit(x *tctx, blk *tblock, k uint64, taken bool, dev *ttop) ui
 		c.R[PC] = dev.addr
 		b, w, fr, sr, sw, n = dev.preB, dev.preW, dev.preFR, dev.preSR, dev.preSW, dev.preN
 	case taken:
-		c.R[PC] = blk.btgt
+		c.R[PC] = lp.start
 	default:
 		takenPasses = k - 1
-		c.R[PC] = blk.next
+		c.R[PC] = lp.next
 	}
-	c.Cycles += k*(blk.totB+blk.totW*x.ws) + takenPasses*blk.takenExtra + b + w*x.ws
-	c.Bus.FlashReads += k*blk.totFR + fr
-	c.Bus.SRAMReads += k*blk.totSR + sr
-	c.Bus.SRAMWrites += k*blk.totSW + sw
-	c.Instructions += k*blk.totN + n
-	return k*blk.totN + n
+	c.Cycles += k*(lp.totB+lp.totW*ws) + takenPasses*lp.takenExtra + b + w*ws
+	c.Bus.FlashReads += k*lp.totFR + fr
+	c.Bus.SRAMReads += k*lp.totSR + sr
+	c.Bus.SRAMWrites += k*lp.totSW + sw
+	c.Instructions += k*lp.totN + n
+	return k*lp.totN + n
 }
 
-// execMacLoop executes a whole-loop fused MAC superblock: every
+// execMacLoop executes a whole MAC loop (detectMacLoop): every
 // architectural register of the loop lives in a host local across
 // iterations, so the steady-state cost of the certified kernel inner
 // loop is a handful of host instructions per emulated instruction,
 // with no dispatch and no per-iteration counter traffic. Accounting
-// flushes once at exit as iteration-count multiples of the block
+// flushes once at exit as iteration-count multiples of the pass
 // constants (the intermediate MULS/ADDS flag writes are architecturally
 // dead: the latch CMP overwrites them before any exit). Deviation — a
 // load address leaving its certified region — exits with the completed
 // passes flushed, the PC on the group head, and the standard replay
-// guarantees; the dispatch loop then retries the instruction through
-// the interpreter.
-func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
-	o0, o1 := &blk.ops[0], &blk.ops[1]
-	maxIter := loopIters(blk, budget)
-	sram, flash := x.sram, x.flash
-	sBase, sLen := x.sramBase, x.sramLen
-	fBase, fLen := x.flashBase, x.flashLen
+// guarantees; the dispatcher then executes the instruction on the
+// predecoded path.
+func (c *CPU) execMacLoop(lp *tloop, budget uint64) uint64 {
+	o0, o1 := &lp.ops[0], &lp.ops[1]
+	maxIter := loopIters(lp, budget)
+	bus := c.Bus
+	sram, flash := bus.SRAM, bus.Flash
+	sBase, sLen := bus.SRAMBase, uint32(len(sram))
+	fBase, fLen := bus.FlashBase, uint32(len(flash))
 	s1 := o0.cls == RegionSRAM
 	s2 := o0.cls2 == RegionSRAM
 	mulD1 := o0.rd3 == o0.rd
@@ -1325,13 +681,13 @@ func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 	}
 	// Write back the loop registers. On deviation at the second load,
 	// v1 already holds the abandoned pass's first load — harmless: the
-	// interpreter replays the group from its head, and the fusion
-	// constraints make the first load idempotent.
+	// dispatcher replays the group from its head on the predecoded
+	// path, and the fusion constraints make the first load idempotent.
 	c.R[o0.rd&15], c.R[o0.rd2&15] = v1, v2
 	c.R[o0.rd4&15] = accv
 	c.R[o0.rm&15] = iv
 	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
-	return c.loopExit(x, blk, k, taken, dev)
+	return c.loopExit(lp, k, taken, dev)
 }
 
 // execGatherLoop executes a whole ternary gather loop (detectGatherLoop)
@@ -1342,32 +698,35 @@ func (c *CPU) execMacLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 // against its certified region (and ldrh its alignment). Only the
 // latch's flags are live at a pass boundary, so the other flag writes
 // are not computed in the loop. A deviation exits before the access:
-// at the index load with the PC on the block head, at the gather with
+// at the index load with the PC on the loop head, at the gather with
 // the PC on the gather, that op's prefix flushed, and the flags of the
-// cursor advance; the dispatch loop then retries the instruction
-// through the interpreter.
-func (c *CPU) execGatherLoop(x *tctx, blk *tblock, budget uint64) uint64 {
-	ops := blk.ops
+// cursor advance; the dispatcher then executes the instruction on the
+// predecoded path.
+func (c *CPU) execGatherLoop(lp *tloop, budget uint64) uint64 {
+	ops := lp.ops
 	last := len(ops) - 1
 	ld, g, acc, latch := &ops[0], &ops[2], &ops[last-1], &ops[last]
-	maxIter := loopIters(blk, budget)
+	maxIter := loopIters(lp, budget)
 	half := ld.kind == kLdrhImm
 	moving := len(ops) == 6
 	sub := acc.kind == kSubsReg
 	step, dec, cond := ops[1].imm, latch.imm, latch.cond
 	// Each load reads one region, chosen here: its bytes, base address,
 	// and the exclusive offset limit of an in-bounds access.
-	iMem, iBase, iLim := x.flash, x.flashBase, x.flashLen
+	bus := c.Bus
+	iMem, iBase := bus.Flash, bus.FlashBase
 	if ld.cls == RegionSRAM {
-		iMem, iBase, iLim = x.sram, x.sramBase, x.sramLen
+		iMem, iBase = bus.SRAM, bus.SRAMBase
 	}
+	iLim := uint32(len(iMem))
 	if half {
 		iLim--
 	}
-	gMem, gBase, gLim := x.flash, x.flashBase, x.flashLen
+	gMem, gBase := bus.Flash, bus.FlashBase
 	if g.cls == RegionSRAM {
-		gMem, gBase, gLim = x.sram, x.sramBase, x.sramLen
+		gMem, gBase = bus.SRAM, bus.SRAMBase
 	}
+	gLim := uint32(len(gMem))
 	rx, rp, rv, rb, ra, rn := ld.rd&15, ld.rn&15, g.rd&15, g.rn&15, acc.rd&15, latch.rd&15
 	xv, pv, vv, bv, av, nv := c.R[rx], c.R[rp], c.R[rv], c.R[rb], c.R[ra], c.R[rn]
 	fN, fZ, fC, fV := c.N, c.Z, c.C, c.V
@@ -1425,11 +784,11 @@ func (c *CPU) execGatherLoop(x *tctx, blk *tblock, budget uint64) uint64 {
 	}
 	c.R[rp], c.R[rb], c.R[ra], c.R[rn] = pv, bv, av, nv
 	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
-	return c.loopExit(x, blk, k, taken, dev)
+	return c.loopExit(lp, k, taken, dev)
 }
 
 // condFlags is condPassed over local flag copies; conds 0xe/0xf never
-// reach a translated branch (they do not predecode as kBCond).
+// reach a loop latch (they do not predecode as kBCond).
 func condFlags(cond uint8, fN, fZ, fC, fV bool) bool {
 	switch cond {
 	case 0x0:

@@ -2,9 +2,9 @@ package armv6m_test
 
 // FuzzTranslateParity: randomly generated certified Thumb-1 images must
 // execute bit-identically — registers, memory, cycles, bus counters —
-// on the translated, predecoded, and legacy tiers, including mid-run
-// fallback at uncertified PCs (holed certificates) and budget cuts that
-// land inside superblocks. The generator is structured: fuzz bytes
+// on the translated, predecoded, and legacy tiers, including holed
+// certificates (some loops run per instruction) and budget cuts that
+// land inside loops. The generator is structured: fuzz bytes
 // choose loop bounds, body instructions from a certifiable menu, and
 // the wait-state/budget settings, so most inputs survive strict
 // certification instead of dying in the assembler.
@@ -151,33 +151,6 @@ func genGatherLoop(b *strings.Builder, rd func(int) int) string {
 	return tables
 }
 
-// holeCert returns a JSON-round-tripped copy of the certificate with
-// every second block removed, forcing the translated tier through
-// interpreted Steps at the dropped PCs.
-func holeCert(t *testing.T, c *cert.Certificate) *cert.Certificate {
-	t.Helper()
-	data, err := c.JSON()
-	if err != nil {
-		t.Fatalf("cert JSON: %v", err)
-	}
-	holed, err := cert.Parse(data)
-	if err != nil {
-		t.Fatalf("cert parse: %v", err)
-	}
-	for fi := range holed.Funcs {
-		f := &holed.Funcs[fi]
-		kept := f.Blocks[:0]
-		for bi := range f.Blocks {
-			if bi%2 == 0 {
-				continue
-			}
-			kept = append(kept, f.Blocks[bi])
-		}
-		f.Blocks = kept
-	}
-	return holed
-}
-
 func FuzzTranslateParity(f *testing.F) {
 	// Seeds: MAC-loop body, store-heavy body, ALU-only body, both-loops,
 	// and a degenerate single-iteration case.
@@ -217,18 +190,18 @@ func FuzzTranslateParity(f *testing.F) {
 			requireSameState(t, tier, ref, cpu)
 		}
 
-		// Mid-run fallback: translated tier under a holed certificate.
-		holed := holeCert(t, c)
-		if tt := translateProg(t, prog, holed); tt != nil {
-			cpu := bootTier(t, prog, holed, ws, "translated", false)
-			if err := fmt.Sprint(cpu.Run(500_000)); err != refErr {
-				t.Fatalf("holed translated run: %s, want %s", err, refErr)
-			}
-			requireSameState(t, "holed", ref, cpu)
+		// Translated tier under a holed certificate.
+		// Every second block removed: the loops among them run per
+		// instruction on the predecoded path.
+		holed := dropBlocks(t, c, func(bi int, _ *cert.Block) bool { return bi%2 == 0 })
+		cpu := bootTier(t, prog, holed, ws, "translated", false)
+		if err := fmt.Sprint(cpu.Run(500_000)); err != refErr {
+			t.Fatalf("holed translated run: %s, want %s", err, refErr)
 		}
+		requireSameState(t, "holed", ref, cpu)
 
-		// Budget cut landing anywhere, including inside a superblock
-		// pass: identical truncation state and error classification.
+		// Budget cut landing anywhere, including inside a loop pass:
+		// identical truncation state and error classification.
 		budget := uint64(data[len(data)-1])*4 + 1
 		p := bootTier(t, prog, c, ws, "predecoded", false)
 		x := bootTier(t, prog, c, ws, "translated", false)
@@ -241,80 +214,30 @@ func FuzzTranslateParity(f *testing.F) {
 	})
 }
 
-// TestTranslateFirstOpDeviation pins the dispatch loop's progress
-// guard: a block whose FIRST instruction deviates (its certified region
-// is wrong, so the runtime address check always fails) leaves the PC on
-// the block head — the dispatcher must execute that instruction through
-// the interpreter rather than re-dispatching the block forever, and the
-// run must stay bit-identical to the predecoded tier.
+// TestTranslateFirstOpDeviation pins the dispatcher's progress guard:
+// a gather loop whose index load is certified as flash but reads SRAM
+// deviates at its head on every pass, the first included, so the
+// executor returns with no progress and the PC on the head. The
+// dispatcher must then execute the head through its handler rather
+// than re-enter the executor forever, and the run must stay
+// bit-identical to the predecoded tier at ws 0-2.
 func TestTranslateFirstOpDeviation(t *testing.T) {
-	src := `
-entry:
-	ldr r3, =0x08000000
-	movs r2, #0
-	ldrsb r6, [r3, r2]
-	bkpt #0
-	.pool
-`
-	prog, err := thumb.Assemble(src, certBase)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
+	prog, c := certifySrc(t, gatherDeviationSrc("cursor-in-sram", 1, "r5", "r0", "adds", false), false)
+	if tt := translateProg(t, prog, c); tt == nil || tt.GatherLoops() != 1 {
+		t.Fatal("harness loop does not lower to a gather loop")
 	}
-	boot := func() *armv6m.CPU {
-		cpu := armv6m.New()
-		vec := make([]byte, 16)
-		sp := uint32(armv6m.SRAMBase + armv6m.SRAMSize)
-		entry := prog.Base | 1
-		vec[0], vec[1], vec[2], vec[3] = byte(sp), byte(sp>>8), byte(sp>>16), byte(sp>>24)
-		vec[4], vec[5], vec[6], vec[7] = byte(entry), byte(entry>>8), byte(entry>>16), byte(entry>>24)
-		if err := cpu.Bus.LoadFlash(0, vec); err != nil {
-			t.Fatal(err)
+	for ws := 0; ws <= 2; ws++ {
+		ref := bootTier(t, prog, c, ws, "predecoded", false)
+		if err := ref.Run(1000); err != nil {
+			t.Fatalf("predecoded run: %v", err)
 		}
-		if err := cpu.Bus.LoadFlash(int(prog.Base-armv6m.FlashBase), prog.Code); err != nil {
-			t.Fatal(err)
+		x := bootTier(t, prog, c, ws, "translated", false)
+		if err := x.Run(1000); err != nil {
+			t.Fatalf("translated run: %v", err)
 		}
-		if err := cpu.Reset(); err != nil {
-			t.Fatal(err)
+		requireSameState(t, fmt.Sprintf("ws=%d", ws), ref, x)
+		if !x.Halted {
+			t.Fatal("translated run never reached BKPT")
 		}
-		cpu.Cycles, cpu.Instructions = 0, 0
-		return cpu
-	}
-	ref := boot()
-	ref.DisableTranslation = true
-	if err := ref.Run(1000); err != nil {
-		t.Fatalf("predecoded run: %v", err)
-	}
-
-	// A block starting at the ldrsb, with the region deliberately
-	// certified as SRAM: the facts are internally consistent (so the
-	// translator accepts the block) but the address is flash, so the
-	// runtime region check deviates on the first op of the block.
-	x := boot()
-	ldrsbAddr := uint32(certBase + 4)
-	blocks := []armv6m.CertBlock{{
-		Start: ldrsbAddr,
-		End:   ldrsbAddr + 2,
-		Instrs: []armv6m.CertInstr{{
-			Addr: ldrsbAddr, Size: 2,
-			CostBase: 2, CostWS: 1,
-			FlashReads: 1, SRAMReads: 1,
-			Region: armv6m.RegionSRAM, Exact: true,
-		}},
-	}}
-	tt := armv6m.Translate(x.PredecodeNow(), blocks, armv6m.TranslationConfig{
-		Profile:        x.Profile.Name,
-		PipelineRefill: x.Profile.PipelineRefill,
-		MulCycles:      x.MulCycles,
-	})
-	if tt == nil {
-		t.Fatal("block with consistent (but wrong-region) facts did not translate")
-	}
-	x.UseTranslation(tt)
-	if err := x.Run(1000); err != nil {
-		t.Fatalf("translated run: %v", err)
-	}
-	requireSameState(t, "first-op deviation", ref, x)
-	if !x.Halted {
-		t.Fatal("translated run never reached BKPT")
 	}
 }

@@ -1,12 +1,11 @@
 package armv6m_test
 
-// Differential tests for the superblock translation tier: every
-// certified kernel variant (and the fallback/budget edge cases) must
-// execute bit-identically — registers, flags, memory, cycles,
-// instructions, bus counters, telemetry — on the translated tier, the
-// predecoded tier, and the legacy interpreter, at every wait-state
-// setting. These are the same gates that protected the predecoded
-// tier in PR 4, now three-way.
+// Differential tests for the certified-loop fast path (the translated
+// tier): every certified kernel variant (and the fallback/budget edge
+// cases) must execute bit-identically — registers, flags, memory,
+// cycles, instructions, bus counters, telemetry — with the fast path,
+// on the predecoded tier, and on the legacy interpreter, at every
+// wait-state setting.
 
 import (
 	"errors"
@@ -182,9 +181,8 @@ func TestTranslateParityKernels(t *testing.T) {
 }
 
 // TestTranslateParityTelemetry repeats the parity gate over the
-// telemetry harnesses: the fused blocks must delegate peripheral
-// stores so mailbox events commit at identical retire-time cycle
-// counts on all tiers.
+// telemetry harnesses: mailbox events must commit at identical
+// retire-time cycle counts on all tiers, around the fast-path loops.
 func TestTranslateParityTelemetry(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		v := v
@@ -216,83 +214,100 @@ func gatherKernel(name string) bool {
 
 // TestTranslateBudgetLockstep advances a translated core and a
 // predecoded core under identical instruction budgets — including
-// budgets that land inside superblocks and mid-loop — and requires the
-// exact same truncation point, state, and error classification at
-// every checkpoint. This is the lockstep gate at budget granularity:
-// a budget that does not cover a full block pass must degrade to
-// per-instruction execution, not skew the cut point. It runs the first
-// kernel variant and every block, mixed and delta variant, whose inner
-// loops run in the whole-loop gather executor; for those every budget
-// up to the full run is a checkpoint, so cuts land at each instruction
-// of a gather loop.
+// budgets that land mid-loop — and requires the exact same truncation
+// point, state, and error classification at every checkpoint. This is
+// the lockstep gate at budget granularity: a loop head whose full pass
+// the budget does not cover must execute per instruction, not skew the
+// cut point. It runs every kernel variant at ws 0-2. For the variants
+// with a whole-loop executor (k_dense and the block, mixed and delta
+// kernels) every budget up to the full run is a checkpoint, so cuts
+// land at each instruction of their loops.
 func TestTranslateBudgetLockstep(t *testing.T) {
-	for i, v := range kernels.Variants() {
-		gather := gatherKernel(v.Name)
-		if i != 0 && !gather {
-			continue
-		}
+	for _, v := range kernels.Variants() {
+		every := v.Name == "k_dense" || gatherKernel(v.Name)
 		t.Run(v.Name, func(t *testing.T) {
 			prog, c := certifySrc(t, v.Harness, false)
-			ref := bootTier(t, prog, c, 1, "predecoded", false)
-			if err := ref.Run(3_000_000); err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			total := ref.Instructions
-			budgets := []uint64{0, 1, 2, 3, 5, 8, 13, 21, 100, total / 3, total / 2, total - 1, total, total + 17}
-			if gather {
-				budgets = budgets[:0]
-				for k := uint64(0); k <= total+1; k++ {
-					budgets = append(budgets, k)
+			for ws := 0; ws <= 2; ws++ {
+				ref := bootTier(t, prog, c, ws, "predecoded", false)
+				if err := ref.Run(3_000_000); err != nil {
+					t.Fatalf("reference run: %v", err)
 				}
-			}
-			for _, k := range budgets {
-				name := fmt.Sprintf("budget=%d", k)
-				p := bootTier(t, prog, c, 1, "predecoded", false)
-				x := bootTier(t, prog, c, 1, "translated", false)
-				perr, xerr := p.Run(k), x.Run(k)
-				var pb, xb *armv6m.BudgetError
-				if errors.As(perr, &pb) != errors.As(xerr, &xb) || (perr == nil) != (xerr == nil) {
-					t.Fatalf("%s: error mismatch: predecoded %v, translated %v", name, perr, xerr)
+				total := ref.Instructions
+				budgets := []uint64{0, 1, 2, 3, 5, 8, 13, 21, 100, total / 3, total / 2, total - 1, total, total + 17}
+				if every {
+					budgets = budgets[:0]
+					for k := uint64(0); k <= total+1; k++ {
+						budgets = append(budgets, k)
+					}
 				}
-				requireSameState(t, name, p, x)
+				for _, k := range budgets {
+					name := fmt.Sprintf("ws=%d budget=%d", ws, k)
+					p := bootTier(t, prog, c, ws, "predecoded", false)
+					x := bootTier(t, prog, c, ws, "translated", false)
+					perr, xerr := p.Run(k), x.Run(k)
+					var pb, xb *armv6m.BudgetError
+					if errors.As(perr, &pb) != errors.As(xerr, &xb) || (perr == nil) != (xerr == nil) {
+						t.Fatalf("%s: error mismatch: predecoded %v, translated %v", name, perr, xerr)
+					}
+					requireSameState(t, name, p, x)
+				}
 			}
 		})
 	}
 }
 
-// TestTranslateFallbackMidRun drops blocks from the certificate before
-// translation, so the translated core repeatedly crosses from
-// superblocks into uncertified PC ranges (interpreted Steps) and back,
+// loops is the number of loops a table runs in whole-loop executors.
+func loops(tt *armv6m.TranslationTable) int { return tt.MacLoops() + tt.GatherLoops() }
+
+// dropBlocks returns a JSON-round-tripped copy of the certificate
+// without the blocks for which drop (given each block's index in its
+// function) holds.
+func dropBlocks(t *testing.T, c *cert.Certificate, drop func(bi int, b *cert.Block) bool) *cert.Certificate {
+	t.Helper()
+	data, err := c.JSON()
+	if err != nil {
+		t.Fatalf("cert JSON: %v", err)
+	}
+	holed, err := cert.Parse(data)
+	if err != nil {
+		t.Fatalf("cert parse: %v", err)
+	}
+	for fi := range holed.Funcs {
+		f := &holed.Funcs[fi]
+		kept := f.Blocks[:0]
+		for bi := range f.Blocks {
+			if !drop(bi, &f.Blocks[bi]) {
+				kept = append(kept, f.Blocks[bi])
+			}
+		}
+		f.Blocks = kept
+	}
+	return holed
+}
+
+// TestTranslateFallbackMidRun drops one of the two executor loops from
+// each block, mixed and delta kernel's certificate before translation
+// and keeps the other, so the translated core runs one inner loop in
+// its executor and the other per instruction on the predecoded path,
 // and still finishes bit-identical to the predecoded tier.
 func TestTranslateFallbackMidRun(t *testing.T) {
-	v := kernels.Variants()[0]
-	prog, c := certifySrc(t, v.Harness, false)
-	for _, stride := range []int{2, 3} {
-		t.Run(fmt.Sprintf("drop-1-in-%d", stride), func(t *testing.T) {
-			// Deep-copy via JSON round trip, then drop every stride-th block.
-			data, err := c.JSON()
-			if err != nil {
-				t.Fatalf("cert JSON: %v", err)
-			}
-			holed, err := cert.Parse(data)
-			if err != nil {
-				t.Fatalf("cert parse: %v", err)
-			}
-			dropped := 0
-			for fi := range holed.Funcs {
-				f := &holed.Funcs[fi]
-				kept := f.Blocks[:0]
-				for bi := range f.Blocks {
-					if bi%stride == 0 {
-						dropped++
-						continue
-					}
-					kept = append(kept, f.Blocks[bi])
+	for _, v := range kernels.Variants() {
+		if !gatherKernel(v.Name) {
+			continue
+		}
+		t.Run(v.Name, func(t *testing.T) {
+			prog, c := certifySrc(t, v.Harness, false)
+			full := loops(translateProg(t, prog, c))
+			var holed *cert.Certificate
+			for _, sl := range c.SelfLoops() {
+				h := dropBlocks(t, c, func(_ int, b *cert.Block) bool { return b.Start == sl.Start })
+				if n := loops(translateProg(t, prog, h)); n > 0 && n < full {
+					holed = h
+					break
 				}
-				f.Blocks = kept
 			}
-			if dropped == 0 {
-				t.Fatal("no blocks dropped; test is vacuous")
+			if holed == nil {
+				t.Fatalf("no certified self-loop drops one of the %d executor loops and keeps another", full)
 			}
 			for ws := 0; ws <= 2; ws++ {
 				ref := bootTier(t, prog, c, ws, "predecoded", false)
@@ -310,12 +325,17 @@ func TestTranslateFallbackMidRun(t *testing.T) {
 }
 
 // TestTranslateStaleTableFallsBack pins the generation guard: after
-// LoadFlash mutates the image, a stale translation table must not
-// execute — the run drops to the predecoded tier (which rebuilds its
-// own table) with correct results.
+// LoadFlash mutates the image, a stale translation table's loops must
+// not execute — the run stays on the predecoded tier (which rebuilds
+// its own table) with correct results.
 func TestTranslateStaleTableFallsBack(t *testing.T) {
-	v := kernels.Variants()[0]
-	prog, c := certifySrc(t, v.Harness, false)
+	var prog *thumb.Program
+	var c *cert.Certificate
+	for _, v := range kernels.Variants() {
+		if v.Name == "k_dense" { // its MAC loop is in the table
+			prog, c = certifySrc(t, v.Harness, false)
+		}
+	}
 	ref := bootTier(t, prog, c, 0, "predecoded", false)
 	if err := ref.Run(3_000_000); err != nil {
 		t.Fatalf("predecoded run: %v", err)
@@ -345,43 +365,43 @@ func translateProg(t testing.TB, prog *thumb.Program, c *cert.Certificate) *armv
 	return cert.Translate(c, cpu.PredecodeNow())
 }
 
-// TestTranslateSuperblockCoverage pins the performance machinery
-// itself: the dense kernel's inner loop must lower to a whole-loop MAC
-// executor, and every block, mixed and delta kernel's two inner loops
-// (one per polarity pass) to whole-loop gather executors. If a refactor
-// silently demotes a hot loop back to per-op dispatch, this fails
-// before the benchmark regression does.
-func TestTranslateSuperblockCoverage(t *testing.T) {
-	dense, gather := 0, 0
+// TestTranslateLoopCoverage pins which loops the fast path carries: the
+// dense kernel's inner loop must lower to one whole-loop MAC executor,
+// every block, mixed and delta kernel's two inner loops (one per
+// polarity pass) to whole-loop gather executors, and the csc, unrolled,
+// requant and im2col kernels to a table with no loop — which must
+// still exist, so the translated tier is honoured for every certified
+// image. If a refactor silently demotes a hot loop to per-instruction
+// dispatch, this fails before the benchmark regression does.
+func TestTranslateLoopCoverage(t *testing.T) {
+	seen := map[string]int{}
 	for _, v := range kernels.Variants() {
-		isGather := gatherKernel(v.Name)
-		if v.Name != "k_dense" && !isGather {
+		var kind string
+		var mac, gather int
+		switch {
+		case v.Name == "k_dense":
+			kind, mac = "dense", 1
+		case gatherKernel(v.Name):
+			kind, gather = "gather", 2
+		case strings.HasPrefix(v.Name, "k_csc_"), strings.HasPrefix(v.Name, "k_unr"),
+			v.Name == "k_requant", v.Name == "k_im2col":
+			kind = "none"
+		default:
 			continue
 		}
+		seen[kind]++
 		prog, c := certifySrc(t, v.Harness, false)
 		tt := translateProg(t, prog, c)
 		if tt == nil {
-			t.Fatalf("%s: nothing translated", v.Name)
+			t.Fatalf("%s: certified image yielded no table", v.Name)
 		}
-		if tt.SelfLoops() == 0 {
-			t.Errorf("%s: no self-loop superblocks (inner loop not translated)", v.Name)
+		if tt.MacLoops() != mac || tt.GatherLoops() != gather {
+			t.Errorf("%s: %d MAC loops, %d gather loops; want %d and %d",
+				v.Name, tt.MacLoops(), tt.GatherLoops(), mac, gather)
 		}
-		if isGather {
-			gather++
-			if tt.GatherLoops() != 2 || tt.MacLoops() != 0 {
-				t.Errorf("%s: %d gather loops, %d MAC loops; want 2 and 0", v.Name, tt.GatherLoops(), tt.MacLoops())
-			}
-		} else {
-			dense++
-			if tt.MacLoops() != 1 || tt.GatherLoops() != 0 {
-				t.Errorf("%s: %d MAC loops, %d gather loops; want 1 and 0", v.Name, tt.MacLoops(), tt.GatherLoops())
-			}
-		}
-		t.Logf("%s: %d blocks, %d self-loops (%d MAC, %d gather), %d fused instrs, build %v",
-			v.Name, tt.Blocks(), tt.SelfLoops(), tt.MacLoops(), tt.GatherLoops(), tt.FusedInstrs(), tt.BuildTime())
 	}
-	if dense != 1 || gather == 0 {
-		t.Fatalf("found %d k_dense and %d block/mixed/delta variants", dense, gather)
+	if seen["dense"] != 1 || seen["gather"] == 0 || seen["none"] == 0 {
+		t.Fatalf("variant coverage %v: want one k_dense and some gather and loop-free variants", seen)
 	}
 }
 

@@ -81,8 +81,8 @@ type Metric struct {
 	// Tier is the execution tier the record ran on ("auto", "legacy",
 	// "predecoded", "translated"); exact-gated, so a silent tier change
 	// fails metricscheck -compare. TranslateBuildMS is the one-time host
-	// cost of building the superblock translation table (wall-clock,
-	// band-gated like predecode_build_ms).
+	// cost of building the certified-loop table (wall-clock, band-gated
+	// like predecode_build_ms).
 	Tier             string  `json:"tier,omitempty"`
 	TranslateBuildMS float64 `json:"translate_build_ms,omitempty"`
 

@@ -46,8 +46,8 @@ func (f Formula) Eval(ws uint64) uint64 { return f.Base + f.WS*ws }
 func (f Formula) Add(g Formula) Formula { return Formula{Base: f.Base + g.Base, WS: f.WS + g.WS} }
 
 // Mul scales a formula by an execution count: n back-to-back retires
-// cost n·Base + n·WS·ws. This is how superblock translation prices a
-// certified loop body per proven iteration.
+// cost n·Base + n·WS·ws, the way a certified loop body is priced per
+// proven iteration.
 func (f Formula) Mul(n uint64) Formula { return Formula{Base: f.Base * n, WS: f.WS * n} }
 
 // NotTakenCost sums the member instructions' formulas with a

@@ -2,13 +2,13 @@ package cert
 
 import "github.com/neuro-c/neuroc/internal/armv6m"
 
-// Certificate-to-translator lowering: the superblock tier
+// Certificate-to-translator lowering: the certified-loop fast path
 // (armv6m/translate.go) consumes certified facts through neutral DTOs
 // so the emulator package never imports this one. The lowering is
-// purely an evaluation of the certificate — block layout, per-
-// instruction closed-form costs, bus-counter deltas, proven memory
-// regions, and self-loop trip bounds pass through unchanged; the
-// translator re-derives and cross-checks every cost before using it.
+// purely an evaluation of the certificate — the self-loops' layout,
+// per-instruction closed-form costs, bus-counter deltas, proven memory
+// regions, and trip bounds pass through unchanged; the translator
+// re-derives and cross-checks every cost before using it.
 
 // regionOf maps a certified memory class to the translator's region
 // enum.
@@ -18,18 +18,15 @@ func regionOf(m MemClass) uint8 {
 		return armv6m.RegionFlash
 	case ClassSRAM:
 		return armv6m.RegionSRAM
-	case ClassPeriph:
-		return armv6m.RegionPeriph
 	}
 	return armv6m.RegionNone
 }
 
-// Superblocks lowers the certificate to the translator's block DTOs:
-// every certified basic block of every function, with single-block
-// natural loops (header == only member == only latch) annotated with
-// their proven trip bound so the translator can iterate them without
-// re-entering dispatch.
-func (c *Certificate) Superblocks() []armv6m.CertBlock {
+// SelfLoops lowers the certificate's certified self-loops — single-block
+// natural loops (header == only member == only latch) with a proven
+// trip bound — to the translator's block DTOs. Other blocks are not
+// lowered: only a self-loop can run in a whole-loop executor.
+func (c *Certificate) SelfLoops() []armv6m.CertBlock {
 	var out []armv6m.CertBlock
 	for fi := range c.Funcs {
 		f := &c.Funcs[fi]
@@ -43,11 +40,15 @@ func (c *Certificate) Superblocks() []armv6m.CertBlock {
 		}
 		for bi := range f.Blocks {
 			b := &f.Blocks[bi]
+			bound, ok := selfBound[b.Start]
+			if !ok {
+				continue
+			}
 			cb := armv6m.CertBlock{
-				Start:      b.Start,
-				End:        b.End,
-				TakenExtra: b.TakenExtra,
-				Instrs:     make([]armv6m.CertInstr, len(b.Instrs)),
+				Start:  b.Start,
+				End:    b.End,
+				Instrs: make([]armv6m.CertInstr, len(b.Instrs)),
+				Bound:  bound,
 			}
 			for ii := range b.Instrs {
 				in := &b.Instrs[ii]
@@ -69,27 +70,24 @@ func (c *Certificate) Superblocks() []armv6m.CertBlock {
 					Halt:       in.Halt,
 				}
 			}
-			if bound, ok := selfBound[b.Start]; ok {
-				cb.SelfLoop, cb.Bound = true, bound
-			}
 			out = append(out, cb)
 		}
 	}
 	return out
 }
 
-// Translate builds the superblock translation table for a certified
-// image over its predecode table. Returns nil when nothing translates:
-// nil certificate, unknown version, or no block that survives the
-// translator's structural validation. The table inherits the
-// certificate's cycle-model pin (profile, refill, MULS cost); a core
-// configured differently falls back to the predecoded tier at run
-// time rather than executing under the wrong model.
+// Translate builds the certified-loop table for a certified image over
+// its predecode table. Every certified image gets a table, with zero
+// loops when none of its self-loops matches a whole-loop executor; nil
+// only for a nil certificate, an unknown version, or a nil predecode
+// table. The table inherits the certificate's cycle-model pin (profile,
+// refill, MULS cost); a core configured differently runs without the
+// loops rather than executing them under the wrong model.
 func Translate(c *Certificate, pt *armv6m.PredecodeTable) *armv6m.TranslationTable {
 	if c == nil || c.Version != Version || pt == nil {
 		return nil
 	}
-	return armv6m.Translate(pt, c.Superblocks(), armv6m.TranslationConfig{
+	return armv6m.Translate(pt, c.SelfLoops(), armv6m.TranslationConfig{
 		Profile:        c.Profile,
 		PipelineRefill: c.PipelineRefill,
 		MulCycles:      c.MulCycles,

@@ -7,7 +7,6 @@ package device
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/cert"
@@ -92,12 +91,13 @@ func CyclesToMS(cycles uint64) float64 {
 }
 
 // Tier selects the execution tier for a device's runs. The zero value
-// picks the fastest path available: superblock translation when the
-// image's certificate produced a table, the predecoded interpreter
-// otherwise, with the emulator's own mid-run fallback rules
-// (docs/EMULATOR.md, "Execution tiers") applying throughout. The
-// explicit tiers pin a run to one engine — for differential testing,
-// benchmarking a specific tier, or reproducing legacy numbers.
+// picks the fastest path available: the predecoded interpreter, with
+// the certified-loop fast path when the image carries a certificate,
+// under the emulator's own fallback rules (docs/EMULATOR.md, "Execution
+// tiers"). The explicit tiers pin a run to one engine — for
+// differential testing, benchmarking a specific tier, or reproducing
+// legacy numbers. TierTranslated is the predecoded interpreter plus the
+// certified-loop fast path; TierPredecoded is the interpreter alone.
 type Tier string
 
 // Execution tiers, slowest to fastest.
@@ -131,10 +131,9 @@ type Device struct {
 
 	// Tier pins the execution tier for every Run; TierAuto (the zero
 	// value) uses the fastest path available. TierTranslated fails the
-	// run when the image carries no certificate or the certificate
-	// produced no translation table, and when combined with tracing or
-	// checked execution (those retire through the tracing interpreter,
-	// which would silently be a different tier).
+	// run when the image carries no certificate, and when combined with
+	// tracing or checked execution (those retire through the tracing
+	// interpreter, which would silently be a different tier).
 	Tier Tier
 
 	// Budget overrides the per-inference instruction budget when
@@ -192,39 +191,33 @@ type FlashImage struct {
 	Flash []byte
 	Table *armv6m.PredecodeTable
 
-	// Trans is the superblock translation table built from the image's
-	// certificate, nil when the image has none (or nothing translated).
-	// Like Table it is immutable and shared by every board.
+	// Trans is the certified-loop table built from the image's
+	// certificate (possibly with no loop), nil only when the image has
+	// no certificate. Like Table it is immutable and shared by every
+	// board.
 	Trans *armv6m.TranslationTable
-
-	// TransBuild is the one-time host cost of building Trans, the
-	// translated-tier analogue of Table.BuildTime().
-	TransBuild time.Duration
 }
 
 // NewFlashImage builds the shared flash array, predecodes the image
 // text once, and — when the image carries a certificate — builds the
-// shared superblock translation table.
+// shared certified-loop table.
 func NewFlashImage(img *modelimg.Image) (*FlashImage, error) {
 	flash, err := SharedFlash(img)
 	if err != nil {
 		return nil, err
 	}
 	table := armv6m.Predecode(flash, len(img.Prog.Code))
-	start := time.Now()
-	trans := cert.Translate(img.Cert, table)
 	return &FlashImage{
-		Img:        img,
-		Flash:      flash,
-		Table:      table,
-		Trans:      trans,
-		TransBuild: time.Since(start),
+		Img:   img,
+		Flash: flash,
+		Table: table,
+		Trans: cert.Translate(img.Cert, table),
 	}, nil
 }
 
 // NewBoard boots a fresh board on the shared flash and attaches the
-// shared predecode and translation tables. The board has private SRAM,
-// registers, and counters; only the read-only image is shared. A
+// shared predecode and certified-loop tables. The board has private
+// SRAM, registers, and counters; only the read-only image is shared. A
 // telemetry image gets the timer peripheral its layer markers store
 // into; other boards leave the window unmapped, as a plain image never
 // references it.
@@ -280,11 +273,8 @@ func (d *Device) run(input []int8, trace *armv6m.Trace) (*Result, error) {
 		d.CPU.DisablePredecode = false
 		d.CPU.DisableTranslation = true
 	case TierTranslated:
-		if d.Img.Cert == nil {
+		if d.Img.Cert == nil || !d.CPU.TranslationAttached() {
 			return nil, fmt.Errorf("device: translated tier requires an image certificate")
-		}
-		if !d.CPU.TranslationAttached() {
-			return nil, fmt.Errorf("device: image certificate produced no translation table")
 		}
 		if d.Checked || trace != nil {
 			return nil, fmt.Errorf("device: translated tier cannot run traced or checked (those retire through the tracing interpreter); use TierAuto")

@@ -133,7 +133,7 @@ func TestTierParityAndSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tier == device.TierTranslated && !dev.CPU.TranslationAttached() {
-			t.Fatal("model image certificate produced no translation table")
+			t.Fatal("certified model image has no certified-loop table attached")
 		}
 		dev.Tier = tier
 		res, err := dev.Run(in)
@@ -171,7 +171,7 @@ func TestTierParityAndSelection(t *testing.T) {
 }
 
 // TestSharedTranslationTable pins that FlashImage boards share one
-// translation table, that device.New boots from a FlashImage of its own,
+// certified-loop table, that device.New boots from a FlashImage of its own,
 // and that translated boards agree with a legacy-tier board.
 func TestSharedTranslationTable(t *testing.T) {
 	img, err := modelimg.Build(tinyModel(), modelimg.UseBlock)
@@ -183,7 +183,7 @@ func TestSharedTranslationTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fi.Trans == nil {
-		t.Fatal("FlashImage built no translation table for a certified image")
+		t.Fatal("FlashImage built no certified-loop table for a certified image")
 	}
 	in := []int8{10, 3, -5, 20}
 	b1, b2 := fi.NewBoard(), fi.NewBoard()

@@ -57,6 +57,8 @@ type Options struct {
 	// explicit tier that cannot be honored — TierTranslated without a
 	// certificate, or combined with Checked — fails the whole batch up
 	// front rather than per item, since no input could ever succeed.
+	// TierTranslated is the predecoded interpreter plus the
+	// certified-loop fast path, honoured for every certified image.
 	Tier device.Tier
 
 	// Observe, when non-nil, is called once per completed item, from
@@ -135,8 +137,8 @@ type Stats struct {
 	PredecodeBuild time.Duration
 
 	// TranslateBuild is the one-time host cost of building the shared
-	// superblock translation table from the image's certificate (zero
-	// when the image carries none): the FlashImage's TransBuild.
+	// certified-loop table from the image's certificate (zero when the
+	// image carries none): the FlashImage's Trans.BuildTime().
 	TranslateBuild time.Duration
 
 	// WallHist is the per-inference host wall-nanosecond distribution
@@ -207,7 +209,7 @@ func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats
 			return nil, nil, fmt.Errorf("farm: translated tier cannot run checked")
 		}
 		if fi.Trans == nil {
-			return nil, nil, fmt.Errorf("farm: translated tier requires an image certificate that translates")
+			return nil, nil, fmt.Errorf("farm: translated tier requires an image certificate")
 		}
 	}
 	start := time.Now()
@@ -267,9 +269,11 @@ func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats
 	stats := &Stats{
 		Items: len(inputs), Workers: workers, Wall: time.Since(start),
 		PredecodeBuild:  fi.Table.BuildTime(),
-		TranslateBuild:  fi.TransBuild,
 		WallHist:        &obs.Hist{},
 		ObserveOverhead: time.Duration(observeNS.Load()),
+	}
+	if fi.Trans != nil {
+		stats.TranslateBuild = fi.Trans.BuildTime()
 	}
 	for w := range wallHists {
 		stats.WallHist.Merge(&wallHists[w])

@@ -20,6 +20,15 @@ import (
 // testImage builds a small two-layer ternary model image.
 func testImage(t testing.TB) *modelimg.Image {
 	t.Helper()
+	img, err := modelimg.Build(testModel(), modelimg.UseBlock)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return img
+}
+
+// testModel is the small two-layer ternary model testImage deploys.
+func testModel() *quant.Model {
 	r := rng.New(42)
 	mkLayer := func(in, out int, relu bool) *quant.Layer {
 		a := encoding.NewMatrix(in, out)
@@ -47,15 +56,35 @@ func testImage(t testing.TB) *modelimg.Image {
 		}
 		return l
 	}
-	m := &quant.Model{
+	return &quant.Model{
 		Layers:     []*quant.Layer{mkLayer(32, 24, true), mkLayer(24, 10, false)},
 		InputScale: 127,
 	}
-	img, err := modelimg.Build(m, modelimg.UseBlock)
-	if err != nil {
-		t.Fatalf("build: %v", err)
+}
+
+// denseModel is a small two-layer int8 MLP, the dense baseline.
+func denseModel() *quant.Model {
+	r := rng.New(43)
+	mkLayer := func(in, out int, relu bool) *quant.Layer {
+		l := &quant.Layer{
+			Kind: quant.DenseK, In: in, Out: out,
+			W:    make([]int8, in*out),
+			ReLU: relu, PreShift: 4, PostShift: 8,
+			Mults: []int32{700},
+			Bias:  make([]int32, out),
+		}
+		for i := range l.W {
+			l.W[i] = int8(r.Intn(255) - 127)
+		}
+		for o := range l.Bias {
+			l.Bias[o] = int32(r.Intn(31)) - 15
+		}
+		return l
 	}
-	return img
+	return &quant.Model{
+		Layers:     []*quant.Layer{mkLayer(32, 24, true), mkLayer(24, 10, false)},
+		InputScale: 127,
+	}
 }
 
 func testInputs(n, dim int) [][]int8 {
@@ -329,9 +358,9 @@ func TestRunReusesFlashImage(t *testing.T) {
 				t.Fatalf("-j %d input %d: Run %+v, Map %+v", workers, i, got[i], ref[i])
 			}
 		}
-		if stats.PredecodeBuild != fi.Table.BuildTime() || stats.TranslateBuild != fi.TransBuild {
+		if stats.PredecodeBuild != fi.Table.BuildTime() || stats.TranslateBuild != fi.Trans.BuildTime() {
 			t.Errorf("-j %d: build costs %v/%v, want the image's %v/%v", workers,
-				stats.PredecodeBuild, stats.TranslateBuild, fi.Table.BuildTime(), fi.TransBuild)
+				stats.PredecodeBuild, stats.TranslateBuild, fi.Table.BuildTime(), fi.Trans.BuildTime())
 		}
 	}
 }
@@ -397,6 +426,71 @@ func TestSharedFlashRejectsOversizedImage(t *testing.T) {
 	}
 	if _, err := device.New(img); err == nil {
 		t.Error("device.New accepted an oversized image")
+	}
+}
+
+// TestTierTranslatedEveryEncoding pins the contract a per-encoding tier
+// comparison relies on: farm.Map honours TierTranslated on a certified
+// image of every concrete encoding and of the dense MLP, whether or not
+// its kernels have a loop the fast path runs whole, and each item
+// matches TierPredecoded exactly in output, cycles and instructions, as
+// do the board's bus counters over the batch.
+func TestTierTranslatedEveryEncoding(t *testing.T) {
+	cases := []struct {
+		name string
+		m    *quant.Model
+		enc  modelimg.EncodingChoice
+	}{
+		{"block", testModel(), modelimg.UseBlock},
+		{"csc", testModel(), modelimg.UseCSC},
+		{"delta", testModel(), modelimg.UseDelta},
+		{"mixed", testModel(), modelimg.UseMixed},
+		{"unrolled/4", testModel(), modelimg.UseUnrolled},
+		{"dense", denseModel(), modelimg.UseBlock},
+	}
+	inputs := testInputs(6, 32)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			img, err := modelimg.Build(c.m, c.enc)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if img.Cert == nil {
+				t.Fatal("image carries no certificate")
+			}
+			type run struct {
+				res []farm.Result
+				bus [3]uint64
+			}
+			do := func(tier device.Tier) run {
+				var board *device.Device
+				res, _, err := farm.Map(img, inputs, farm.Options{Workers: 1, Tier: tier,
+					Configure: func(d *device.Device) { board = d }})
+				if err != nil {
+					t.Fatalf("tier %q: %v", tier, err)
+				}
+				for i := range res {
+					if res[i].Err != nil {
+						t.Fatalf("tier %q input %d: %v", tier, i, res[i].Err)
+					}
+				}
+				if tier == device.TierTranslated && !board.CPU.TranslationAttached() {
+					t.Fatal("translated board has no certified-loop table attached")
+				}
+				b := board.CPU.Bus
+				return run{res, [3]uint64{b.FlashReads, b.SRAMReads, b.SRAMWrites}}
+			}
+			p, x := do(device.TierPredecoded), do(device.TierTranslated)
+			for i := range p.res {
+				if fmt.Sprint(x.res[i].Output) != fmt.Sprint(p.res[i].Output) ||
+					x.res[i].Cycles != p.res[i].Cycles || x.res[i].Instructions != p.res[i].Instructions {
+					t.Fatalf("input %d: translated %+v, predecoded %+v", i, x.res[i], p.res[i])
+				}
+			}
+			if x.bus != p.bus {
+				t.Fatalf("bus counters (flash reads, SRAM reads, SRAM writes): translated %v, predecoded %v", x.bus, p.bus)
+			}
+		})
 	}
 }
 

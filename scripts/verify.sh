@@ -65,12 +65,21 @@ go run ./cmd/asmcheck -kernels -cert > /dev/null
 echo "== checked execution (certificates validated at retire time, both interpreters)"
 go test -run 'TestVariantCertExactness|TestModelChecked' -count=1 ./internal/cert/
 
-echo "== translation parity (superblock tier bit-identical to both interpreters)"
+echo "== translation parity (certified-loop fast path bit-identical to both interpreters)"
 # Every kernel variant at ws 0-2 on legacy/predecoded/translated, plus
 # telemetry parity, budget lockstep, holed-certificate and stale-table
 # fallback, device/farm tier selection, and the fuzz seeds (the full
 # corpus replays in the plain `go test` stages above), then 15 s of
-# fuzzing that reaches the whole-loop MAC and gather executors.
+# fuzzing that reaches the whole-loop MAC and gather executors. A
+# package where the pattern matches no test fails the stage, so a
+# renamed test cannot drop out silently.
+for pkg in ./internal/armv6m/ ./internal/device/ ./internal/farm/; do
+	n=$(go test -list 'TestTranslate|TestTier|FuzzTranslateParity' "$pkg" | grep -cE '^(Test|Fuzz)' || true)
+	if [ "$n" -eq 0 ]; then
+		echo "no TestTranslate/TestTier/FuzzTranslateParity test in $pkg" >&2
+		exit 1
+	fi
+done
 go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 go test -run '^$' -fuzz FuzzTranslateParity -fuzztime 15s ./internal/armv6m/
