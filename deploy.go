@@ -245,19 +245,19 @@ func (d *Deployment) DeviceAccuracy(ds *Dataset, n int) (float64, error) {
 }
 
 // DeviceAccuracyChecked is DeviceAccuracy with a differential gate:
-// every device prediction is cross-checked against the host quantized
-// reference path (quant.Model.Predict) on the same input, and any
-// divergence is reported as an error rather than folded into the
-// accuracy number. This is the trusted form of the paper's on-device
-// accuracy measurement: the returned value is a true on-emulator
-// result, proven equal to the bit-exact Go reference.
+// every device output vector is cross-checked, logit by logit, against
+// the host quantized reference path (quant.Model.Infer) on the same
+// input, and any divergence is reported as an error rather than folded
+// into the accuracy number. This is the trusted form of the paper's
+// on-device accuracy measurement: the returned value is a true
+// on-emulator result, proven equal to the bit-exact Go reference.
 func (d *Deployment) DeviceAccuracyChecked(ds *Dataset, n int) (float64, *farm.Stats, error) {
 	return d.deviceAccuracy(ds, n, true)
 }
 
 // deviceAccuracy runs n test samples on the deployed image and scores
 // the device predictions against the labels; checked cross-checks each
-// prediction against the host reference first.
+// output vector against the host reference first.
 func (d *Deployment) deviceAccuracy(ds *Dataset, n int, checked bool) (float64, *farm.Stats, error) {
 	if n <= 0 || n > ds.TestX.Rows {
 		n = ds.TestX.Rows
@@ -274,10 +274,18 @@ func (d *Deployment) deviceAccuracy(ds *Dataset, n int, checked bool) (float64, 
 	for i := range results {
 		pred := results[i].Argmax()
 		if checked {
-			if ref := d.QModel.Predict(inputs[i]); pred != ref {
+			out, ref := results[i].Output, d.QModel.Infer(inputs[i])
+			if len(out) != len(ref) {
 				return 0, stats, fmt.Errorf(
-					"neuroc: device/reference divergence on test sample %d: device predicts %d, host reference %d",
-					i, pred, ref)
+					"neuroc: device/reference divergence on test sample %d: device returns %d logits, host reference %d",
+					i, len(out), len(ref))
+			}
+			for j := range ref {
+				if out[j] != ref[j] {
+					return 0, stats, fmt.Errorf(
+						"neuroc: device/reference divergence on test sample %d: logit %d is %d on the device, %d in the host reference",
+						i, j, out[j], ref[j])
+				}
 			}
 		}
 		if pred == ds.TestY[i] {

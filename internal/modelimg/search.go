@@ -1,35 +1,44 @@
 package modelimg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/quant"
 )
 
 // Per-layer encoding search (UseAuto): pick, for every ternary layer,
 // the encoding (block, csc, delta, mixed, or unrolled/4) that minimizes
-// whole-inference cycles subject to the image fitting in flash. The
-// narrower unrolled factors 1 and 2 stay valid explicit encodings but
-// are not probed: they never beat unrolled/4 on WCET or flash
-// (TestUnrolledFourDominates). A group of f outputs shares one
-// ldrb+sxtb gather per touched input, and the adds/subs count is fixed
-// by the nonzeros, so a wider group never adds instructions (the
+// the sum of the layers' probe WCETs subject to the image fitting in
+// flash. Unrolled/1 and /2 stay valid explicit encodings but are not
+// probed: a group of f outputs shares one ldrb+sxtb gather per touched
+// input and the adds/subs count is fixed by the nonzeros, so they never
+// beat unrolled/4 on WCET or flash (TestUnrolledFourDominates; the
 // subexpression-sharing argument of "Unrolling Ternary Neural
-// Networks"). Where the factors emit the same code (Out <= 2) the tie
-// goes to unrolled/4, which is the same image bytes. Each candidate is
-// priced by really building a one-layer image and evaluating the
-// certificate-driven WCET (cert.Certificate.WCET), a sound upper bound
-// on its cycles. The bound equals the measured count only when every
-// loop runs its annotated bound, as in the self-check harnesses
-// wcet_test.go pins; on real layers the loops run short and
-// the bound over-prices by an encoding-dependent factor (1.2x for
-// unrolled/4 up to about 6x for block), so the search minimizes the
-// guaranteed worst case, not the measured cycles. Inference is a
-// straight-line sequence of layer calls, so whole-model WCET is
-// additive in the per-layer costs and ranking combinations by the
-// probe-WCET sum ranks them by whole-model WCET.
+// Networks"). Where they emit the same code (Out <= 2) the tie goes to
+// unrolled/4, the same image bytes.
+//
+// Each candidate is priced by really building a one-layer probe image
+// and evaluating its certificate WCET (cert.Certificate.WCET), a sound
+// upper bound on cycles that over-prices real layers, whose loops run
+// short, by an encoding-dependent factor (1.2x for unrolled/4 up to
+// about 6x for block). The probe sum is not the whole image's WCET
+// either: the image's requant loop is bounded by its widest layer, and
+// a kernel shared by several layers is generated at their merged loop
+// bounds. Exact per-layer cycles in place of WCET bounds would make the
+// sum exact.
+//
+// The search is one Pareto-frontier merge, exact at any depth (the
+// dominance-pruning form of the multiple-choice knapsack). It folds the
+// layers in one at a time. A point charges each shared accumulate
+// kernel's bytes once and keeps a bitmask of the kernels it uses; every
+// extension of two points with one mask adds the same to both, so within
+// a mask only undominated (WCET, flash) points survive. A point whose
+// flash lower bound exceeds the device is dropped unbuilt. The
+// survivors are then really built best-first.
 
 // SearchWaitStates is the flash wait-state setting the search prices
 // WCET at: one wait state, the modeled STM32F072 flash timing at full
@@ -38,16 +47,52 @@ import (
 // keeps the cost model deterministic and documented.
 const SearchWaitStates = 1
 
-// searchComboCap bounds exhaustive combination enumeration; beyond it
-// (more than 6 ternary layers at 5 candidates each) the search falls
-// back to a greedy repair loop.
-const searchComboCap = 20000
-
 // candidate is one priced per-layer encoding option.
 type candidate struct {
-	enc   LayerEncoding
-	wcet  uint64 // one-layer probe image WCET at SearchWaitStates
-	flash int    // probe layer FlashBytes (tables + descriptor + kernels)
+	enc    LayerEncoding
+	wcet   uint64 // one-layer probe image WCET at SearchWaitStates
+	flash  int    // probe layer FlashBytes (tables + descriptor + kernels)
+	kernel int    // index of its shared accumulate kernel; -1 for unrolled, whose kernel is its own
+}
+
+// probes is the priced search space of one model.
+type probes struct {
+	cands   [][]candidate // per ternary layer, sorted by (wcet, flash)
+	kbytes  []int         // per shared kernel, its bytes (the same in every probe)
+	requant int           // bytes of the requant kernel every probe carries
+}
+
+// point is one partial or whole combination: picks[i] indexes layer
+// i's cost-sorted candidates.
+type point struct {
+	picks []int
+	wcet  uint64
+	flash int    // each shared kernel counted once
+	mask  uint64 // shared kernels used (at most 18 distinct names)
+}
+
+// extend adds candidate ci of the next layer to p.
+func (s *probes) extend(p point, ci int) point {
+	c := s.cands[len(p.picks)][ci]
+	q := point{picks: append(p.picks[:len(p.picks):len(p.picks)], ci), wcet: p.wcet + c.wcet, flash: p.flash + c.flash, mask: p.mask}
+	if c.kernel >= 0 && q.mask&(1<<c.kernel) != 0 {
+		q.flash -= s.kbytes[c.kernel] // already charged
+	} else if c.kernel >= 0 {
+		q.mask |= 1 << c.kernel
+	}
+	return q
+}
+
+// lowerBound is a lower bound on the flash of any image containing p:
+// every probe carries its own requant kernel, and the image has one.
+func (s *probes) lowerBound(p point) int {
+	return p.flash - (len(p.picks)-1)*s.requant
+}
+
+// cmpPoints orders points by (wcet, flash, enumeration order), the
+// enumeration being lexicographic over the cost-sorted candidates.
+func cmpPoints(a, b point) int {
+	return cmp.Or(cmp.Compare(a.wcet, b.wcet), cmp.Compare(a.flash, b.flash), slices.Compare(a.picks, b.picks))
 }
 
 // searchEncodings implements BuildOpts for Encoding == UseAuto.
@@ -63,105 +108,51 @@ func searchEncodings(model *quant.Model, opts BuildOptions) (*Image, error) {
 	if len(ternary) == 0 {
 		return buildResolved(model, opts, base)
 	}
-
-	choices := []LayerEncoding{
-		{Choice: UseBlock}, {Choice: UseCSC}, {Choice: UseDelta}, {Choice: UseMixed},
-		{Choice: UseUnrolled, Factor: DefaultUnrollFactor},
+	s, err := probeLayers(model, ternary)
+	if err != nil {
+		return nil, err
 	}
 
-	// Probe every candidate of every ternary layer with a real one-layer
-	// build. Probes use bare options: telemetry/ISR/masking add the same
-	// constant to every candidate and cannot change the ranking.
-	cands := make([][]candidate, len(ternary))
-	for ti, li := range ternary {
-		probe := &quant.Model{Layers: []*quant.Layer{model.Layers[li]}, InputScale: model.InputScale}
-		for _, ch := range choices {
-			img, err := buildResolved(probe, BuildOptions{}, []LayerEncoding{ch})
-			if err != nil {
-				var nd *ErrNotDeployable
-				if errors.As(err, &nd) {
-					continue // candidate cannot fit even alone (huge unrolled layer)
+	front, minPruned := []point{{}}, 0
+	for ti := range ternary {
+		var next []point
+		for _, p := range front {
+			for ci := range s.cands[ti] {
+				q := s.extend(p, ci)
+				if lb := s.lowerBound(q); lb > armv6m.FlashSize {
+					minPruned = min(lb, cmp.Or(minPruned, lb)) // 0: none yet
+					continue
 				}
-				return nil, fmt.Errorf("modelimg: search probe, layer %d as %s: %w", li, ch, err)
+				next = append(next, q)
 			}
-			w, err := img.Cert.WCET("entry", SearchWaitStates)
-			if err != nil {
-				return nil, fmt.Errorf("modelimg: search probe, layer %d as %s: %w", li, ch, err)
-			}
-			cands[ti] = append(cands[ti], candidate{enc: ch, wcet: w, flash: img.Layers[0].FlashBytes})
 		}
-		if len(cands[ti]) == 0 {
-			return nil, &ErrNotDeployable{What: fmt.Sprintf("layer %d under every encoding", li), Need: 0, Have: 0}
-		}
-		sort.SliceStable(cands[ti], func(a, b int) bool {
-			ca, cb := cands[ti][a], cands[ti][b]
-			if ca.wcet != cb.wcet {
-				return ca.wcet < cb.wcet
+		slices.SortFunc(next, func(a, b point) int { return cmp.Or(cmp.Compare(a.mask, b.mask), cmpPoints(a, b)) })
+		// Flash never rises along the survivors of one mask, so the
+		// last survivor is the only one that can dominate the next point.
+		front = next[:0]
+		for _, q := range next {
+			if n := len(front); n > 0 && front[n-1].mask == q.mask && front[n-1].flash <= q.flash &&
+				(front[n-1].wcet != q.wcet || front[n-1].flash != q.flash) {
+				continue // dominated
 			}
-			return ca.flash < cb.flash
-		})
+			front = append(front, q)
+		}
 	}
+	slices.SortFunc(front, cmpPoints)
 
-	nCombos := 1
-	for _, cs := range cands {
-		nCombos *= len(cs)
-		if nCombos > searchComboCap {
-			return searchGreedy(model, opts, base, ternary, cands)
-		}
-	}
-	return searchExhaustive(model, opts, base, ternary, cands, nCombos)
-}
-
-// searchExhaustive enumerates every combination, sorts by (cycle sum,
-// flash sum), and really builds them best-first until one deploys. Among
-// equal-cycle combinations the smallest real image wins, so the result
-// is never dominated: nothing deployable is faster, and nothing equally
-// fast is smaller.
-func searchExhaustive(model *quant.Model, opts BuildOptions, base []LayerEncoding, ternary []int, cands [][]candidate, nCombos int) (*Image, error) {
-	type combo struct {
-		picks []int
-		wcet  uint64
-		flash int
-	}
-	combos := make([]combo, 0, nCombos)
-	picks := make([]int, len(ternary))
-	for {
-		c := combo{picks: append([]int(nil), picks...)}
-		for ti, p := range picks {
-			c.wcet += cands[ti][p].wcet
-			c.flash += cands[ti][p].flash
-		}
-		combos = append(combos, c)
-		ti := len(picks) - 1
-		for ti >= 0 {
-			picks[ti]++
-			if picks[ti] < len(cands[ti]) {
-				break
-			}
-			picks[ti] = 0
-			ti--
-		}
-		if ti < 0 {
-			break
-		}
-	}
-	sort.SliceStable(combos, func(a, b int) bool {
-		if combos[a].wcet != combos[b].wcet {
-			return combos[a].wcet < combos[b].wcet
-		}
-		return combos[a].flash < combos[b].flash
-	})
-
-	assign := func(c combo) []LayerEncoding {
+	// Build best-first until an image deploys. Among equal-WCET points
+	// the smallest real image wins, so nothing deployable is faster and
+	// nothing equally fast is smaller.
+	assign := func(p point) []LayerEncoding {
 		encs := append([]LayerEncoding(nil), base...)
-		for ti, p := range c.picks {
-			encs[ternary[ti]] = cands[ti][p].enc
+		for ti, ci := range p.picks {
+			encs[ternary[ti]] = s.cands[ti][ci].enc
 		}
 		return encs
 	}
 	var lastND error
-	for i := 0; i < len(combos); i++ {
-		img, err := buildResolved(model, opts, assign(combos[i]))
+	for i, p := range front {
+		img, err := buildResolved(model, opts, assign(p))
 		if err != nil {
 			var nd *ErrNotDeployable
 			if errors.As(err, &nd) {
@@ -170,9 +161,11 @@ func searchExhaustive(model *quant.Model, opts BuildOptions, base []LayerEncodin
 			}
 			return nil, err
 		}
-		// Tie-break equal-cycle combinations by real image size.
-		for j := i + 1; j < len(combos) && combos[j].wcet == combos[i].wcet; j++ {
-			alt, err := buildResolved(model, opts, assign(combos[j]))
+		for _, q := range front[i+1:] {
+			if q.wcet != p.wcet {
+				break
+			}
+			alt, err := buildResolved(model, opts, assign(q))
 			if err == nil && alt.TotalBytes() < img.TotalBytes() {
 				img = alt
 			}
@@ -182,52 +175,59 @@ func searchExhaustive(model *quant.Model, opts BuildOptions, base []LayerEncodin
 	if lastND != nil {
 		return nil, lastND
 	}
-	return nil, fmt.Errorf("modelimg: encoding search found no deployable combination")
+	return nil, &ErrNotDeployable{What: "every encoding mix's flash image (lower bound)", Need: minPruned, Have: armv6m.FlashSize}
 }
 
-// searchGreedy handles models with too many ternary layers to
-// enumerate: start from each layer's fastest candidate and, while the
-// image exceeds flash, downgrade the layer wasting the most bytes over
-// its most compact candidate. Best-effort (the exhaustive path is the
-// one with the non-domination guarantee), but it never returns a
-// dominated uniform choice: it only ever trades bytes for cycles when
-// flash forces it to.
-func searchGreedy(model *quant.Model, opts BuildOptions, base []LayerEncoding, ternary []int, cands [][]candidate) (*Image, error) {
-	cur := make([]int, len(ternary)) // cands are cost-sorted; 0 = fastest
-	minFlash := make([]int, len(ternary))
-	for ti, cs := range cands {
-		best := 0
-		for k := range cs {
-			if cs[k].flash < cs[best].flash {
-				best = k
-			}
-		}
-		minFlash[ti] = best
+// probeLayers prices every candidate of every ternary layer with a real
+// one-layer build. Probes use bare options: telemetry/ISR/masking add
+// the same constant to every candidate and cannot change the ranking.
+func probeLayers(model *quant.Model, ternary []int) (*probes, error) {
+	choices := []LayerEncoding{
+		{Choice: UseBlock}, {Choice: UseCSC}, {Choice: UseDelta}, {Choice: UseMixed},
+		{Choice: UseUnrolled, Factor: DefaultUnrollFactor},
 	}
-	for {
-		encs := append([]LayerEncoding(nil), base...)
-		for ti, p := range cur {
-			encs[ternary[ti]] = cands[ti][p].enc
-		}
-		img, err := buildResolved(model, opts, encs)
-		if err == nil {
-			return img, nil
-		}
-		var nd *ErrNotDeployable
-		if !errors.As(err, &nd) {
-			return nil, err
-		}
-		// Downgrade the layer with the largest flash excess over its most
-		// compact candidate.
-		worst, excess := -1, 0
-		for ti, p := range cur {
-			if e := cands[ti][p].flash - cands[ti][minFlash[ti]].flash; e > excess {
-				worst, excess = ti, e
+	s := &probes{cands: make([][]candidate, len(ternary))}
+	kidx := make(map[string]int)
+	for ti, li := range ternary {
+		probe := &quant.Model{Layers: []*quant.Layer{model.Layers[li]}, InputScale: model.InputScale}
+		var compact *ErrNotDeployable
+		for _, ch := range choices {
+			img, err := buildResolved(probe, BuildOptions{}, []LayerEncoding{ch})
+			if err != nil {
+				var nd *ErrNotDeployable
+				if errors.As(err, &nd) { // the candidate cannot fit even alone
+					if compact == nil || nd.Need < compact.Need {
+						compact = &ErrNotDeployable{What: fmt.Sprintf("layer %d under every encoding (most compact: %s, %s)", li, ch, nd.What), Need: nd.Need, Have: nd.Have}
+					}
+					continue
+				}
+				return nil, fmt.Errorf("modelimg: search probe, layer %d as %s: %w", li, ch, err)
 			}
+			w, err := img.Cert.WCET("entry", SearchWaitStates)
+			if err != nil {
+				return nil, fmt.Errorf("modelimg: search probe, layer %d as %s: %w", li, ch, err)
+			}
+			// Probe layout: k_requant, then the layer's kernel, then data.
+			syms, kname := img.Prog.Symbols, img.Layers[0].Kernel
+			c := candidate{enc: ch, wcet: w, flash: img.Layers[0].FlashBytes, kernel: -1}
+			if ch.Choice != UseUnrolled {
+				k, ok := kidx[kname]
+				if !ok {
+					k = len(s.kbytes)
+					kidx[kname] = k
+					s.kbytes = append(s.kbytes, int(syms["data_start"]-syms[kname]))
+				}
+				c.kernel = k
+			}
+			s.requant = int(syms[kname] - syms["k_requant"]) // the same in every probe
+			s.cands[ti] = append(s.cands[ti], c)
 		}
-		if worst < 0 {
-			return nil, err // already all-compact; genuinely not deployable
+		if len(s.cands[ti]) == 0 {
+			return nil, compact
 		}
-		cur[worst] = minFlash[worst]
+		slices.SortStableFunc(s.cands[ti], func(a, b candidate) int {
+			return cmp.Or(cmp.Compare(a.wcet, b.wcet), cmp.Compare(a.flash, b.flash))
+		})
 	}
+	return s, nil
 }

@@ -2,8 +2,16 @@ package modelimg_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/device"
 	. "github.com/neuro-c/neuroc/internal/modelimg"
 	"github.com/neuro-c/neuroc/internal/quant"
@@ -79,6 +87,13 @@ func TestUnrolledFourDominates(t *testing.T) {
 	if compared < n {
 		t.Fatalf("only %d comparisons over %d layers deployed; the test is not exercising the space", compared, n)
 	}
+}
+
+// probedChoices are the candidates the search prices for every
+// ternary layer, in its probe order.
+var probedChoices = []LayerEncoding{
+	{Choice: UseBlock}, {Choice: UseCSC}, {Choice: UseDelta}, {Choice: UseMixed},
+	{Choice: UseUnrolled, Factor: DefaultUnrollFactor},
 }
 
 func searchTestModel() *quant.Model {
@@ -242,4 +257,339 @@ func int8Bytes(v []int8) []byte {
 		b[i] = byte(x)
 	}
 	return b
+}
+
+// pressureModel is a seeded model whose all-unrolled image overflows
+// flash: a 700-749 input layer, then nTernary-1 narrower layers of
+// 48-143 outputs.
+func pressureModel(seed uint64, nTernary int, density float64) *quant.Model {
+	r := rng.New(seed)
+	m := &quant.Model{InputScale: 127}
+	in := 700 + r.Intn(50)
+	for k := 0; k < nTernary; k++ {
+		out := 48 + r.Intn(96)
+		m.Layers = append(m.Layers, randTernaryLayer(r, in, out, density, k%2 == 0, k < nTernary-1))
+		in = out
+	}
+	return m
+}
+
+// randSearchModel is a seeded model with nTernary ternary layers of
+// 2-63 outputs at 3-63% density, and in about a third of the seeds one
+// dense layer among them.
+func randSearchModel(seed uint64, nTernary int) *quant.Model {
+	r := rng.New(seed)
+	m := &quant.Model{InputScale: 127}
+	in := 8 + r.Intn(120)
+	dense := -1
+	if r.Bool(0.3) {
+		dense = r.Intn(nTernary + 1)
+	}
+	for k := 0; k <= nTernary; k++ {
+		if k == dense {
+			out := 4 + r.Intn(24)
+			m.Layers = append(m.Layers, randDenseLayer(r, in, out, k < nTernary))
+			in = out
+		}
+		if k == nTernary {
+			break
+		}
+		out := 2 + r.Intn(62)
+		m.Layers = append(m.Layers, randTernaryLayer(r, in, out, 0.03+0.6*r.Float64(), r.Bool(0.5), k < nTernary-1))
+		in = out
+	}
+	return m
+}
+
+// checkAgainstOracle builds m with the auto search and with the oracle
+// and requires the same per-layer encodings and the same image bytes.
+func checkAgainstOracle(t *testing.T, name string, m *quant.Model) *Image {
+	t.Helper()
+	start := time.Now()
+	img, err := Build(m, UseAuto)
+	elapsed := time.Since(start)
+	want, builds, werr := oracleSearch(t, m)
+	if err != nil || werr != nil {
+		t.Fatalf("%s: search error %v, oracle error %v", name, err, werr)
+	}
+	if !reflect.DeepEqual(img.Encodings, want.Encodings) || !bytes.Equal(img.Prog.Code, want.Prog.Code) {
+		t.Fatalf("%s: search picks %v (%d bytes), oracle picks %v (%d bytes)",
+			name, img.Encodings, img.TotalBytes(), want.Encodings, want.TotalBytes())
+	}
+	t.Logf("%s: %v, %d bytes; search %v, oracle %d builds", name, img.Encodings, img.TotalBytes(), elapsed, builds)
+	return img
+}
+
+// TestSearchMatchesOracle is the exactness gate of the Pareto-frontier
+// search: on seeded models with 1-6 ternary layers, and on 3-5 layer
+// models whose all-unrolled image overflows flash, it deploys the image
+// the exhaustive enumeration deploys, picks and bytes.
+func TestSearchMatchesOracle(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for seed := uint64(1); seed <= 3; seed++ {
+			checkAgainstOracle(t, fmt.Sprintf("%d ternary layers, seed %d", n, seed), randSearchModel(100*uint64(n)+seed, n))
+		}
+	}
+	for _, c := range []struct {
+		seed    uint64
+		layers  int
+		density float64
+	}{{2, 3, 0.3}, {3, 4, 0.4}, {2, 5, 0.4}} {
+		name := fmt.Sprintf("flash pressure, %d layers at %.0f%%, seed %d", c.layers, 100*c.density, c.seed)
+		img := checkAgainstOracle(t, name, pressureModel(c.seed, c.layers, c.density))
+		if !slices.ContainsFunc(img.Encodings, func(e LayerEncoding) bool { return e.Choice != UseUnrolled }) {
+			t.Fatalf("%s: all-unrolled pick %v; the model is not under flash pressure", name, img.Encodings)
+		}
+	}
+}
+
+// TestSearchMatchesOracleSevenLayers checks the search past the six
+// layers the old enumeration was capped at: seven small ternary layers,
+// 78,125 combinations for the oracle to enumerate.
+func TestSearchMatchesOracleSevenLayers(t *testing.T) {
+	checkAgainstOracle(t, "7 ternary layers", randSearchModel(7, 7))
+}
+
+// TestSearchSevenLayerFlashPressure is the regression case for the
+// greedy repair loop that used to search models with more than six
+// ternary layers. On this 711-56-52-112-84-60-89-91 model it deployed
+// delta + 6x unrolled/4; the exact search must deploy the oracle's
+// pick, and that pick must beat the greedy one on whole-image WCET.
+func TestSearchSevenLayerFlashPressure(t *testing.T) {
+	m := pressureModel(11, 7, 0.4)
+	img := checkAgainstOracle(t, "7-layer flash pressure", m)
+	greedy := []LayerEncoding{{Choice: UseDelta}}
+	for len(greedy) < 7 {
+		greedy = append(greedy, LayerEncoding{Choice: UseUnrolled, Factor: DefaultUnrollFactor})
+	}
+	old, err := BuildOpts(m, BuildOptions{PerLayer: greedy})
+	if err != nil {
+		t.Fatalf("the greedy mix %v no longer deploys: %v", greedy, err)
+	}
+	w, err := img.Cert.WCET("entry", SearchWaitStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldW, err := old.Cert.WCET("entry", SearchWaitStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w >= oldW {
+		t.Fatalf("search pick %v at %d WCET cycles does not beat the greedy mix %v at %d", img.Encodings, w, greedy, oldW)
+	}
+	t.Logf("search pick %d WCET cycles, greedy mix %d", w, oldW)
+}
+
+// TestSearchFlashBoundSound pins the soundness of the flash lower bound
+// the search drops points by, unbuilt: for every combination of probed
+// encodings of a small 3-layer model, the bound is at most the real
+// image size.
+func TestSearchFlashBoundSound(t *testing.T) {
+	r := rng.New(41)
+	m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{
+		randTernaryLayer(r, 300, 24, 0.2, true, true),
+		randTernaryLayer(r, 24, 40, 0.4, false, true),
+		randTernaryLayer(r, 40, 10, 0.3, true, false),
+	}}
+	bound, err := SearchFlashLowerBound(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minGap, maxGap, n := -1, 0, 0
+	for _, c0 := range probedChoices {
+		for _, c1 := range probedChoices {
+			for _, c2 := range probedChoices {
+				encs := []LayerEncoding{c0, c1, c2}
+				img, err := BuildOpts(m, BuildOptions{PerLayer: encs})
+				if err != nil {
+					t.Fatalf("%v: %v", encs, err)
+				}
+				lb := bound(encs)
+				gap := img.TotalBytes() - lb
+				if gap < 0 {
+					t.Errorf("%v: flash lower bound %d exceeds the real image, %d bytes, by %d", encs, lb, img.TotalBytes(), -gap)
+				}
+				if minGap < 0 || gap < minGap {
+					minGap = gap
+				}
+				maxGap = max(maxGap, gap)
+				n++
+			}
+		}
+	}
+	t.Logf("%d combinations: real image exceeds the bound by %d-%d bytes", n, minGap, maxGap)
+}
+
+// A layer that fits under no encoding reports its most compact
+// candidate's own ErrNotDeployable, naming the layer, rather than an
+// empty "needs 0 bytes, device has 0". Layer 1's 5,000 outputs exhaust
+// SRAM under every encoding.
+func TestSearchNotDeployableNamesMostCompact(t *testing.T) {
+	r := rng.New(77)
+	wide := randTernaryLayer(r, 30, 5000, 0.001, true, false)
+	m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{randTernaryLayer(r, 20, 30, 0.3, false, true), wide}}
+	_, err := Build(m, UseAuto)
+	var nd *ErrNotDeployable
+	if !errors.As(err, &nd) {
+		t.Fatalf("auto build error %v, want ErrNotDeployable", err)
+	}
+	if nd.Have != armv6m.SRAMSize || nd.Need <= nd.Have || !strings.Contains(nd.What, "layer 1") {
+		t.Fatalf("error %q, want layer 1's SRAM need against the %d-byte device", err, armv6m.SRAMSize)
+	}
+	alone := &quant.Model{InputScale: 127, Layers: []*quant.Layer{wide}}
+	for _, ch := range probedChoices {
+		_, err := BuildOpts(alone, BuildOptions{PerLayer: []LayerEncoding{ch}})
+		var e *ErrNotDeployable
+		if !errors.As(err, &e) {
+			t.Fatalf("layer 1 alone as %s: error %v, want ErrNotDeployable", ch, err)
+		}
+		if e.Need < nd.Need {
+			t.Errorf("%s needs %d bytes, less than the reported most compact %d", ch, e.Need, nd.Need)
+		}
+	}
+}
+
+// When every combination's flash lower bound exceeds the device, the
+// search builds nothing and reports the smallest bound it dropped, a
+// need no real image of the model falls below.
+func TestSearchNotDeployableAnyMix(t *testing.T) {
+	r := rng.New(78)
+	m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{
+		randTernaryLayer(r, 700, 150, 0.5, true, true),
+		randTernaryLayer(r, 150, 700, 0.5, false, true),
+		randTernaryLayer(r, 700, 150, 0.5, true, false),
+	}}
+	_, err := Build(m, UseAuto)
+	var nd *ErrNotDeployable
+	if !errors.As(err, &nd) {
+		t.Fatalf("auto build error %v, want ErrNotDeployable", err)
+	}
+	if nd.Have != armv6m.FlashSize || nd.Need <= nd.Have {
+		t.Fatalf("error %q, want a flash need above the %d-byte device", err, armv6m.FlashSize)
+	}
+	_, err = Build(m, UseBlock)
+	var blk *ErrNotDeployable
+	if !errors.As(err, &blk) || blk.Need < nd.Need {
+		t.Fatalf("uniform block: error %v, want a need of at least the reported %d bytes", err, nd.Need)
+	}
+}
+
+// oracleSearch is the exhaustive enumeration the Pareto-frontier
+// search replaced, kept as its test oracle. It prices the probed
+// candidates of every ternary layer with one-layer builds, enumerates
+// every combination in lexicographic order over each layer's
+// cost-sorted candidates, sorts them by (probe-WCET sum, probe-flash
+// sum), and builds best-first until an image deploys; among the
+// combinations of that WCET the smallest real image wins. builds counts
+// whole-model builds.
+func oracleSearch(t *testing.T, m *quant.Model) (img *Image, builds int, err error) {
+	t.Helper()
+	type cand struct {
+		enc   LayerEncoding
+		wcet  uint64
+		flash int
+	}
+	base := make([]LayerEncoding, len(m.Layers))
+	var ternary []int
+	var cands [][]cand
+	for i, l := range m.Layers {
+		base[i] = LayerEncoding{Choice: UseBlock}
+		if l.Kind != quant.Ternary {
+			continue
+		}
+		ternary = append(ternary, i)
+		var cs []cand
+		for _, ch := range probedChoices {
+			probe := &quant.Model{InputScale: m.InputScale, Layers: []*quant.Layer{l}}
+			pimg, err := BuildOpts(probe, BuildOptions{PerLayer: []LayerEncoding{ch}})
+			if err != nil {
+				var nd *ErrNotDeployable
+				if errors.As(err, &nd) {
+					continue
+				}
+				t.Fatalf("oracle probe, layer %d as %s: %v", i, ch, err)
+			}
+			w, err := pimg.Cert.WCET("entry", SearchWaitStates)
+			if err != nil {
+				t.Fatalf("oracle probe, layer %d as %s: %v", i, ch, err)
+			}
+			cs = append(cs, cand{ch, w, pimg.Layers[0].FlashBytes})
+		}
+		if len(cs) == 0 {
+			t.Fatalf("oracle: layer %d deploys under no encoding", i)
+		}
+		sort.SliceStable(cs, func(a, b int) bool {
+			if cs[a].wcet != cs[b].wcet {
+				return cs[a].wcet < cs[b].wcet
+			}
+			return cs[a].flash < cs[b].flash
+		})
+		cands = append(cands, cs)
+	}
+	if len(ternary) == 0 {
+		img, err := BuildOpts(m, BuildOptions{PerLayer: base})
+		return img, 1, err
+	}
+
+	type combo struct {
+		picks []int
+		wcet  uint64
+		flash int
+	}
+	var combos []combo
+	picks := make([]int, len(ternary))
+	for {
+		c := combo{picks: append([]int(nil), picks...)}
+		for ti, p := range picks {
+			c.wcet += cands[ti][p].wcet
+			c.flash += cands[ti][p].flash
+		}
+		combos = append(combos, c)
+		ti := len(picks) - 1
+		for ; ti >= 0; ti-- {
+			if picks[ti]++; picks[ti] < len(cands[ti]) {
+				break
+			}
+			picks[ti] = 0
+		}
+		if ti < 0 {
+			break
+		}
+	}
+	sort.SliceStable(combos, func(a, b int) bool {
+		if combos[a].wcet != combos[b].wcet {
+			return combos[a].wcet < combos[b].wcet
+		}
+		return combos[a].flash < combos[b].flash
+	})
+	build := func(c combo) (*Image, error) {
+		encs := append([]LayerEncoding(nil), base...)
+		for ti, p := range c.picks {
+			encs[ternary[ti]] = cands[ti][p].enc
+		}
+		builds++
+		return BuildOpts(m, BuildOptions{PerLayer: encs})
+	}
+	var lastND error
+	for i, c := range combos {
+		img, err := build(c)
+		if err != nil {
+			var nd *ErrNotDeployable
+			if !errors.As(err, &nd) {
+				return nil, builds, err
+			}
+			lastND = err
+			continue
+		}
+		for _, alt := range combos[i+1:] {
+			if alt.wcet != c.wcet {
+				break
+			}
+			if a, err := build(alt); err == nil && a.TotalBytes() < img.TotalBytes() {
+				img = a
+			}
+		}
+		return img, builds, nil
+	}
+	return nil, builds, lastND
 }

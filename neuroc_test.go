@@ -3,7 +3,9 @@ package neuroc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -150,6 +152,53 @@ func TestTNNAblationCosts(t *testing.T) {
 	memDelta := ncDep.ProgramBytes() - tnnDep.ProgramBytes()
 	if memDelta < 0 || memDelta > 2048 {
 		t.Errorf("scale memory overhead = %d bytes", memDelta)
+	}
+}
+
+// The checked accuracy gate compares whole output vectors, not only
+// their argmax: after the host reference's last-layer bias is lowered on
+// a losing class, one logit of test sample 0 differs from the device
+// while every prediction stays the same, and the gate must name that
+// sample and logit.
+func TestDeviceAccuracyCheckedComparesLogits(t *testing.T) {
+	ds := smallDigits()
+	m := NewModel(ModelSpec{
+		InputDim: ds.Dim(), NumClasses: ds.NumClasses,
+		Hidden: []int{16}, Arch: ArchNeuroC, Seed: 3,
+	})
+	dep, err := m.Deploy(ds, EncodingBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dep.DeviceAccuracyChecked(ds, 20); err != nil {
+		t.Fatalf("unmodified reference: %v", err)
+	}
+	x := dep.QModel.QuantizeInput(ds.TestX.Row(0))
+	ref, best := dep.QModel.Infer(x), dep.QModel.Predict(x)
+	last := dep.QModel.Layers[len(dep.QModel.Layers)-1]
+	losing := -1
+	for j, v := range ref {
+		// Unsaturated and not clamped by ReLU: a bias one lower lowers
+		// the logit by exactly one.
+		if v < ref[best] && v > -128 && (!last.ReLU || v > 0) {
+			losing = j
+			break
+		}
+	}
+	if losing < 0 {
+		t.Fatalf("sample 0 logits %v have no adjustable losing class", ref)
+	}
+	last.Bias[losing]--
+	if got := dep.QModel.Predict(x); got != best {
+		t.Fatalf("lowering a losing logit moved the argmax from %d to %d", best, got)
+	}
+	_, _, err = dep.DeviceAccuracyChecked(ds, 20)
+	if err == nil {
+		t.Fatalf("checked gate passed with logit %d of sample 0 off by one", losing)
+	}
+	want := fmt.Sprintf("test sample 0: logit %d is %d on the device, %d in the host reference", losing, ref[losing], ref[losing]-1)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
 	}
 }
 

@@ -98,6 +98,21 @@ echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden ha
 go test -run 'FuzzOptimizerParity|TestOptimizerParityDense|TestOptimizerGolden' -count=1 ./internal/kernels/
 go test -run 'TestUnrolledFourDominates' -count=1 ./internal/modelimg/
 
+echo "== encoding search exactness (Pareto-frontier search == exhaustive oracle, sound flash bound)"
+# The per-layer encoding search against the exhaustive enumeration it
+# replaced, kept as a test oracle: identical picks and image bytes on
+# seeded models with 1-7 ternary layers, flash-pressure models and the
+# seven-layer case the old greedy fallback got wrong; the flash lower
+# bound the search skips builds by stays at or below every real image;
+# and an undeployable layer reports its most compact candidate. The
+# stage fails when the pattern matches no test.
+n=$(go test -list 'TestSearch|TestAutoSearch' ./internal/modelimg/ | grep -cE '^Test' || true)
+if [ "$n" -eq 0 ]; then
+	echo "no TestSearch/TestAutoSearch test in ./internal/modelimg/" >&2
+	exit 1
+fi
+go test -run 'TestSearch|TestAutoSearch' -count=1 ./internal/modelimg/
+
 echo "== layer attribution parity (host segmentation of the deployed image == telemetry twin)"
 # MeasureLayers and MeasureEnergy segment the deployed image on the host
 # instead of running the telemetry twin. Host spans of the plain image
