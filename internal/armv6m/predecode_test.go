@@ -545,6 +545,17 @@ func BenchmarkInferenceBlock(b *testing.B) {
 	b.Run("Legacy", func(b *testing.B) { benchRun(b, benchBlockProgram, true) })
 }
 
+// BenchmarkInferenceUnrolled is BenchmarkInference on a deployed
+// unrolled/4 kernel (unrolledHarness) for a seeded 400→64 ternary layer
+// at 25% density: straight-line gather-accumulate code, which the
+// translated tier runs in execRun.
+func BenchmarkInferenceUnrolled(b *testing.B) {
+	src := unrolledHarness(randTernary(1, 400, 64, 0.25), 4)
+	b.Run("Translated", func(b *testing.B) { benchRunTranslated(b, src) })
+	b.Run("Predecoded", func(b *testing.B) { benchRun(b, src, false) })
+	b.Run("Legacy", func(b *testing.B) { benchRun(b, src, true) })
+}
+
 // BenchmarkStep measures the per-instruction cost of the hot loop in
 // isolation (a taken branch and an add, the tightest possible loop).
 func BenchmarkStep(b *testing.B) {

@@ -1,6 +1,9 @@
 package armv6m
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // The certified-loop fast path. When an image carries a neuroc-cert/v1
 // certificate, Translate lowers its certified self-loops (single-block
@@ -9,39 +12,49 @@ import "time"
 // dispatch: the dense kernel's MAC loop (execMacLoop) and the ternary
 // kernels' gather loop — one index load, one gather, one adds/subs per
 // connection, optionally advancing a moving base (execGatherLoop; the
-// block, mixed and delta inner loops). The predecoded dispatcher
-// (runPredecoded) runs over the table's copy of the predecode entries,
-// where each kept loop's head carries the kind kLoop, so at a loop head
-// the whole loop runs in its executor and the steady-state cost of a
-// kernel inner loop is a few Go statements per emulated instruction.
-// Every other instruction executes exactly as on the predecoded tier.
+// block, mixed and delta inner loops). It also lowers, from the
+// predecode entries alone, the unrolled kernels' straight-line
+// gather-accumulate runs — ldrb; sxtb; then one adds/subs/mov/rsbs per
+// nonzero weight, with window moves between gathers — into a third
+// executor (execRun) that retires a whole run in one branch-free host
+// loop. The predecoded dispatcher (runPredecoded) runs over the table's
+// copy of the predecode entries, where each kept loop's or run's head
+// carries the kind kLoop, so at a head the whole loop or run executes
+// in its executor and the steady-state cost of a kernel's accumulate
+// stage is a few Go statements per emulated instruction. Every other
+// instruction executes exactly as on the predecoded tier.
 //
 // The contract is the same bit-for-bit parity the predecoded tier
 // holds against the legacy interpreter, enforced by the differential
 // tests and FuzzTranslateParity:
 //
 //   - The translator never trusts a certified fact it cannot check.
-//     At build time every instruction's certified cost formula and
+//     At build time every loop instruction's certified cost formula and
 //     bus-counter deltas are re-derived from the decoded encoding and
 //     the proven memory region. A loop with any mismatch, a structural
 //     problem (non-contiguous instrs, a control transfer before the
 //     latch, an encoding the interpreter would fault on), or a shape no
 //     executor knows is not kept; its PCs run on the predecoded path.
-//   - At run time every load re-checks that its address falls in the
-//     certified region. A miss ends the loop before the access: the
+//     A run's costs are derived from the same formulas (fastFacts) at
+//     the SRAM region its range check guarantees.
+//   - At run time every loop load re-checks that its address falls in
+//     the certified region. A miss ends the loop before the access: the
 //     completed passes and the abandoned pass's prefix flush exactly
 //     (their constants commute with per-instruction accounting), the
 //     PC is left on the offending instruction, and the dispatcher
 //     executes it on the predecoded path — which performs the real bus
 //     access and reports the same fault text, cycle charge, or
 //     cross-region access. A miss at the head makes no progress, so the
-//     dispatcher then executes the head through its handler.
+//     dispatcher then executes the head through its handler. A run's
+//     loads are all static offsets from its window base, so it checks
+//     their whole interval against SRAM once, at its head: it either
+//     runs whole or makes no progress.
 //   - Tracing, checked execution, armed SysTick/pending IRQs, profile
 //     or multiplier mismatches, flash mutation, and the boot-alias
 //     overlap disable the fast path for the whole run. A loop head
-//     whose full pass the remaining budget does not cover executes
-//     through its handler, so budget exhaustion cuts exactly where the
-//     per-instruction tiers cut.
+//     whose full pass, or a run head whose whole run, the remaining
+//     budget does not cover executes through its handler, so budget
+//     exhaustion cuts exactly where the per-instruction tiers cut.
 //
 // The table is immutable after Translate returns and is shared across
 // all boards of a farm exactly like the predecode table it copies.
@@ -109,6 +122,7 @@ const (
 	tMac     uint8 = 200 + iota // ldrsb Ra,[..]; ldrsb Rb,[..]; muls; adds — the kernel MAC
 	tIncCmpB                    // adds Rd, #imm8; cmp Ra, Rb; b<cond> — counted-loop latch
 	tDecB                       // subs Rd, #imm8; b<cond> — countdown-loop latch
+	tRsbs                       // rsbs Rd, Rm (a kGeneric entry) — a run's negating first write
 )
 
 // ttop is one lowered loop operation: a run of 1-4 architectural
@@ -134,7 +148,8 @@ type ttop struct {
 	preB, preW, preFR, preSR, preSW, preN uint64
 }
 
-// tloop is one kept certified loop.
+// tloop is one kept certified loop, or a straight-line run (kind
+// loopRun: one pass, no latch, its constants in the tot* fields).
 type tloop struct {
 	head  *pentry // predecode entry of the head, run through its handler on fallback
 	start uint32  // the head: the taken latch's target
@@ -142,9 +157,9 @@ type tloop struct {
 
 	ops []ttop
 
-	// nInstr is the architectural instruction count of one full pass;
-	// the dispatcher admits a loop only when the remaining budget
-	// covers a pass.
+	// nInstr is the architectural instruction count of one full pass
+	// (of a whole run); the dispatcher admits a loop only when the
+	// remaining budget covers a pass.
 	nInstr uint64
 
 	// Whole-pass constants, latch at its not-taken cost; takenExtra is
@@ -152,8 +167,41 @@ type tloop struct {
 	totB, totW, totFR, totSR, totSW, totN uint64
 	takenExtra                            uint64
 
-	kind  uint8 // loopMac or loopGather
+	kind  uint8 // loopMac, loopGather or loopRun
 	bound uint64
+
+	run *trun // loopRun only
+}
+
+// trun is a straight-line gather-accumulate run compiled for execRun.
+// Every load is at a static offset from the window base B at entry, so
+// the run is one interval check plus one record per gather.
+type trun struct {
+	x, b uint8    // the gather register X and the window base B
+	acc  [4]uint8 // accumulator registers by slot; unused slots repeat slot 0
+	nacc int
+
+	// lo is the lowest load offset from B at entry; span is the highest
+	// minus the lowest. delta is the net window move over the run.
+	lo    int64
+	span  uint32
+	delta uint32
+
+	// The run ends on a flag-setting accumulate of slot fslot; fop is its
+	// kind (kAddsReg, kSubsReg or tRsbs). The exit flags are computed
+	// once, from that accumulate's operands.
+	fslot uint8
+	fop   uint8
+
+	gathers []tgather
+}
+
+// tgather is one gather of a run: the load offset from the run's lowest
+// load, and per accumulator slot acc = acc&keep + v*sign — keep 0 for a
+// first write (mov, rsbs), sign 1/-1/0 for add, subtract, untouched.
+type tgather struct {
+	off        uint32
+	keep, sign [4]uint32
 }
 
 // maxLoopBound caps the trip bound and pass length of a kept loop, so
@@ -165,6 +213,7 @@ const maxLoopBound = 1 << 24
 const (
 	loopMac    uint8 = iota + 1 // detectMacLoop; runs in execMacLoop
 	loopGather                  // detectGatherLoop; runs in execGatherLoop
+	loopRun                     // lowerRun; a straight-line run, executed in execRun
 )
 
 // TranslationTable is the certified-loop table for one certified flash
@@ -190,6 +239,10 @@ func (t *TranslationTable) MacLoops() int { return t.count(loopMac) }
 
 // GatherLoops is the number of loops that run whole in execGatherLoop.
 func (t *TranslationTable) GatherLoops() int { return t.count(loopGather) }
+
+// Runs is the number of straight-line gather-accumulate runs that
+// execute whole in execRun.
+func (t *TranslationTable) Runs() int { return t.count(loopRun) }
 
 func (t *TranslationTable) count(kind uint8) int {
 	n := 0
@@ -234,11 +287,12 @@ func (c *CPU) loopTable() *TranslationTable {
 
 // fastFacts re-derives the exact cost formula and bus-counter deltas
 // the emulator charges for one retire of a kind the MAC and gather
-// loops are made of, given the proven memory region. ok is false for
-// every other kind, and for a load whose region is not flash or SRAM.
+// loops and the straight-line runs are made of, given the proven memory
+// region. ok is false for every other kind, and for a load whose region
+// is not flash or SRAM.
 func fastFacts(kind uint8, region uint8, mulCyc uint64) (base, wsCo, fr, sr, sw uint64, ok bool) {
 	switch kind {
-	case kAddsImm8, kSubsImm8, kAddsReg, kSubsReg, kCmpReg:
+	case kAddsImm8, kSubsImm8, kAddsReg, kSubsReg, kCmpReg, kSxtb, kMovHi, tRsbs:
 		return 1, 1, 1, 0, 0, true
 	case kMuls:
 		return mulCyc, 1, 1, 0, 0, true
@@ -259,8 +313,9 @@ func fastFacts(kind uint8, region uint8, mulCyc uint64) (base, wsCo, fr, sr, sw 
 // certified self-loops and its predecode table. Blocks that are not
 // certified loops are skipped before lowering; loops that fail
 // validation or match no executor are not kept, and their PCs execute
-// on the predecoded path. The table is returned even when no loop is
-// kept; nil only for a nil predecode table.
+// on the predecoded path. The straight-line runs are then found in the
+// predecode entries (lowerRun). The table is returned even when no loop
+// or run is kept; nil only for a nil predecode table.
 func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *TranslationTable {
 	start := time.Now() //neurolint:allow nondet (host-side translation build timing; never feeds emulated state)
 	if pt == nil {
@@ -280,15 +335,29 @@ func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *T
 		if !ok {
 			continue
 		}
-		if t.entries == nil {
-			t.entries = append([]pentry(nil), pt.entries...)
+		t.keep(pt, lp)
+	}
+	for i := 0; i < len(pt.entries); {
+		lp, ok := lowerRun(pt, i)
+		if !ok || (t.entries != nil && t.entries[i].kind == kLoop) {
+			i++
+			continue
 		}
-		e := &t.entries[(lp.start-pt.base)>>1]
-		e.kind, e.imm = kLoop, uint32(len(t.loops))
-		t.loops = append(t.loops, lp)
+		t.keep(pt, lp)
+		i = int((lp.next - pt.base) >> 1)
 	}
 	t.build = time.Since(start) //neurolint:allow nondet (host-side translation build timing; never feeds emulated state)
 	return t
+}
+
+// keep adds a lowered loop or run to the table and re-kinds its head.
+func (t *TranslationTable) keep(pt *PredecodeTable, lp tloop) {
+	if t.entries == nil {
+		t.entries = append([]pentry(nil), pt.entries...)
+	}
+	e := &t.entries[(lp.start-pt.base)>>1]
+	e.kind, e.imm = kLoop, uint32(len(t.loops))
+	t.loops = append(t.loops, lp)
 }
 
 // translateLoop validates one certified self-loop against the decoded
@@ -537,20 +606,150 @@ func sumInto(f *ttop, rest ...*ttop) {
 	}
 }
 
-// runLoop runs the attached table's loop i from its head, at the PC,
-// when the budget covers a full pass, and returns the instructions
-// retired: 0 when the budget does not cover a pass, or when the loop
-// deviated at its head before any progress (the PC is then still on
-// the head).
+// lowerRun lowers the straight-line gather-accumulate run that starts
+// at predecode entry i: the code kernels.Optimize(kernels.Unrolled(…))
+// emits for each group of output neurons, one gather per touched input
+// and one accumulate per nonzero weight,
+//
+//	ldrb X,[B,#imm]; sxtb X,X          gather
+//	adds A,A,X | subs A,A,X            accumulates, or first writes
+//	  | mov A,X | rsbs A,X
+//	adds|subs B,#imm8                  window moves between gathers
+//
+// X and B are fixed for the whole run, with at most four distinct low
+// accumulator registers, none of them X or B, each written at most once
+// per gather. The stretch ends at the first instruction that breaks
+// these rules and is then trimmed to end after the last gather whose
+// last accumulate sets the flags, so the exit flags are that
+// accumulate's. ok is false when no such gather starts at i. The
+// constants come from fastFacts, every load at the SRAM region that
+// execRun's interval check guarantees.
+func lowerRun(pt *PredecodeTable, i int) (tloop, bool) {
+	ents := pt.entries
+	gather := func(j int) bool {
+		return j+1 < len(ents) && ents[j].kind == kLdrbImm && ents[j+1].kind == kSxtb &&
+			ents[j+1].rd == ents[j].rd && ents[j+1].rm == ents[j].rd && ents[j].rd != ents[j].rn
+	}
+	if !gather(i) {
+		return tloop{}, false
+	}
+	r := &trun{x: ents[i].rd, b: ents[i].rn}
+	lp := tloop{head: &ents[i], start: pt.base + uint32(2*i), kind: loopRun, run: r}
+	var (
+		slot             [16]int8 // accumulator register -> slot + 1
+		nacc             int
+		cum              int64   // window offset from B at entry
+		rel              []int64 // each gather's load offset from B at entry
+		b, w, fr, sr, sw uint64  // running constants
+		end, ends        int     // the last valid end: entry index, gathers
+		endCum           int64
+		endNacc          int
+	)
+	add := func(kind, region uint8) {
+		cb, cw, cfr, csr, csw, _ := fastFacts(kind, region, 0)
+		b, w, fr, sr, sw = b+cb, w+cw, fr+cfr, sr+csr, sw+csw
+	}
+	j := i
+	for gather(j) && ents[j].rd == r.x && ents[j].rn == r.b {
+		g := tgather{keep: [4]uint32{^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)}}
+		rel = append(rel, cum+int64(ents[j].imm))
+		add(kLdrbImm, RegionSRAM)
+		add(kSxtb, RegionNone)
+		var wrote [4]bool
+		var last, lastSlot uint8 // the gather's last accumulate
+		k := j + 2
+		for ; k < len(ents); k++ {
+			a := &ents[k]
+			op := a.kind
+			switch {
+			case (op == kAddsReg || op == kSubsReg) && a.rn == a.rd && a.rm == r.x:
+			case op == kMovHi && a.rm == r.x:
+			case op == kGeneric && a.fn != nil && a.op&0xffc0 == 0x4240 && a.rm == r.x:
+				op = tRsbs
+			default:
+				op = 0
+			}
+			if op == 0 || a.rd >= 8 || a.rd == r.x || a.rd == r.b {
+				break
+			}
+			s := int(slot[a.rd]) - 1
+			if s < 0 {
+				if nacc == len(r.acc) {
+					break
+				}
+				s = nacc
+				nacc++
+				slot[a.rd] = int8(nacc)
+				r.acc[s] = a.rd
+			}
+			if wrote[s] {
+				break
+			}
+			wrote[s] = true
+			switch op {
+			case kAddsReg:
+				g.sign[s] = 1
+			case kSubsReg:
+				g.sign[s] = ^uint32(0)
+			case kMovHi:
+				g.keep[s], g.sign[s] = 0, 1
+			case tRsbs:
+				g.keep[s], g.sign[s] = 0, ^uint32(0)
+			}
+			add(op, RegionNone)
+			last, lastSlot = op, uint8(s)
+		}
+		r.gathers = append(r.gathers, g)
+		if last != 0 && last != kMovHi {
+			end, ends, endCum, endNacc = k, len(r.gathers), cum, nacc
+			r.fslot, r.fop = lastSlot, last
+			lp.totB, lp.totW, lp.totFR, lp.totSR, lp.totSW = b, w, fr, sr, sw
+		}
+		for ; k < len(ents) && (ents[k].kind == kAddsImm8 || ents[k].kind == kSubsImm8) && ents[k].rd == r.b; k++ {
+			if ents[k].kind == kAddsImm8 {
+				cum += int64(ents[k].imm)
+			} else {
+				cum -= int64(ents[k].imm)
+			}
+			add(ents[k].kind, RegionNone)
+		}
+		j = k
+	}
+	if ends == 0 {
+		return lp, false
+	}
+	r.gathers, rel, r.nacc, r.delta = r.gathers[:ends], rel[:ends], endNacc, uint32(endCum)
+	for s := r.nacc; s < len(r.acc); s++ {
+		r.acc[s] = r.acc[0]
+	}
+	r.lo = slices.Min(rel)
+	r.span = uint32(slices.Max(rel) - r.lo)
+	for gi := range r.gathers {
+		r.gathers[gi].off = uint32(rel[gi] - r.lo)
+	}
+	lp.next = pt.base + uint32(2*end)
+	lp.nInstr = uint64(end - i)
+	lp.totN = lp.nInstr
+	return lp, true
+}
+
+// runLoop runs the attached table's loop or run i from its head, at the
+// PC, when the budget covers a full pass (a run: all of it), and
+// returns the instructions retired: 0 when the budget does not cover a
+// pass, or when the loop deviated at its head before any progress (the
+// PC is then still on the head).
 func (c *CPU) runLoop(i uint32, budget uint64) uint64 {
 	lp := &c.ttab.loops[i]
 	if lp.nInstr > budget {
 		return 0
 	}
-	if lp.kind == loopMac {
+	switch lp.kind {
+	case loopMac:
 		return c.execMacLoop(lp, budget)
+	case loopGather:
+		return c.execGatherLoop(lp, budget)
 	}
-	return c.execGatherLoop(lp, budget)
+	return c.execRun(lp)
 }
 
 // loopIters is the pass limit of one loop run: the full passes the
@@ -785,6 +984,54 @@ func (c *CPU) execGatherLoop(lp *tloop, budget uint64) uint64 {
 	c.R[rp], c.R[rb], c.R[ra], c.R[rn] = pv, bv, av, nv
 	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
 	return c.loopExit(lp, k, taken, dev)
+}
+
+// execRun executes a whole straight-line gather-accumulate run
+// (lowerRun) in host locals: one record per gather, each accumulator
+// slot updated as acc = acc&keep + v*sign with no per-op branch. Every
+// load is at a static offset from the window base at entry, so the
+// whole load interval is checked against SRAM once, up front; when it
+// leaves SRAM (or wraps) the run makes no progress and the dispatcher
+// executes the head through its handler, which performs the real bus
+// access. The intermediate flag writes are dead: the exit flags are
+// those of the run's last accumulate, recomputed from its operands.
+func (c *CPU) execRun(lp *tloop) uint64 {
+	r := lp.run
+	bus := c.Bus
+	b0 := c.R[r.b]
+	lo := int64(b0) + r.lo - int64(bus.SRAMBase)
+	if lo < 0 || lo+int64(r.span) >= int64(len(bus.SRAM)) {
+		return 0
+	}
+	win := bus.SRAM[lo : lo+int64(r.span)+1]
+	a0, a1, a2, a3 := c.R[r.acc[0]], c.R[r.acc[1]], c.R[r.acc[2]], c.R[r.acc[3]]
+	var v uint32
+	for i := range r.gathers {
+		g := &r.gathers[i]
+		v = uint32(int32(int8(win[g.off])))
+		a0 = a0&g.keep[0] + v*g.sign[0]
+		a1 = a1&g.keep[1] + v*g.sign[1]
+		a2 = a2&g.keep[2] + v*g.sign[2]
+		a3 = a3&g.keep[3] + v*g.sign[3]
+	}
+	acc := [4]uint32{a0, a1, a2, a3}
+	for s := 0; s < r.nacc; s++ {
+		c.R[r.acc[s]] = acc[s]
+	}
+	c.R[r.x] = v
+	c.R[r.b] = b0 + r.delta
+	var res uint32
+	a := acc[r.fslot]
+	switch r.fop {
+	case kAddsReg: // a = old + v
+		res, c.C, c.V = addWithCarry(a-v, v, false)
+	case kSubsReg: // a = old - v
+		res, c.C, c.V = addWithCarry(a+v, ^v, true)
+	default: // rsbs: a = 0 - v
+		res, c.C, c.V = addWithCarry(^v, 0, true)
+	}
+	c.N, c.Z = res&0x8000_0000 != 0, res == 0
+	return c.loopExit(lp, 1, false, nil)
 }
 
 // condFlags is condPassed over local flag copies; conds 0xe/0xf never

@@ -18,6 +18,8 @@ import (
 	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/asmcheck"
 	"github.com/neuro-c/neuroc/internal/cert"
+	"github.com/neuro-c/neuroc/internal/kernels"
+	"github.com/neuro-c/neuroc/internal/rng"
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
 
@@ -41,7 +43,8 @@ var fuzzMenu = []string{
 
 // genFuzzProgram renders a certifiable harness from fuzz bytes: a
 // counted inner loop with a byte-chosen body, an optional countdown
-// loop, an optional gather loop (genGatherLoop), and a BKPT exit.
+// loop, an optional gather loop (genGatherLoop), an optional call to an
+// unrolled kernel (genUnrolledCall), and a BKPT exit.
 func genFuzzProgram(data []byte) string {
 	rd := func(i int) int { return int(data[i%len(data)]) }
 	trip := rd(1)%15 + 1
@@ -66,13 +69,39 @@ func genFuzzProgram(data []byte) string {
 		b.WriteString("\tsubs r7, #1\n")
 		fmt.Fprintf(&b, "\tbne loop2              @ asmcheck: loop %d\n", down)
 	}
-	var tables string
+	var tables, kern string
 	if rd(0)&2 != 0 {
 		tables = genGatherLoop(&b, rd)
 	}
+	if rd(0)&4 != 0 {
+		kern = genUnrolledCall(&b, rd)
+	}
 	b.WriteString("\tbkpt #0\n\t.pool\n")
+	b.WriteString(kern)
 	b.WriteString(tables)
 	return b.String()
+}
+
+// genUnrolledCall appends a call to a deployed unrolled kernel — the
+// straight-line runs the translated tier executes whole in execRun —
+// for a random ternary matrix, after proven stores of its input bytes,
+// and returns the kernel's source. Fuzz bytes choose the shape (up to
+// 70 inputs, so window moves appear), the unroll factor, the density,
+// the matrix seed and the inputs.
+func genUnrolledCall(b *strings.Builder, rd func(int) int) string {
+	const in0, acc0 = 0x20000300, 0x20000600
+	in, out := rd(27)%70+1, rd(28)%9+1
+	factor := kernels.UnrollFactors[rd(29)%len(kernels.UnrollFactors)]
+	m := randTernary(uint64(rd(30))<<8|uint64(rd(31)), in, out, float64(rd(32)%10+1)/10)
+	fmt.Fprintf(b, "\tldr r4, =0x%08x\n", in0)
+	for i := 0; i < in; i++ {
+		if i > 0 && i%32 == 0 {
+			b.WriteString("\tadds r4, #32\n")
+		}
+		fmt.Fprintf(b, "\tmovs r0, #%d\n\tstrb r0, [r4, #%d]\n", rd(33+i), i%32)
+	}
+	b.WriteString("\tbl k_fuzz_unr\n")
+	return kernels.Optimize(kernels.Unrolled("k_fuzz_unr", m, factor, in0, acc0))
 }
 
 // genGatherLoop appends the ternary kernels' gather loop (the shape the
@@ -159,6 +188,17 @@ func FuzzTranslateParity(f *testing.F) {
 	f.Add([]byte{1, 3, 3, 0, 7, 8, 10})
 	f.Add([]byte{255, 200, 7, 3, 4, 2, 0, 6, 5, 1, 150})
 	f.Add([]byte{0, 0, 0})
+	// Unrolled kernels on random matrices (bit 2 of the first byte),
+	// alone and after a gather loop, at every wait-state setting.
+	for i, first := range []byte{4, 5, 6, 7, 12, 6, 14} {
+		r := rng.New(uint64(100 + i))
+		data := make([]byte, 104)
+		for j := range data {
+			data[j] = byte(r.Intn(256))
+		}
+		data[0] = first
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip("empty input")

@@ -218,13 +218,15 @@ func gatherKernel(name string) bool {
 // point, state, and error classification at every checkpoint. This is
 // the lockstep gate at budget granularity: a loop head whose full pass
 // the budget does not cover must execute per instruction, not skew the
-// cut point. It runs every kernel variant at ws 0-2. For the variants
-// with a whole-loop executor (k_dense and the block, mixed and delta
-// kernels) every budget up to the full run is a checkpoint, so cuts
-// land at each instruction of their loops.
+// cut point, and a run head whose whole run the budget does not cover
+// must too. It runs every kernel variant at ws 0-2. For the variants
+// with a whole-loop or run executor (k_dense, the block, mixed and
+// delta kernels, and the unrolled kernels) every budget up to the full
+// run is a checkpoint, so cuts land at each instruction of their loops
+// and runs.
 func TestTranslateBudgetLockstep(t *testing.T) {
 	for _, v := range kernels.Variants() {
-		every := v.Name == "k_dense" || gatherKernel(v.Name)
+		every := v.Name == "k_dense" || gatherKernel(v.Name) || unrolledKernel(v.Name)
 		t.Run(v.Name, func(t *testing.T) {
 			prog, c := certifySrc(t, v.Harness, false)
 			for ws := 0; ws <= 2; ws++ {
@@ -365,14 +367,16 @@ func translateProg(t testing.TB, prog *thumb.Program, c *cert.Certificate) *armv
 	return cert.Translate(c, cpu.PredecodeNow())
 }
 
-// TestTranslateLoopCoverage pins which loops the fast path carries: the
-// dense kernel's inner loop must lower to one whole-loop MAC executor,
-// every block, mixed and delta kernel's two inner loops (one per
-// polarity pass) to whole-loop gather executors, and the csc, unrolled,
+// TestTranslateLoopCoverage pins which loops and runs the fast path
+// carries: the dense kernel's inner loop must lower to one whole-loop
+// MAC executor, every block, mixed and delta kernel's two inner loops
+// (one per polarity pass) to whole-loop gather executors, every
+// unrolled kernel to at least one straight-line run, and the csc,
 // requant and im2col kernels to a table with no loop — which must
 // still exist, so the translated tier is honoured for every certified
-// image. If a refactor silently demotes a hot loop to per-instruction
-// dispatch, this fails before the benchmark regression does.
+// image. No kernel but the unrolled ones has a run. If a refactor
+// silently demotes a hot loop or run to per-instruction dispatch, this
+// fails before the benchmark regression does.
 func TestTranslateLoopCoverage(t *testing.T) {
 	seen := map[string]int{}
 	for _, v := range kernels.Variants() {
@@ -383,8 +387,9 @@ func TestTranslateLoopCoverage(t *testing.T) {
 			kind, mac = "dense", 1
 		case gatherKernel(v.Name):
 			kind, gather = "gather", 2
-		case strings.HasPrefix(v.Name, "k_csc_"), strings.HasPrefix(v.Name, "k_unr"),
-			v.Name == "k_requant", v.Name == "k_im2col":
+		case unrolledKernel(v.Name):
+			kind = "unrolled"
+		case strings.HasPrefix(v.Name, "k_csc_"), v.Name == "k_requant", v.Name == "k_im2col":
 			kind = "none"
 		default:
 			continue
@@ -399,9 +404,12 @@ func TestTranslateLoopCoverage(t *testing.T) {
 			t.Errorf("%s: %d MAC loops, %d gather loops; want %d and %d",
 				v.Name, tt.MacLoops(), tt.GatherLoops(), mac, gather)
 		}
+		if (tt.Runs() > 0) != (kind == "unrolled") {
+			t.Errorf("%s: %d straight-line runs; want them exactly on unrolled kernels", v.Name, tt.Runs())
+		}
 	}
-	if seen["dense"] != 1 || seen["gather"] == 0 || seen["none"] == 0 {
-		t.Fatalf("variant coverage %v: want one k_dense and some gather and loop-free variants", seen)
+	if seen["dense"] != 1 || seen["gather"] == 0 || seen["unrolled"] == 0 || seen["none"] == 0 {
+		t.Fatalf("variant coverage %v: want one k_dense and some gather, unrolled and loop-free variants", seen)
 	}
 }
 

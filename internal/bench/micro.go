@@ -109,7 +109,12 @@ func (r *Runner) Fig3() *report.Table {
 	}
 	t := report.New("Fig 3: encoding strategies on a toy sparse matrix",
 		"format", "bytes", "index range", "notes")
-	for _, enc := range encoding.All(m) {
+	encs, err := encoding.All(m)
+	if err != nil { // unreachable: every toy table value fits 8 bits
+		t.Note = err.Error()
+		return t
+	}
+	for _, enc := range encs {
 		var rng, notes string
 		switch e := enc.(type) {
 		case *encoding.CSC:

@@ -78,9 +78,10 @@ func (c *Certificate) SelfLoops() []armv6m.CertBlock {
 
 // Translate builds the certified-loop table for a certified image over
 // its predecode table. Every certified image gets a table, with zero
-// loops when none of its self-loops matches a whole-loop executor; nil
-// only for a nil certificate, an unknown version, or a nil predecode
-// table. The table inherits the certificate's cycle-model pin (profile,
+// loops when none of its self-loops matches a whole-loop executor (and
+// no straight-line run, which the translator finds in the predecode
+// table itself); nil only for a nil certificate, an unknown version, or
+// a nil predecode table. The table inherits the certificate's cycle-model pin (profile,
 // refill, MULS cost); a core configured differently runs without the
 // loops rather than executing them under the wrong model.
 func Translate(c *Certificate, pt *armv6m.PredecodeTable) *armv6m.TranslationTable {

@@ -75,7 +75,8 @@ func EncodeBlock(m *Matrix, blockSize int) *Block {
 			}
 		}
 	}
-	e.CountWidth = widthFor(maxCount)
+	// A count is at most the block size (≤ 256), so it always fits.
+	e.CountWidth, _ = widthFor("count", maxCount)
 	return e
 }
 
@@ -158,7 +159,19 @@ func (e *Block) Block(i int) BlockView {
 }
 
 // All returns the four encodings of m in the paper's presentation order,
-// using the default block size.
-func All(m *Matrix) []Encoder {
-	return []Encoder{EncodeCSC(m), EncodeDelta(m), EncodeMixed(m), EncodeBlock(m, 0)}
+// using the default block size, or the first encoder's *RangeError.
+func All(m *Matrix) ([]Encoder, error) {
+	csc, err := EncodeCSC(m)
+	if err != nil {
+		return nil, err
+	}
+	delta, err := EncodeDelta(m)
+	if err != nil {
+		return nil, err
+	}
+	mixed, err := EncodeMixed(m)
+	if err != nil {
+		return nil, err
+	}
+	return []Encoder{csc, delta, mixed, EncodeBlock(m, 0)}, nil
 }

@@ -19,8 +19,9 @@ type CSC struct {
 	IdxWidth, PtrWidth int
 }
 
-// EncodeCSC builds the CSC representation of m.
-func EncodeCSC(m *Matrix) *CSC {
+// EncodeCSC builds the CSC representation of m. It returns a
+// *RangeError when an index or pointer exceeds 16 bits.
+func EncodeCSC(m *Matrix) (*CSC, error) {
 	pos, neg := m.Rows()
 	e := &CSC{In: m.In, Out: m.Out}
 	build := func(rows [][]int) cscHalf {
@@ -35,13 +36,18 @@ func EncodeCSC(m *Matrix) *CSC {
 	}
 	e.Pos = build(pos)
 	e.Neg = build(neg)
-	e.IdxWidth = widthFor(m.In - 1)
 	nnz := len(e.Pos.Indices)
 	if n := len(e.Neg.Indices); n > nnz {
 		nnz = n
 	}
-	e.PtrWidth = widthFor(nnz)
-	return e
+	var err error
+	if e.IdxWidth, err = widthFor("index", m.In-1); err != nil {
+		return nil, err
+	}
+	if e.PtrWidth, err = widthFor("pointer", nnz); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Name implements Encoder.

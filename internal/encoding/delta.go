@@ -26,8 +26,9 @@ type Delta struct {
 	FirstWidth, DeltaWidth, CountWidth int
 }
 
-// EncodeDelta builds the delta representation of m.
-func EncodeDelta(m *Matrix) *Delta {
+// EncodeDelta builds the delta representation of m. It returns a
+// *RangeError when a first index, delta or count exceeds 16 bits.
+func EncodeDelta(m *Matrix) (*Delta, error) {
 	pos, neg := m.Rows()
 	e := &Delta{In: m.In, Out: m.Out}
 	maxFirst, maxDelta := 0, 0
@@ -56,14 +57,21 @@ func EncodeDelta(m *Matrix) *Delta {
 	}
 	e.Pos = build(pos)
 	e.Neg = build(neg)
-	e.FirstWidth = widthFor(maxFirst)
-	e.DeltaWidth = widthFor(maxDelta)
 	maxCount := maxInt(e.Pos.Counts)
 	if c := maxInt(e.Neg.Counts); c > maxCount {
 		maxCount = c
 	}
-	e.CountWidth = widthFor(maxCount)
-	return e
+	var err error
+	if e.FirstWidth, err = widthFor("first index", maxFirst); err != nil {
+		return nil, err
+	}
+	if e.DeltaWidth, err = widthFor("delta", maxDelta); err != nil {
+		return nil, err
+	}
+	if e.CountWidth, err = widthFor("count", maxCount); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Name implements Encoder.

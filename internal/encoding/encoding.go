@@ -119,15 +119,28 @@ type Encoder interface {
 	Decode() *Matrix
 }
 
-// widthFor returns 1 if every value in vals fits a uint8, else 2.
-func widthFor(maxVal int) int {
+// RangeError reports a table value too large for the widest on-device
+// element (16 bits): the layer is too large for the encoding.
+type RangeError struct {
+	Table string // which table: "index", "pointer", "first index", "delta", "count"
+	Value int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("encoding: %s value %d exceeds the 16-bit table range", e.Table, e.Value)
+}
+
+// widthFor returns the element width of a table whose largest value is
+// maxVal: 1 if it fits a uint8, 2 if it fits a uint16, else a
+// *RangeError naming the table.
+func widthFor(table string, maxVal int) (int, error) {
 	if maxVal <= 0xff {
-		return 1
+		return 1, nil
 	}
 	if maxVal <= 0xffff {
-		return 2
+		return 2, nil
 	}
-	panic(fmt.Sprintf("encoding: value %d exceeds 16-bit range", maxVal))
+	return 0, &RangeError{Table: table, Value: maxVal}
 }
 
 func maxInt(vals []int) int {

@@ -1,11 +1,20 @@
 package encoding
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"github.com/neuro-c/neuroc/internal/rng"
 )
+
+// must returns v, panicking on err: the matrices here fit every table.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // randMatrix builds a random ternary matrix with the given density.
 func randMatrix(r *rng.RNG, in, out int, density float64) *Matrix {
@@ -132,7 +141,7 @@ func TestAllEncodingsMatchDense(t *testing.T) {
 		x := randInput(r, s.in)
 		want := make([]int32, s.out)
 		m.Apply(x, want)
-		for _, enc := range All(m) {
+		for _, enc := range must(All(m)) {
 			got := make([]int32, s.out)
 			enc.Apply(x, got)
 			for o := range want {
@@ -150,7 +159,7 @@ func TestRoundTrip(t *testing.T) {
 	r := rng.New(9)
 	for _, s := range [][2]int{{10, 10}, {300, 50}, {784, 32}, {64, 300}} {
 		m := randMatrix(r, s[0], s[1], 0.07)
-		for _, enc := range All(m) {
+		for _, enc := range must(All(m)) {
 			d := enc.Decode()
 			if d.In != m.In || d.Out != m.Out {
 				t.Fatalf("%s: decoded dims %dx%d", enc.Name(), d.Out, d.In)
@@ -171,7 +180,7 @@ func TestRoundTripProperty(t *testing.T) {
 		in := rr.Intn(300) + 1
 		out := rr.Intn(60) + 1
 		m := randMatrix(rr, in, out, rr.Float64()*0.3)
-		for _, enc := range All(m) {
+		for _, enc := range must(All(m)) {
 			d := enc.Decode()
 			for i := range m.W {
 				if d.W[i] != m.W[i] {
@@ -191,12 +200,12 @@ func TestIndexWidthSelection(t *testing.T) {
 	r := rng.New(3)
 	// Small input space: CSC gets 8-bit indices.
 	small := randMatrix(r, 200, 16, 0.1)
-	if e := EncodeCSC(small); e.IdxWidth != 1 {
+	if e := must(EncodeCSC(small)); e.IdxWidth != 1 {
 		t.Errorf("CSC idx width for 200 inputs = %d, want 1", e.IdxWidth)
 	}
 	// Large input space: CSC needs 16-bit indices.
 	large := randMatrix(r, 784, 16, 0.1)
-	if e := EncodeCSC(large); e.IdxWidth != 2 {
+	if e := must(EncodeCSC(large)); e.IdxWidth != 2 {
 		t.Errorf("CSC idx width for 784 inputs = %d, want 2", e.IdxWidth)
 	}
 	// Block always keeps 8-bit indices.
@@ -211,14 +220,14 @@ func TestIndexWidthSelection(t *testing.T) {
 			dense.Set(o, i, 1)
 		}
 	}
-	if e := EncodeDelta(dense); e.DeltaWidth != 1 {
+	if e := must(EncodeDelta(dense)); e.DeltaWidth != 1 {
 		t.Errorf("Delta offset width for stride-4 rows = %d, want 1", e.DeltaWidth)
 	}
 	// A large gap between consecutive connections forces 16-bit offsets.
 	sparse := NewMatrix(784, 4)
 	sparse.Set(0, 10, 1)
 	sparse.Set(0, 700, 1)
-	if e := EncodeDelta(sparse); e.DeltaWidth != 2 {
+	if e := must(EncodeDelta(sparse)); e.DeltaWidth != 2 {
 		t.Errorf("Delta offset width with gap 690 = %d, want 2", e.DeltaWidth)
 	}
 }
@@ -228,7 +237,7 @@ func TestIndexWidthSelection(t *testing.T) {
 func TestBlockIsMostCompactOnWideInputs(t *testing.T) {
 	r := rng.New(5)
 	m := randMatrix(r, 784, 256, 0.05)
-	csc := EncodeCSC(m).SizeBytes()
+	csc := must(EncodeCSC(m)).SizeBytes()
 	blk := EncodeBlock(m, 0).SizeBytes()
 	if blk >= csc {
 		t.Errorf("block (%d B) not smaller than CSC (%d B) on 784x256 sparse", blk, csc)
@@ -244,21 +253,21 @@ func TestSizeAccountingExact(t *testing.T) {
 	m.Set(1, 1, 1)
 	m.Set(1, 3, 1)
 
-	csc := EncodeCSC(m)
+	csc := must(EncodeCSC(m))
 	// Pos: indices [0,1,3] + pointers [0,1,3]; Neg: indices [2] + pointers [0,1,1].
 	// All values fit 8 bits: (3+1)*1 + (3+3)*1 = 10 bytes.
 	if got := csc.SizeBytes(); got != 10 {
 		t.Errorf("CSC size = %d, want 10", got)
 	}
 
-	mixed := EncodeMixed(m)
+	mixed := must(EncodeMixed(m))
 	// Pos: counts [1,2] + indices [0,1,3]; Neg: counts [1,0] + indices [2].
 	// (2+2)*1 + (3+1)*1 = 8 bytes.
 	if got := mixed.SizeBytes(); got != 8 {
 		t.Errorf("Mixed size = %d, want 8", got)
 	}
 
-	delta := EncodeDelta(m)
+	delta := must(EncodeDelta(m))
 	// Same element counts as mixed: 8 bytes.
 	if got := delta.SizeBytes(); got != 8 {
 		t.Errorf("Delta size = %d, want 8", got)
@@ -274,7 +283,7 @@ func TestSizeAccountingExact(t *testing.T) {
 func TestEmptyMatrixEncodings(t *testing.T) {
 	m := NewMatrix(16, 8) // fully disconnected
 	x := randInput(rng.New(1), 16)
-	for _, enc := range All(m) {
+	for _, enc := range must(All(m)) {
 		y := make([]int32, 8)
 		enc.Apply(x, y)
 		for _, v := range y {
@@ -297,7 +306,7 @@ func TestBlockSizeValidation(t *testing.T) {
 
 func TestApplyLengthMismatchPanics(t *testing.T) {
 	m := randMatrix(rng.New(2), 8, 4, 0.3)
-	for _, enc := range All(m) {
+	for _, enc := range must(All(m)) {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -315,7 +324,7 @@ func TestDeltaStreamStructure(t *testing.T) {
 	m.Set(0, 3, 1)
 	m.Set(0, 10, 1)
 	m.Set(0, 12, 1)
-	e := EncodeDelta(m)
+	e := must(EncodeDelta(m))
 	if len(e.Pos.Firsts) != 1 || e.Pos.Firsts[0] != 3 {
 		t.Fatalf("firsts = %v, want [3]", e.Pos.Firsts)
 	}
@@ -330,11 +339,48 @@ func TestDeltaSplitWidths(t *testing.T) {
 	m := NewMatrix(784, 1)
 	m.Set(0, 300, 1)
 	m.Set(0, 305, 1)
-	e := EncodeDelta(m)
+	e := must(EncodeDelta(m))
 	if e.FirstWidth != 2 {
 		t.Errorf("FirstWidth = %d, want 2", e.FirstWidth)
 	}
 	if e.DeltaWidth != 1 {
 		t.Errorf("DeltaWidth = %d, want 1", e.DeltaWidth)
+	}
+}
+
+// TestEncodersReportRangeErrors pins that a table value past 16 bits is
+// an error, not a panic: a 784→128 layer with about 70,000 positive
+// connections needs a CSC pointer of that size.
+func TestEncodersReportRangeErrors(t *testing.T) {
+	m := NewMatrix(784, 128)
+	r := rng.New(11)
+	for i := range m.W {
+		if r.Float64() < 0.7 {
+			m.W[i] = 1
+		}
+	}
+	_, err := EncodeCSC(m)
+	var re *RangeError
+	if !errors.As(err, &re) || re.Table != "pointer" || re.Value <= 0xffff {
+		t.Fatalf("EncodeCSC error %v, want a pointer RangeError", err)
+	}
+	if _, err := All(m); !errors.As(err, &re) {
+		t.Fatalf("All error %v, want a RangeError", err)
+	}
+	for _, enc := range []func() error{
+		func() error { _, err := EncodeDelta(m); return err },
+		func() error { _, err := EncodeMixed(m); return err },
+	} {
+		if err := enc(); err != nil {
+			t.Errorf("784-input layer: %v", err)
+		}
+	}
+	wide := NewMatrix(70000, 1)
+	wide.Set(0, 69999, -1)
+	if _, err := EncodeMixed(wide); !errors.As(err, &re) || re.Table != "index" {
+		t.Errorf("EncodeMixed on 70,000 inputs: error %v, want an index RangeError", err)
+	}
+	if _, err := EncodeDelta(wide); !errors.As(err, &re) || re.Table != "first index" {
+		t.Errorf("EncodeDelta on 70,000 inputs: error %v, want a first index RangeError", err)
 	}
 }

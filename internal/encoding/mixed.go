@@ -18,8 +18,9 @@ type Mixed struct {
 	IdxWidth, CountWidth int
 }
 
-// EncodeMixed builds the mixed representation of m.
-func EncodeMixed(m *Matrix) *Mixed {
+// EncodeMixed builds the mixed representation of m. It returns a
+// *RangeError when an index or count exceeds 16 bits.
+func EncodeMixed(m *Matrix) (*Mixed, error) {
 	pos, neg := m.Rows()
 	e := &Mixed{In: m.In, Out: m.Out}
 	build := func(rows [][]int) mixedHalf {
@@ -32,13 +33,18 @@ func EncodeMixed(m *Matrix) *Mixed {
 	}
 	e.Pos = build(pos)
 	e.Neg = build(neg)
-	e.IdxWidth = widthFor(m.In - 1)
 	maxCount := maxInt(e.Pos.Counts)
 	if c := maxInt(e.Neg.Counts); c > maxCount {
 		maxCount = c
 	}
-	e.CountWidth = widthFor(maxCount)
-	return e
+	var err error
+	if e.IdxWidth, err = widthFor("index", m.In-1); err != nil {
+		return nil, err
+	}
+	if e.CountWidth, err = widthFor("count", maxCount); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Name implements Encoder.

@@ -62,6 +62,35 @@ func testModel() *quant.Model {
 	}
 }
 
+// pipelineModel is a three-layer ternary model of the shape the
+// end-to-end pipeline deploys: 784→128→48→10.
+func pipelineModel() *quant.Model {
+	r := rng.New(44)
+	mkLayer := func(in, out int, relu bool) *quant.Layer {
+		a := encoding.NewMatrix(in, out)
+		for i := range a.W {
+			if r.Bool(0.1) {
+				a.W[i] = int8(2*r.Intn(2) - 1)
+			}
+		}
+		l := &quant.Layer{
+			Kind: quant.Ternary, In: in, Out: out, A: a,
+			PerNeuron: true, ReLU: relu, PostShift: 7,
+			Bias:  make([]int32, out),
+			Mults: make([]int32, out),
+		}
+		for o := 0; o < out; o++ {
+			l.Mults[o] = int32(r.Intn(100)) + 20
+			l.Bias[o] = int32(r.Intn(21)) - 10
+		}
+		return l
+	}
+	return &quant.Model{
+		Layers:     []*quant.Layer{mkLayer(784, 128, true), mkLayer(128, 48, true), mkLayer(48, 10, false)},
+		InputScale: 127,
+	}
+}
+
 // denseModel is a small two-layer int8 MLP, the dense baseline.
 func denseModel() *quant.Model {
 	r := rng.New(43)
@@ -431,10 +460,11 @@ func TestSharedFlashRejectsOversizedImage(t *testing.T) {
 
 // TestTierTranslatedEveryEncoding pins the contract a per-encoding tier
 // comparison relies on: farm.Map honours TierTranslated on a certified
-// image of every concrete encoding and of the dense MLP, whether or not
-// its kernels have a loop the fast path runs whole, and each item
-// matches TierPredecoded exactly in output, cycles and instructions, as
-// do the board's bus counters over the batch.
+// image of every concrete encoding, of the dense MLP and of the
+// pipeline-shaped unrolled model, whether or not its kernels have a
+// loop or run the fast path executes whole, and each item matches
+// TierPredecoded exactly in output, cycles and instructions, as do the
+// board's bus counters over the batch. Unrolled images must carry runs.
 func TestTierTranslatedEveryEncoding(t *testing.T) {
 	cases := []struct {
 		name string
@@ -447,10 +477,11 @@ func TestTierTranslatedEveryEncoding(t *testing.T) {
 		{"mixed", testModel(), modelimg.UseMixed},
 		{"unrolled/4", testModel(), modelimg.UseUnrolled},
 		{"dense", denseModel(), modelimg.UseBlock},
+		{"pipeline-unrolled/4", pipelineModel(), modelimg.UseUnrolled},
 	}
-	inputs := testInputs(6, 32)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			inputs := testInputs(6, c.m.Layers[0].In)
 			img, err := modelimg.Build(c.m, c.enc)
 			if err != nil {
 				t.Fatalf("build: %v", err)
@@ -476,6 +507,9 @@ func TestTierTranslatedEveryEncoding(t *testing.T) {
 				}
 				if tier == device.TierTranslated && !board.CPU.TranslationAttached() {
 					t.Fatal("translated board has no certified-loop table attached")
+				}
+				if tier == device.TierTranslated && c.enc == modelimg.UseUnrolled && board.Flash.Trans.Runs() == 0 {
+					t.Fatal("unrolled image lowered to no straight-line run")
 				}
 				b := board.CPU.Bus
 				return run{res, [3]uint64{b.FlashReads, b.SRAMReads, b.SRAMWrites}}

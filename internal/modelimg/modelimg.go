@@ -108,15 +108,30 @@ func (le LayerEncoding) String() string {
 }
 
 // ErrNotDeployable is returned when the image exceeds the device flash
-// or the buffers exceed SRAM — the paper's "non-deployable" condition.
+// or the buffers exceed SRAM — the paper's "non-deployable" condition —
+// or when a layer's tables do not fit its encoding's element widths.
 type ErrNotDeployable struct {
 	What string
 	Need int
 	Have int
+	// Err, when set, is why a layer cannot be encoded at all (an
+	// *encoding.RangeError); Need and Have are then zero.
+	Err error
 }
 
 func (e *ErrNotDeployable) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("modelimg: not deployable: %s: %v", e.What, e.Err)
+	}
 	return fmt.Sprintf("modelimg: not deployable: %s needs %d bytes, device has %d", e.What, e.Need, e.Have)
+}
+
+func (e *ErrNotDeployable) Unwrap() error { return e.Err }
+
+// unencodable is the ErrNotDeployable for layer idx, whose encoder
+// failed under le.
+func unencodable(idx int, le LayerEncoding, err error) error {
+	return &ErrNotDeployable{What: fmt.Sprintf("layer %d as %s", idx, le), Err: err}
 }
 
 // Image is a built flash image ready to load.
@@ -437,7 +452,10 @@ func planLayer(l *quant.Layer, le LayerEncoding, idx int, in, acc uint32) (*laye
 			}, nil
 
 		case UseCSC:
-			e := encoding.EncodeCSC(l.A)
+			e, err := encoding.EncodeCSC(l.A)
+			if err != nil {
+				return nil, unencodable(idx, le, err)
+			}
 			name, _ := kernels.CSCB(e.PtrWidth, e.IdxWidth, 1, 1)
 			return &layerPlan{
 				enc: le, encStr: le.String(), kname: name,
@@ -458,7 +476,10 @@ func planLayer(l *quant.Layer, le LayerEncoding, idx int, in, acc uint32) (*laye
 			}, nil
 
 		case UseDelta:
-			e := encoding.EncodeDelta(l.A)
+			e, err := encoding.EncodeDelta(l.A)
+			if err != nil {
+				return nil, unencodable(idx, le, err)
+			}
 			name, _ := kernels.DeltaB(e.CountWidth, e.FirstWidth, e.DeltaWidth, 1, 1)
 			col := maxColumnCount(l.A) - 1 // first connection is peeled
 			if col < 1 {
@@ -483,7 +504,10 @@ func planLayer(l *quant.Layer, le LayerEncoding, idx int, in, acc uint32) (*laye
 			}, nil
 
 		case UseMixed:
-			e := encoding.EncodeMixed(l.A)
+			e, err := encoding.EncodeMixed(l.A)
+			if err != nil {
+				return nil, unencodable(idx, le, err)
+			}
 			name, _ := kernels.MixedB(e.CountWidth, e.IdxWidth, 1, 1)
 			return &layerPlan{
 				enc: le, encStr: le.String(), kname: name,

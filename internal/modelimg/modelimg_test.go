@@ -1,6 +1,7 @@
 package modelimg_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -297,6 +298,38 @@ func TestNotDeployableOnOversizedModel(t *testing.T) {
 	}
 	if _, ok := err.(*ErrNotDeployable); !ok {
 		t.Errorf("error type %T: %v", err, err)
+	}
+}
+
+// A 784→128 layer with about 70,000 positive connections overflows the CSC
+// encoding's 16-bit pointer table. Building it as CSC reports
+// ErrNotDeployable naming the layer and the encoding instead of
+// panicking, and the auto search drops the CSC probe and deploys the
+// best remaining encoding.
+func TestUnencodableLayerNotDeployable(t *testing.T) {
+	r := rng.New(52)
+	l := randTernaryLayer(r, 784, 128, 0, true, false)
+	for i := range l.A.W {
+		if r.Bool(0.7) {
+			l.A.W[i] = 1
+		}
+	}
+	m := &quant.Model{InputScale: 127, Layers: []*quant.Layer{l}}
+	_, err := Build(m, UseCSC)
+	var nd *ErrNotDeployable
+	var re *encoding.RangeError
+	if !errors.As(err, &nd) || nd.What != "layer 0 as csc" || !errors.As(err, &re) || re.Table != "pointer" {
+		t.Fatalf("csc build error %v, want ErrNotDeployable naming layer 0 and csc, wrapping a pointer RangeError", err)
+	}
+	img, err := Build(m, UseAuto)
+	if err != nil {
+		t.Fatalf("auto build: %v", err)
+	}
+	if enc := img.Layers[0].Encoding; enc == "csc" {
+		t.Fatalf("auto deployed layer 0 as %s", enc)
+	}
+	if _, err := Build(m, UseBlock); err != nil {
+		t.Fatalf("block build: %v", err)
 	}
 }
 

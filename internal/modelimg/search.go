@@ -195,9 +195,12 @@ func probeLayers(model *quant.Model, ternary []int) (*probes, error) {
 			img, err := buildResolved(probe, BuildOptions{}, []LayerEncoding{ch})
 			if err != nil {
 				var nd *ErrNotDeployable
-				if errors.As(err, &nd) { // the candidate cannot fit even alone
-					if compact == nil || nd.Need < compact.Need {
-						compact = &ErrNotDeployable{What: fmt.Sprintf("layer %d under every encoding (most compact: %s, %s)", li, ch, nd.What), Need: nd.Need, Have: nd.Have}
+				if errors.As(err, &nd) { // the candidate cannot fit even alone, or cannot be encoded
+					// A candidate that fits by size but not by encoding
+					// ranks last: it has no byte need to compare.
+					if compact == nil || nd.Err == nil && (compact.Err != nil || nd.Need < compact.Need) {
+						compact = &ErrNotDeployable{What: fmt.Sprintf("layer %d under every encoding (most compact: %s, %s)", li, ch, nd.What),
+							Need: nd.Need, Have: nd.Have, Err: nd.Err}
 					}
 					continue
 				}

@@ -80,6 +80,12 @@ for pkg in ./internal/armv6m/ ./internal/device/ ./internal/farm/; do
 		exit 1
 	fi
 done
+# The straight-line run executor's tests must be there too.
+n=$(go test -list 'TestTranslateSweep' ./internal/armv6m/ | grep -cE '^Test' || true)
+if [ "$n" -eq 0 ]; then
+	echo "no TestTranslateSweep test in ./internal/armv6m/" >&2
+	exit 1
+fi
 go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 go test -run '^$' -fuzz FuzzTranslateParity -fuzztime 15s ./internal/armv6m/
