@@ -39,6 +39,13 @@ func CompareMetricsJSON(oldData, newData []byte, tolerance float64) error {
 	if oldF.Seed != newF.Seed {
 		diffs = append(diffs, fmt.Sprintf("seed: baseline %d, candidate %d (different seeds are not comparable)", oldF.Seed, newF.Seed))
 	}
+	// A repeated name would hide all but one of its records below.
+	for _, d := range duplicateNames(oldF.Experiments) {
+		diffs = append(diffs, "baseline: "+d)
+	}
+	for _, d := range duplicateNames(newF.Experiments) {
+		diffs = append(diffs, "candidate: "+d)
+	}
 	newByName := make(map[string]*Metric, len(newF.Experiments))
 	for i := range newF.Experiments {
 		newByName[newF.Experiments[i].Name] = &newF.Experiments[i]
@@ -63,6 +70,22 @@ func CompareMetricsJSON(oldData, newData []byte, tolerance float64) error {
 		return fmt.Errorf("metrics: %d difference(s) from baseline:\n  %s", len(diffs), strings.Join(diffs, "\n  "))
 	}
 	return nil
+}
+
+// duplicateNames names every experiment that repeats an earlier
+// experiment's name, with both indices.
+func duplicateNames(exps []Metric) []string {
+	first := make(map[string]int, len(exps))
+	var dups []string
+	for i := range exps {
+		name := exps[i].Name
+		if j, ok := first[name]; ok {
+			dups = append(dups, fmt.Sprintf("experiments %d and %d are both named %q", j, i, name))
+			continue
+		}
+		first[name] = i
+	}
+	return dups
 }
 
 // compareMetric diffs one experiment pair.

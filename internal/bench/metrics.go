@@ -196,10 +196,13 @@ func (r *Runner) WriteMetricsJSON(w io.Writer) error {
 }
 
 // ValidateMetricsJSON checks that data parses as a metrics document
-// with the right schema, at least one experiment, and every required
-// key present on every experiment. It is the CI gate behind
-// `neuroc-bench -quick -metrics`: a runner change that drops a key or
-// stops emitting records fails here rather than in downstream tooling.
+// with the right schema, at least one experiment, every required key
+// present on every experiment, and no two experiments sharing a name.
+// It is the CI gate behind `neuroc-bench -quick -metrics`: a runner
+// change that drops a key or stops emitting records fails here rather
+// than in downstream tooling. A document it accepts decodes as the
+// MetricsFile that CompareMetricsJSON reads, so it compares equal to
+// itself.
 func ValidateMetricsJSON(data []byte) error {
 	var top map[string]json.RawMessage
 	if err := json.Unmarshal(data, &top); err != nil {
@@ -292,6 +295,18 @@ func ValidateMetricsJSON(data []byte) error {
 				}
 			}
 		}
+	}
+	// The comparison reads the typed records: they must decode, and a
+	// repeated name would hide all but one of its records there.
+	var f MetricsFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	if f.Schema != MetricsSchema {
+		return fmt.Errorf("metrics: schema %q, want %q", f.Schema, MetricsSchema)
+	}
+	if dups := duplicateNames(f.Experiments); len(dups) > 0 {
+		return fmt.Errorf("metrics: %s", dups[0])
 	}
 	return nil
 }

@@ -24,12 +24,21 @@
 //     changes an IEEE sum that starts at +0: such a sum can never be
 //     -0, and x + (±0) == x for every other x.
 //
+// MatMulTernary takes the batch rows eight at a time, so each input row
+// k's +1 and -1 lists are walked once for eight output rows. It skips k
+// only when all eight inputs a[i][k] are zero; when some are, those
+// rows get a term ±(±0), which is ±0 again. Each output element
+// therefore still sums in ascending k, and besides its dense form's
+// nonzero terms it sums only ±0, which the last point shows changes no
+// bit. A single-row loop takes the rows left over and skips every zero
+// input.
+//
 // MatMulAT, the latent gradient xᵀ·dz, is exact by the same argument.
 // For each output row i it collects the batch rows k with x[k][i] != 0
-// and adds them four at a time, holding dst[i][j] in a register across
-// the four additions. Each element still sums its terms one by one in
-// ascending k, as the textbook product does, and the skipped terms are
-// ±0 added to a sum that started at +0.
+// and adds them eight at a time, then four, then one, holding dst[i][j]
+// in a register across each pass. Each element still sums its terms one
+// by one in ascending k, as the textbook product does, and the skipped
+// terms are ±0 added to a sum that started at +0.
 package tensor
 
 import (
@@ -222,7 +231,47 @@ func MatMulTernary(dst, a *Mat, b *Ternary) {
 	}
 	dst.Zero()
 	ParallelRows(a.Rows, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+		i := lo
+		// Eight rows at a time: row k's lists are walked once for all
+		// eight, and k is skipped only when all eight inputs are zero.
+		for ; i+8 <= hi; i += 8 {
+			a0 := a.Row(i)
+			n := len(a0)
+			a1, a2, a3 := a.Row(i + 1)[:n], a.Row(i + 2)[:n], a.Row(i + 3)[:n]
+			a4, a5, a6, a7 := a.Row(i + 4)[:n], a.Row(i + 5)[:n], a.Row(i + 6)[:n], a.Row(i + 7)[:n]
+			d0 := dst.Row(i)
+			m := len(d0)
+			d1, d2, d3 := dst.Row(i + 1)[:m], dst.Row(i + 2)[:m], dst.Row(i + 3)[:m]
+			d4, d5, d6, d7 := dst.Row(i + 4)[:m], dst.Row(i + 5)[:m], dst.Row(i + 6)[:m], dst.Row(i + 7)[:m]
+			for k, v0 := range a0 {
+				v1, v2, v3, v4, v5, v6, v7 := a1[k], a2[k], a3[k], a4[k], a5[k], a6[k], a7[k]
+				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 && v4 == 0 && v5 == 0 && v6 == 0 && v7 == 0 {
+					continue
+				}
+				pos, neg := b.Row(k)
+				for _, j := range pos {
+					d0[j] += v0
+					d1[j] += v1
+					d2[j] += v2
+					d3[j] += v3
+					d4[j] += v4
+					d5[j] += v5
+					d6[j] += v6
+					d7[j] += v7
+				}
+				for _, j := range neg {
+					d0[j] -= v0
+					d1[j] -= v1
+					d2[j] -= v2
+					d3[j] -= v3
+					d4[j] -= v4
+					d5[j] -= v5
+					d6[j] -= v6
+					d7[j] -= v7
+				}
+			}
+		}
+		for ; i < hi; i++ {
 			drow := dst.Row(i)
 			for k, av := range a.Row(i) {
 				if av == 0 {
@@ -320,14 +369,32 @@ func MatMulATRows(a, b *Mat, emit func(i int, row []float32)) {
 }
 
 // atRow sets d[j] = Σ_k a[k][i]·b[k][j] over the rows k in ks
-// (ascending). It takes the rows four at a time so each d[j] stays in a
-// register across four sequential additions.
+// (ascending). It takes the rows eight at a time, then four, so each
+// d[j] stays in a register across eight (or four) sequential additions.
 func atRow(d []float32, a, b *Mat, i int, ks []int) {
 	for j := range d {
 		d[j] = 0
 	}
 	n := len(d)
-	for ; len(ks) >= 4; ks = ks[4:] {
+	for ; len(ks) >= 8; ks = ks[8:] {
+		k0, k1, k2, k3, k4, k5, k6, k7 := ks[0], ks[1], ks[2], ks[3], ks[4], ks[5], ks[6], ks[7]
+		a0, a1, a2, a3 := a.At(k0, i), a.At(k1, i), a.At(k2, i), a.At(k3, i)
+		a4, a5, a6, a7 := a.At(k4, i), a.At(k5, i), a.At(k6, i), a.At(k7, i)
+		b0, b1, b2, b3 := b.Row(k0)[:n], b.Row(k1)[:n], b.Row(k2)[:n], b.Row(k3)[:n]
+		b4, b5, b6, b7 := b.Row(k4)[:n], b.Row(k5)[:n], b.Row(k6)[:n], b.Row(k7)[:n]
+		for j, s := range d {
+			s += a0 * b0[j]
+			s += a1 * b1[j]
+			s += a2 * b2[j]
+			s += a3 * b3[j]
+			s += a4 * b4[j]
+			s += a5 * b5[j]
+			s += a6 * b6[j]
+			s += a7 * b7[j]
+			d[j] = s
+		}
+	}
+	if len(ks) >= 4 {
 		k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
 		a0, a1, a2, a3 := a.At(k0, i), a.At(k1, i), a.At(k2, i), a.At(k3, i)
 		b0, b1, b2, b3 := b.Row(k0)[:n], b.Row(k1)[:n], b.Row(k2)[:n], b.Row(k3)[:n]
@@ -338,6 +405,7 @@ func atRow(d []float32, a, b *Mat, i int, ks []int) {
 			s += a3 * b3[j]
 			d[j] = s
 		}
+		ks = ks[4:]
 	}
 	for _, k := range ks {
 		av, brow := a.At(k, i), b.Row(k)[:n]

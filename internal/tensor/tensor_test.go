@@ -77,15 +77,51 @@ func TestMatMulBT(t *testing.T) {
 	}
 }
 
-// TestMatMulAT pins MatMulAT bit for bit to the textbook product: each
-// element summed in float32 over ascending k, zero terms included. The
-// batch sizes 1-9 and 31-33 hit every remainder of the kernel's block of
-// four rows; a's column counts fall on both sides of the parallel split
-// (run it with -cpu 1,4). The inputs carry zero rows, an all-zero column
-// of a, ±0 entries and magnitudes spanning 2^±20, so any reordered or
-// dropped term would round differently.
+// naiveAT is the textbook aᵀ·b: each element summed in float32 over
+// ascending k, zero terms included.
+func naiveAT(a, b *Mat) *Mat {
+	c := NewMat(a.Cols, b.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for k := 0; k < a.Rows; k++ {
+				s += a.At(k, i) * b.At(k, j)
+			}
+			c.Set(i, j, s)
+		}
+	}
+	return c
+}
+
+// TestMatMulAT pins MatMulAT bit for bit to the textbook product. The
+// batch sizes 1-9 and 31-33 hit every remainder of the kernel's blocks
+// of eight and four rows; a's column counts fall on both sides of the
+// parallel split (run it with -cpu 1,4). The inputs carry zero rows, an
+// all-zero column of a, ±0 entries and magnitudes spanning 2^±20, so
+// any reordered or dropped term would round differently. A second set
+// of inputs gives a's column c exactly c nonzero rows, c = 0-17, at
+// random places among +0 and -0, so each output row runs a different
+// mix of eight-row, four-row and one-row passes.
 func TestMatMulAT(t *testing.T) {
 	r := rng.New(3)
+	for _, rows := range []int{17, 24, 40} {
+		a := randInputs(r, rows, 18)
+		for c := 0; c < a.Cols; c++ {
+			nz := r.Perm(rows)[:c]
+			for k := 0; k < rows; k++ {
+				a.Set(k, c, signedZero(r))
+			}
+			for _, k := range nz {
+				a.Set(k, c, r.NormFloat32()*float32(math.Ldexp(1, r.Intn(41)-20)))
+			}
+		}
+		for _, bcols := range []int{1, 5, 16} {
+			b := randInputs(r, rows, bcols)
+			got := NewMat(a.Cols, bcols)
+			MatMulAT(got, a, b)
+			sameBits(t, fmt.Sprintf("MatMulAT %dx%d·%d, c nonzero rows in column c", rows, a.Cols, bcols), got, naiveAT(a, b))
+		}
+	}
 	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33} {
 		for _, cols := range []int{1, 3, 7, 8, 9, 33} {
 			for _, bcols := range []int{1, 5, 16} {
@@ -94,16 +130,7 @@ func TestMatMulAT(t *testing.T) {
 					a.Set(k, cols/2, 0) // an all-zero column: an output row of +0
 				}
 				b := randInputs(r, rows, bcols)
-				want := NewMat(cols, bcols)
-				for i := 0; i < cols; i++ {
-					for j := 0; j < bcols; j++ {
-						var s float32
-						for k := 0; k < rows; k++ {
-							s += a.At(k, i) * b.At(k, j)
-						}
-						want.Set(i, j, s)
-					}
-				}
+				want := naiveAT(a, b)
 				got := NewMat(cols, bcols)
 				for i := range got.Data {
 					got.Data[i] = 42 // dst is overwritten, not accumulated into

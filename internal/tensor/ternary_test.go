@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -75,10 +76,41 @@ func sameBits(t *testing.T, what string, got, want *Mat) {
 	}
 }
 
+// signedZero returns +0 or -0 at random.
+func signedZero(r *rng.RNG) float32 {
+	return float32(math.Copysign(0, float64(r.Intn(2)*2-1)))
+}
+
+// zeroBlocks zeroes parts of x in blocks of eight rows, the forward
+// kernel's register block, with +0 and -0 mixed: each block is left
+// alone, zeroed whole, or has a random subset of its rows zeroed, and in
+// every block each input column is zeroed in all eight rows, in some of
+// them, or in none, at random.
+func zeroBlocks(r *rng.RNG, x *Mat) {
+	for b := 0; b+8 <= x.Rows; b += 8 {
+		mode := r.Intn(3)
+		var rowZero [8]bool
+		for i := range rowZero {
+			rowZero[i] = mode == 1 || mode == 2 && r.Bool(0.5)
+		}
+		for k := 0; k < x.Cols; k++ {
+			all, some := r.Bool(0.3), r.Bool(0.3)
+			for i, z := range rowZero {
+				if z || all || some && r.Bool(0.5) {
+					x.Set(b+i, k, signedZero(r))
+				}
+			}
+		}
+	}
+}
+
 // TestTernaryKernelsMatchDense pins the exactness argument of the
 // package comment: on ternary matrices, MatMulTernary equals MatMul and
 // MatMulTernaryBT equals MatMulBT bit for bit, for row counts below and
-// above the parallel split.
+// above the parallel split. Half the forward inputs carry blocks of
+// eight rows, whole or in part, of +0 and -0, so the forward kernel both
+// skips an input row for all eight batch rows and adds ±0 terms for
+// some.
 func TestTernaryKernelsMatchDense(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := rng.New(21)
@@ -92,12 +124,17 @@ func TestTernaryKernelsMatchDense(t *testing.T) {
 					t.Fatalf("Ternarize dims %dx%d, want %dx%d", q.Rows, q.Cols, in, out)
 				}
 
-				x := randInputs(r, rows, in)
-				got, want := NewMat(rows, out), NewMat(rows, out)
-				got.Data[0] = 42 // dst is overwritten, not accumulated into
-				MatMulTernary(got, x, q)
-				MatMul(want, x, dense)
-				sameBits(t, "MatMulTernary", got, want)
+				for _, blocks := range []bool{false, true} {
+					x := randInputs(r, rows, in)
+					if blocks {
+						zeroBlocks(r, x)
+					}
+					got, want := NewMat(rows, out), NewMat(rows, out)
+					got.Data[0] = 42 // dst is overwritten, not accumulated into
+					MatMulTernary(got, x, q)
+					MatMul(want, x, dense)
+					sameBits(t, fmt.Sprintf("MatMulTernary %dx%d·%dx%d zero blocks %v", rows, in, in, out, blocks), got, want)
+				}
 
 				dz := randInputs(r, rows, out)
 				gotT, wantT := NewMat(rows, in), NewMat(rows, in)
@@ -173,5 +210,49 @@ func BenchmarkTernarize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Ternarize(m, 1.44)
+	}
+}
+
+// pipelineLayer0 returns the first layer's training operands of the
+// 784-128-48-10 pipeline model: a 32-row batch of 784 inputs, about 63%
+// of them nonzero, and normal latents quantized at 1.55, about 12,000
+// of the 100,352 connections nonzero.
+func pipelineLayer0() (x *Mat, q *Ternary) {
+	r := rng.New(7)
+	x = NewMat(32, 784)
+	for i := range x.Data {
+		if r.Bool(0.63) {
+			x.Data[i] = r.Float32()
+		}
+	}
+	return x, Ternarize(randMat(r, 784, 128), 1.55)
+}
+
+// BenchmarkMatMulTernary times the first layer's sparse forward product
+// of the pipeline model.
+func BenchmarkMatMulTernary(b *testing.B) {
+	x, q := pipelineLayer0()
+	dst := NewMat(x.Rows, q.Cols)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTernary(dst, x, q)
+	}
+}
+
+// BenchmarkMatMulATRows times the first layer's latent gradient of the
+// pipeline model, folded into a gradient matrix as the ternary layer
+// folds it.
+func BenchmarkMatMulATRows(b *testing.B) {
+	x, _ := pipelineLayer0()
+	dz := randMat(rng.New(8), x.Rows, 128)
+	g := NewMat(x.Cols, dz.Cols)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulATRows(x, dz, func(i int, row []float32) {
+			gr := g.Row(i)
+			for j, d := range row {
+				gr[j] += d
+			}
+		})
 	}
 }

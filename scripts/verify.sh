@@ -131,16 +131,26 @@ go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParit
 echo "== training bit-identity (sparse ternary kernels == dense GEMMs, QAT step kernels, host reference, training golden)"
 # The sparse forward and input-gradient kernels against MatMul/MatMulBT
 # with math.Float32bits on random ternary matrices (zero, cancelling and
-# negative rows; row counts on both sides of the parallel split); the
-# latent-gradient MatMulAT against a naive ascending-k product (every
-# remainder of its block of four rows, ±0 and 2^±20 entries); the
-# branch-free Apply against a select-by-sign reference and the host
-# reference's sparse ternary Forward against Apply; Adam split across
-# workers against one worker; Fit on fewer rows than a batch; and the
-# SHA-256 of trained parameters and SaveModel bytes, pinned from the
-# dense kernels they replaced (the 784-input case exercises Adam's
-# split). -cpu 1,4 shows the row split never moves a bit; the race run
-# covers the goroutines MatMulAT and Adam start.
+# negative rows; row counts on both sides of the parallel split; blocks
+# of eight input rows that are +0/-0 in whole or in part, for the
+# forward kernel's eight-row block); the latent-gradient MatMulAT
+# against a naive ascending-k product (every remainder of its blocks of
+# eight and four rows, ±0 and 2^±20 entries); the branch-free Apply
+# against a select-by-sign reference and the host reference's sparse
+# ternary Forward against Apply; Adam split across workers against one
+# worker; Fit on fewer rows than a batch; and the SHA-256 of trained
+# parameters and SaveModel bytes, pinned from the dense kernels they
+# replaced (the 784-input case exercises Adam's split). -cpu 1,4 shows the row split
+# never moves a bit; the race run covers the goroutines MatMulTernary,
+# MatMulAT and Adam start. A package where the pattern matches no test
+# fails the stage.
+for pkg in ./internal/tensor/ ./internal/encoding/ ./internal/quant/ ./internal/nn/ .; do
+	n=$(go test -list 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestMatMulAT|TestApplyMatchesSwitchReference|TestTernaryForwardMatchesApply|TestAdamSplitMatchesSerial|TestFitFewerRowsThanBatch|TestTrainingGolden' "$pkg" | grep -cE '^Test' || true)
+	if [ "$n" -eq 0 ]; then
+		echo "no training bit-identity test in $pkg" >&2
+		exit 1
+	fi
+done
 go test -run 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestMatMulAT|TestApplyMatchesSwitchReference|TestTernaryForwardMatchesApply|TestAdamSplitMatchesSerial|TestFitFewerRowsThanBatch|TestTrainingGolden' \
 	-count=1 -cpu 1,4 ./internal/tensor/ ./internal/encoding/ ./internal/quant/ ./internal/nn/ .
 go test -race -count=10 ./internal/nn/ ./internal/tensor/
@@ -191,6 +201,14 @@ go run ./cmd/neuroc-bench -exp table1,fig2,fig3,fig5,pareto,farm -quick -j 4 -me
 
 echo "== metricscheck"
 go run ./cmd/metricscheck bench_quick.json
+# The gate's own reader: a repeated experiment name must fail both the
+# validator and the comparison instead of one record hiding the other.
+n=$(go test -list 'TestMetricsGateRejectsDuplicateNames' ./internal/bench/ | grep -cE '^Test' || true)
+if [ "$n" -eq 0 ]; then
+	echo "no TestMetricsGateRejectsDuplicateNames test in ./internal/bench/" >&2
+	exit 1
+fi
+go test -run 'TestMetricsGateRejectsDuplicateNames' -count=1 ./internal/bench/
 
 echo "== timeline-smoke (neuroc-timeline/v1 shape + span-tree invariants)"
 # The farm experiment above also emitted the run timeline. Gate it: the
