@@ -187,6 +187,18 @@ func Check(p *thumb.Program, cfg Config) (*Report, error) {
 // config defaulting, root resolution, CFG discovery, and the
 // context-sensitive abstract interpretation.
 func run(p *thumb.Program, cfg Config) (*checker, []uint32, []uint32, error) {
+	ck, rootAddrs, isrAddrs, err := newChecker(p, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ck.discover(append(append([]uint32{}, rootAddrs...), isrAddrs...))
+	ck.crossFunctionEdges()
+	ck.analyzeContexts(rootAddrs, isrAddrs)
+	return ck, rootAddrs, isrAddrs, nil
+}
+
+// newChecker defaults cfg and resolves its root and ISR symbols.
+func newChecker(p *thumb.Program, cfg Config) (*checker, []uint32, []uint32, error) {
 	if cfg.FlashSize == 0 && cfg.SRAMSize == 0 {
 		d := DefaultConfig()
 		cfg.FlashBase, cfg.FlashSize = d.FlashBase, d.FlashSize
@@ -231,9 +243,6 @@ func run(p *thumb.Program, cfg Config) (*checker, []uint32, []uint32, error) {
 		}
 		isrAddrs = append(isrAddrs, a)
 	}
-	ck.discover(append(append([]uint32{}, rootAddrs...), isrAddrs...))
-	ck.crossFunctionEdges()
-	ck.analyzeContexts(rootAddrs, isrAddrs)
 	return ck, rootAddrs, isrAddrs, nil
 }
 
@@ -244,6 +253,14 @@ type checker struct {
 
 	funcs     map[uint32]*fn
 	funcOrder []uint32
+
+	// buildFn's working set, reused from one function to the next:
+	// the per-halfword slot table (zero between calls), the decoded
+	// instructions, the worklist and the sorted addresses.
+	slots []cfgSlot
+	dec   []decoded
+	work  []uint32
+	addrs []uint32
 
 	violations []Violation
 	vseen      map[string]bool

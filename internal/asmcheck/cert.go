@@ -64,9 +64,9 @@ func (ck *checker) certificate(rootAddrs, isrAddrs []uint32) *cert.Certificate {
 // a CYCLE_UNBOUNDED violation, exported with bound 0, which the
 // evaluator refuses to price.
 func (ck *checker) certFunc(f *fn) cert.Func {
-	cf := cert.Func{Name: f.name, Addr: f.addr}
+	cf := cert.Func{Name: f.name, Addr: f.addr, Blocks: make([]cert.Block, 0, len(f.blockList))}
 	for _, b := range f.blockList {
-		cb := cert.Block{Start: b.start, Exact: true}
+		cb := cert.Block{Start: b.start, Exact: true, Instrs: make([]cert.Instr, 0, len(b.instrs))}
 		for i := range b.instrs {
 			in := &b.instrs[i]
 			ci := ck.certInstr(in)

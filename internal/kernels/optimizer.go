@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The optimizer: peephole passes over generated Thumb-1 kernel text.
@@ -55,7 +56,7 @@ func parseAsm(src string) []asmLine {
 		if i := strings.IndexByte(body, '@'); i >= 0 {
 			body = body[:i]
 		}
-		body = strings.Join(strings.Fields(body), " ")
+		body = singleSpaced(body)
 		switch {
 		case body == "":
 			l.kind = lineBlank
@@ -76,6 +77,21 @@ func parseAsm(src string) []asmLine {
 		out = append(out, l)
 	}
 	return out
+}
+
+// singleSpaced is strings.Join(strings.Fields(s), " "). Generated
+// kernel lines are already single-spaced once trimmed, and then that is
+// the trimmed line itself; only others are split and rejoined.
+func singleSpaced(s string) string {
+	s = strings.TrimSpace(s)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == ' ' && s[i+1] != ' ':
+		case c == ' ', c == '\t', c == '\n', c == '\v', c == '\f', c == '\r', c >= utf8.RuneSelf:
+			return strings.Join(strings.Fields(s), " ")
+		}
+	}
+	return s
 }
 
 // renderAsm joins lines back into text, dropping deleted entries.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/encoding"
@@ -83,5 +84,19 @@ func BenchmarkOptimizeUnrolled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		optimizeSink = Optimize(src)
+	}
+}
+
+// TestSingleSpaced checks parseAsm's whitespace normalization against
+// the strings.Fields form it short-cuts.
+func TestSingleSpaced(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "adds r0, r1", "  adds r0, r1  ", "adds  r0, r1", "adds\tr0,\tr1",
+		"ldrsb r5, [r1, r5]", "movs r0, #0\r", "x\vy", "a \u00a0b", "a\u0085", "\u00a0a",
+		"é ü", "a  ", " a b c ", "a \t b",
+	} {
+		if got, want := singleSpaced(s), strings.Join(strings.Fields(s), " "); got != want {
+			t.Errorf("singleSpaced(%q) = %q, want %q", s, got, want)
+		}
 	}
 }

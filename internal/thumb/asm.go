@@ -29,7 +29,6 @@ package thumb
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -183,7 +182,7 @@ func Assemble(src string, base uint32) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Base: base, Code: code, Symbols: a.symbols}
+	p := &Program{Base: base, Code: code, Symbols: a.symbols, Instrs: make([]InstrMeta, 0, len(a.items))}
 	for _, it := range a.items {
 		if it.mn == "" || strings.HasPrefix(it.mn, "label:") {
 			continue
@@ -210,16 +209,64 @@ func stripComment(line string) string {
 	return strings.TrimSpace(line)
 }
 
-// loopAnnRe matches the "asmcheck: loop N" annotation inside a comment.
-var loopAnnRe = regexp.MustCompile(`asmcheck:\s*loop\s+(\d+)`)
+// annotation returns the operand of the leftmost "asmcheck: <kw>
+// <operand>" annotation in line: "asmcheck:", optional whitespace, kw,
+// at least one whitespace character, then the longest run of bytes
+// accepted by operand (at least one). It accepts exactly what the
+// regexp `asmcheck:\s*<kw>\s+(<operand>+)` matches, with \s the
+// regexp's ASCII class [\t\n\f\r ].
+func annotation(line, kw string, operand func(byte) bool) (string, bool) {
+	const tag = "asmcheck:"
+	for {
+		i := strings.Index(line, tag)
+		if i < 0 {
+			return "", false
+		}
+		line = line[i+len(tag):]
+		rest := skipSpace(line)
+		if !strings.HasPrefix(rest, kw) {
+			continue
+		}
+		rest = rest[len(kw):]
+		arg := skipSpace(rest)
+		if len(arg) == len(rest) {
+			continue
+		}
+		n := 0
+		for n < len(arg) && operand(arg[n]) {
+			n++
+		}
+		if n > 0 {
+			return arg[:n], true
+		}
+	}
+}
 
-// loadAnnRe matches the "asmcheck: load <region>" annotation.
-var loadAnnRe = regexp.MustCompile(`asmcheck:\s*load\s+(\w+)`)
+// skipSpace drops leading [\t\n\f\r ] bytes.
+func skipSpace(s string) string {
+	for len(s) > 0 {
+		switch s[0] {
+		case ' ', '\t', '\n', '\f', '\r':
+			s = s[1:]
+		default:
+			return s
+		}
+	}
+	return s
+}
+
+// isDigit is the regexp class \d.
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// isWord is the regexp class \w.
+func isWord(c byte) bool {
+	return isDigit(c) || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+}
 
 // splitOperands splits an operand string on commas that are not inside
 // [] or {} groups.
 func splitOperands(s string) []string {
-	var out []string
+	out := make([]string, 0, strings.Count(s, ",")+1)
 	depth := 0
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -236,31 +283,31 @@ func splitOperands(s string) []string {
 		}
 	}
 	last := strings.TrimSpace(s[start:])
-	if last != "" || len(out) > 0 {
-		out = append(out, last)
+	if last == "" && len(out) == 0 {
+		return nil
 	}
-	return out
+	return append(out, last)
 }
 
 func (a *assembler) parse(src string) error {
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := stripComment(raw)
 		ln := lineNo + 1
-		if m := loopAnnRe.FindStringSubmatch(raw); m != nil {
-			n, err := strconv.Atoi(m[1])
+		if bound, ok := annotation(raw, "loop", isDigit); ok {
+			n, err := strconv.Atoi(bound)
 			if err != nil || n <= 0 {
-				return errf(ln, "bad asmcheck loop bound %q", m[1])
+				return errf(ln, "bad asmcheck loop bound %q", bound)
 			}
 			// Attach to the instruction on this line, or carry to the
 			// next one when the annotation sits on its own line.
 			a.pendingLoop = n
 		}
-		if m := loadAnnRe.FindStringSubmatch(raw); m != nil {
-			switch m[1] {
+		if region, ok := annotation(raw, "load", isWord); ok {
+			switch region {
 			case "flash", "sram", "periph":
-				a.pendingLoad = m[1]
+				a.pendingLoad = region
 			default:
-				return errf(ln, "bad asmcheck load region %q (want flash, sram, or periph)", m[1])
+				return errf(ln, "bad asmcheck load region %q (want flash, sram, or periph)", region)
 			}
 		}
 		for line != "" {
@@ -280,12 +327,9 @@ func (a *assembler) parse(src string) error {
 		if line == "" {
 			continue
 		}
-		fields := strings.SplitN(line, " ", 2)
-		mn := strings.ToLower(strings.TrimSpace(fields[0]))
-		rest := ""
-		if len(fields) == 2 {
-			rest = strings.TrimSpace(fields[1])
-		}
+		mn, rest, _ := strings.Cut(line, " ")
+		mn = strings.ToLower(strings.TrimSpace(mn))
+		rest = strings.TrimSpace(rest)
 		if strings.HasPrefix(mn, ".") {
 			if err := a.parseDirective(ln, mn, rest); err != nil {
 				return err

@@ -7,8 +7,9 @@ import (
 	"github.com/neuro-c/neuroc/internal/armv6m"
 )
 
-// FuzzAssemble checks two properties over arbitrary source text:
-// Assemble never panics, and every instruction it does emit round-trips
+// FuzzAssemble checks three properties over arbitrary source text:
+// every line's annotation scan equals the regexps', Assemble never
+// panics, and every instruction it does emit round-trips
 // through the armv6m decoder — an assembled opcode that disassembles as
 // raw data (".hword") means the assembler emitted an encoding the
 // decoder does not recognize, a contract violation between the two
@@ -33,11 +34,18 @@ func FuzzAssemble(f *testing.F) {
 		"bad:\n\tldr r0, [r1, #129]\n",
 		"\tb 1f\n",
 		"@ comment only\n; semicolon comment\n",
+		"l:\t@asmcheck:\tloop 4 asmcheck: load sram\n\tldr r0, [r1]\n\tbne l @ asmcheck: loops 2 asmcheck:loop 3\n",
+		"\tldr r0, [r1] @ asmcheck: load flashy\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		for _, line := range strings.Split(src, "\n") {
+			if err := annotationsMatchOracle(line); err != nil {
+				t.Fatal(err)
+			}
+		}
 		const base = 0x0800_0000
 		p, err := Assemble(src, base) // must not panic on any input
 		if err != nil {

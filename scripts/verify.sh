@@ -104,6 +104,31 @@ echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden ha
 go test -run 'FuzzOptimizerParity|TestOptimizerParityDense|TestOptimizerGolden' -count=1 ./internal/kernels/
 go test -run 'TestUnrolledFourDominates' -count=1 ./internal/modelimg/
 
+echo "== build byte identity (dense CFG recovery == map-based oracle, golden image bytes, annotation scanner == regexps)"
+# Image builds recover CFGs in a dense per-halfword table, scan
+# "asmcheck:" annotations without regexps and skip re-joining lines
+# that are already single-spaced. TestCFGMatchesOracle compares every
+# recovered CFG (blocks, instructions, edges, calls, violations) with
+# the map-based builder kept in cfg_oracle_test.go, on model images
+# under all eight encodings with telemetry and ISR options, every
+# kernel harness and the FuzzCheck seeds; TestBuildGolden pins the
+# SHA-256 of image bytes, certificates and reports of a fixed corpus;
+# TestAnnotation* checks the scanner against the two regexps it
+# replaced. Then 15 s of FuzzCheck, which checks the same CFG parity
+# on raw, overlapping and truncated code (a short minimization keeps a
+# new input from stalling the run). A package where the pattern matches
+# no test fails the stage.
+for pkg in ./internal/asmcheck/ ./internal/modelimg/ ./internal/thumb/; do
+	n=$(go test -list 'TestCFGMatchesOracle|TestBuildGolden|TestAnnotation' "$pkg" | grep -cE '^Test' || true)
+	if [ "$n" -eq 0 ]; then
+		echo "no TestCFGMatchesOracle/TestBuildGolden/TestAnnotation test in $pkg" >&2
+		exit 1
+	fi
+done
+go test -run 'TestCFGMatchesOracle|TestBuildGolden|TestAnnotation' -count=1 \
+	./internal/asmcheck/ ./internal/modelimg/ ./internal/thumb/
+go test -run '^$' -fuzz FuzzCheck -fuzztime 15s -fuzzminimizetime 2s ./internal/asmcheck/
+
 echo "== encoding search exactness (Pareto-frontier search == exhaustive oracle, sound flash bound)"
 # The per-layer encoding search against the exhaustive enumeration it
 # replaced, kept as a test oracle: identical picks and image bytes on
@@ -167,16 +192,17 @@ go run ./cmd/neuroc-bench -exp farm -quick -j 4 -encoding auto > /dev/null
 echo "== farm race-stress (shared-flash board farm under the race detector)"
 go test -race -count=1 ./internal/farm/...
 
-echo "== bench-regression smoke (all three execution tiers still wired up, optimizer and segmenter benchmarks)"
+echo "== bench-regression smoke (all three execution tiers still wired up, image-build stage, optimizer and segmenter benchmarks)"
 # One iteration of the Translated/Predecoded/Legacy benchmarks: proves
 # each tier is selected, runs, and stays in parity (the benchmark
 # bodies assert translation attachment and would fail on any execution
-# error). BenchmarkOptimizeUnrolled and BenchmarkHostLayerSpans (one
-# segmented inference, what MeasureLayers pays per row) are compiled
-# and run once too. Real throughput comparisons need -benchtime 1s and
+# error). BenchmarkCertify, BenchmarkAssemble and
+# BenchmarkOptimizeUnrolled (the image-build stages, on a 784->128
+# layer), and BenchmarkHostLayerSpans (one segmented inference, what
+# MeasureLayers pays per row) are compiled and run once too. Real throughput comparisons need -benchtime 1s and
 # an idle host; this is a wiring gate, not a perf gate.
-go test -run '^$' -bench 'Inference|FarmMap|OptimizeUnrolled|HostLayerSpans' -benchtime 1x \
-	./internal/armv6m/ ./internal/farm/ ./internal/kernels/ ./internal/telemetry/
+go test -run '^$' -bench 'Inference|FarmMap|OptimizeUnrolled|HostLayerSpans|Certify|Assemble' -benchtime 1x \
+	./internal/armv6m/ ./internal/farm/ ./internal/kernels/ ./internal/telemetry/ ./internal/asmcheck/ ./internal/thumb/
 
 echo "== bench-smoke on the translated tier (explicit -tier plumbing end to end)"
 # The farm experiment pinned to -tier translated: exercises the tier
