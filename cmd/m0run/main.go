@@ -41,8 +41,10 @@
 //	m0run -model model.ncq1 -batch inputs.raw -checked
 //
 // Execution tiers (see docs/EMULATOR.md): -tier pins the emulator tier
-// (auto, legacy, predecoded, translated). All tiers are bit-identical;
-// they differ only in host speed. Combinations that cannot honor the
+// (auto, legacy, predecoded, translated). All tiers run the same
+// instruction handlers and are bit-identical; they differ only in host
+// speed (legacy decodes every fetch on demand instead of using the
+// decode-once table). Combinations that cannot honor the
 // requested tier are audited up front: tracing flags downgrade
 // -tier translated with a stderr notice, and meaningless combinations
 // (-tier translated -checked) are rejected:
@@ -95,7 +97,7 @@ func main() {
 	layers := flag.Bool("layers", false, "build with on-device telemetry markers and print per-layer cycle attribution (requires -model; with -batch, aggregated across the batch)")
 	energyRep := flag.Bool("energy", false, "price the measured cycles with the board's calibrated energy model and print a per-layer µJ report (requires -model; implies telemetry markers; with -batch, aggregated across the batch)")
 	energyJSON := flag.String("energy-json", "", "write the neuroc-energy/v1 report as JSON to this file (requires -energy)")
-	tierFlag := flag.String("tier", "auto", "execution tier: auto (fastest available), legacy, predecoded, or translated (requires a certified image)")
+	tierFlag := flag.String("tier", "auto", "execution tier: auto (fastest available), legacy (no table: decode every fetch on demand), predecoded, or translated (requires a certified image)")
 	batch := flag.String("batch", "", "raw file of concatenated input records (model input dim each): run all of them on the board farm (requires -model)")
 	workers := flag.Int("j", 0, "board-farm workers for -batch (0 = all host cores); results are bit-identical for any value")
 	listen := flag.String("listen", "", "serve live batch metrics over HTTP on this address while -batch runs (/metrics Prometheus text, /metrics.json snapshot)")

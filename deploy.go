@@ -33,7 +33,9 @@ type Deployment struct {
 	Workers int
 
 	// Tier pins the emulator execution tier for batch evaluations
-	// (device.Tier: legacy, predecoded, or translated). The zero value
+	// (device.Tier: legacy decodes every fetch on demand, predecoded
+	// runs from the decode-once table, translated adds the certified
+	// loops; all run the same instruction handlers). The zero value
 	// keeps the fastest available tier. Profile, MeasureLayers and
 	// MeasureEnergy are traced single-board runs: they always retire
 	// through the tracing interpreter regardless of Tier — cycle

@@ -86,7 +86,7 @@ type Bus struct {
 	flashGen uint32
 	// loadedLen is the high-water mark of bytes written by LoadFlash
 	// (the whole array for a shared bus): the prefix worth predecoding.
-	// Execution beyond it falls back to the interpreted path.
+	// Execution beyond it decodes each fetch on demand.
 	loadedLen int
 
 	// Pads Bus to whole cache lines, for the reason CPU is padded.
@@ -205,6 +205,16 @@ func (b *Bus) Read16(addr uint32) (uint32, error) {
 		return 0, err
 	}
 	return uint32(mem[off]) | uint32(mem[off+1])<<8, nil
+}
+
+// peek16 is Read16 without counting the access: ok is false where
+// Read16 would fault. The on-demand decoder looks ahead at a BL's
+// second halfword with it; the BL's handler counts the read.
+func (b *Bus) peek16(addr uint32) (v uint32, ok bool) {
+	flash, sram := b.FlashReads, b.SRAMReads
+	v, err := b.Read16(addr)
+	b.FlashReads, b.SRAMReads = flash, sram
+	return v, err == nil
 }
 
 // Read32 loads a word; addr must be 4-aligned.

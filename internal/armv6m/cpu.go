@@ -85,8 +85,8 @@ type CPU struct {
 	PriMask bool
 
 	// Trace, when non-nil, attributes every retired instruction (see
-	// trace.go). Nil — the default — keeps Step on its fast path: the
-	// only added cost is a nil check.
+	// trace.go). Nil — the default — costs Step two nil checks and
+	// lets Run take the predecoded loop.
 	Trace *Trace
 
 	// ptab is the predecoded execution table (see predecode.go), built
@@ -94,10 +94,14 @@ type CPU struct {
 	// Bus.flashGen it was built against, so LoadFlash invalidates it.
 	ptab    *PredecodeTable
 	ptabGen uint32
-	// DisablePredecode forces every Step through the fetch/decode
-	// interpreter. The differential tests run a legacy core with this
-	// set against a predecoded one and require bit-identical state.
+	// DisablePredecode runs the core with no table: every fetch reads
+	// the halfword through the bus and decodes it on demand, through the
+	// same handlers (the legacy tier). The differential tests require
+	// bit-identical state against a table-driven core.
 	DisablePredecode bool
+	// dec holds the entry of the last instruction decoded on demand
+	// (see fetch).
+	dec pentry
 
 	// ttab is the certificate-derived loop table (see translate.go),
 	// attached via UseTranslation; ttabGen is the Bus.flashGen it was
@@ -115,7 +119,7 @@ type CPU struct {
 	// instruction, and the allocator may place a core next to tables
 	// every worker reads (a loop table's arrays share its size class);
 	// a shared line would cost the readers a cache miss per access.
-	_ [24]byte
+	_ [56]byte
 }
 
 // New returns a CPU wired to a fresh STM32F072-like bus with the
@@ -230,90 +234,11 @@ func (c *CPU) condPassed(cond uint32) bool {
 	}
 }
 
-// branchTo redirects execution to addr (bit 0 ignored) and charges the
-// pipeline-refill cost that is folded into the per-instruction branch
-// cycle counts by the caller.
-func (c *CPU) branchTo(addr uint32) {
-	c.R[PC] = addr &^ 1
-}
-
-// fetch16 reads the halfword at the current PC.
-func (c *CPU) fetch16() (uint32, error) {
-	return c.Bus.Read16(c.R[PC])
-}
-
 // Step executes a single instruction, updating cycle and instruction
 // counters. It returns ErrHalted after BKPT and bus faults as errors.
-// With no trace attached the body is identical to the untraced core:
-// the profiler's disabled cost is this single pointer comparison.
+// The instruction runs through its decoded entry's handler (see fetch);
+// with no trace attached the attribution costs two nil checks.
 func (c *CPU) Step() error {
-	if c.Trace != nil {
-		return c.stepTraced()
-	}
-	if c.Halted {
-		return ErrHalted
-	}
-	if c.pendingIRQ && !c.inHandler && !c.PriMask {
-		c.pendingIRQ = false
-		c.SysTick.Fires++
-		if err := c.takeException(SysTickVector); err != nil {
-			return err
-		}
-	}
-	instrAddr := c.R[PC]
-	if e := c.pentryAt(instrAddr); e != nil {
-		// Predecoded fast path: the fetch is not performed (the entry
-		// proves the PC is a readable, aligned flash halfword) but is
-		// accounted exactly as the interpreted fetch16 would.
-		c.Bus.FlashReads++
-		c.Cycles += uint64(c.Bus.FlashWaitStates)
-		cycles, err := e.fn(c, e)
-		if err != nil {
-			return fmt.Errorf("at 0x%08x (op 0x%04x): %w", instrAddr, e.op, err)
-		}
-		c.Cycles += uint64(cycles)
-		c.Instructions++
-		if t := c.Bus.Timer; t != nil && t.pending() {
-			t.commit(c.Cycles)
-		}
-		if c.SysTick.tick(int64(cycles)) {
-			c.pendingIRQ = true
-		}
-		if c.Halted {
-			return ErrHalted
-		}
-		return nil
-	}
-	op, err := c.fetch16()
-	if err != nil {
-		return fmt.Errorf("fetch at 0x%08x: %w", instrAddr, err)
-	}
-	// Wait states on the instruction fetch itself.
-	c.Cycles += uint64(c.Bus.accessCycles(instrAddr))
-
-	cycles, err := c.exec(op)
-	if err != nil {
-		return fmt.Errorf("at 0x%08x (op 0x%04x): %w", instrAddr, op, err)
-	}
-	c.Cycles += uint64(cycles)
-	c.Instructions++
-	if t := c.Bus.Timer; t != nil && t.pending() {
-		t.commit(c.Cycles)
-	}
-	if c.SysTick.tick(int64(cycles)) {
-		c.pendingIRQ = true
-	}
-	if c.Halted {
-		return ErrHalted
-	}
-	return nil
-}
-
-// stepTraced is Step with per-instruction attribution: it must mirror
-// the untraced body exactly (the parity tests compare the two paths
-// instruction for instruction) while snapshotting the cycle and bus
-// counters around each retire.
-func (c *CPU) stepTraced() error {
 	if c.Halted {
 		return ErrHalted
 	}
@@ -324,58 +249,36 @@ func (c *CPU) stepTraced() error {
 		if err := c.takeException(SysTickVector); err != nil {
 			return err
 		}
-		c.Trace.ExceptionEntries++
-		c.Trace.ExceptionEntryCycles += c.Cycles - entryStart
+		if c.Trace != nil {
+			c.Trace.ExceptionEntries++
+			c.Trace.ExceptionEntryCycles += c.Cycles - entryStart
+		}
 	}
 	instrAddr := c.R[PC]
-	// Snapshot counters for attribution; c.Cycles - instrStart covers
+	// Counter snapshots for attribution: c.Cycles - instrStart covers
 	// the fetch wait states, the execution cost, and any exception-
-	// return overhead charged inside exec.
-	instrStart := c.Cycles
-	flashBefore := c.Bus.FlashReads
-	sramRBefore := c.Bus.SRAMReads
-	sramWBefore := c.Bus.SRAMWrites
-	sleepBefore := c.SleepCycles
-	if e := c.pentryAt(instrAddr); e != nil {
-		// Predecoded fast path, mirroring Step; attribution sees the
-		// same fetch accounting and the same original halfword.
-		c.Bus.FlashReads++
-		c.Cycles += uint64(c.Bus.FlashWaitStates)
-		cycles, err := e.fn(c, e)
-		if err != nil {
-			return fmt.Errorf("at 0x%08x (op 0x%04x): %w", instrAddr, e.op, err)
-		}
-		c.Cycles += uint64(cycles)
-		c.Instructions++
-		if t := c.Bus.Timer; t != nil && t.pending() {
-			t.commit(c.Cycles)
-		}
-		c.Trace.record(c, instrAddr, uint32(e.op), c.Cycles-instrStart, flashBefore, sramRBefore, sramWBefore, c.SleepCycles-sleepBefore)
-		if c.SysTick.tick(int64(cycles)) {
-			c.pendingIRQ = true
-		}
-		if c.Halted {
-			return ErrHalted
-		}
-		return nil
+	// return overhead charged inside the handler.
+	var instrStart, flashBefore, sramRBefore, sramWBefore, sleepBefore uint64
+	if c.Trace != nil {
+		instrStart, sleepBefore = c.Cycles, c.SleepCycles
+		flashBefore, sramRBefore, sramWBefore = c.Bus.FlashReads, c.Bus.SRAMReads, c.Bus.SRAMWrites
 	}
-	op, err := c.fetch16()
+	e, err := c.fetch(instrAddr)
 	if err != nil {
 		return fmt.Errorf("fetch at 0x%08x: %w", instrAddr, err)
 	}
-	// Wait states on the instruction fetch itself.
-	c.Cycles += uint64(c.Bus.accessCycles(instrAddr))
-
-	cycles, err := c.exec(op)
+	cycles, err := e.fn(c, e)
 	if err != nil {
-		return fmt.Errorf("at 0x%08x (op 0x%04x): %w", instrAddr, op, err)
+		return fmt.Errorf("at 0x%08x (op 0x%04x): %w", instrAddr, e.op, err)
 	}
 	c.Cycles += uint64(cycles)
 	c.Instructions++
 	if t := c.Bus.Timer; t != nil && t.pending() {
 		t.commit(c.Cycles)
 	}
-	c.Trace.record(c, instrAddr, op, c.Cycles-instrStart, flashBefore, sramRBefore, sramWBefore, c.SleepCycles-sleepBefore)
+	if c.Trace != nil {
+		c.Trace.record(c, instrAddr, uint32(e.op), c.Cycles-instrStart, flashBefore, sramRBefore, sramWBefore, c.SleepCycles-sleepBefore)
+	}
 	if c.SysTick.tick(int64(cycles)) {
 		c.pendingIRQ = true
 	}
@@ -405,7 +308,7 @@ func (e *BudgetError) Error() string {
 // trace attached it runs the predecoded steady-state loop
 // (runPredecoded), with the certified loops of an attached translation
 // table; the Step-per-instruction path below is semantically identical
-// and remains for traced and predecode-disabled runs.
+// and runs traced and predecode-disabled runs.
 func (c *CPU) Run(maxInstructions uint64) error {
 	if c.Trace == nil && !c.DisablePredecode {
 		return c.runPredecoded(maxInstructions)

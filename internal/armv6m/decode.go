@@ -6,9 +6,11 @@ import "fmt"
 // truth for the Thumb-1 encodings this repository understands: the
 // disassembler renders Instr values as text, and the static analyzer
 // (internal/asmcheck) walks them to recover control flow, register
-// effects, and worst-case cycle costs. The emulator's exec path keeps
-// its own hand-fused decode for speed; the parity between the two is
-// covered by the armv6m test suite and the thumb round-trip fuzz target.
+// effects, and worst-case cycle costs. The emulator decodes into its
+// own execution entries (predecode1) for speed; TestDecodeAgreesWithEmulator
+// pins the two to the same set of rejected halfwords and the same
+// instruction classes over every first halfword, and the thumb
+// round-trip fuzz target covers the rendering.
 
 // Kind classifies a decoded instruction by its effect on control flow,
 // memory, and the stack — the granularity static analysis needs.
@@ -132,8 +134,9 @@ func regName(n uint32) string {
 
 // Decode decodes the instruction whose first halfword is op (and, for
 // the 32-bit BL encoding, second halfword lo) at address addr. Unknown
-// encodings return KindUnknown with a ".hword" rendering, so walking a
-// region that contains data never fails.
+// encodings — including the empty-list PUSH/POP/STMIA/LDMIA the core
+// faults on — return KindUnknown with a ".hword" rendering, so walking
+// a region that contains data never fails.
 func Decode(addr uint32, op, lo uint16) Instr {
 	o := uint32(op)
 	in := Instr{
@@ -371,6 +374,9 @@ func Decode(addr uint32, op, lo uint16) Instr {
 		txt("%s r%d, r%d", mns[o>>6&3], in.Rd, in.Rm)
 		return in
 	case o>>9 == 0b1011_010:
+		if o&0x1ff == 0 { // push {}: the core faults on an empty list
+			break
+		}
 		in.Kind = KindPush
 		in.RegList = uint16(o & 0xff)
 		if o&(1<<8) != 0 {
@@ -379,6 +385,9 @@ func Decode(addr uint32, op, lo uint16) Instr {
 		txt("push {%s}", regList(o&0xff, o&(1<<8) != 0, "lr"))
 		return in
 	case o>>9 == 0b1011_110:
+		if o&0x1ff == 0 { // pop {}
+			break
+		}
 		in.Kind = KindPop
 		in.RegList = uint16(o & 0xff)
 		if o&(1<<8) != 0 {
@@ -417,12 +426,18 @@ func Decode(addr uint32, op, lo uint16) Instr {
 		}
 		return in
 	case o>>11 == 0b11000:
+		if o&0xff == 0 { // stmia rN!, {}
+			break
+		}
 		in.Kind = KindStoreMulti
 		in.Rn = r3(8)
 		in.RegList = uint16(o & 0xff)
 		txt("stmia r%d!, {%s}", in.Rn, regList(o&0xff, false, ""))
 		return in
 	case o>>11 == 0b11001:
+		if o&0xff == 0 { // ldmia rN!, {}
+			break
+		}
 		in.Kind = KindLoadMulti
 		in.Rn = r3(8)
 		in.RegList = uint16(o & 0xff)

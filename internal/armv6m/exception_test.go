@@ -9,7 +9,7 @@ import (
 
 // bootWithISR assembles a program with a SysTick handler installed in
 // vector slot 15 and arms the timer.
-func bootWithISR(t *testing.T, src string, period int64) *armv6m.CPU {
+func bootWithISR(t testing.TB, src string, period int64) *armv6m.CPU {
 	t.Helper()
 	full := `
 	main:

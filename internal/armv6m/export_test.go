@@ -27,3 +27,32 @@ func (t *TranslationTable) RunSpans() []RunSpan {
 	}
 	return out
 }
+
+// OracleStep executes one instruction on the fetch/decode oracle
+// (oracle_test.go), with Step's retire sequence.
+func OracleStep(c *CPU) error { return c.oracleStep() }
+
+// OracleRun is Run on the fetch/decode oracle.
+func OracleRun(c *CPU, maxInstructions uint64) error { return c.oracleRun(maxInstructions) }
+
+// DecodeEntry decodes the halfword op at FlashBase, with the next
+// halfword lo, as the emulator does, and reports whether the entry has
+// a handler and whether it is a fault entry.
+func DecodeEntry(op, lo uint32) (handled, fault bool) {
+	var e pentry
+	predecode1(&e, FlashBase, op, lo, true)
+	return e.fn != nil, e.kind == kFault
+}
+
+// ClassifyOp is the trace's instruction class of a first halfword.
+func ClassifyOp(op uint32) InstrClass { return classifyOp(op) }
+
+// TableTotal reports whether every entry of the table has a handler.
+func (t *PredecodeTable) TableTotal() bool {
+	for i := range t.entries {
+		if t.entries[i].fn == nil {
+			return false
+		}
+	}
+	return true
+}

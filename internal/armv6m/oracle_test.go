@@ -2,6 +2,92 @@ package armv6m
 
 import "fmt"
 
+// The fetch/decode interpreter, kept as the test oracle for the
+// emulator's one instruction semantics (predecode.go): oracleStep
+// fetches each halfword through the bus and executes it through a
+// decode switch written independently of the predecoded handlers. The
+// parity tests and FuzzPredecodeParity run it in lockstep with the
+// table-driven and the on-demand cores and require bit-identical
+// state, counters and error text.
+
+// oracleStep is Step on the oracle interpreter, with the same retire
+// sequence: interrupt dispatch, fetch, execute, counters, timer commit,
+// trace attribution and the SysTick tick.
+func (c *CPU) oracleStep() error {
+	if c.Halted {
+		return ErrHalted
+	}
+	if c.pendingIRQ && !c.inHandler && !c.PriMask {
+		c.pendingIRQ = false
+		c.SysTick.Fires++
+		entryStart := c.Cycles
+		if err := c.takeException(SysTickVector); err != nil {
+			return err
+		}
+		if c.Trace != nil {
+			c.Trace.ExceptionEntries++
+			c.Trace.ExceptionEntryCycles += c.Cycles - entryStart
+		}
+	}
+	instrAddr := c.R[PC]
+	instrStart := c.Cycles
+	flashBefore := c.Bus.FlashReads
+	sramRBefore := c.Bus.SRAMReads
+	sramWBefore := c.Bus.SRAMWrites
+	sleepBefore := c.SleepCycles
+	op, err := c.fetch16()
+	if err != nil {
+		return fmt.Errorf("fetch at 0x%08x: %w", instrAddr, err)
+	}
+	// Wait states on the instruction fetch itself.
+	c.Cycles += uint64(c.Bus.accessCycles(instrAddr))
+
+	cycles, err := c.exec(op)
+	if err != nil {
+		return fmt.Errorf("at 0x%08x (op 0x%04x): %w", instrAddr, op, err)
+	}
+	c.Cycles += uint64(cycles)
+	c.Instructions++
+	if t := c.Bus.Timer; t != nil && t.pending() {
+		t.commit(c.Cycles)
+	}
+	if c.Trace != nil {
+		c.Trace.record(c, instrAddr, op, c.Cycles-instrStart, flashBefore, sramRBefore, sramWBefore, c.SleepCycles-sleepBefore)
+	}
+	if c.SysTick.tick(int64(cycles)) {
+		c.pendingIRQ = true
+	}
+	if c.Halted {
+		return ErrHalted
+	}
+	return nil
+}
+
+// oracleRun is Run on the oracle interpreter.
+func (c *CPU) oracleRun(maxInstructions uint64) error {
+	for i := uint64(0); i < maxInstructions; i++ {
+		err := c.oracleStep()
+		if err == nil {
+			continue
+		}
+		if err == ErrHalted {
+			return nil
+		}
+		return err
+	}
+	return &BudgetError{Instructions: maxInstructions, PC: c.R[PC]}
+}
+
+// fetch16 reads the halfword at the current PC.
+func (c *CPU) fetch16() (uint32, error) {
+	return c.Bus.Read16(c.R[PC])
+}
+
+// branchTo redirects execution to addr (bit 0 ignored).
+func (c *CPU) branchTo(addr uint32) {
+	c.R[PC] = addr &^ 1
+}
+
 // branched is tracked per instruction so exec knows whether to advance
 // the PC past the instruction afterwards.
 type execState struct {
@@ -26,11 +112,6 @@ func (c *CPU) exec(op uint32) (int, error) {
 func (st *execState) branch(c *CPU, addr uint32) {
 	st.branched = true
 	c.branchTo(addr)
-}
-
-func signExtend(v uint32, bits uint) uint32 {
-	shift := 32 - bits
-	return uint32(int32(v<<shift) >> shift)
 }
 
 func (c *CPU) exec1(op uint32, st *execState) (int, error) {
@@ -263,66 +344,6 @@ func (c *CPU) execDP(op uint32) (int, error) {
 	}
 	c.setNZ(res)
 	return cycles, nil
-}
-
-type shiftKind int
-
-const (
-	shiftLSL shiftKind = iota
-	shiftLSR
-	shiftASR
-	shiftROR
-)
-
-// shiftReg implements register-amount shifts with ARM's >=32 semantics,
-// updating the carry flag.
-func (c *CPU) shiftReg(v, amountReg uint32, kind shiftKind) uint32 {
-	amount := amountReg & 0xff
-	if amount == 0 {
-		return v // flags C unchanged; N,Z set by caller
-	}
-	switch kind {
-	case shiftLSL:
-		switch {
-		case amount < 32:
-			c.C = v&(1<<(32-amount)) != 0
-			return v << amount
-		case amount == 32:
-			c.C = v&1 != 0
-			return 0
-		default:
-			c.C = false
-			return 0
-		}
-	case shiftLSR:
-		switch {
-		case amount < 32:
-			c.C = v&(1<<(amount-1)) != 0
-			return v >> amount
-		case amount == 32:
-			c.C = v&0x8000_0000 != 0
-			return 0
-		default:
-			c.C = false
-			return 0
-		}
-	case shiftASR:
-		if amount >= 32 {
-			c.C = v&0x8000_0000 != 0
-			return uint32(int32(v) >> 31)
-		}
-		c.C = v&(1<<(amount-1)) != 0
-		return uint32(int32(v) >> amount)
-	default: // ROR
-		rot := amount & 31
-		if rot == 0 {
-			c.C = v&0x8000_0000 != 0
-			return v
-		}
-		res := v>>rot | v<<(32-rot)
-		c.C = res&0x8000_0000 != 0
-		return res
-	}
 }
 
 // execHiReg handles 010001: ADD/CMP/MOV with high registers and BX/BLX.

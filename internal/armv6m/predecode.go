@@ -5,35 +5,40 @@ import (
 	"time"
 )
 
-// Predecoded-flash fast interpreter: the flash image is decoded once
-// into a dense table indexed by (PC - FlashBase) >> 1, where each entry
-// carries the operand fields extracted from the encoding plus a direct
-// handler, so the steady-state Step is `e := &table[idx]; e.fn(c, e)` —
-// no bus fetch, no decode switch. The handlers mirror exec1 (exec.go)
-// instruction for instruction; the contract, enforced by the
-// differential and fuzz tests, is bit-identical architectural state,
-// Cycles, Instructions, and bus counters against the interpreted path:
+// The emulator's one instruction semantics: every halfword decodes
+// (predecode1) into an entry carrying the operand fields extracted from
+// the encoding plus a direct handler, and every retired instruction runs
+// through its entry's handler. The flash image is decoded once into a
+// dense table indexed by (PC - FlashBase) >> 1, so the steady-state Step
+// is `e := &table[idx]; e.fn(c, e)` — no bus fetch, no decode switch. A
+// PC the table does not cover is fetched through the bus and decoded on
+// demand into a per-CPU entry (CPU.fetch). The contract, enforced by the
+// differential and fuzz tests against the fetch/decode interpreter kept
+// as a test oracle (oracle_test.go), is bit-identical architectural
+// state, Cycles, Instructions, bus counters and error text:
 //
-//   - The fetch is not performed (flash is immutable while executing)
-//     but is still accounted: FlashReads increments once per retire
-//     (twice for BL, whose second halfword the interpreter reads
-//     through the bus) and the fetch wait states are charged from the
-//     live Bus.FlashWaitStates, so wait-state ablations and trace
-//     attribution see identical numbers.
+//   - A table fetch is not performed (flash is immutable while
+//     executing) but is still accounted: FlashReads increments once per
+//     retire, and the fetch wait states are charged from the live
+//     Bus.FlashWaitStates, so wait-state ablations and trace attribution
+//     see identical numbers. BL reads its second halfword through the
+//     bus when it executes, so that read is counted against whatever
+//     region holds it.
 //   - Cycle costs that depend on per-core configuration (PipelineRefill,
 //     MulCycles, wait states) are read from the CPU at execution time,
 //     never baked into the table, so one table serves heterogeneous
 //     board configurations.
 //   - Every halfword offset gets its own independently decoded entry
-//     (a PC landing mid-BL sees exactly what the interpreter would
-//     fetch there), and any encoding whose interpreted execution would
-//     fault — UDF, SVC, empty register lists, unknown halfwords —
-//     predecodes to a nil handler, which routes that PC through the
-//     legacy interpreter for an identical error.
+//     (a PC landing mid-BL sees exactly what a fetch there would), and
+//     every encoding the core rejects — UDF, SVC, empty register lists,
+//     unknown halfwords, a BL without a BL second halfword — decodes to
+//     a fault entry (kind kFault, handler phFault) that reports the
+//     fault with the oracle's text and bus accounting.
 //   - The table is built over the LoadFlash high-water prefix and is
 //     invalidated by generation counter when LoadFlash mutates flash;
-//     PCs outside the prefix (or the flash boot alias at 0) fall back
-//     to the interpreted path.
+//     PCs outside the prefix (SRAM, the flash boot alias at 0, flash
+//     beyond the loaded bytes) are decoded on demand, as is every PC of
+//     a core with DisablePredecode set.
 //
 // The table is immutable after construction and safe to share across
 // any number of cores concurrently (the board farm builds one per
@@ -67,8 +72,9 @@ type pentry struct {
 // the indirect handler call. kind is purely an optimization class — the
 // handler in fn implements identical semantics and remains the fallback
 // for every case the inline body cannot take (non-SRAM/flash addresses,
-// faults, PC-relative register operands), so Step, stepTraced, and the
-// armed loop stay handler-only and bit-identical.
+// faults, PC-relative register operands), so Step and the armed loop
+// stay handler-only and bit-identical. kFault marks the entries whose
+// handler only reports a fault; they dispatch through fn like kGeneric.
 const (
 	kGeneric uint8 = iota // dispatch through e.fn
 	kMovsImm8
@@ -111,7 +117,8 @@ const (
 	kLdrbReg
 	kStrbReg
 	kLdrsbReg
-	kLoop // a certified loop head; only in a TranslationTable's entries (translate.go)
+	kLoop  // a certified loop head; only in a TranslationTable's entries (translate.go)
+	kFault // an encoding the core rejects: phFault reports it
 )
 
 // PredecodeTable is a decode-once execution cache for one flash image.
@@ -131,8 +138,8 @@ func (t *PredecodeTable) BuildTime() time.Duration { return t.build }
 
 // Predecode decodes a flash array into an execution table. limit bounds
 // the decoded prefix in bytes (<= 0 or beyond the array decodes all of
-// it); execution past the prefix falls back to the interpreted path
-// with identical semantics. The flash content must not change while any
+// it); execution past the prefix decodes each fetch on demand, with
+// identical semantics. The flash content must not change while any
 // CPU uses the table — LoadFlash on a private bus invalidates the
 // CPU-attached table automatically, and shared-flash buses reject
 // LoadFlash outright.
@@ -149,7 +156,7 @@ func Predecode(flash []byte, limit int) *PredecodeTable {
 		if loOK {
 			lo = uint32(flash[2*i+2]) | uint32(flash[2*i+3])<<8
 		}
-		t.entries[i] = predecode1(FlashBase+uint32(2*i), op, lo, loOK)
+		predecode1(&t.entries[i], FlashBase+uint32(2*i), op, lo, loOK)
 	}
 	t.build = time.Since(start) //neurolint:allow nondet (host-side predecode build timing; never feeds emulated state)
 	return t
@@ -178,40 +185,51 @@ func (c *CPU) buildPredecode() *PredecodeTable {
 	return t
 }
 
-// pentryAt returns the predecoded entry for addr, lazily (re)building
-// the table, or nil when the fast path cannot run: predecoding
-// disabled, addr outside the predecoded prefix (including the flash
-// boot alias at 0), or an encoding whose interpreted execution faults.
-func (c *CPU) pentryAt(addr uint32) *pentry {
-	if c.DisablePredecode {
-		return nil
+// fetch returns the entry for the instruction at addr with its fetch
+// accounted: the table's entry when addr is in the predecoded prefix
+// (lazily (re)building the table), otherwise the fetched halfword
+// decoded on demand into c.dec, which the next fetch overwrites. A
+// fetch that faults (an unmapped or misaligned PC) returns the bus
+// error.
+func (c *CPU) fetch(addr uint32) (*pentry, error) {
+	if !c.DisablePredecode {
+		t := c.ptab
+		if t == nil || c.ptabGen != c.Bus.flashGen {
+			t = c.buildPredecode()
+		}
+		off := addr - t.base
+		// The shift would alias an odd PC onto the even entry below it;
+		// a misaligned PC must fault through the bus fetch instead.
+		if idx := off >> 1; idx < uint32(len(t.entries)) && off&1 == 0 {
+			c.Bus.FlashReads++
+			c.Cycles += uint64(c.Bus.FlashWaitStates)
+			return &t.entries[idx], nil
+		}
 	}
-	t := c.ptab
-	if t == nil || c.ptabGen != c.Bus.flashGen {
-		t = c.buildPredecode()
+	op, err := c.Bus.Read16(addr)
+	if err != nil {
+		return nil, err
 	}
-	off := addr - t.base
-	// The shift would alias an odd PC onto the even entry below it; a
-	// misaligned PC must fault through the interpreted fetch instead.
-	idx := off >> 1
-	if idx >= uint32(len(t.entries)) || off&1 != 0 {
-		return nil
+	c.Cycles += uint64(c.Bus.accessCycles(addr))
+	// A BL's second halfword is looked at without counting the read:
+	// phBL (or the fault entry) reads it through the bus when it runs.
+	var lo uint32
+	var loOK bool
+	if op>>11 == 0b11110 {
+		lo, loOK = c.Bus.peek16(addr + 2)
 	}
-	e := &t.entries[idx]
-	if e.fn == nil {
-		return nil
-	}
-	return e
+	predecode1(&c.dec, addr, op, lo, loOK)
+	return &c.dec, nil
 }
 
 // runPredecoded is Run's steady-state loop: the table resolution,
 // trace check, and bus configuration are hoisted out of the
 // per-instruction path, leaving `e := &entries[idx]; e.fn(c, e)` plus
-// the retire bookkeeping. Any PC without a predecoded entry (outside
-// the prefix, boot alias, faulting encoding) takes one interpreted
-// Step, so the two paths interleave freely with identical semantics —
-// the instruction-for-instruction contract with Run's Step loop is
-// enforced by the parity tests. With an attached translation table, a
+// the retire bookkeeping. A PC outside the table (beyond the prefix,
+// SRAM, the boot alias) takes one Step, which decodes it on demand, so
+// the two paths interleave freely with identical semantics — the
+// instruction-for-instruction contract with Run's Step loop is enforced
+// by the parity tests. With an attached translation table, a
 // certified loop head runs its whole loop in a loop executor.
 func (c *CPU) runPredecoded(maxInstructions uint64) error {
 	t := c.ptab
@@ -301,7 +319,7 @@ func (c *CPU) runPredecoded(maxInstructions uint64) error {
 		instrAddr = pc
 		off := instrAddr - base
 		idx := off >> 1
-		if off&1 != 0 || idx >= uint32(len(entries)) || entries[idx].fn == nil {
+		if off&1 != 0 || idx >= uint32(len(entries)) {
 			c.R[PC] = pc
 			c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
 			c.Cycles += cyc
@@ -310,7 +328,7 @@ func (c *CPU) runPredecoded(maxInstructions uint64) error {
 			bus.SRAMReads += sreads
 			bus.SRAMWrites += swrites
 			cyc, instr, dreads, sreads, swrites = 0, 0, 0, 0, 0
-			// Interpreted fallback for this one instruction.
+			// One Step decodes this instruction on demand.
 			err = c.Step()
 			pc = c.R[PC]
 			fN, fZ, fC, fV = c.N, c.Z, c.C, c.V
@@ -811,7 +829,7 @@ func (c *CPU) runPredecodedIRQ(maxInstructions uint64, t *PredecodeTable) error 
 		instrAddr := c.R[PC]
 		off := instrAddr - base
 		idx := int(off >> 1)
-		if off&1 != 0 || idx >= len(entries) || entries[idx].fn == nil {
+		if off&1 != 0 || idx >= len(entries) {
 			c.Instructions += instr
 			bus.FlashReads += freads
 			instr, freads = 0, 0
@@ -887,11 +905,33 @@ func popcount16(v uint32) uint8 {
 	return n
 }
 
-// predecode1 decodes the halfword op at addr into a table entry. The
-// case structure mirrors exec1; every encoding that exec1 rejects with
-// an error keeps fn == nil so the interpreted path reports it.
-func predecode1(addr, op, lo uint32, loOK bool) pentry {
-	e := pentry{op: uint16(op), next: addr + 2}
+// Fault codes: the imm of a kFault entry, naming the fault phFault
+// reports.
+const (
+	faultUnknown uint32 = iota // a halfword with no 16-bit encoding
+	faultUDF
+	faultSVC
+	faultRev  // the undefined REV variant 1011 1010 10xx xxxx
+	faultMisc // an unimplemented 1011 miscellaneous encoding
+	faultPush // PUSH {}
+	faultPop  // POP {}
+	faultStm  // STMIA Rn!, {}
+	faultLdm  // LDMIA Rn!, {}
+	faultBL   // a BL first halfword without a BL second halfword
+)
+
+// fault makes e a fault entry reporting code.
+func (e *pentry) fault(code uint32) {
+	e.fn, e.kind, e.imm = phFault, kFault, code
+}
+
+// predecode1 decodes the halfword op at addr into *e, overwriting it;
+// lo is the next halfword when loOK (only a BL reads it). Every
+// halfword gets a handler: an encoding the core rejects becomes a fault
+// entry. It writes through e rather than returning the entry so the
+// on-demand decode fills the CPU's entry in place.
+func predecode1(e *pentry, addr, op, lo uint32, loOK bool) {
+	*e = pentry{op: uint16(op), next: addr + 2}
 	r3 := func(shift uint) uint8 { return uint8(op >> shift & 7) }
 
 	switch op >> 11 {
@@ -996,20 +1036,28 @@ func predecode1(addr, op, lo uint32, loOK bool) pentry {
 	case 0b10101: // ADD Rd, SP, #imm8<<2
 		e.fn, e.rd, e.imm = phAddRdSP, r3(8), op&0xff<<2
 	case 0b10110, 0b10111: // miscellaneous 1011 xxxx
-		predecodeMisc(&e, op)
+		predecodeMisc(e, op)
 	case 0b11000: // STMIA Rn!, {list}
-		if op&0xff != 0 {
-			e.fn, e.rn, e.list = phStm, r3(8), op&0xff
-			e.n = popcount16(e.list)
+		if op&0xff == 0 {
+			e.fault(faultStm)
+			break
 		}
+		e.fn, e.rn, e.list = phStm, r3(8), op&0xff
+		e.n = popcount16(e.list)
 	case 0b11001: // LDMIA Rn!, {list}
-		if op&0xff != 0 {
-			e.fn, e.rn, e.list = phLdm, r3(8), op&0xff
-			e.n = popcount16(e.list)
+		if op&0xff == 0 {
+			e.fault(faultLdm)
+			break
 		}
-	case 0b11010, 0b11011: // B<cond> (UDF/SVC stay interpreted)
-		cond := op >> 8 & 0xf
-		if cond != 0xe && cond != 0xf {
+		e.fn, e.rn, e.list = phLdm, r3(8), op&0xff
+		e.n = popcount16(e.list)
+	case 0b11010, 0b11011: // B<cond>, UDF, SVC
+		switch cond := op >> 8 & 0xf; cond {
+		case 0xe:
+			e.fault(faultUDF)
+		case 0xf:
+			e.fault(faultSVC)
+		default:
 			e.fn, e.kind, e.cond = phBCond, kBCond, uint8(cond)
 			e.tgt = addr + 4 + signExtend(op&0xff, 8)<<1
 		}
@@ -1028,13 +1076,15 @@ func predecode1(addr, op, lo uint32, loOK bool) pentry {
 			e.next = addr + 4
 			e.tgt = addr + 4 + off
 			e.imm = (addr + 4) | 1
+		} else {
+			e.fault(faultBL)
 		}
+	default: // 0b11101, 0b11111: 32-bit prefixes the core does not implement
+		e.fault(faultUnknown)
 	}
-	return e
 }
 
-// predecodeMisc fills entries for the 1011 miscellaneous group,
-// mirroring execMisc.
+// predecodeMisc fills entries for the 1011 miscellaneous group.
 func predecodeMisc(e *pentry, op uint32) {
 	switch {
 	case op>>8 == 0b1011_0000: // ADD/SUB SP, #imm7<<2
@@ -1051,9 +1101,11 @@ func predecodeMisc(e *pentry, op uint32) {
 		if op&(1<<8) != 0 {
 			list |= 1 << LR
 		}
-		if list != 0 {
-			e.fn, e.list, e.n = phPush, list, popcount16(list)
+		if list == 0 {
+			e.fault(faultPush)
+			return
 		}
+		e.fn, e.list, e.n = phPush, list, popcount16(list)
 	case op>>9 == 0b1011_110: // POP {list[, pc]}
 		list := op & 0xff
 		if op&(1<<8) != 0 {
@@ -1063,7 +1115,7 @@ func predecodeMisc(e *pentry, op uint32) {
 			e.fn = phPop
 		}
 		if list == 0 {
-			e.fn = nil
+			e.fault(faultPop)
 			return
 		}
 		e.list, e.n = list, popcount16(list)
@@ -1076,7 +1128,8 @@ func predecodeMisc(e *pentry, op uint32) {
 		case 3:
 			e.fn = phRevsh
 		default:
-			return // interpreted path reports the fault
+			e.fault(faultRev)
+			return
 		}
 		e.rd, e.rm = uint8(op&7), uint8(op>>3&7)
 	case op == 0xb672:
@@ -1091,13 +1144,81 @@ func predecodeMisc(e *pentry, op uint32) {
 		} else {
 			e.fn = phHint
 		}
+	default:
+		e.fault(faultMisc)
+	}
+}
+
+// signExtend sign-extends the low bits bits of v to 32 bits.
+func signExtend(v uint32, bits uint) uint32 {
+	shift := 32 - bits
+	return uint32(int32(v<<shift) >> shift)
+}
+
+type shiftKind int
+
+const (
+	shiftLSL shiftKind = iota
+	shiftLSR
+	shiftASR
+	shiftROR
+)
+
+// shiftReg implements register-amount shifts with ARM's >=32 semantics,
+// updating the carry flag.
+func (c *CPU) shiftReg(v, amountReg uint32, kind shiftKind) uint32 {
+	amount := amountReg & 0xff
+	if amount == 0 {
+		return v // flags C unchanged; N,Z set by caller
+	}
+	switch kind {
+	case shiftLSL:
+		switch {
+		case amount < 32:
+			c.C = v&(1<<(32-amount)) != 0
+			return v << amount
+		case amount == 32:
+			c.C = v&1 != 0
+			return 0
+		default:
+			c.C = false
+			return 0
+		}
+	case shiftLSR:
+		switch {
+		case amount < 32:
+			c.C = v&(1<<(amount-1)) != 0
+			return v >> amount
+		case amount == 32:
+			c.C = v&0x8000_0000 != 0
+			return 0
+		default:
+			c.C = false
+			return 0
+		}
+	case shiftASR:
+		if amount >= 32 {
+			c.C = v&0x8000_0000 != 0
+			return uint32(int32(v) >> 31)
+		}
+		c.C = v&(1<<(amount-1)) != 0
+		return uint32(int32(v) >> amount)
+	default: // ROR
+		rot := amount & 31
+		if rot == 0 {
+			c.C = v&0x8000_0000 != 0
+			return v
+		}
+		res := v>>rot | v<<(32-rot)
+		c.C = res&0x8000_0000 != 0
+		return res
 	}
 }
 
 // ---- handlers ----
 //
-// Each handler is the body of the matching exec1 case with operand
-// extraction hoisted to predecode time. Low-register fields (encodings
+// Each handler is one instruction's semantics with operand extraction
+// hoisted to decode time. Low-register fields (encodings
 // whose registers are r0-r7) index CPU.R directly; hi-register forms go
 // through c.reg for PC pipeline semantics. Handlers only advance the PC
 // on success, like exec.
@@ -1815,8 +1936,45 @@ func phB(c *CPU, e *pentry) (int, error) {
 }
 
 func phBL(c *CPU, e *pentry) (int, error) {
-	c.Bus.FlashReads++ // the interpreter fetches the second halfword
-	c.R[LR] = e.imm    // (addr + 4) | 1
+	// The second halfword was decoded ahead of time; its read is counted
+	// here, through the bus, against the region that holds it.
+	if _, err := c.Bus.Read16(c.R[PC] + 2); err != nil {
+		return 0, err
+	}
+	c.R[LR] = e.imm // (addr + 4) | 1
 	c.R[PC] = e.tgt
 	return 2 + c.Profile.PipelineRefill, nil
+}
+
+// phFault reports the fault of an encoding the core rejects; e.imm is
+// the fault code. A BL first halfword reads its second halfword before
+// rejecting the pair, so a missing one reports that read's bus fault.
+func phFault(c *CPU, e *pentry) (int, error) {
+	op := uint32(e.op)
+	switch e.imm {
+	case faultUDF:
+		return 0, fmt.Errorf("UDF (permanently undefined) executed")
+	case faultSVC:
+		return 0, fmt.Errorf("SVC executed but no supervisor is modeled")
+	case faultRev:
+		return 0, fmt.Errorf("unimplemented 1011 1010 variant 0x%04x", op)
+	case faultMisc:
+		return 0, fmt.Errorf("unimplemented miscellaneous encoding 0x%04x", op)
+	case faultPush:
+		return 0, fmt.Errorf("PUSH with empty register list")
+	case faultPop:
+		return 0, fmt.Errorf("POP with empty register list")
+	case faultStm:
+		return 0, fmt.Errorf("STM with empty register list")
+	case faultLdm:
+		return 0, fmt.Errorf("LDM with empty register list")
+	case faultBL:
+		lo, err := c.Bus.Read16(c.R[PC] + 2)
+		if err != nil {
+			return 0, err
+		}
+		return 0, fmt.Errorf("unsupported 32-bit encoding 0x%04x 0x%04x", op, lo)
+	default:
+		return 0, fmt.Errorf("unimplemented encoding")
+	}
 }

@@ -11,9 +11,10 @@ import (
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
 
-// Differential tests for the predecoded fast interpreter: a predecoded
-// core and a DisablePredecode (fetch/decode) core run the same image in
-// lockstep, and every architectural and accounting observable must be
+// Differential tests for the emulator's one instruction semantics: a
+// table-driven core, an on-demand (DisablePredecode) core and the
+// fetch/decode oracle (oracle_test.go) run the same image in lockstep,
+// and every architectural and accounting observable must be
 // bit-identical at every step — registers, flags, Cycles, Instructions,
 // bus counters, SysTick fires, error strings, and final SRAM contents.
 
@@ -27,81 +28,93 @@ func errStr(err error) string {
 
 // compareState fails the test on any state divergence between the two
 // cores after step n.
-func compareState(t *testing.T, n int, fast, legacy *armv6m.CPU) {
+func compareState(t *testing.T, n int, core, oracle *armv6m.CPU) {
 	t.Helper()
-	if fast.R != legacy.R {
-		t.Fatalf("step %d: registers diverged\nfast:   %08x\nlegacy: %08x", n, fast.R, legacy.R)
+	if core.R != oracle.R {
+		t.Fatalf("step %d: registers diverged\ncore:   %08x\noracle: %08x", n, core.R, oracle.R)
 	}
-	if fast.N != legacy.N || fast.Z != legacy.Z || fast.C != legacy.C || fast.V != legacy.V {
-		t.Fatalf("step %d: flags diverged: fast NZCV=%v%v%v%v legacy %v%v%v%v",
-			n, fast.N, fast.Z, fast.C, fast.V, legacy.N, legacy.Z, legacy.C, legacy.V)
+	if core.N != oracle.N || core.Z != oracle.Z || core.C != oracle.C || core.V != oracle.V {
+		t.Fatalf("step %d: flags diverged: core NZCV=%v%v%v%v oracle %v%v%v%v",
+			n, core.N, core.Z, core.C, core.V, oracle.N, oracle.Z, oracle.C, oracle.V)
 	}
-	if fast.Cycles != legacy.Cycles {
-		t.Fatalf("step %d: cycles %d vs %d", n, fast.Cycles, legacy.Cycles)
+	if core.Cycles != oracle.Cycles {
+		t.Fatalf("step %d: cycles %d vs %d", n, core.Cycles, oracle.Cycles)
 	}
-	if fast.Instructions != legacy.Instructions {
-		t.Fatalf("step %d: instructions %d vs %d", n, fast.Instructions, legacy.Instructions)
+	if core.Instructions != oracle.Instructions {
+		t.Fatalf("step %d: instructions %d vs %d", n, core.Instructions, oracle.Instructions)
 	}
-	if fast.Halted != legacy.Halted || fast.HaltCode != legacy.HaltCode {
+	if core.Halted != oracle.Halted || core.HaltCode != oracle.HaltCode {
 		t.Fatalf("step %d: halt state (%v,%d) vs (%v,%d)",
-			n, fast.Halted, fast.HaltCode, legacy.Halted, legacy.HaltCode)
+			n, core.Halted, core.HaltCode, oracle.Halted, oracle.HaltCode)
 	}
-	if fast.Bus.FlashReads != legacy.Bus.FlashReads ||
-		fast.Bus.SRAMReads != legacy.Bus.SRAMReads ||
-		fast.Bus.SRAMWrites != legacy.Bus.SRAMWrites {
+	if core.Bus.FlashReads != oracle.Bus.FlashReads ||
+		core.Bus.SRAMReads != oracle.Bus.SRAMReads ||
+		core.Bus.SRAMWrites != oracle.Bus.SRAMWrites {
 		t.Fatalf("step %d: bus counters flash %d/%d sramR %d/%d sramW %d/%d",
-			n, fast.Bus.FlashReads, legacy.Bus.FlashReads,
-			fast.Bus.SRAMReads, legacy.Bus.SRAMReads,
-			fast.Bus.SRAMWrites, legacy.Bus.SRAMWrites)
+			n, core.Bus.FlashReads, oracle.Bus.FlashReads,
+			core.Bus.SRAMReads, oracle.Bus.SRAMReads,
+			core.Bus.SRAMWrites, oracle.Bus.SRAMWrites)
 	}
-	if fast.SysTick.Fires != legacy.SysTick.Fires {
-		t.Fatalf("step %d: SysTick fires %d vs %d", n, fast.SysTick.Fires, legacy.SysTick.Fires)
+	if core.SysTick.Fires != oracle.SysTick.Fires {
+		t.Fatalf("step %d: SysTick fires %d vs %d", n, core.SysTick.Fires, oracle.SysTick.Fires)
 	}
 }
 
-// lockstep steps both cores until both stop (halt or error) or
-// maxSteps, comparing full state after every step. The cores must stop
-// the same way with the same error text.
-func lockstep(t *testing.T, fast, legacy *armv6m.CPU, maxSteps int) {
+// lockstep steps every core under test with Step and the oracle core
+// with armv6m.OracleStep until they stop (halt or error) or maxSteps,
+// comparing full state after every step. The cores must stop the same
+// way with the same error text.
+func lockstep(t *testing.T, oracle *armv6m.CPU, maxSteps int, cores ...*armv6m.CPU) {
 	t.Helper()
-	if !legacy.DisablePredecode {
-		t.Fatal("legacy core does not have DisablePredecode set")
-	}
 	for n := 0; n < maxSteps; n++ {
-		errFast := fast.Step()
-		errLegacy := legacy.Step()
-		if errStr(errFast) != errStr(errLegacy) {
-			t.Fatalf("step %d: error diverged\nfast:   %v\nlegacy: %v", n, errFast, errLegacy)
+		errOracle := armv6m.OracleStep(oracle)
+		for _, c := range cores {
+			if err := c.Step(); errStr(err) != errStr(errOracle) {
+				t.Fatalf("step %d (DisablePredecode=%v): error diverged\ncore:   %v\noracle: %v",
+					n, c.DisablePredecode, err, errOracle)
+			}
+			compareState(t, n, c, oracle)
 		}
-		compareState(t, n, fast, legacy)
-		if errFast != nil {
+		if errOracle != nil {
 			break
 		}
 	}
-	for i := range fast.Bus.SRAM {
-		if fast.Bus.SRAM[i] != legacy.Bus.SRAM[i] {
-			t.Fatalf("SRAM diverged at +0x%x: %02x vs %02x", i, fast.Bus.SRAM[i], legacy.Bus.SRAM[i])
+	for _, c := range cores {
+		compareSRAM(t, c, oracle)
+	}
+}
+
+// compareSRAM fails the test on any SRAM byte that differs between a
+// core under test and the oracle.
+func compareSRAM(t *testing.T, c, oracle *armv6m.CPU) {
+	t.Helper()
+	for i := range c.Bus.SRAM {
+		if c.Bus.SRAM[i] != oracle.Bus.SRAM[i] {
+			t.Fatalf("DisablePredecode=%v: SRAM diverged at +0x%x: %02x vs %02x",
+				c.DisablePredecode, i, c.Bus.SRAM[i], oracle.Bus.SRAM[i])
 		}
 	}
 }
 
-// bootPair boots the same source on a predecoded and a legacy core.
-func bootPair(t testing.TB, src string) (fast, legacy *armv6m.CPU) {
+// bootTrio boots the same source on a table-driven core, an on-demand
+// core and an oracle core.
+func bootTrio(t testing.TB, src string) (fast, onDemand, oracle *armv6m.CPU) {
 	fast, _ = boot(t, src)
-	legacy, _ = boot(t, src)
-	legacy.DisablePredecode = true
-	return fast, legacy
+	onDemand, _ = boot(t, src)
+	onDemand.DisablePredecode = true
+	oracle, _ = boot(t, src)
+	return fast, onDemand, oracle
 }
 
 // TestPredecodeParityKernels runs every generated kernel variant's
-// self-check harness to completion on both paths. This is the tentpole
-// guarantee: the fast interpreter is invisible to every kernel the
+// self-check harness to completion on the table, on demand and on the
+// oracle: the handlers and the table are invisible to every kernel the
 // deployment search space can emit.
 func TestPredecodeParityKernels(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		t.Run(v.Name, func(t *testing.T) {
-			fast, legacy := bootPair(t, v.Harness)
-			lockstep(t, fast, legacy, 3_000_000)
+			fast, onDemand, oracle := bootTrio(t, v.Harness)
+			lockstep(t, oracle, 3_000_000, fast, onDemand)
 			if !fast.Halted {
 				t.Fatalf("kernel %s never halted", v.Name)
 			}
@@ -110,13 +123,14 @@ func TestPredecodeParityKernels(t *testing.T) {
 }
 
 // TestPredecodeParitySysTick preempts a flag-sensitive loop with a
-// short-period SysTick on both paths: exception entry/return, hardware
+// short-period SysTick on every path: exception entry/return, hardware
 // stacking, and the fire accounting must stay bit-identical.
 func TestPredecodeParitySysTick(t *testing.T) {
 	fast := bootWithISR(t, countdownLoop, 97)
-	legacy := bootWithISR(t, countdownLoop, 97)
-	legacy.DisablePredecode = true
-	lockstep(t, fast, legacy, 2_000_000)
+	onDemand := bootWithISR(t, countdownLoop, 97)
+	onDemand.DisablePredecode = true
+	oracle := bootWithISR(t, countdownLoop, 97)
+	lockstep(t, oracle, 2_000_000, fast, onDemand)
 	if !fast.Halted {
 		t.Fatal("loop never halted")
 	}
@@ -125,19 +139,19 @@ func TestPredecodeParitySysTick(t *testing.T) {
 	}
 }
 
-// TestPredecodeParityTrace runs the traced path on both cores and
-// requires identical attribution: per-class cycles, branch outcomes,
-// bus traffic, exception buckets, and the per-PC histogram.
+// TestPredecodeParityTrace runs the traced path on the table core and
+// the oracle and requires identical attribution: per-class cycles,
+// branch outcomes, bus traffic, exception buckets, and the per-PC
+// histogram.
 func TestPredecodeParityTrace(t *testing.T) {
 	fast := bootWithISR(t, countdownLoop, 501)
-	legacy := bootWithISR(t, countdownLoop, 501)
-	legacy.DisablePredecode = true
+	oracle := bootWithISR(t, countdownLoop, 501)
 	tf := fast.EnableTrace()
-	tl := legacy.EnableTrace()
-	lockstep(t, fast, legacy, 2_000_000)
+	tl := oracle.EnableTrace()
+	lockstep(t, oracle, 2_000_000, fast)
 
 	if tf.ClassCycles != tl.ClassCycles || tf.ClassInstrs != tl.ClassInstrs {
-		t.Errorf("class attribution diverged:\nfast:   %v %v\nlegacy: %v %v",
+		t.Errorf("class attribution diverged:\nfast:   %v %v\noracle: %v %v",
 			tf.ClassCycles, tf.ClassInstrs, tl.ClassCycles, tl.ClassInstrs)
 	}
 	if tf.BranchTaken != tl.BranchTaken || tf.BranchNotTaken != tl.BranchNotTaken {
@@ -171,10 +185,11 @@ func TestPredecodeParityTrace(t *testing.T) {
 // model does.
 func TestPredecodeParityWaitStates(t *testing.T) {
 	v := kernels.Variants()[0]
-	fast, legacy := bootPair(t, v.Harness)
-	fast.Bus.FlashWaitStates = 1
-	legacy.Bus.FlashWaitStates = 1
-	lockstep(t, fast, legacy, 3_000_000)
+	fast, onDemand, oracle := bootTrio(t, v.Harness)
+	for _, c := range []*armv6m.CPU{fast, onDemand, oracle} {
+		c.Bus.FlashWaitStates = 1
+	}
+	lockstep(t, oracle, 3_000_000, fast, onDemand)
 	if !fast.Halted {
 		t.Fatal("kernel never halted")
 	}
@@ -182,22 +197,28 @@ func TestPredecodeParityWaitStates(t *testing.T) {
 
 // TestPredecodeFallbackBeyondPrefix jumps execution past the loaded
 // image, where no predecoded entries exist: the zero-filled flash
-// (LSLS r0, r0, #0 sleds) must execute identically through the
-// interpreted fallback on both cores, including the budget error.
+// (LSLS r0, r0, #0 sleds) must execute identically when decoded on
+// demand, including the budget error.
 func TestPredecodeFallbackBeyondPrefix(t *testing.T) {
-	fast, legacy := bootPair(t, `
+	fast, onDemand, oracle := bootTrio(t, `
 		ldr r0, =0x08010001     @ far beyond any loaded byte, Thumb bit set
 		bx r0
 		.pool
 	`)
-	for _, c := range []*armv6m.CPU{fast, legacy} {
-		err := c.Run(1000)
+	for _, c := range []*armv6m.CPU{fast, onDemand, oracle} {
+		var err error
+		if c == oracle {
+			err = armv6m.OracleRun(c, 1000)
+		} else {
+			err = c.Run(1000)
+		}
 		var be *armv6m.BudgetError
 		if !asBudget(err, &be) {
 			t.Fatalf("err = %v, want BudgetError from the zero sled", err)
 		}
 	}
-	compareState(t, -1, fast, legacy)
+	compareState(t, -1, fast, oracle)
+	compareState(t, -1, onDemand, oracle)
 }
 
 func asBudget(err error, target **armv6m.BudgetError) bool {
@@ -210,11 +231,11 @@ func asBudget(err error, target **armv6m.BudgetError) bool {
 
 // TestPredecodeFallbackBootAlias executes code through the flash boot
 // alias at address 0, which the predecode table does not cover: the
-// interpreted fallback must produce identical state.
+// on-demand decode must produce identical state.
 func TestPredecodeFallbackBootAlias(t *testing.T) {
 	// The program lives at codeBase = FlashBase + 0x10; its alias is at
 	// plain 0x10. Jump there and run the same instructions.
-	fast, legacy := bootPair(t, `
+	fast, onDemand, oracle := bootTrio(t, `
 		ldr r0, =0x11           @ alias of codeBase, Thumb bit set
 		mov r12, r0
 		cmp r1, #1
@@ -227,7 +248,7 @@ func TestPredecodeFallbackBootAlias(t *testing.T) {
 		bkpt #0
 		.pool
 	`)
-	lockstep(t, fast, legacy, 1000)
+	lockstep(t, oracle, 1000, fast, onDemand)
 	if !fast.Halted || fast.R[2] != 42 {
 		t.Fatalf("alias run: halted=%v r2=%d, want halted r2=42", fast.Halted, fast.R[2])
 	}
@@ -268,7 +289,7 @@ func TestPredecodeInvalidateOnLoadFlash(t *testing.T) {
 
 // TestPredecodeSharedTableParity boots one board with a table built
 // externally (the farm's shared-table path, armv6m.Predecode +
-// UsePredecode) and one legacy board, and requires identical runs.
+// UsePredecode) and one oracle board, and requires identical runs.
 func TestPredecodeSharedTableParity(t *testing.T) {
 	v := kernels.Variants()[0]
 	prog, err := thumb.Assemble(v.Harness, codeBase)
@@ -294,47 +315,45 @@ func TestPredecodeSharedTableParity(t *testing.T) {
 	}
 	fast := armv6m.NewSharedFlash(flash)
 	fast.UsePredecode(table)
-	legacy := armv6m.NewSharedFlash(flash)
-	legacy.DisablePredecode = true
-	for _, c := range []*armv6m.CPU{fast, legacy} {
+	oracle := armv6m.NewSharedFlash(flash)
+	for _, c := range []*armv6m.CPU{fast, oracle} {
 		if err := c.Reset(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lockstep(t, fast, legacy, 3_000_000)
+	lockstep(t, oracle, 3_000_000, fast)
 	if !fast.Halted {
 		t.Fatal("kernel never halted")
 	}
 }
 
 // TestPredecodeRunParity drives whole runs through Run — which uses the
-// hoisted steady-state loop, not Step — against legacy Run, over every
-// kernel variant and a SysTick-preempted loop, comparing final state.
+// hoisted steady-state loop on the table core and a Step loop on the
+// on-demand core — against the oracle's run, over every kernel variant
+// and a SysTick-preempted loop, comparing final state.
 func TestPredecodeRunParity(t *testing.T) {
-	finish := func(t *testing.T, fast, legacy *armv6m.CPU) {
+	finish := func(t *testing.T, fast, onDemand, oracle *armv6m.CPU) {
 		t.Helper()
-		errFast, errLegacy := fast.Run(3_000_000), legacy.Run(3_000_000)
-		if errStr(errFast) != errStr(errLegacy) {
-			t.Fatalf("run error diverged: %v vs %v", errFast, errLegacy)
-		}
-		compareState(t, -1, fast, legacy)
-		for i := range fast.Bus.SRAM {
-			if fast.Bus.SRAM[i] != legacy.Bus.SRAM[i] {
-				t.Fatalf("SRAM diverged at +0x%x", i)
+		errOracle := armv6m.OracleRun(oracle, 3_000_000)
+		for _, c := range []*armv6m.CPU{fast, onDemand} {
+			if err := c.Run(3_000_000); errStr(err) != errStr(errOracle) {
+				t.Fatalf("DisablePredecode=%v: run error diverged: %v vs %v", c.DisablePredecode, err, errOracle)
 			}
+			compareState(t, -1, c, oracle)
+			compareSRAM(t, c, oracle)
 		}
 	}
 	for _, v := range kernels.Variants() {
 		t.Run(v.Name, func(t *testing.T) {
-			fast, legacy := bootPair(t, v.Harness)
-			finish(t, fast, legacy)
+			fast, onDemand, oracle := bootTrio(t, v.Harness)
+			finish(t, fast, onDemand, oracle)
 		})
 	}
 	t.Run("systick", func(t *testing.T) {
 		fast := bootWithISR(t, countdownLoop, 97)
-		legacy := bootWithISR(t, countdownLoop, 97)
-		legacy.DisablePredecode = true
-		finish(t, fast, legacy)
+		onDemand := bootWithISR(t, countdownLoop, 97)
+		onDemand.DisablePredecode = true
+		finish(t, fast, onDemand, bootWithISR(t, countdownLoop, 97))
 		if fast.SysTick.Fires == 0 {
 			t.Fatal("SysTick never fired")
 		}
@@ -392,6 +411,77 @@ func TestPredecodeTableMetadata(t *testing.T) {
 	}
 	if got := armv6m.Predecode(flash, 1<<20).Len(); got != 32 {
 		t.Errorf("oversized limit decodes %d slots, want 32", got)
+	}
+}
+
+// TestDecodeAgreesWithEmulator pins Decode (the disassembler's and the
+// static analyzer's view) to the emulator's decode over every first
+// halfword, each with a BL suffix and a non-suffix second halfword:
+// Decode gives Unknown/UDF/SVC exactly where the emulator decodes a
+// fault entry, and on every other halfword the trace's class
+// (classifyOp) is the one Decode's kind implies. It also requires a
+// handler on every entry, and on every entry of a table decoded over a
+// flash image holding every halfword.
+func TestDecodeAgreesWithEmulator(t *testing.T) {
+	classOf := func(in armv6m.Instr) armv6m.InstrClass {
+		switch in.Kind {
+		case armv6m.KindLoad, armv6m.KindStore, armv6m.KindLoadMulti, armv6m.KindStoreMulti,
+			armv6m.KindPush, armv6m.KindPop:
+			return armv6m.ClassLoadStore
+		case armv6m.KindBranch, armv6m.KindBranchCond, armv6m.KindBL, armv6m.KindBX, armv6m.KindBLX:
+			return armv6m.ClassBranch
+		case armv6m.KindALU:
+			if in.IsMul {
+				return armv6m.ClassMul
+			}
+			if in.WritesPC {
+				return armv6m.ClassBranch
+			}
+		}
+		return armv6m.ClassALU
+	}
+	var faultMismatch, classMismatch int // first halfwords
+	for op := uint32(0); op <= 0xffff; op++ {
+		faultBad, classBad := false, false
+		for _, lo := range []uint32{0xf800, 0x0000} { // a BL suffix, then not one
+			in := armv6m.Decode(armv6m.FlashBase, uint16(op), uint16(lo))
+			handled, fault := armv6m.DecodeEntry(op, lo)
+			if !handled {
+				t.Fatalf("op 0x%04x lo 0x%04x: entry has no handler", op, lo)
+			}
+			rejected := in.Kind == armv6m.KindUnknown || in.Kind == armv6m.KindUDF || in.Kind == armv6m.KindSVC
+			if rejected != fault {
+				if !faultBad && faultMismatch < 5 {
+					t.Errorf("op 0x%04x lo 0x%04x: Decode %q (kind %d), emulator fault entry %v",
+						op, lo, in.Text, in.Kind, fault)
+				}
+				faultBad = true
+				continue
+			}
+			if !fault && armv6m.ClassifyOp(op) != classOf(in) {
+				if !classBad && classMismatch < 5 {
+					t.Errorf("op 0x%04x (%s): trace class %v, Decode implies %v",
+						op, in.Text, armv6m.ClassifyOp(op), classOf(in))
+				}
+				classBad = true
+			}
+		}
+		if faultBad {
+			faultMismatch++
+		}
+		if classBad {
+			classMismatch++
+		}
+	}
+	if faultMismatch+classMismatch != 0 {
+		t.Errorf("%d fault mismatches, %d class mismatches", faultMismatch, classMismatch)
+	}
+	flash := make([]byte, 2*0x10000)
+	for i := range 0x10000 {
+		flash[2*i], flash[2*i+1] = byte(i), byte(i>>8)
+	}
+	if !armv6m.Predecode(flash, 0).TableTotal() {
+		t.Error("a predecode table entry has no handler")
 	}
 }
 
@@ -585,6 +675,58 @@ func BenchmarkStep(b *testing.B) {
 			b.StopTimer()
 			sink += cpu.Cycles
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "MIPS")
+		})
+	}
+}
+
+// BenchmarkRunIRQ measures SysTick-armed code (countdownLoop under a
+// 4,800-cycle period) through Run, which runs it in the hoisted armed
+// loop (runPredecodedIRQ), and through a loop of Step calls, the same
+// semantics one instruction at a time. The gap between the two MIPS
+// figures is what the armed loop buys.
+func BenchmarkRunIRQ(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		step bool
+	}{
+		{"Run", false},
+		{"Step", true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cpu := bootWithISR(b, countdownLoop, 4800)
+			run := func() {
+				if err := cpu.Reset(); err != nil {
+					b.Fatal(err)
+				}
+				cpu.Cycles, cpu.Instructions = 0, 0
+				if !tc.step {
+					if err := cpu.Run(10_000_000); err != nil {
+						b.Fatal(err)
+					}
+					return
+				}
+				for {
+					err := cpu.Step()
+					if err == armv6m.ErrHalted {
+						return
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			run() // builds the table off the measured path
+			if cpu.SysTick.Fires == 0 {
+				b.Fatal("SysTick never fired")
+			}
+			instrPerRun := cpu.Instructions
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+				sink += cpu.Cycles
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(instrPerRun)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MIPS")
 		})
 	}
 }

@@ -9,7 +9,7 @@ import "errors"
 // advancing CPU.Cycles, because the paper's duty-cycled sensor loop is
 // measured in wall-clock time with the core drawing sleep current.
 //
-// Semantics, identical on the legacy and predecoded interpreters:
+// Semantics, identical on every execution path:
 //
 //   - A pending interrupt is a wake event: WFI retires as a 1-cycle NOP
 //     (even under PRIMASK — waking does not require dispatching).
@@ -38,7 +38,7 @@ var ErrNoWakeSource = errors.New("WFI with SysTick disarmed and no interrupt pen
 // cycle cost (1 execute cycle plus any sleep) and accumulates the sleep
 // portion in SleepCycles. The caller charges the returned cost and runs
 // the SysTick tick over it, which is what makes the timer fire exactly
-// at wake-up on every interpreter path.
+// at wake-up on every execution path.
 func (c *CPU) wfi() (int, error) {
 	if c.pendingIRQ {
 		return 1, nil

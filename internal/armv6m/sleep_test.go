@@ -52,9 +52,9 @@ func TestWFISleepsUntilSysTick(t *testing.T) {
 	}
 }
 
-// TestWFIInterpreterParity runs the sleep loop on the legacy
-// interpreter, the predecoded interpreter, and the traced path, and
-// requires bit-identical cycle, sleep, instruction, and register state.
+// TestWFIInterpreterParity runs the sleep loop on the legacy and
+// predecoded tiers, the traced path and the test oracle, and requires
+// bit-identical cycle, sleep, instruction, and register state.
 func TestWFIInterpreterParity(t *testing.T) {
 	run := func(configure func(*armv6m.CPU)) *armv6m.CPU {
 		cpu := bootWithISR(t, wfiLoop, 997) // prime period: fires land mid-instruction
@@ -67,8 +67,12 @@ func TestWFIInterpreterParity(t *testing.T) {
 	pre := run(func(c *armv6m.CPU) {})
 	leg := run(func(c *armv6m.CPU) { c.DisablePredecode = true })
 	tra := run(func(c *armv6m.CPU) { c.EnableTrace() })
+	ora := bootWithISR(t, wfiLoop, 997)
+	if err := armv6m.OracleRun(ora, 10_000_000); err != nil {
+		t.Fatal(err)
+	}
 
-	for name, got := range map[string]*armv6m.CPU{"legacy": leg, "traced": tra} {
+	for name, got := range map[string]*armv6m.CPU{"legacy": leg, "traced": tra, "oracle": ora} {
 		if got.Cycles != pre.Cycles || got.SleepCycles != pre.SleepCycles || got.Instructions != pre.Instructions {
 			t.Errorf("%s: cycles/sleep/instrs = %d/%d/%d, predecoded = %d/%d/%d",
 				name, got.Cycles, got.SleepCycles, got.Instructions,

@@ -18,8 +18,8 @@ package armv6m
 //
 // Access cost: the region adds no wait states, so a load or store
 // costs the fixed 2 cycles of any single-cycle-memory data access on
-// the M0 — identical to SRAM, and identical on the legacy and
-// predecoded interpreters (the differential tests pin this).
+// the M0 — identical to SRAM, and identical on every execution path
+// (the differential tests pin this).
 //
 // Timestamp semantics (pinned by tests, identical on every execution
 // path):
@@ -32,8 +32,8 @@ package armv6m
 //     instruction *retires* (all of its cycles charged). The store only
 //     enqueues the event; the core commits it with the final cycle
 //     count once the instruction completes. This commit-at-retire split
-//     is what makes the legacy interpreter, the predecoded interpreter,
-//     and the traced path agree to the cycle.
+//     is what makes the legacy and predecoded tiers, the traced path
+//     and the test oracle agree to the cycle.
 //
 // A Timer is attached to exactly one core (CPU.EnableTimer) and is not
 // shared between boards: under internal/farm every board owns a

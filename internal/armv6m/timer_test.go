@@ -10,8 +10,8 @@ import (
 // Tests for the telemetry peripheral (timer.go): the CNT and MBOX
 // semantics are pinned to exact cycle values, and every observable —
 // read values, event timestamps, fault strings — must be bit-identical
-// across the legacy interpreter, the predecoded interpreter, and the
-// traced path, at 0 and 1 flash wait states.
+// across the legacy and predecoded tiers, the traced path and the test
+// oracle, at 0 and 1 flash wait states.
 
 // timerProg loads the peripheral base into r6 before src runs.
 func timerProg(src string) string {
@@ -20,25 +20,29 @@ func timerProg(src string) string {
 
 // runTimer boots src with the telemetry peripheral attached and runs it
 // to halt on the requested path: "legacy" (DisablePredecode), "fast"
-// (predecoded Run loop), or "traced" (trace hook attached).
+// (predecoded Run loop), "traced" (trace hook attached), or "oracle"
+// (the fetch/decode test oracle).
 func runTimer(t *testing.T, src, path string, ws int) (*armv6m.CPU, *armv6m.Timer) {
 	t.Helper()
 	cpu, _ := boot(t, src)
 	cpu.Bus.FlashWaitStates = ws
 	tmr := cpu.EnableTimer()
+	run := cpu.Run
 	switch path {
 	case "legacy":
 		cpu.DisablePredecode = true
 	case "traced":
 		cpu.EnableTrace()
+	case "oracle":
+		run = func(n uint64) error { return armv6m.OracleRun(cpu, n) }
 	}
-	if err := cpu.Run(1_000_000); err != nil {
+	if err := run(1_000_000); err != nil {
 		t.Fatalf("%s run: %v", path, err)
 	}
 	return cpu, tmr
 }
 
-var timerPaths = []string{"legacy", "fast", "traced"}
+var timerPaths = []string{"legacy", "fast", "traced", "oracle"}
 
 // TestTimerCNTExact pins the CNT read semantics to exact cycle values:
 // the read returns the cycles retired by every earlier instruction plus
@@ -280,9 +284,9 @@ func TestTimerReset(t *testing.T) {
 }
 
 // TestTimerStepLockstep runs the marker loop in per-Step lockstep on a
-// predecoded and a legacy core, with timers attached: the full
-// architectural state must match after every single instruction, and so
-// must the event logs at the end.
+// table-driven, an on-demand and an oracle core, with timers attached:
+// the full architectural state must match after every single
+// instruction, and so must the event logs at the end.
 func TestTimerStepLockstep(t *testing.T) {
 	src := timerProg(`
 	movs r0, #0
@@ -295,16 +299,18 @@ lk:
 	movs r0, #1
 	str r0, [r6, #0x40]
 `)
-	fast, legacy := bootPair(t, src)
-	ft, lt := fast.EnableTimer(), legacy.EnableTimer()
-	lockstep(t, fast, legacy, 1000)
-	if len(ft.Events) != 2 || len(lt.Events) != 2 {
-		t.Fatalf("events: fast %d, legacy %d, want 2", len(ft.Events), len(lt.Events))
-	}
-	for i := range ft.Events {
-		if ft.Events[i] != lt.Events[i] {
-			t.Errorf("event %d: fast {%d, %d}, legacy {%d, %d}", i,
-				ft.Events[i].Marker, ft.Events[i].Cycles, lt.Events[i].Marker, lt.Events[i].Cycles)
+	fast, onDemand, oracle := bootTrio(t, src)
+	ft, dt, ot := fast.EnableTimer(), onDemand.EnableTimer(), oracle.EnableTimer()
+	lockstep(t, oracle, 1000, fast, onDemand)
+	for _, got := range []*armv6m.Timer{ft, dt} {
+		if len(got.Events) != 2 || len(ot.Events) != 2 {
+			t.Fatalf("events: core %d, oracle %d, want 2", len(got.Events), len(ot.Events))
+		}
+		for i := range got.Events {
+			if got.Events[i] != ot.Events[i] {
+				t.Errorf("event %d: core {%d, %d}, oracle {%d, %d}", i,
+					got.Events[i].Marker, got.Events[i].Cycles, ot.Events[i].Marker, ot.Events[i].Cycles)
+			}
 		}
 	}
 }

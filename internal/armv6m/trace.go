@@ -2,7 +2,7 @@ package armv6m
 
 // Tracing support: an opt-in, zero-overhead-when-disabled observation
 // hook on CPU.Step. When CPU.Trace is nil (the default) the only cost
-// per retired instruction is one nil check; when set, every retired
+// per retired instruction is two nil checks; when set, every retired
 // instruction is attributed — by PC, by instruction class, and by bus
 // region — so that the per-class and per-PC cycle totals sum exactly to
 // CPU.Cycles and CPU.Instructions. Exception entries are charged to a
@@ -223,8 +223,9 @@ func (t *Trace) record(c *CPU, addr, op uint32, cycles uint64, fr, sr, sw, sleep
 	}
 }
 
-// classifyOp maps a first halfword to its instruction class. The
-// partition mirrors the decode tree in exec1.
+// classifyOp maps a first halfword to its instruction class. It agrees
+// with the class Decode's kind implies on every halfword the core
+// executes (TestDecodeAgreesWithEmulator).
 func classifyOp(op uint32) InstrClass {
 	switch op >> 11 {
 	case 0b01001, // LDR literal

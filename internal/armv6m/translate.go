@@ -25,15 +25,15 @@ import (
 // instruction executes exactly as on the predecoded tier.
 //
 // The contract is the same bit-for-bit parity the predecoded tier
-// holds against the legacy interpreter, enforced by the differential
-// tests and FuzzTranslateParity:
+// holds against the on-demand (legacy) tier, enforced by the
+// differential tests and FuzzTranslateParity:
 //
 //   - The translator never trusts a certified fact it cannot check.
 //     At build time every loop instruction's certified cost formula and
 //     bus-counter deltas are re-derived from the decoded encoding and
 //     the proven memory region. A loop with any mismatch, a structural
 //     problem (non-contiguous instrs, a control transfer before the
-//     latch, an encoding the interpreter would fault on), or a shape no
+//     latch, an encoding the core would fault on), or a shape no
 //     executor knows is not kept; its PCs run on the predecoded path.
 //     A run's costs are derived from the same formulas (fastFacts) at
 //     the SRAM region its range check guarantees.
@@ -382,9 +382,9 @@ func translateLoop(pt *PredecodeTable, cb *CertBlock, refill, mulCyc uint64) (tl
 			return lp, false
 		}
 		e := &pt.entries[off>>1]
-		// An encoding the interpreter faults on, or whose decoded size
+		// An encoding the core faults on, or whose decoded size
 		// disagrees with the certificate, invalidates the loop.
-		if e.fn == nil || e.next != ci.Addr+uint32(ci.Size) {
+		if e.kind == kFault || e.next != ci.Addr+uint32(ci.Size) {
 			return lp, false
 		}
 		addr = e.next
@@ -664,7 +664,7 @@ func lowerRun(pt *PredecodeTable, i int) (tloop, bool) {
 			switch {
 			case (op == kAddsReg || op == kSubsReg) && a.rn == a.rd && a.rm == r.x:
 			case op == kMovHi && a.rm == r.x:
-			case op == kGeneric && a.fn != nil && a.op&0xffc0 == 0x4240 && a.rm == r.x:
+			case op == kGeneric && a.op&0xffc0 == 0x4240 && a.rm == r.x:
 				op = tRsbs
 			default:
 				op = 0

@@ -219,6 +219,29 @@ spin:
 	}
 }
 
+// TestEmptyRegisterListIsViolation: the emulator faults on PUSH, POP,
+// STMIA and LDMIA with an empty register list, so a reachable one must
+// be an undecodable halfword to the checker, and Certify must refuse it
+// instead of bounding it.
+func TestEmptyRegisterListIsViolation(t *testing.T) {
+	for _, hw := range []string{"0xb400", "0xbc00", "0xc000", "0xc900"} { // push {}, pop {}, stmia r0!, {}, ldmia r1!, {}
+		t.Run(hw, func(t *testing.T) {
+			src := "entry:\n\t.hword " + hw + "\n\tbkpt #0\n"
+			rep := check(t, src, nil)
+			if got := codes(rep); len(got) != 1 || got[0] != CodeDecodeUnknown {
+				t.Fatalf("violations = %v, want exactly [%s]\nreport: %+v", got, CodeDecodeUnknown, rep.Violations)
+			}
+			p, err := thumb.Assemble(src, armv6m.FlashBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, _, err := Certify(p, DefaultConfig()); err == nil {
+				t.Errorf("Certify accepted it with a %d-cycle bound", c.WCETCycles)
+			}
+		})
+	}
+}
+
 // TestCleanKernelPasses verifies the checker accepts a well-formed
 // kernel and produces finite, plausible bounds.
 func TestCleanKernelPasses(t *testing.T) {

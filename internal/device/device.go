@@ -90,14 +90,15 @@ func CyclesToMS(cycles uint64) float64 {
 	return float64(cycles) / float64(ClockHz) * 1000
 }
 
-// Tier selects the execution tier for a device's runs. The zero value
-// picks the fastest path available: the predecoded interpreter, with
-// the certified-loop fast path when the image carries a certificate,
-// under the emulator's own fallback rules (docs/EMULATOR.md, "Execution
-// tiers"). The explicit tiers pin a run to one engine — for
-// differential testing, benchmarking a specific tier, or reproducing
-// legacy numbers. TierTranslated is the predecoded interpreter plus the
-// certified-loop fast path; TierPredecoded is the interpreter alone.
+// Tier selects the execution tier for a device's runs. Every tier
+// executes the same instruction handlers (docs/EMULATOR.md, "Execution
+// tiers"); they differ only in how instructions reach them. The zero
+// value picks the fastest path available: the predecoded table, with
+// the certified-loop fast path when the image carries a certificate.
+// The explicit tiers pin a run to one path — for differential testing
+// or benchmarking a specific tier. TierTranslated is the predecoded
+// table plus the certified-loop fast path; TierPredecoded is the table
+// alone; TierLegacy uses no table and decodes every fetch on demand.
 type Tier string
 
 // Execution tiers, slowest to fastest.

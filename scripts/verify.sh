@@ -90,6 +90,28 @@ go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 go test -run '^$' -fuzz FuzzTranslateParity -fuzztime 15s ./internal/armv6m/
 
+echo "== engine parity (table-driven and on-demand cores bit-identical to the fetch/decode oracle)"
+# The emulator ships one instruction semantics: the predecoded handlers,
+# reached through the decode-once table or decoded on demand for a PC
+# the table does not cover (SRAM, the boot alias, past the image). The
+# fetch/decode interpreter it replaced is the test oracle
+# (internal/armv6m/oracle_test.go). The parity tests step a table core
+# and an on-demand core in lockstep with it over every kernel variant,
+# SysTick preemption, tracing and wait states; TestDecodeAgreesWithEmulator
+# pins Decode (the disassembler's and asmcheck's view) to the emulator's
+# fault entries and trace classes over every first halfword; then 15 s
+# of FuzzPredecodeParity on all three cores. Each of the four names
+# must match a test, so a renamed test cannot drop out silently.
+for pat in TestPredecodeParity TestPredecodeRunParity TestDecodeAgreesWithEmulator FuzzPredecodeParity; do
+	n=$(go test -list "^$pat" ./internal/armv6m/ | grep -cE '^(Test|Fuzz)' || true)
+	if [ "$n" -eq 0 ]; then
+		echo "no $pat test in ./internal/armv6m/" >&2
+		exit 1
+	fi
+done
+go test -run 'TestPredecodeParity|TestPredecodeRunParity|TestDecodeAgreesWithEmulator|FuzzPredecodeParity' -count=1 ./internal/armv6m/
+go test -run '^$' -fuzz FuzzPredecodeParity -fuzztime 15s -fuzzminimizetime 2s ./internal/armv6m/
+
 echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden hash + unrolled/4 dominance)"
 # The peephole-optimized unrolled kernels against their unoptimized
 # form: bit-for-bit accumulator equality, optimized <= unoptimized
