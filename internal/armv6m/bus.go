@@ -209,7 +209,12 @@ func (b *Bus) Read16(addr uint32) (uint32, error) {
 
 // peek16 is Read16 without counting the access: ok is false where
 // Read16 would fault. The on-demand decoder looks ahead at a BL's
-// second halfword with it; the BL's handler counts the read.
+// second halfword with it, so that an entry decoded on demand is
+// decoded from the same pair as the table's entry for that address: a
+// pair that is not a BL is a fault entry from decode on, as Decode
+// rejects it and as the certified-loop translator refuses it, and a BL
+// entry carries its resolved target. The BL's handler (or the fault
+// entry's) counts the read when it runs.
 func (b *Bus) peek16(addr uint32) (v uint32, ok bool) {
 	flash, sram := b.FlashReads, b.SRAMReads
 	v, err := b.Read16(addr)

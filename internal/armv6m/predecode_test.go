@@ -139,43 +139,47 @@ func TestPredecodeParitySysTick(t *testing.T) {
 	}
 }
 
-// TestPredecodeParityTrace runs the traced path on the table core and
-// the oracle and requires identical attribution: per-class cycles,
-// branch outcomes, bus traffic, exception buckets, and the per-PC
-// histogram.
+// TestPredecodeParityTrace runs the traced path on the table core, the
+// on-demand core and the oracle and requires identical attribution:
+// per-class cycles, branch outcomes, bus traffic, exception buckets, and
+// the per-PC histogram.
 func TestPredecodeParityTrace(t *testing.T) {
 	fast := bootWithISR(t, countdownLoop, 501)
+	onDemand := bootWithISR(t, countdownLoop, 501)
+	onDemand.DisablePredecode = true
 	oracle := bootWithISR(t, countdownLoop, 501)
-	tf := fast.EnableTrace()
 	tl := oracle.EnableTrace()
-	lockstep(t, oracle, 2_000_000, fast)
+	traces := map[string]*armv6m.Trace{"fast": fast.EnableTrace(), "on-demand": onDemand.EnableTrace()}
+	lockstep(t, oracle, 2_000_000, fast, onDemand)
 
-	if tf.ClassCycles != tl.ClassCycles || tf.ClassInstrs != tl.ClassInstrs {
-		t.Errorf("class attribution diverged:\nfast:   %v %v\noracle: %v %v",
-			tf.ClassCycles, tf.ClassInstrs, tl.ClassCycles, tl.ClassInstrs)
-	}
-	if tf.BranchTaken != tl.BranchTaken || tf.BranchNotTaken != tl.BranchNotTaken {
-		t.Errorf("branch outcomes %d/%d vs %d/%d",
-			tf.BranchTaken, tf.BranchNotTaken, tl.BranchTaken, tl.BranchNotTaken)
-	}
-	if tf.ExceptionEntries != tl.ExceptionEntries || tf.ExceptionEntryCycles != tl.ExceptionEntryCycles {
-		t.Errorf("exception buckets %d/%d vs %d/%d",
-			tf.ExceptionEntries, tf.ExceptionEntryCycles, tl.ExceptionEntries, tl.ExceptionEntryCycles)
-	}
-	if tf.FlashAccesses != tl.FlashAccesses || tf.SRAMReads != tl.SRAMReads ||
-		tf.SRAMWrites != tl.SRAMWrites || tf.FlashWaitCycles != tl.FlashWaitCycles {
-		t.Errorf("bus attribution diverged: %+v vs %+v", tf, tl)
-	}
-	if tf.SPMin != tl.SPMin {
-		t.Errorf("SPMin 0x%08x vs 0x%08x", tf.SPMin, tl.SPMin)
-	}
-	if len(tf.PCs) != len(tl.PCs) {
-		t.Fatalf("PC histogram sizes %d vs %d", len(tf.PCs), len(tl.PCs))
-	}
-	for pc, s := range tf.PCs {
-		ls := tl.PCs[pc]
-		if ls == nil || *s != *ls {
-			t.Errorf("PC 0x%08x: %+v vs %+v", pc, s, ls)
+	for name, tf := range traces {
+		if tf.ClassCycles != tl.ClassCycles || tf.ClassInstrs != tl.ClassInstrs {
+			t.Errorf("%s: class attribution diverged:\ncore:   %v %v\noracle: %v %v",
+				name, tf.ClassCycles, tf.ClassInstrs, tl.ClassCycles, tl.ClassInstrs)
+		}
+		if tf.BranchTaken != tl.BranchTaken || tf.BranchNotTaken != tl.BranchNotTaken {
+			t.Errorf("%s: branch outcomes %d/%d vs %d/%d",
+				name, tf.BranchTaken, tf.BranchNotTaken, tl.BranchTaken, tl.BranchNotTaken)
+		}
+		if tf.ExceptionEntries != tl.ExceptionEntries || tf.ExceptionEntryCycles != tl.ExceptionEntryCycles {
+			t.Errorf("%s: exception buckets %d/%d vs %d/%d",
+				name, tf.ExceptionEntries, tf.ExceptionEntryCycles, tl.ExceptionEntries, tl.ExceptionEntryCycles)
+		}
+		if tf.FlashAccesses != tl.FlashAccesses || tf.SRAMReads != tl.SRAMReads ||
+			tf.SRAMWrites != tl.SRAMWrites || tf.FlashWaitCycles != tl.FlashWaitCycles {
+			t.Errorf("%s: bus attribution diverged: %+v vs %+v", name, tf, tl)
+		}
+		if tf.SPMin != tl.SPMin {
+			t.Errorf("%s: SPMin 0x%08x vs 0x%08x", name, tf.SPMin, tl.SPMin)
+		}
+		if len(tf.PCs) != len(tl.PCs) {
+			t.Fatalf("%s: PC histogram sizes %d vs %d", name, len(tf.PCs), len(tl.PCs))
+		}
+		for pc, s := range tf.PCs {
+			ls := tl.PCs[pc]
+			if ls == nil || *s != *ls {
+				t.Errorf("%s: PC 0x%08x: %+v vs %+v", name, pc, s, ls)
+			}
 		}
 	}
 }

@@ -42,7 +42,9 @@ func runTimer(t *testing.T, src, path string, ws int) (*armv6m.CPU, *armv6m.Time
 	return cpu, tmr
 }
 
-var timerPaths = []string{"legacy", "fast", "traced", "oracle"}
+// timerPaths lists the oracle first: the differential tests compare
+// every other path against it.
+var timerPaths = []string{"oracle", "legacy", "fast", "traced"}
 
 // TestTimerCNTExact pins the CNT read semantics to exact cycle values:
 // the read returns the cycles retired by every earlier instruction plus
@@ -86,9 +88,9 @@ func TestTimerMailboxExact(t *testing.T) {
 	}
 }
 
-// TestTimerDifferentialLoop runs a marker-bracketed loop on all three
-// paths and requires bit-identical cycle totals, CNT reads, and event
-// logs.
+// TestTimerDifferentialLoop runs a marker-bracketed loop on every path
+// and requires the oracle's cycle totals, CNT reads, and event logs bit
+// for bit.
 func TestTimerDifferentialLoop(t *testing.T) {
 	src := timerProg(`
 	movs r0, #0
@@ -116,19 +118,19 @@ loop:
 				continue
 			}
 			if cpu.Cycles != ref.Cycles || cpu.Instructions != ref.Instructions {
-				t.Errorf("ws=%d %s: %d cycles / %d instrs, legacy %d / %d",
+				t.Errorf("ws=%d %s: %d cycles / %d instrs, oracle %d / %d",
 					ws, path, cpu.Cycles, cpu.Instructions, ref.Cycles, ref.Instructions)
 			}
 			if cpu.R[2] != ref.R[2] || cpu.R[3] != ref.R[3] {
-				t.Errorf("ws=%d %s: CNT reads %d/%d, legacy %d/%d",
+				t.Errorf("ws=%d %s: CNT reads %d/%d, oracle %d/%d",
 					ws, path, cpu.R[2], cpu.R[3], ref.R[2], ref.R[3])
 			}
 			if len(tmr.Events) != len(refEvents) {
-				t.Fatalf("ws=%d %s: %d events, legacy %d", ws, path, len(tmr.Events), len(refEvents))
+				t.Fatalf("ws=%d %s: %d events, oracle %d", ws, path, len(tmr.Events), len(refEvents))
 			}
 			for i, ev := range tmr.Events {
 				if ev != refEvents[i] {
-					t.Errorf("ws=%d %s: event %d = {%d, %d}, legacy {%d, %d}",
+					t.Errorf("ws=%d %s: event %d = {%d, %d}, oracle {%d, %d}",
 						ws, path, i, ev.Marker, ev.Cycles, refEvents[i].Marker, refEvents[i].Cycles)
 				}
 			}
@@ -138,8 +140,8 @@ loop:
 
 // TestTimerDifferentialSysTick exercises the IRQ-enabled predecoded
 // loop (runPredecodedIRQ): with a short-period SysTick preempting the
-// marker loop, event timestamps must still agree with the legacy path
-// to the cycle.
+// marker loop, event timestamps on the predecoded and the on-demand
+// (legacy) tier must agree with the oracle's to the cycle.
 func TestTimerDifferentialSysTick(t *testing.T) {
 	main := `
 	ldr r6, =0x40000000
@@ -156,12 +158,16 @@ spin:
 `
 	var refCycles uint64
 	var refEvents []armv6m.TimerEvent
-	for i, disable := range []bool{true, false} {
+	for i, path := range []string{"oracle", "legacy", "fast"} {
 		cpu := bootWithISR(t, main, 37)
-		cpu.DisablePredecode = disable
+		cpu.DisablePredecode = path == "legacy"
 		tmr := cpu.EnableTimer()
-		if err := cpu.Run(1_000_000); err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
+		run := cpu.Run
+		if path == "oracle" {
+			run = func(n uint64) error { return armv6m.OracleRun(cpu, n) }
+		}
+		if err := run(1_000_000); err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 		if cpu.SysTick.Fires == 0 {
 			t.Fatal("SysTick never fired")
@@ -172,40 +178,48 @@ spin:
 			continue
 		}
 		if cpu.Cycles != refCycles {
-			t.Errorf("predecoded: %d cycles, legacy %d", cpu.Cycles, refCycles)
+			t.Errorf("%s: %d cycles, oracle %d", path, cpu.Cycles, refCycles)
 		}
 		if len(tmr.Events) != len(refEvents) {
-			t.Fatalf("predecoded: %d events, legacy %d", len(tmr.Events), len(refEvents))
+			t.Fatalf("%s: %d events, oracle %d", path, len(tmr.Events), len(refEvents))
 		}
 		for j, ev := range tmr.Events {
 			if ev != refEvents[j] {
-				t.Errorf("event %d: {%d, %d}, legacy {%d, %d}",
-					j, ev.Marker, ev.Cycles, refEvents[j].Marker, refEvents[j].Cycles)
+				t.Errorf("%s: event %d: {%d, %d}, oracle {%d, %d}",
+					path, j, ev.Marker, ev.Cycles, refEvents[j].Marker, refEvents[j].Cycles)
 			}
 		}
 	}
 }
 
 // TestTimerWordOnly: sub-word accesses to the peripheral window fault
-// with the same message on both interpreters.
+// with the oracle's message on both tiers.
 func TestTimerWordOnly(t *testing.T) {
 	src := timerProg("\tmovs r7, #0x24\n\tldrb r0, [r6, r7]\n")
 	var msgs []string
-	for _, disable := range []bool{true, false} {
+	paths := []string{"oracle", "legacy", "fast"}
+	for _, path := range paths {
 		cpu, _ := boot(t, src)
-		cpu.DisablePredecode = disable
+		cpu.DisablePredecode = path == "legacy"
 		cpu.EnableTimer()
-		err := cpu.Run(1000)
+		var err error
+		if path == "oracle" {
+			err = armv6m.OracleRun(cpu, 1000)
+		} else {
+			err = cpu.Run(1000)
+		}
 		if err == nil {
-			t.Fatalf("disable=%v: byte read of CNT did not fault", disable)
+			t.Fatalf("%s: byte read of CNT did not fault", path)
 		}
 		if !strings.Contains(err.Error(), "word-access only") {
-			t.Errorf("disable=%v: fault %q, want word-access-only", disable, err)
+			t.Errorf("%s: fault %q, want word-access-only", path, err)
 		}
 		msgs = append(msgs, err.Error())
 	}
-	if msgs[0] != msgs[1] {
-		t.Errorf("fault strings diverge:\nlegacy: %s\nfast:   %s", msgs[0], msgs[1])
+	for i := 1; i < len(msgs); i++ {
+		if msgs[i] != msgs[0] {
+			t.Errorf("fault strings diverge:\noracle: %s\n%s: %s", msgs[0], paths[i], msgs[i])
+		}
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // stage is a few Go statements per emulated instruction. Every other
 // instruction executes exactly as on the predecoded tier.
 //
-// The contract is the same bit-for-bit parity the predecoded tier
-// holds against the on-demand (legacy) tier, enforced by the
-// differential tests and FuzzTranslateParity:
+// The contract is bit-for-bit parity with the fetch/decode test oracle
+// (oracle_test.go), which the predecoded and on-demand tiers hold too,
+// enforced by the differential tests and FuzzTranslateParity:
 //
 //   - The translator never trusts a certified fact it cannot check.
 //     At build time every loop instruction's certified cost formula and

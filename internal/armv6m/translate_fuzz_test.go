@@ -2,12 +2,12 @@ package armv6m_test
 
 // FuzzTranslateParity: randomly generated certified Thumb-1 images must
 // execute bit-identically — registers, memory, cycles, bus counters —
-// on the translated, predecoded, and legacy tiers, including holed
-// certificates (some loops run per instruction) and budget cuts that
-// land inside loops. The generator is structured: fuzz bytes
-// choose loop bounds, body instructions from a certifiable menu, and
-// the wait-state/budget settings, so most inputs survive strict
-// certification instead of dying in the assembler.
+// on the translated, predecoded, and legacy tiers as on the
+// fetch/decode oracle, including holed certificates (some loops run per
+// instruction) and budget cuts that land inside loops. The generator is
+// structured: fuzz bytes choose loop bounds, body instructions from a
+// certifiable menu, and the wait-state/budget settings, so most inputs
+// survive strict certification instead of dying in the assembler.
 
 import (
 	"errors"
@@ -217,12 +217,12 @@ func FuzzTranslateParity(f *testing.F) {
 		}
 		ws := int(data[0]) % 3
 
-		// Full-run parity across all three tiers. A gather loop may
-		// fault (an index sends it off the bus); every tier must then
-		// report the same fault.
-		ref := bootTier(t, prog, c, ws, "legacy", false)
-		refErr := fmt.Sprint(ref.Run(500_000))
-		for _, tier := range []string{"predecoded", "translated"} {
+		// Full-run parity of all three tiers with the oracle. A gather
+		// loop may fault (an index sends it off the bus); every tier
+		// must then report the oracle's fault.
+		ref := bootTier(t, prog, c, ws, "oracle", false)
+		refErr := fmt.Sprint(armv6m.OracleRun(ref, 500_000))
+		for _, tier := range tierNames[1:] {
 			cpu := bootTier(t, prog, c, ws, tier, false)
 			if err := fmt.Sprint(cpu.Run(500_000)); err != refErr {
 				t.Fatalf("%s run: %s, want %s", tier, err, refErr)

@@ -2,7 +2,8 @@ package armv6m_test
 
 // Differential tests for the straight-line run executor (execRun): the
 // unrolled kernels' gather-accumulate code must execute bit-identically
-// on the translated, predecoded and legacy tiers, its static totals
+// on the translated, predecoded and legacy tiers as on the fetch/decode
+// oracle, its static totals
 // must equal the certificate's, and a run whose loads leave SRAM must
 // not be admitted.
 
@@ -58,9 +59,9 @@ func fillInputs(cpu *armv6m.CPU, seed uint64, n int) {
 	}
 }
 
-// requireSweepParity runs prog on all three tiers at ws 0-2 over the
-// same inputs, seeded from seed and ws, and requires bit-identical
-// final state and errors.
+// requireSweepParity runs prog on the oracle and all three tiers at ws
+// 0-2 over the same inputs, seeded from seed and ws, and requires every
+// tier's final state and error to equal the oracle's.
 func requireSweepParity(t *testing.T, prog *thumb.Program, c *cert.Certificate, seed uint64, inputs int, budget uint64) {
 	t.Helper()
 	for ws := 0; ws <= 2; ws++ {
@@ -69,22 +70,22 @@ func requireSweepParity(t *testing.T, prog *thumb.Program, c *cert.Certificate, 
 		for _, tier := range tierNames {
 			cpu := bootTier(t, prog, c, ws, tier, false)
 			fillInputs(cpu, 3*seed+uint64(ws), inputs)
-			errs[tier] = fmt.Sprint(cpu.Run(budget))
+			errs[tier] = fmt.Sprint(runTier(cpu, tier, budget))
 			cores[tier] = cpu
 		}
 		for _, tier := range tierNames[1:] {
-			if errs[tier] != errs["legacy"] {
-				t.Errorf("ws=%d %s: error %q, want %q", ws, tier, errs[tier], errs["legacy"])
+			if errs[tier] != errs["oracle"] {
+				t.Errorf("ws=%d %s: error %q, want %q", ws, tier, errs[tier], errs["oracle"])
 			}
-			requireSameState(t, fmt.Sprintf("ws=%d %s vs legacy", ws, tier), cores["legacy"], cores[tier])
+			requireSameState(t, fmt.Sprintf("ws=%d %s vs oracle", ws, tier), cores["oracle"], cores[tier])
 		}
 	}
 }
 
 // TestTranslateSweepParityVariants runs every unrolled kernel variant on
-// random inputs on all three tiers at ws 0-2: registers, flags, memory,
-// cycles, instructions and bus counters must match, and each variant
-// must lower to at least one run.
+// random inputs on the oracle and all three tiers at ws 0-2: registers,
+// flags, memory, cycles, instructions and bus counters must match, and
+// each variant must lower to at least one run.
 func TestTranslateSweepParityVariants(t *testing.T) {
 	n := 0
 	for _, v := range kernels.Variants() {
@@ -152,9 +153,9 @@ func runLeaveSrc(base string) string {
 
 // TestTranslateSweepLeavesSRAM drives a run's load interval off SRAM —
 // past its end, below its start, and into a flash table — and requires
-// that the run is not admitted: the translated tier matches the
-// predecoded tier and the legacy interpreter in fault text, cycles, bus
-// counters, registers and flags at ws 0-2. An in-SRAM base is the
+// that the run is not admitted: the translated, predecoded and legacy
+// tiers match the oracle in fault text, cycles, bus counters, registers
+// and flags at ws 0-2. An in-SRAM base is the
 // control case that the harness lowers to a run.
 func TestTranslateSweepLeavesSRAM(t *testing.T) {
 	for _, sc := range []struct {
@@ -172,9 +173,9 @@ func TestTranslateSweepLeavesSRAM(t *testing.T) {
 				t.Fatalf("harness lowers to %d runs, want 1", tt.Runs())
 			}
 			requireSweepParity(t, prog, c, 1, 0x180, 10_000)
-			ref := bootTier(t, prog, c, 0, "legacy", false)
-			if err := ref.Run(10_000); (err != nil) != sc.fault {
-				t.Errorf("legacy run ended with %v, want a fault: %v", err, sc.fault)
+			ref := bootTier(t, prog, c, 0, "oracle", false)
+			if err := armv6m.OracleRun(ref, 10_000); (err != nil) != sc.fault {
+				t.Errorf("oracle run ended with %v, want a fault: %v", err, sc.fault)
 			}
 		})
 	}

@@ -4,8 +4,8 @@ package armv6m_test
 // tier): every certified kernel variant (and the fallback/budget edge
 // cases) must execute bit-identically — registers, flags, memory,
 // cycles, instructions, bus counters, telemetry — with the fast path,
-// on the predecoded tier, and on the legacy interpreter, at every
-// wait-state setting.
+// on the predecoded tier and on the on-demand (legacy) tier as on the
+// fetch/decode oracle (oracle_test.go), at every wait-state setting.
 
 import (
 	"errors"
@@ -22,8 +22,19 @@ import (
 
 const certBase = 0x08000100
 
-// tierName indexes the three execution tiers under test.
-var tierNames = []string{"legacy", "predecoded", "translated"}
+// tierNames indexes the cores under test. The first, the fetch/decode
+// oracle, is the reference every execution tier is compared against.
+var tierNames = []string{"oracle", "legacy", "predecoded", "translated"}
+
+// runTier runs a core booted by bootTier for tier for at most n
+// instructions: the oracle through armv6m.OracleRun, every execution
+// tier through Run.
+func runTier(cpu *armv6m.CPU, tier string, n uint64) error {
+	if tier == "oracle" {
+		return armv6m.OracleRun(cpu, n)
+	}
+	return cpu.Run(n)
+}
 
 // certifySrc assembles and certifies a standalone harness under the
 // strict kernel configuration, optionally with the telemetry
@@ -53,8 +64,9 @@ func certifySrc(t testing.TB, src string, telemetry bool) (*thumb.Program, *cert
 	return prog, c
 }
 
-// bootTier boots prog on a fresh core configured for one of the three
-// tiers. For the translated tier the certificate is lowered through
+// bootTier boots prog on a fresh core configured for one of tierNames;
+// the oracle core needs no configuration, as runTier never hands it to
+// Run. For the translated tier the certificate is lowered through
 // cert.Translate over the core's own predecode table.
 func bootTier(t testing.TB, prog *thumb.Program, c *cert.Certificate, ws int, tier string, telemetry bool) *armv6m.CPU {
 	t.Helper()
@@ -79,6 +91,7 @@ func bootTier(t testing.TB, prog *thumb.Program, c *cert.Certificate, ws int, ti
 		cpu.EnableTimer()
 	}
 	switch tier {
+	case "oracle":
 	case "legacy":
 		cpu.DisablePredecode = true
 	case "predecoded":
@@ -155,8 +168,8 @@ func requireSameState(t *testing.T, name string, ref, got *armv6m.CPU) {
 }
 
 // TestTranslateParityKernels runs every generated kernel variant to
-// completion on all three tiers at ws 0..2 and requires bit-identical
-// final state.
+// completion on the oracle and all three tiers at ws 0..2 and requires
+// bit-identical final state.
 func TestTranslateParityKernels(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		v := v
@@ -167,13 +180,14 @@ func TestTranslateParityKernels(t *testing.T) {
 					cores := make(map[string]*armv6m.CPU, len(tierNames))
 					for _, tier := range tierNames {
 						cpu := bootTier(t, prog, c, ws, tier, false)
-						if err := cpu.Run(3_000_000); err != nil {
+						if err := runTier(cpu, tier, 3_000_000); err != nil {
 							t.Fatalf("%s run: %v", tier, err)
 						}
 						cores[tier] = cpu
 					}
-					requireSameState(t, "predecoded vs legacy", cores["legacy"], cores["predecoded"])
-					requireSameState(t, "translated vs legacy", cores["legacy"], cores["translated"])
+					for _, tier := range tierNames[1:] {
+						requireSameState(t, tier+" vs oracle", cores["oracle"], cores[tier])
+					}
 				})
 			}
 		})
@@ -182,18 +196,19 @@ func TestTranslateParityKernels(t *testing.T) {
 
 // TestTranslateParityTelemetry repeats the parity gate over the
 // telemetry harnesses: mailbox events must commit at identical
-// retire-time cycle counts on all tiers, around the fast-path loops.
+// retire-time cycle counts on all tiers as on the oracle, around the
+// fast-path loops.
 func TestTranslateParityTelemetry(t *testing.T) {
 	for _, v := range kernels.Variants() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
 			prog, c := certifySrc(t, v.TelemetryHarness, true)
 			for ws := 0; ws <= 2; ws++ {
-				refCPU := bootTier(t, prog, c, ws, "legacy", true)
-				if err := refCPU.Run(3_000_000); err != nil {
-					t.Fatalf("legacy run: %v", err)
+				refCPU := bootTier(t, prog, c, ws, "oracle", true)
+				if err := armv6m.OracleRun(refCPU, 3_000_000); err != nil {
+					t.Fatalf("oracle run: %v", err)
 				}
-				for _, tier := range []string{"predecoded", "translated"} {
+				for _, tier := range tierNames[1:] {
 					cpu := bootTier(t, prog, c, ws, tier, true)
 					if err := cpu.Run(3_000_000); err != nil {
 						t.Fatalf("%s run: %v", tier, err)
@@ -466,8 +481,8 @@ func gatherDeviationSrc(scenario string, width int, x, v, op string, moving bool
 // TestTranslateGatherDeviation drives the whole-loop gather executor
 // off its certified facts at both loads — faulting and non-faulting,
 // on the first pass and after completed ones — and requires the
-// translated tier to match the predecoded tier and the legacy
-// interpreter in fault text, cycles, bus counters, registers and flags
+// translated tier, the predecoded tier and the on-demand tier to match
+// the oracle in fault text, cycles, bus counters, registers and flags
 // at ws 0-2. A fault at the gather stops the run with the flags of the
 // cursor advance live, so the executor's flag hand-off is observable.
 func TestTranslateGatherDeviation(t *testing.T) {
@@ -500,18 +515,18 @@ func TestTranslateGatherDeviation(t *testing.T) {
 							errs := make(map[string]string, len(tierNames))
 							for _, tier := range tierNames {
 								cpu := bootTier(t, prog, c, ws, tier, false)
-								errs[tier] = fmt.Sprint(cpu.Run(10_000))
+								errs[tier] = fmt.Sprint(runTier(cpu, tier, 10_000))
 								cores[tier] = cpu
 							}
 							for _, tier := range tierNames[1:] {
-								if errs[tier] != errs["legacy"] {
-									t.Errorf("ws=%d %s: error %q, want %q", ws, tier, errs[tier], errs["legacy"])
+								if errs[tier] != errs["oracle"] {
+									t.Errorf("ws=%d %s: error %q, want %q", ws, tier, errs[tier], errs["oracle"])
 								}
-								requireSameState(t, fmt.Sprintf("ws=%d %s", ws, tier), cores["legacy"], cores[tier])
+								requireSameState(t, fmt.Sprintf("ws=%d %s", ws, tier), cores["oracle"], cores[tier])
 							}
 							wantFault := !strings.HasSuffix(sc, "-in-flash") && sc != "cursor-in-sram"
-							if (errs["legacy"] != "<nil>") != wantFault {
-								t.Errorf("ws=%d: legacy run ended with %q, want a fault: %v", ws, errs["legacy"], wantFault)
+							if (errs["oracle"] != "<nil>") != wantFault {
+								t.Errorf("ws=%d: oracle run ended with %q, want a fault: %v", ws, errs["oracle"], wantFault)
 							}
 						}
 					})

@@ -65,7 +65,7 @@ go run ./cmd/asmcheck -kernels -cert > /dev/null
 echo "== checked execution (certificates validated at retire time, both interpreters)"
 go test -run 'TestVariantCertExactness|TestModelChecked' -count=1 ./internal/cert/
 
-echo "== translation parity (certified-loop fast path bit-identical to both interpreters)"
+echo "== translation parity (certified-loop fast path bit-identical to the fetch/decode oracle, as both interpreters are)"
 # Every kernel variant at ws 0-2 on legacy/predecoded/translated, plus
 # telemetry parity, budget lockstep, holed-certificate and stale-table
 # fallback, device/farm tier selection, and the fuzz seeds (the full
