@@ -36,19 +36,21 @@ type Deployment struct {
 	// (device.Tier: legacy decodes every fetch on demand, predecoded
 	// runs from the decode-once table, translated adds the certified
 	// loops; all run the same instruction handlers). The zero value
-	// keeps the fastest available tier. Profile, MeasureLayers and
-	// MeasureEnergy are traced single-board runs: they always retire
-	// through the tracing interpreter regardless of Tier — cycle
-	// attribution needs per-instruction hooks the translated tier
-	// cannot provide.
+	// keeps the fastest available tier. Profile is a traced
+	// single-board run: it always retires through the tracing
+	// interpreter regardless of Tier — its attribution needs
+	// per-instruction hooks the translated tier cannot provide.
+	// MeasureLayers and MeasureEnergy run untraced on a private board on
+	// the translated fast path regardless of Tier: the layer-boundary
+	// marks they read live in the translation table.
 	Tier device.Tier
 
 	// Observe, when non-nil, is passed to every batch evaluation's farm
 	// run (farm.Options.Observe): the live-metrics hook. It is called
 	// concurrently from the farm workers and must be safe for that; nil
 	// (the default) keeps every path identical to an unobserved run.
-	// The traced single-board runs (Profile, MeasureLayers,
-	// MeasureEnergy) do not feed it.
+	// The single-board runs (Profile, MeasureLayers, MeasureEnergy) do
+	// not feed it.
 	Observe func(i int, r *farm.Result)
 }
 
@@ -192,10 +194,14 @@ func (d *Deployment) measureInputs(ds *Dataset, runs int) (*device.Device, [][]i
 
 // MeasureLayers measures per-layer cycle attribution on the deployed
 // image itself: it runs the inferences one after another on a private
-// board, traced, and segments each at the image's layer-boundary labels
-// (telemetry.HostAggregate). Each layer cost is exact, cycle for cycle,
-// and equals what the on-device telemetry pipeline decodes from the
-// telemetry twin's markers (see internal/telemetry).
+// board, untraced, and segments each at the image's layer-boundary
+// labels, whose cycle totals the fast path records through marks in the
+// image's translation table (telemetry.HostAggregate,
+// device.RunBoundaries). Each layer cost is exact, cycle for cycle, and
+// equals what the on-device telemetry pipeline decodes from the
+// telemetry twin's markers (see internal/telemetry). An image whose
+// boundaries cannot be marked is an error, not a slower traced
+// measurement.
 func (d *Deployment) MeasureLayers(ds *Dataset, runs int) ([]telemetry.LayerStats, error) {
 	dev, inputs, err := d.measureInputs(ds, runs)
 	if err != nil {

@@ -113,13 +113,16 @@ type CPU struct {
 	// even when a translation table is attached; the differential tests
 	// pin the fast path against it.
 	DisableTranslation bool
+	// marks receives the translation table's marks on untraced runs
+	// (RecordMarks).
+	marks *MarkRecorder
 
 	// Pads CPU to whole 64-byte cache lines (TestHotStructsFillLines).
 	// A farm worker writes its core's fields on nearly every emulated
 	// instruction, and the allocator may place a core next to tables
 	// every worker reads (a loop table's arrays share its size class);
 	// a shared line would cost the readers a cache miss per access.
-	_ [56]byte
+	_ [48]byte
 }
 
 // New returns a CPU wired to a fresh STM32F072-like bus with the

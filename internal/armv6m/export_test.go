@@ -56,3 +56,13 @@ func (t *PredecodeTable) TableTotal() bool {
 	}
 	return true
 }
+
+// MarksPlaced reports, per watched address the table was built with,
+// whether its mark was placed.
+func (t *TranslationTable) MarksPlaced() []bool {
+	out := make([]bool, len(t.marks))
+	for i := range t.marks {
+		out[i] = t.marks[i].why == ""
+	}
+	return out
+}

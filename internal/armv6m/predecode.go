@@ -118,6 +118,7 @@ const (
 	kStrbReg
 	kLdrsbReg
 	kLoop  // a certified loop head; only in a TranslationTable's entries (translate.go)
+	kMark  // a watched address; only in a TranslationTable's entries (translate.go)
 	kFault // an encoding the core rejects: phFault reports it
 )
 
@@ -246,8 +247,9 @@ func (c *CPU) runPredecoded(maxInstructions uint64) error {
 	entries := t.entries
 	base := t.base
 	// The certified-loop fast path (translate.go): with a table whose
-	// loops this core may run, dispatch goes over the table's copy of
-	// the entries, where each loop head has the kind kLoop.
+	// loops and marks this core may run, dispatch goes over the table's
+	// copy of the entries, where each loop head has the kind kLoop and
+	// each mark the kind kMark.
 	if tt := c.loopTable(); tt != nil {
 		entries = tt.entries
 	}
@@ -744,6 +746,16 @@ func (c *CPU) runPredecoded(maxInstructions uint64) error {
 			// head before any progress: the head runs through its
 			// handler.
 			e = c.ttab.loops[e.imm].head
+			goto delegate
+		case kMark:
+			// A watched address (translate.go): when it is the
+			// recorder's next mark, record the total before this
+			// instruction's fetch; then run the entry the mark replaced.
+			if r := c.marks; r != nil && r.Hit < len(r.Before) && c.ttab.marks[r.Hit].addr == pc {
+				r.Before[r.Hit] = c.Cycles + cyc
+				r.Hit++
+			}
+			e = &c.ttab.marks[e.imm].e
 			goto delegate
 		default:
 			goto delegate

@@ -1,6 +1,8 @@
 package armv6m
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"time"
 )
@@ -55,6 +57,16 @@ import (
 //     whose full pass, or a run head whose whole run, the remaining
 //     budget does not cover executes through its handler, so budget
 //     exhaustion cuts exactly where the per-instruction tiers cut.
+//
+// The table also carries marks: watched instruction addresses (a
+// deployed image's layer boundaries) re-kinded kMark, each keeping the
+// entry it replaced. The dispatcher runs a mark's instruction through
+// that entry's handler and, with a MarkRecorder attached, first records
+// the cycle total before the instruction's fetch when the address is
+// the recorder's next unhit mark — the running total a trace hook would
+// read there, at no per-instruction cost elsewhere. A mark inside a
+// kept loop or run would retire inside an executor, unseen, so it is
+// not placed (RecordMarks reports it).
 //
 // The table is immutable after Translate returns and is shared across
 // all boards of a farm exactly like the predecode table it copies.
@@ -113,6 +125,10 @@ type TranslationConfig struct {
 	Profile        string
 	PipelineRefill int
 	MulCycles      int
+
+	// Marks lists the watched instruction addresses, in the order they
+	// first retire (see MarkRecorder).
+	Marks []uint32
 }
 
 // Fused-op kinds, continuing the predecode inline-dispatch kinds. Each
@@ -204,6 +220,14 @@ type tgather struct {
 	keep, sign [4]uint32
 }
 
+// tmark is one watched address: the entry its kMark replaced, or why it
+// was not placed.
+type tmark struct {
+	addr uint32
+	e    pentry
+	why  string // non-empty: not placed
+}
+
 // maxLoopBound caps the trip bound and pass length of a kept loop, so
 // that bound·pass never overflows (loopIters). Kernel loop bounds are
 // far below it.
@@ -221,11 +245,13 @@ const (
 // number of cores.
 type TranslationTable struct {
 	// entries is the predecode table's entries (index-aligned, from
-	// FlashBase) with each kept loop's head re-kinded kLoop, its imm
-	// the index into loops; nil when no loop is kept, and the
-	// dispatcher then uses the predecode table.
+	// FlashBase) with each kept loop's head re-kinded kLoop and each
+	// placed mark re-kinded kMark, their imm the index into loops or
+	// marks; nil when nothing is kept or marked, and the dispatcher
+	// then uses the predecode table.
 	entries []pentry
 	loops   []tloop
+	marks   []tmark
 
 	profile   string
 	refill    int
@@ -259,9 +285,11 @@ func (t *TranslationTable) BuildTime() time.Duration { return t.build }
 
 // UseTranslation attaches a shared table built by Translate against
 // the same flash content this CPU's bus aliases (nil detaches). The
-// table is used until flash mutates; it does not rebuild.
+// table is used until flash mutates; it does not rebuild. It detaches
+// any mark recorder (RecordMarks), which was sized for the old table.
 func (c *CPU) UseTranslation(t *TranslationTable) {
 	c.ttab = t
+	c.marks = nil
 	c.ttabGen = c.Bus.flashGen
 }
 
@@ -271,13 +299,14 @@ func (c *CPU) TranslationAttached() bool {
 	return c.ttab != nil && c.ttabGen == c.Bus.flashGen
 }
 
-// loopTable returns the attached table when this run may use its loops:
-// translation enabled, some loop kept, the flash generation current,
-// the core's cycle model the certified one, and SRAM clear of the flash
-// boot alias (where the loops' region checks would misclassify).
+// loopTable returns the attached table when this run may use its loops
+// and marks: translation enabled, some loop kept or mark placed, the
+// flash generation current, the core's cycle model the certified one,
+// and SRAM clear of the flash boot alias (where the loops' region checks
+// would misclassify).
 func (c *CPU) loopTable() *TranslationTable {
 	tt := c.ttab
-	if tt == nil || len(tt.loops) == 0 || c.DisableTranslation || c.ttabGen != c.Bus.flashGen ||
+	if tt == nil || tt.entries == nil || c.DisableTranslation || c.ttabGen != c.Bus.flashGen ||
 		tt.profile != c.Profile.Name || tt.refill != c.Profile.PipelineRefill ||
 		tt.mulCycles != c.MulCycles || c.Bus.SRAMBase < uint32(len(c.Bus.Flash)) {
 		return nil
@@ -314,8 +343,9 @@ func fastFacts(kind uint8, region uint8, mulCyc uint64) (base, wsCo, fr, sr, sw 
 // certified loops are skipped before lowering; loops that fail
 // validation or match no executor are not kept, and their PCs execute
 // on the predecoded path. The straight-line runs are then found in the
-// predecode entries (lowerRun). The table is returned even when no loop
-// or run is kept; nil only for a nil predecode table.
+// predecode entries (lowerRun). Last, each of cfg.Marks is placed. The
+// table is returned even when no loop or run is kept; nil only for a
+// nil predecode table.
 func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *TranslationTable {
 	start := time.Now() //neurolint:allow nondet (host-side translation build timing; never feeds emulated state)
 	if pt == nil {
@@ -346,6 +376,9 @@ func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *T
 		t.keep(pt, lp)
 		i = int((lp.next - pt.base) >> 1)
 	}
+	for _, a := range cfg.Marks {
+		t.mark(pt, a)
+	}
 	t.build = time.Since(start) //neurolint:allow nondet (host-side translation build timing; never feeds emulated state)
 	return t
 }
@@ -358,6 +391,36 @@ func (t *TranslationTable) keep(pt *PredecodeTable, lp tloop) {
 	e := &t.entries[(lp.start-pt.base)>>1]
 	e.kind, e.imm = kLoop, uint32(len(t.loops))
 	t.loops = append(t.loops, lp)
+}
+
+// mark adds a watched address and re-kinds its entry kMark, unless the
+// address is outside the table or inside a kept loop or run. A repeated
+// address shares its first mark's entry.
+func (t *TranslationTable) mark(pt *PredecodeTable, addr uint32) {
+	m := tmark{addr: addr}
+	off := addr - pt.base
+	switch {
+	case off&1 != 0:
+		m.why = "is misaligned"
+	case off>>1 >= uint32(len(pt.entries)):
+		m.why = "is outside the predecoded image"
+	}
+	for i := range t.loops {
+		if lp := &t.loops[i]; m.why == "" && addr >= lp.start && addr < lp.next {
+			m.why = fmt.Sprintf("lands on the certified loop or run at [0x%08x, 0x%08x)", lp.start, lp.next)
+			break
+		}
+	}
+	if m.why == "" {
+		if t.entries == nil {
+			t.entries = append([]pentry(nil), pt.entries...)
+		}
+		if e := &t.entries[off>>1]; e.kind != kMark {
+			m.e = *e
+			e.kind, e.imm = kMark, uint32(len(t.marks))
+		}
+	}
+	t.marks = append(t.marks, m)
 }
 
 // translateLoop validates one certified self-loop against the decoded
@@ -1067,4 +1130,73 @@ func condFlags(cond uint8, fN, fZ, fC, fV bool) bool {
 	default:
 		return fZ || fN != fV
 	}
+}
+
+// MarkRecorder receives the cycle totals at an attached translation
+// table's marks (TranslationConfig.Marks) during untraced runs. The
+// marks are matched in order, as a trace hook watching the same
+// addresses would: an instruction records only when its address is the
+// next unhit mark's, so each mark records at its first retirement after
+// its predecessor's. A mark listed out of retirement order, or one that
+// never retires, stays unhit.
+type MarkRecorder struct {
+	// Before[i] is the cycle total before mark i's instruction was
+	// fetched, for i < Hit: the count a Trace's running sum of
+	// per-instruction cycles reads there on an exception-free run.
+	Before []uint64
+	// Hit is the number of marks recorded; mark Hit is the next one
+	// watched.
+	Hit int
+}
+
+// MarkError reports a watched address the translation table could not
+// mark: misaligned, outside the predecoded image, or inside a kept loop
+// or run, whose executor would retire it unseen.
+type MarkError struct {
+	Index int
+	Addr  uint32
+	Why   string
+}
+
+func (e *MarkError) Error() string {
+	return fmt.Sprintf("armv6m: mark %d at 0x%08x %s", e.Index, e.Addr, e.Why)
+}
+
+// RecordMarks attaches r to record the attached translation table's
+// marks on the following runs (nil detaches), resizing r.Before to the
+// table's mark count and clearing r.Hit. It refuses, naming the reason,
+// when those runs would not dispatch every mark: no mark in the table,
+// a mark it could not place (*MarkError), a trace attached (traced runs
+// retire through Step), the on-demand tier, an armed SysTick or pending
+// interrupt (those runs take runPredecodedIRQ), or a table this core
+// may not use (translation disabled, flash rewritten, a different cycle
+// model, SRAM over the boot alias).
+func (c *CPU) RecordMarks(r *MarkRecorder) error {
+	c.marks = nil
+	if r == nil {
+		return nil
+	}
+	tt := c.ttab
+	switch {
+	case tt == nil || len(tt.marks) == 0:
+		return errors.New("armv6m: no marks to record: the attached translation table watches no address")
+	case c.Trace != nil:
+		return errors.New("armv6m: marks are not recorded on a traced run (it retires through Step)")
+	case c.DisablePredecode:
+		return errors.New("armv6m: marks are not recorded with predecode disabled (every fetch decodes on demand)")
+	case c.SysTick.Reload > 0 || c.pendingIRQ:
+		return errors.New("armv6m: marks are not recorded with SysTick armed (interrupt-live runs dispatch no marks)")
+	case c.loopTable() == nil:
+		return errors.New("armv6m: marks are not recorded: the translation table is not in use (translation disabled, flash rewritten, or a different cycle model)")
+	}
+	for i := range tt.marks {
+		if m := &tt.marks[i]; m.why != "" {
+			return &MarkError{Index: i, Addr: m.addr, Why: m.why}
+		}
+	}
+	r.Before = slices.Grow(r.Before[:0], len(tt.marks))[:len(tt.marks)]
+	clear(r.Before)
+	r.Hit = 0
+	c.marks = r
+	return nil
 }

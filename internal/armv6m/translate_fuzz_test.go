@@ -12,6 +12,7 @@ package armv6m_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,6 +200,10 @@ func FuzzTranslateParity(f *testing.F) {
 		data[0] = first
 		f.Add(data)
 	}
+	// Marks ascending (even hash) and in random order (odd), over a
+	// gather loop and an unrolled kernel.
+	f.Add([]byte{6, 9, 2, 4, 3, 1, 0, 5, 7, 8, 11, 2, 1, 6, 3, 4})
+	f.Add([]byte{7, 9, 2, 4, 3, 1, 0, 5, 7, 8, 11, 2, 1, 6, 3, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip("empty input")
@@ -239,6 +244,26 @@ func FuzzTranslateParity(f *testing.F) {
 			t.Fatalf("holed translated run: %s, want %s", err, refErr)
 		}
 		requireSameState(t, "holed", ref, cpu)
+
+		// Marks at random instruction addresses, ascending or in random
+		// order: placing and recording them changes no observable, and
+		// each placed mark records the oracle's running total at its
+		// first in-order retire (out-of-order marks stay unhit on both).
+		var h uint64
+		for _, b := range data {
+			h = h*131 + uint64(b)
+		}
+		r := rng.New(h)
+		addrs := make([]uint32, r.Intn(6)+1)
+		for i := range addrs {
+			addrs[i] = prog.Base + uint32(r.Intn(len(prog.Code)))&^1
+		}
+		if h&1 == 0 {
+			slices.Sort(addrs)
+		}
+		if placed := placedMarks(t, prog, c, addrs); len(placed) > 0 {
+			checkMarks(t, "marks", prog, c, ws, placed, 500_000)
+		}
 
 		// Budget cut landing anywhere, including inside a loop pass:
 		// identical truncation state and error classification.

@@ -276,7 +276,11 @@ func (r *Runner) measureMicroOpts(name string, m *quant.Model, opts modelimg.Bui
 	// Distribution keys for the microbenchmark's farm run, with the
 	// input-invariance check every farm-backed record gets.
 	if meas.stats != nil {
-		latencyDist(&met, meas.stats)
+		if err := latencyDist(&met, meas.stats); err != nil {
+			err = fmt.Errorf("bench: %s: %w", name, err)
+			r.record(Metric{Name: name, Kind: "micro", Encoding: label, Error: err.Error()})
+			return nil, nil, err
+		}
 	}
 	r.record(met)
 	return meas, img, nil

@@ -99,7 +99,9 @@ func (r *Runner) FarmBench() *report.Table {
 			Tier:             tierName(r.cfg.Tier),
 			TranslateBuildMS: float64(stats.TranslateBuild.Microseconds()) / 1000,
 		}
-		latencyDist(&m, stats)
+		if err := latencyDist(&m, stats); err != nil {
+			m.Error = fmt.Sprintf("bench: %s: %v", m.Name, err)
+		}
 		r.record(m)
 		r.logf("farm -j %d: acc %.4f, %d samples in %.0f ms (%.0f inf/s, %.2fx, %.0f host MIPS, predecode %.2f ms, %d cycles)",
 			j, acc, stats.Items, wallMS, stats.Throughput(), speedup,
@@ -139,7 +141,9 @@ func (r *Runner) FarmBench() *report.Table {
 		PredecodeBuildMS: float64(stats.PredecodeBuild.Microseconds()) / 1000,
 		Tier:             string(device.TierPredecoded),
 	}
-	latencyDist(&pm, stats)
+	if err := latencyDist(&pm, stats); err != nil {
+		pm.Error = fmt.Sprintf("bench: %s: %v", pm.Name, err)
+	}
 	r.record(pm)
 	r.logf("farm -j 4 (predecoded tier): acc %.4f, %.0f host MIPS", acc, stats.HostMIPS())
 	o.dep.Workers = r.cfg.Workers

@@ -134,12 +134,13 @@ type MetricsFile struct {
 }
 
 // latencyDist fills m's latency-distribution keys from a farm run:
-// banded wall-domain percentiles and the observer overhead. It fails
-// the experiment when the batch's cycle counts vary with the input,
-// which the branch-free kernels rule out.
-func latencyDist(m *Metric, stats *farm.Stats) {
+// banded wall-domain percentiles and the observer overhead. It returns
+// an error, filling nothing, when the batch's cycle counts vary with the
+// input, which the branch-free kernels rule out; the caller names the
+// experiment.
+func latencyDist(m *Metric, stats *farm.Stats) error {
 	if stats.MinCycles != stats.MaxCycles {
-		panic(fmt.Sprintf("bench: %s: cycles vary with the input (%d..%d)", m.Name, stats.MinCycles, stats.MaxCycles))
+		return fmt.Errorf("cycles vary with the input (%d..%d)", stats.MinCycles, stats.MaxCycles)
 	}
 	if stats.WallHist != nil && stats.WallHist.Count() > 0 {
 		m.LatencyWallP50MS = float64(stats.WallHist.Quantile(0.50)) / 1e6
@@ -148,6 +149,7 @@ func latencyDist(m *Metric, stats *farm.Stats) {
 		m.LatencyWallP999MS = float64(stats.WallHist.Quantile(0.999)) / 1e6
 	}
 	m.ListenOverheadMS = float64(stats.ObserveOverhead.Microseconds()) / 1000
+	return nil
 }
 
 // record registers a metric under its name, overwriting an earlier

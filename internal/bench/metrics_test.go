@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/device"
+	"github.com/neuro-c/neuroc/internal/farm"
+	"github.com/neuro-c/neuroc/internal/obs"
 )
 
 // TestFig5RecordsMetrics checks that a training-free device-measured
@@ -138,5 +140,27 @@ func TestMetricCPIRecomputed(t *testing.T) {
 	}
 	if err := ValidateMetricsJSON(data); err != nil {
 		t.Errorf("metrics with a failure record fail validation: %v", err)
+	}
+}
+
+// TestLatencyDistRejectsVaryingCycles: a farm batch whose cycles vary
+// with the input is an error for the caller to name, not a panic, and
+// fills no distribution key; an input-invariant batch fills them.
+func TestLatencyDistRejectsVaryingCycles(t *testing.T) {
+	h := &obs.Hist{}
+	h.Record(2_000_000)
+	m := Metric{Name: "micro-x"}
+	err := latencyDist(&m, &farm.Stats{MinCycles: 100, MaxCycles: 104, WallHist: h})
+	if err == nil || !strings.Contains(err.Error(), "cycles vary with the input (100..104)") {
+		t.Fatalf("err = %v, want the varying-cycles error", err)
+	}
+	if m.LatencyWallP50MS != 0 {
+		t.Errorf("a rejected batch filled p50 = %v", m.LatencyWallP50MS)
+	}
+	if err := latencyDist(&m, &farm.Stats{MinCycles: 100, MaxCycles: 100, WallHist: h}); err != nil {
+		t.Fatal(err)
+	}
+	if m.LatencyWallP50MS <= 0 {
+		t.Errorf("an input-invariant batch left p50 = %v", m.LatencyWallP50MS)
 	}
 }

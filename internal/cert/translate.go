@@ -83,8 +83,9 @@ func (c *Certificate) SelfLoops() []armv6m.CertBlock {
 // table itself); nil only for a nil certificate, an unknown version, or
 // a nil predecode table. The table inherits the certificate's cycle-model pin (profile,
 // refill, MULS cost); a core configured differently runs without the
-// loops rather than executing them under the wrong model.
-func Translate(c *Certificate, pt *armv6m.PredecodeTable) *armv6m.TranslationTable {
+// loops rather than executing them under the wrong model. marks are the
+// watched addresses the table marks (armv6m.TranslationConfig.Marks).
+func Translate(c *Certificate, pt *armv6m.PredecodeTable, marks ...uint32) *armv6m.TranslationTable {
 	if c == nil || c.Version != Version || pt == nil {
 		return nil
 	}
@@ -92,5 +93,6 @@ func Translate(c *Certificate, pt *armv6m.PredecodeTable) *armv6m.TranslationTab
 		Profile:        c.Profile,
 		PipelineRefill: c.PipelineRefill,
 		MulCycles:      c.MulCycles,
+		Marks:          marks,
 	})
 }

@@ -6,6 +6,7 @@
 package device
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
@@ -194,25 +195,32 @@ type FlashImage struct {
 
 	// Trans is the certified-loop table built from the image's
 	// certificate (possibly with no loop), nil only when the image has
-	// no certificate. Like Table it is immutable and shared by every
+	// no certificate. It marks the image's layer boundaries
+	// (RunBoundaries). Like Table it is immutable and shared by every
 	// board.
 	Trans *armv6m.TranslationTable
+
+	// boundErr is why the image's layer boundaries are not marked: an
+	// image without the boundary labels.
+	boundErr error
 }
 
 // NewFlashImage builds the shared flash array, predecodes the image
 // text once, and — when the image carries a certificate — builds the
-// shared certified-loop table.
+// shared certified-loop table with the image's layer boundaries marked.
 func NewFlashImage(img *modelimg.Image) (*FlashImage, error) {
 	flash, err := SharedFlash(img)
 	if err != nil {
 		return nil, err
 	}
 	table := armv6m.Predecode(flash, len(img.Prog.Code))
+	bounds, boundErr := img.LayerBoundaries()
 	return &FlashImage{
-		Img:   img,
-		Flash: flash,
-		Table: table,
-		Trans: cert.Translate(img.Cert, table),
+		Img:      img,
+		Flash:    flash,
+		Table:    table,
+		Trans:    cert.Translate(img.Cert, table, bounds...),
+		boundErr: boundErr,
 	}, nil
 }
 
@@ -237,7 +245,42 @@ func (f *FlashImage) NewBoard() *Device {
 // Run executes one inference on input (length must match the model's
 // input dimension) and returns outputs and cycle counts.
 func (d *Device) Run(input []int8) (*Result, error) {
-	return d.run(input, nil)
+	return d.run(input, nil, nil)
+}
+
+// RunBoundaries is Run that also returns the cycle totals at the image's
+// n+1 layer boundaries (modelimg.Image.LayerBoundaries): before[i] is
+// the count retired before boundary i's instruction was fetched, so
+// before[i+1]-before[i] is layer i's exact cost. The totals are read off
+// the marks NewFlashImage placed in the translation table, on the
+// untraced fast path. It fails, naming the reason, whenever the marks
+// cannot be recorded — a checked run, a tier pinned off translation, no
+// certificate, an armed SysTick, a boundary on a certified loop or run —
+// and when a boundary never retires in order; it never runs traced
+// instead.
+func (d *Device) RunBoundaries(input []int8) (res *Result, before []uint64, err error) {
+	switch {
+	case d.Checked:
+		return nil, nil, errors.New("device: boundary totals need an unchecked run (checked runs retire through the tracing interpreter, which dispatches no marks)")
+	case d.Tier == TierLegacy || d.Tier == TierPredecoded:
+		return nil, nil, fmt.Errorf("device: boundary totals need the translated fast path; tier %q dispatches no marks", string(d.Tier))
+	case d.Img.Cert == nil || d.Flash == nil || d.Flash.Trans == nil:
+		return nil, nil, errors.New("device: boundary totals need an image certificate (the marks live in its translation table)")
+	case d.Flash.boundErr != nil:
+		return nil, nil, fmt.Errorf("device: boundary totals: %w", d.Flash.boundErr)
+	}
+	rec := &armv6m.MarkRecorder{}
+	if res, err = d.run(input, nil, rec); err != nil {
+		var me *armv6m.MarkError
+		if errors.As(err, &me) {
+			err = fmt.Errorf("device: boundary %s cannot be marked: %w", d.Img.BoundaryName(me.Index), me)
+		}
+		return nil, nil, err
+	}
+	if rec.Hit < len(rec.Before) {
+		return nil, nil, fmt.Errorf("device: boundary %s never retired in order", d.Img.BoundaryName(rec.Hit))
+	}
+	return res, rec.Before, nil
 }
 
 // RunProfiled is Run with the emulator's tracing hook attached for the
@@ -247,17 +290,20 @@ func (d *Device) Run(input []int8) (*Result, error) {
 // dev.Img.Prog.Symbols). The cycle and instruction counts are identical
 // to an unprofiled Run of the same input.
 func (d *Device) RunProfiled(input []int8) (*Result, error) {
-	return d.run(input, armv6m.NewTrace())
+	return d.run(input, armv6m.NewTrace(), nil)
 }
 
 // RunTraced is RunProfiled with a caller-supplied trace, for callers
 // that need hooks (Trace.OnInstr) attached before execution starts —
-// the host-side layer segmenter in internal/telemetry is the main one.
+// the trace-hook layer segmenter internal/telemetry tests RunBoundaries
+// against is one.
 func (d *Device) RunTraced(input []int8, trace *armv6m.Trace) (*Result, error) {
-	return d.run(input, trace)
+	return d.run(input, trace, nil)
 }
 
-func (d *Device) run(input []int8, trace *armv6m.Trace) (*Result, error) {
+// run runs one inference, traced when trace is non-nil, recording the
+// translation table's marks into marks when it is non-nil.
+func (d *Device) run(input []int8, trace *armv6m.Trace, marks *armv6m.MarkRecorder) (*Result, error) {
 	if len(input) != d.Img.InDim {
 		return nil, fmt.Errorf("device: input length %d, want %d", len(input), d.Img.InDim)
 	}
@@ -313,6 +359,12 @@ func (d *Device) run(input []int8, trace *armv6m.Trace) (*Result, error) {
 	d.CPU.SleepCycles = 0
 	d.CPU.Trace = trace
 	defer func() { d.CPU.Trace = nil }()
+	if marks != nil {
+		if err := d.CPU.RecordMarks(marks); err != nil {
+			return nil, fmt.Errorf("device: %w", err)
+		}
+		defer d.CPU.RecordMarks(nil)
+	}
 	if t := d.CPU.Bus.Timer; t != nil {
 		t.Reset()
 	}

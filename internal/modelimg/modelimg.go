@@ -187,6 +187,32 @@ type Image struct {
 // TotalBytes is the program-memory footprint (flash bytes).
 func (img *Image) TotalBytes() int { return len(img.Prog.Code) }
 
+// LayerBoundaries returns the n+1 boundary addresses that segment the
+// image's entry sequence into layers: l<i>_call for each layer, then
+// entry_end, in the order they retire. Every build has them,
+// instrumented or not.
+func (img *Image) LayerBoundaries() ([]uint32, error) {
+	addrs := make([]uint32, 0, len(img.Layers)+1)
+	for i := 0; i <= len(img.Layers); i++ {
+		name := img.BoundaryName(i)
+		a, ok := img.Prog.Symbols[name]
+		if !ok {
+			return nil, fmt.Errorf("modelimg: image has no %q symbol (built before layer labels?)", name)
+		}
+		addrs = append(addrs, a)
+	}
+	return addrs, nil
+}
+
+// BoundaryName is the symbol of the image's i-th layer boundary:
+// l<i>_call, or entry_end after the last layer.
+func (img *Image) BoundaryName(i int) string {
+	if i == len(img.Layers) {
+		return "entry_end"
+	}
+	return fmt.Sprintf("l%d_call", i)
+}
+
 // builder accumulates the assembly program.
 type builder struct {
 	code  strings.Builder // entry + kernels

@@ -93,7 +93,7 @@ func twinBatch(img *modelimg.Image, results []farm.Result, ws int) (*batch, erro
 	return b, nil
 }
 
-// hostBatch runs inputs one after another on d, segments each traced
+// hostBatch runs inputs one after another on d, segments each untraced
 // inference at the image's layer boundaries (HostLayerSpans), and folds
 // the spans. Any failed inference is an error.
 func hostBatch(d *device.Device, inputs [][]int8) (*batch, error) {
@@ -120,7 +120,7 @@ func Aggregate(img *modelimg.Image, results []farm.Result, ws int) ([]LayerStats
 }
 
 // HostAggregate is Aggregate measured on the host: it runs inputs one
-// after another on d, segments each traced inference at the image's
+// after another on d, segments each untraced inference at the image's
 // layer boundaries, and folds the spans. On an uninstrumented image the
 // result equals Aggregate over the telemetry twin's farm run on the
 // same inputs, field for field.

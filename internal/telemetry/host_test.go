@@ -172,7 +172,8 @@ func TestHostLayerSpansBoundaryOrder(t *testing.T) {
 
 // BenchmarkHostLayerSpans times one segmented inference, what
 // Deployment.MeasureLayers pays per row, on a seeded 784-128-48-10
-// unrolled/4 image.
+// unrolled/4 image: Fast is HostLayerSpans (boundary marks on the
+// untraced fast path), Oracle the trace-hook segmenter it replaced.
 func BenchmarkHostLayerSpans(b *testing.B) {
 	r := rng.New(17)
 	m := &quant.Model{
@@ -192,10 +193,16 @@ func BenchmarkHostLayerSpans(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := randInput(r, img.InDim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := HostLayerSpans(dev, in); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		run  func(*device.Device, []int8) ([]Span, *device.Result, error)
+	}{{"Fast", HostLayerSpans}, {"Oracle", oracleLayerSpans}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.run(dev, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

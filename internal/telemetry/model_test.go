@@ -247,7 +247,7 @@ func TestTelemetryOffImageHasNoMailboxLiteral(t *testing.T) {
 	}
 	// Boundary labels exist either way — host-side segmentation must not
 	// require instrumentation.
-	if _, err := LayerBoundaryAddrs(imgOff); err != nil {
+	if _, err := imgOff.LayerBoundaries(); err != nil {
 		t.Error(err)
 	}
 }

@@ -166,14 +166,31 @@ if [ "$n" -eq 0 ]; then
 fi
 go test -run 'TestSearch|TestAutoSearch' -count=1 ./internal/modelimg/
 
-echo "== layer attribution parity (host segmentation of the deployed image == telemetry twin)"
+echo "== layer attribution parity (boundary marks on the fast path == trace-hook oracle == telemetry twin)"
 # MeasureLayers and MeasureEnergy segment the deployed image on the host
-# instead of running the telemetry twin. Host spans of the plain image
-# must equal the twin's decoded spans cycle for cycle under every
-# encoding (unrolled/4 and an auto-resolved per-layer mix included) at
-# ws 0-2; MeasureLayers must equal the twin's farm aggregate and
-# MeasureEnergy must price the deployed cycles, under concurrent callers.
-go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy' ./internal/telemetry/ .
+# instead of running the telemetry twin, reading the cycle totals at the
+# layer boundaries off marks in the translation table on the untraced
+# fast path. Host spans of the plain image must equal the twin's decoded
+# spans cycle for cycle under every encoding (unrolled/4 and an
+# auto-resolved per-layer mix included) at ws 0-2, and the trace-hook
+# segmenter's spans and counters (TestHostLayerSpansOracle); every board
+# state that cannot record the marks must be refused by name
+# (TestRunBoundaries*, TestTranslateMarks*), and random marks must change
+# nothing against the fetch/decode oracle (FuzzTranslateParity seeds);
+# MeasureLayers must equal the twin's farm aggregate and MeasureEnergy
+# must price the deployed cycles, under concurrent callers. The stage
+# fails when a pattern matches no test in its package.
+for spec in 'TestHostLayerSpansOracle ./internal/telemetry/' 'TestRunBoundariesRefuses ./internal/device/' \
+	'TestTranslateMarksRefuse ./internal/armv6m/' 'TestTranslateMarks$ ./internal/armv6m/' 'FuzzTranslateParity ./internal/armv6m/'; do
+	set -- $spec
+	n=$(go test -list "^$1" "$2" | grep -cE '^(Test|Fuzz)' || true)
+	if [ "$n" -eq 0 ]; then
+		echo "no $1 test in $2" >&2
+		exit 1
+	fi
+done
+go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy|TestHostLayerSpansOracle|TestRunBoundaries|TestTranslateMarks|FuzzTranslateParity' \
+	./internal/telemetry/ ./internal/device/ ./internal/armv6m/ .
 
 echo "== training bit-identity (sparse ternary kernels == dense GEMMs, QAT step kernels, host reference, training golden)"
 # The sparse forward and input-gradient kernels against MatMul/MatMulBT
