@@ -670,9 +670,9 @@ func sumInto(f *ttop, rest ...*ttop) {
 }
 
 // lowerRun lowers the straight-line gather-accumulate run that starts
-// at predecode entry i: the code kernels.Optimize(kernels.Unrolled(…))
-// emits for each group of output neurons, one gather per touched input
-// and one accumulate per nonzero weight,
+// at predecode entry i: the code kernels.Unrolled emits for each group
+// of output neurons, one gather per touched input and one accumulate
+// per nonzero weight,
 //
 //	ldrb X,[B,#imm]; sxtb X,X          gather
 //	adds A,A,X | subs A,A,X            accumulates, or first writes

@@ -102,7 +102,7 @@ func genUnrolledCall(b *strings.Builder, rd func(int) int) string {
 		fmt.Fprintf(b, "\tmovs r0, #%d\n\tstrb r0, [r4, #%d]\n", rd(33+i), i%32)
 	}
 	b.WriteString("\tbl k_fuzz_unr\n")
-	return kernels.Optimize(kernels.Unrolled("k_fuzz_unr", m, factor, in0, acc0))
+	return kernels.Unrolled("k_fuzz_unr", m, factor, in0, acc0)
 }
 
 // genGatherLoop appends the ternary kernels' gather loop (the shape the

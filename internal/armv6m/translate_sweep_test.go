@@ -44,10 +44,10 @@ func randTernary(seed uint64, in, out int, density float64) *encoding.Matrix {
 }
 
 // unrolledHarness renders a standalone harness that calls the deployed
-// (optimized) unrolled kernel for m once and halts.
+// unrolled kernel for m once and halts.
 func unrolledHarness(m *encoding.Matrix, factor int) string {
 	return "entry:\n\tbl k_sweep\n\tbkpt #0\n\t.pool\n" +
-		kernels.Optimize(kernels.Unrolled("k_sweep", m, factor, sweepIn, sweepAcc))
+		kernels.Unrolled("k_sweep", m, factor, sweepIn, sweepAcc)
 }
 
 // fillInputs writes n seeded random bytes to the start of SRAM, the

@@ -6,12 +6,16 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"github.com/neuro-c/neuroc/internal/encoding"
 )
 
-// The optimizer: peephole passes over generated Thumb-1 kernel text.
-// The unrolled generator (unrolled.go) emits deliberately naive code —
-// rewind-to-zero window moves, movs-zero accumulator inits, str+adds
-// store sequences — and these passes rewrite it into the deployed form:
+// The text oracle for the unrolled generator. Unrolled emits the
+// deployed form directly; this file keeps the two-step pipeline it
+// replaced, so tests can check one against the other. naiveUnrolled
+// prints the pre-fold kernel — rewind-to-zero window moves, movs-zero
+// accumulator inits, str+adds store sequences — and Optimize's peephole
+// passes rewrite that text into the deployed form:
 //
 //   - add/sub coalescing: adjacent immediate adds/subs runs on one
 //     register (the window rewind+advance pairs) fold into the minimal
@@ -27,9 +31,12 @@ import (
 //
 // Every rewrite is semantics-preserving for the registers a kernel may
 // legally expose (AAPCS: callee-saved regs and memory; flags are dead at
-// the return) and never slower; FuzzOptimizerParity pins bit-for-bit
-// output equality and cycle parity (optimized <= unoptimized) across
-// all three execution tiers.
+// the return) and never slower. TestUnrolledMatchesOracle and
+// FuzzOptimizerParity require Unrolled(…) == Optimize(naiveUnrolled(…))
+// byte for byte; FuzzOptimizerParity also runs both forms on all three
+// execution tiers (equal accumulators, deployed cycles <= naive).
+// OptimizeEntry is the entry-code pass the image builder no longer
+// needs: it emits no descriptor load before a self-contained kernel.
 
 // asmLine is one parsed line of kernel text.
 type asmLine struct {
@@ -494,4 +501,121 @@ func OptimizeEntry(entry string, selfContained map[string]bool) string {
 		}
 	}
 	return renderAsm(lines)
+}
+
+// naiveUnrolled is the generator Unrolled replaced, kept as the text
+// oracle: the same kernel in its pre-fold form — rewind-to-zero window
+// moves, movs-zero accumulator inits, str+adds store sequences — which
+// Optimize rewrites into the deployed form. Its inline pool lands where
+// Unrolled's does: both count the bytes of this form.
+func naiveUnrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint32) string {
+	ok := false
+	for _, f := range UnrollFactors {
+		if factor == f {
+			ok = true
+		}
+	}
+	if !ok || a == nil || a.Out < 1 || a.In < 1 {
+		//neurolint:allow panics (builder invariant: factor and matrix shape come from the deployment planner)
+		panic(fmt.Sprintf("kernels: bad unrolled spec (factor %d)", factor))
+	}
+
+	var b strings.Builder
+	bytes := 0 // emitted code bytes since the function label
+	instr := func(format string, args ...interface{}) {
+		fmt.Fprintf(&b, format, args...)
+		bytes += 2 // every emitted instruction is a 16-bit Thumb encoding
+	}
+	poolPending := true
+	poolSeq := 0
+	// flushPool branches over an inline literal pool once the prologue
+	// literals risk drifting out of "ldr =" range. One flush suffices:
+	// the kernel has exactly two literals.
+	flushPool := func() {
+		if !poolPending || bytes < unrollPoolSlack {
+			return
+		}
+		poolSeq++
+		fmt.Fprintf(&b, "\tb %s_p%d\n\t.pool\n%s_p%d:\n", name, poolSeq, name, poolSeq)
+		bytes += 12 // branch + alignment + two literal words
+		poolPending = false
+	}
+
+	fmt.Fprintf(&b, "%s:\n", name)
+	instr("\tpush {r4-r7, lr}\n")
+	instr("\tldr r4, =0x%08x      @ input window base\n", inAddr)
+	instr("\tldr r2, =0x%08x      @ acc cursor\n", accAddr)
+
+	base := 0 // r4 = inAddr + base
+	// moveWindow repositions r4 so input i is reachable with a 5-bit
+	// ldrb offset. Forward moves advance the base to i; backward moves
+	// rewind to zero first (naive — the optimizer's add/sub coalescing
+	// folds the adjacent rewind+advance runs into the minimal move).
+	moveWindow := func(i int) int {
+		if i < base {
+			for base > 0 {
+				step := base
+				if step > 255 {
+					step = 255
+				}
+				instr("\tsubs r4, #%d\n", step)
+				base -= step
+			}
+		}
+		for i-base > 31 {
+			step := i - base
+			if step > 255 {
+				step = 255
+			}
+			instr("\tadds r4, #%d\n", step)
+			base += step
+		}
+		return i - base
+	}
+
+	for g0 := 0; g0 < a.Out; g0 += factor {
+		n := factor
+		if g0+n > a.Out {
+			n = a.Out - g0
+		}
+		for j := 0; j < n; j++ {
+			instr("\tmovs %s, #0\n", unrollAccRegs[j])
+		}
+		// Ascending sweep over the union support of the group's outputs:
+		// one gather per touched input, shared by every output in the
+		// group with a nonzero weight there.
+		for i := 0; i < a.In; i++ {
+			used := false
+			for j := 0; j < n; j++ {
+				if a.At(g0+j, i) != 0 {
+					used = true
+				}
+			}
+			if !used {
+				continue
+			}
+			flushPool()
+			off := moveWindow(i)
+			instr("\tldrb r0, [r4, #%d]   @ asmcheck: load sram\n", off)
+			instr("\tsxtb r0, r0\n")
+			for j := 0; j < n; j++ {
+				switch w := a.At(g0+j, i); {
+				case w > 0:
+					instr("\tadds %s, %s, r0\n", unrollAccRegs[j], unrollAccRegs[j])
+				case w < 0:
+					instr("\tsubs %s, %s, r0\n", unrollAccRegs[j], unrollAccRegs[j])
+				}
+			}
+		}
+		for j := 0; j < n; j++ {
+			instr("\tstr %s, [r2]\n", unrollAccRegs[j])
+			instr("\tadds r2, #4\n")
+		}
+		flushPool()
+	}
+	instr("\tpop {r4-r7, pc}\n")
+	if poolPending {
+		b.WriteString("\t.pool\n")
+	}
+	return b.String()
 }

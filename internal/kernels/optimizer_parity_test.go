@@ -8,16 +8,18 @@ import (
 	"github.com/neuro-c/neuroc/internal/asmcheck"
 	"github.com/neuro-c/neuroc/internal/cert"
 	"github.com/neuro-c/neuroc/internal/encoding"
+	"github.com/neuro-c/neuroc/internal/rng"
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
 
-// Optimizer parity: for random weight matrices, unroll factors, and
-// SRAM inputs, the optimized unrolled kernel must produce bit-for-bit
-// the accumulators of the unoptimized one, never cost more cycles, keep
-// exact cycle parity across all three execution tiers at every
-// wait-state setting, and still certify Exact under the strict checker.
-// `go test` runs the seed corpus; `go test -fuzz=FuzzOptimizerParity`
-// explores further.
+// Unrolled parity: for random weight matrices, unroll factors, and
+// SRAM inputs, the deployed unrolled kernel must be byte for byte what
+// the text oracle (Optimize over naiveUnrolled, optimizer_oracle_test.go)
+// prints, produce bit-for-bit the accumulators of the naive form, never
+// cost more cycles, keep exact cycle parity across all three execution
+// tiers at every wait-state setting, and, like the naive form, certify
+// Exact under the strict checker with WCET == measured. `go test` runs
+// the seed corpus; `go test -fuzz=FuzzOptimizerParity` explores further.
 
 const parityBase = 0x08000100
 
@@ -122,12 +124,16 @@ func (pk *parityKernel) run(t *testing.T, tier string, ws, out int, inputs []int
 
 var parityTiers = []string{"legacy", "predecoded", "translated"}
 
-// checkOptimizerParity drives one (matrix, factor, inputs) case.
+// checkOptimizerParity drives one (matrix, factor, inputs) case: "raw"
+// is the naive form, "opt" the deployed one.
 func checkOptimizerParity(t *testing.T, m *encoding.Matrix, factor int, inputs []int8) {
 	t.Helper()
 	const name = "k_fz"
-	rawSrc := Unrolled(name, m, factor, selfIn, selfAcc)
-	optSrc := Optimize(rawSrc)
+	rawSrc := naiveUnrolled(name, m, factor, selfIn, selfAcc)
+	optSrc := Unrolled(name, m, factor, selfIn, selfAcc)
+	if want := Optimize(rawSrc); optSrc != want {
+		t.Fatalf("Unrolled differs from the text oracle\ngot:\n%s\nwant:\n%s", optSrc, want)
+	}
 	raw := buildParityKernel(t, "raw", name, rawSrc, m.In, m.Out)
 	opt := buildParityKernel(t, "opt", name, optSrc, m.In, m.Out)
 	for ws := 0; ws <= 2; ws++ {
@@ -212,9 +218,9 @@ func FuzzOptimizerParity(f *testing.F) {
 	})
 }
 
-// TestOptimizerParityDense pins the seam on a dense all-connected
-// matrix (worst case for the store strength-reduction and coalescing
-// passes) without relying on the fuzz corpus.
+// TestOptimizerParityDense pins parity on a dense all-connected matrix
+// (every output written at every input, and every group's full store)
+// without relying on the fuzz corpus.
 func TestOptimizerParityDense(t *testing.T) {
 	for _, factor := range UnrollFactors {
 		t.Run(fmt.Sprintf("factor%d", factor), func(t *testing.T) {
@@ -231,6 +237,45 @@ func TestOptimizerParityDense(t *testing.T) {
 			inputs := make([]int8, m.In)
 			for i := range inputs {
 				inputs[i] = int8(i*17 - 90)
+			}
+			checkOptimizerParity(t, m, factor, inputs)
+		})
+	}
+}
+
+// TestUnrolledParityWide runs the window moves and the inline pool,
+// which parityCase's 24 inputs never reach: 400 inputs (below the 512
+// bytes between selfIn and selfAcc), 10 outputs, half dense. Outputs
+// 4-7 start at input 40, so every factor's groups over them open with
+// a rewind folded into an advance; the others open with a bare rewind.
+// Output 1 starts at input 350, after the pool the first group flushes,
+// so at factors 2 and 4 its init is kept; output 9 has no weight.
+func TestUnrolledParityWide(t *testing.T) {
+	r := rng.New(27)
+	m := encoding.NewMatrix(400, 10)
+	for o := 0; o < m.Out-1; o++ {
+		first := 0
+		switch {
+		case o == 1:
+			first = 350
+		case o >= 4 && o < 8:
+			first = 40
+		}
+		for i := first; i < m.In; i++ {
+			if r.Bool(0.5) {
+				m.Set(o, i, int8(2*r.Intn(2)-1))
+			}
+		}
+	}
+	inputs := make([]int8, m.In)
+	for i := range inputs {
+		inputs[i] = int8(r.Intn(256) - 128)
+	}
+	for _, factor := range UnrollFactors {
+		t.Run(fmt.Sprintf("factor%d", factor), func(t *testing.T) {
+			f := unrolledFeaturesOf(naiveUnrolled("k_fz", m, factor, selfIn, selfAcc))
+			if !f.foldedMove || !f.bareRewind || !f.midGroupPool || f.keptInit != (factor > 1) {
+				t.Fatalf("case misses a generator path: %+v", f)
 			}
 			checkOptimizerParity(t, m, factor, inputs)
 		})

@@ -42,7 +42,7 @@ const (
 
 // SelfMatrix returns the fixed ternary adjacency matrix behind the
 // self-check tables below (shared by the dense weight table, the
-// unrolled variants, and the optimizer parity tests).
+// unrolled variants, and the unrolled parity tests).
 func SelfMatrix() *encoding.Matrix {
 	m := encoding.NewMatrix(selfInDim, selfOutDim)
 	for o := 0; o < selfOutDim; o++ {
@@ -241,18 +241,71 @@ func Variants() []Variant {
 			}
 		}
 	}
-	// Unrolled variants: the optimized form at each factor, plus one raw
-	// (unoptimized) form so the generator/optimizer seam stays covered by
-	// the same strict checks and exactness tests.
+	// Unrolled variants, one per factor, in their deployed form, plus the
+	// pre-fold form of the factor-4 kernel.
 	for _, f := range UnrollFactors {
 		name := fmt.Sprintf("k_unr%d", f)
-		src := Optimize(Unrolled(name, SelfMatrix(), f, selfIn, selfAcc))
-		add(name, src, selfDesc(inDim, outDim), "")
+		add(name, Unrolled(name, SelfMatrix(), f, selfIn, selfAcc), selfDesc(inDim, outDim), "")
 	}
-	{
-		name := "k_unr4_raw"
-		src := Unrolled(name, SelfMatrix(), 4, selfIn, selfAcc)
-		add(name, src, selfDesc(inDim, outDim), "")
-	}
+	add("k_unr4_raw", unr4Raw, selfDesc(inDim, outDim), "")
 	return vs
 }
+
+// unr4Raw is k_unr4 in its pre-fold form: movs-zero inits, plain
+// adds|subs first writes and str+adds stores, which a deployed kernel
+// reaches only after a mid-group literal pool. The strict checks, the
+// certificate exactness tests and the translation and telemetry parity
+// tests that run every variant run these forms too. It is fixed text,
+// not generated; TestRawVariantIsNaiveForm pins it to the text oracle's
+// naive generator.
+const unr4Raw = `k_unr4_raw:
+	push {r4-r7, lr}
+	ldr r4, =0x20000000      @ input window base
+	ldr r2, =0x20000200      @ acc cursor
+	movs r3, #0
+	movs r5, #0
+	movs r6, #0
+	movs r7, #0
+	ldrb r0, [r4, #0]   @ asmcheck: load sram
+	sxtb r0, r0
+	adds r3, r3, r0
+	subs r7, r7, r0
+	ldrb r0, [r4, #1]   @ asmcheck: load sram
+	sxtb r0, r0
+	adds r5, r5, r0
+	subs r6, r6, r0
+	ldrb r0, [r4, #2]   @ asmcheck: load sram
+	sxtb r0, r0
+	subs r5, r5, r0
+	adds r6, r6, r0
+	ldrb r0, [r4, #3]   @ asmcheck: load sram
+	sxtb r0, r0
+	subs r3, r3, r0
+	adds r7, r7, r0
+	ldrb r0, [r4, #4]   @ asmcheck: load sram
+	sxtb r0, r0
+	adds r3, r3, r0
+	subs r7, r7, r0
+	ldrb r0, [r4, #5]   @ asmcheck: load sram
+	sxtb r0, r0
+	adds r5, r5, r0
+	subs r6, r6, r0
+	ldrb r0, [r4, #6]   @ asmcheck: load sram
+	sxtb r0, r0
+	subs r5, r5, r0
+	adds r6, r6, r0
+	ldrb r0, [r4, #7]   @ asmcheck: load sram
+	sxtb r0, r0
+	subs r3, r3, r0
+	adds r7, r7, r0
+	str r3, [r2]
+	adds r2, #4
+	str r5, [r2]
+	adds r2, #4
+	str r6, [r2]
+	adds r2, #4
+	str r7, [r2]
+	adds r2, #4
+	pop {r4-r7, pc}
+	.pool
+`

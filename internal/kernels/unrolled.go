@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 
 	"github.com/neuro-c/neuroc/internal/encoding"
@@ -20,11 +22,16 @@ import (
 //
 // Unlike the table-driven kernels, an unrolled kernel is specialized to
 // ONE layer: the input and accumulator buffer addresses are literal
-// constants, and the descriptor argument in r0 is ignored (the entry
-// optimizer deletes the now-dead descriptor load; see optimizer.go).
-// Being straight line, every block certifies Exact trivially, which is
-// what lets the cert-based WCET (cert.Certificate.WCET) price it
-// exactly for the per-layer encoding search.
+// constants, and the descriptor argument in r0 is ignored (the image
+// builder's entry code loads none before calling it). Being straight
+// line, every block certifies Exact trivially, which is what lets the
+// cert-based WCET (cert.Certificate.WCET) price it exactly for the
+// per-layer encoding search.
+//
+// The generator emits the deployed form itself. The naive form it once
+// printed for a peephole optimizer to rewrite is kept in the tests as
+// the text oracle (optimizer_oracle_test.go), and Unrolled must equal
+// the optimizer's output on it byte for byte.
 
 // UnrollFactors are the supported unroll factors: how many output
 // neurons share one sweep over the union of their input supports (and
@@ -38,9 +45,11 @@ var unrollAccRegs = [4]string{"r3", "r5", "r6", "r7"}
 
 // unrollPoolSlack triggers the literal-pool flush: the two prologue
 // "ldr =" literals must be materialized within 1020 bytes of their
-// loads, so once the emitted function body crosses this size the
-// generator branches over an inline pool — the row-chunking that keeps
-// arbitrarily large unrolled layers assemblable.
+// loads, so once the function body crosses this size the generator
+// branches over an inline pool — the row-chunking that keeps
+// arbitrarily large unrolled layers assemblable. The size compared is
+// that of the pre-fold form (see Unrolled), which is never smaller than
+// the emitted one, so the literals stay in range.
 const unrollPoolSlack = 900
 
 // Unrolled generates the weight-specialized straight-line accumulate
@@ -48,10 +57,18 @@ const unrollPoolSlack = 900
 // kernel is not shareable); factor is one of UnrollFactors; inAddr and
 // accAddr are the layer's SRAM input and int32 accumulator buffers.
 //
-// The emitted code is deliberately naive — rewind-to-zero window moves,
-// movs-zero accumulator inits, str+adds store sequences — and relies on
-// Optimize (optimizer.go) for the deployed form; the generator/optimizer
-// split is what the fuzz parity tests exercise.
+// The text is the deployed form (docs/KERNELS.md, "The deployed form"):
+//
+//   - each window move is the net move, at most 255 per adds|subs r4;
+//   - an accumulator's first write is "mov rX, r0" (weight +1) or
+//     "rsbs rX, r0" (weight -1), with no zero init ahead of it. rsbs
+//     sets the flags the subs from zero would; mov sets none, which is
+//     legal because every accumulate is followed by another flag writer
+//     or the return. An output with no weight in the group, or whose
+//     first write follows the inline pool, keeps "movs rX, #0" and
+//     plain adds|subs: the branch over the pool ends the straight line
+//     the fold is reasoned over;
+//   - each group's accumulators are stored by one "stmia r2!, {…}".
 func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint32) string {
 	ok := false
 	for _, f := range UnrollFactors {
@@ -65,66 +82,67 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 	}
 
 	var b strings.Builder
-	bytes := 0 // emitted code bytes since the function label
-	instr := func(format string, args ...interface{}) {
-		fmt.Fprintf(&b, format, args...)
-		bytes += 2 // every emitted instruction is a 16-bit Thumb encoding
-	}
+	var body bytes.Buffer // one group's gathers, written after its inits
+	// naive counts the code bytes since the function label of the
+	// pre-fold form: a movs-zero init per accumulator, every window move
+	// as a rewind to zero plus an advance, and a str+adds pair per
+	// store. The pool trigger compares this count, not the emitted size,
+	// with unrollPoolSlack: it fixes where the pool lands in kernels
+	// wider than about 900 bytes, and TestOptimizerGolden and
+	// TestBuildGolden pin those positions.
+	naive := 6 // push and the two prologue loads
 	poolPending := true
 	poolSeq := 0
 	// flushPool branches over an inline literal pool once the prologue
 	// literals risk drifting out of "ldr =" range. One flush suffices:
 	// the kernel has exactly two literals.
-	flushPool := func() {
-		if !poolPending || bytes < unrollPoolSlack {
-			return
+	flushPool := func(w io.Writer) bool {
+		if !poolPending || naive < unrollPoolSlack {
+			return false
 		}
 		poolSeq++
-		fmt.Fprintf(&b, "\tb %s_p%d\n\t.pool\n%s_p%d:\n", name, poolSeq, name, poolSeq)
-		bytes += 12 // branch + alignment + two literal words
+		fmt.Fprintf(w, "\tb %s_p%d\n\t.pool\n%s_p%d:\n", name, poolSeq, name, poolSeq)
+		naive += 12 // branch + alignment + two literal words
 		poolPending = false
+		return true
 	}
 
 	fmt.Fprintf(&b, "%s:\n", name)
-	instr("\tpush {r4-r7, lr}\n")
-	instr("\tldr r4, =0x%08x      @ input window base\n", inAddr)
-	instr("\tldr r2, =0x%08x      @ acc cursor\n", accAddr)
+	b.WriteString("\tpush {r4-r7, lr}\n")
+	fmt.Fprintf(&b, "\tldr r4, =0x%08x      @ input window base\n", inAddr)
+	fmt.Fprintf(&b, "\tldr r2, =0x%08x      @ acc cursor\n", accAddr)
 
 	base := 0 // r4 = inAddr + base
 	// moveWindow repositions r4 so input i is reachable with a 5-bit
-	// ldrb offset. Forward moves advance the base to i; backward moves
-	// rewind to zero first (naive — the optimizer's add/sub coalescing
-	// folds the adjacent rewind+advance runs into the minimal move).
+	// ldrb offset and returns that offset. Forward moves advance the
+	// base to within 31 of i; backward moves land where an advance from
+	// zero would. Either way one net move is emitted.
 	moveWindow := func(i int) int {
+		from := base
 		if i < base {
-			for base > 0 {
-				step := base
-				if step > 255 {
-					step = 255
-				}
-				instr("\tsubs r4, #%d\n", step)
-				base -= step
-			}
+			naive += 2 * ((base + 254) / 255) // the rewind to zero
+			base = 0
 		}
 		for i-base > 31 {
-			step := i - base
-			if step > 255 {
-				step = 255
-			}
-			instr("\tadds r4, #%d\n", step)
-			base += step
+			base += min(i-base, 255)
+			naive += 2
+		}
+		op, net := "adds", base-from
+		if net < 0 {
+			op, net = "subs", -net
+		}
+		for ; net > 0; net -= 255 {
+			fmt.Fprintf(&body, "\t%s r4, #%d\n", op, min(net, 255))
 		}
 		return i - base
 	}
 
 	for g0 := 0; g0 < a.Out; g0 += factor {
-		n := factor
-		if g0+n > a.Out {
-			n = a.Out - g0
-		}
-		for j := 0; j < n; j++ {
-			instr("\tmovs %s, #0\n", unrollAccRegs[j])
-		}
+		n := min(factor, a.Out-g0)
+		naive += 2 * n // the movs-zero inits
+		body.Reset()
+		var written, folded [4]bool
+		flushed := false
 		// Ascending sweep over the union support of the group's outputs:
 		// one gather per touched input, shared by every output in the
 		// group with a nonzero weight there.
@@ -138,26 +156,44 @@ func Unrolled(name string, a *encoding.Matrix, factor int, inAddr, accAddr uint3
 			if !used {
 				continue
 			}
-			flushPool()
+			flushed = flushPool(&body) || flushed
 			off := moveWindow(i)
-			instr("\tldrb r0, [r4, #%d]   @ asmcheck: load sram\n", off)
-			instr("\tsxtb r0, r0\n")
+			fmt.Fprintf(&body, "\tldrb r0, [r4, #%d]   @ asmcheck: load sram\n", off)
+			body.WriteString("\tsxtb r0, r0\n")
+			naive += 4
 			for j := 0; j < n; j++ {
-				switch w := a.At(g0+j, i); {
-				case w > 0:
-					instr("\tadds %s, %s, r0\n", unrollAccRegs[j], unrollAccRegs[j])
-				case w < 0:
-					instr("\tsubs %s, %s, r0\n", unrollAccRegs[j], unrollAccRegs[j])
+				w := a.At(g0+j, i)
+				if w == 0 {
+					continue
 				}
+				r := unrollAccRegs[j]
+				switch {
+				case !written[j] && !flushed && w > 0:
+					fmt.Fprintf(&body, "\tmov %s, r0\n", r)
+					folded[j] = true
+				case !written[j] && !flushed:
+					fmt.Fprintf(&body, "\trsbs %s, r0\n", r)
+					folded[j] = true
+				case w > 0:
+					fmt.Fprintf(&body, "\tadds %s, %s, r0\n", r, r)
+				default:
+					fmt.Fprintf(&body, "\tsubs %s, %s, r0\n", r, r)
+				}
+				written[j] = true
+				naive += 2
 			}
 		}
 		for j := 0; j < n; j++ {
-			instr("\tstr %s, [r2]\n", unrollAccRegs[j])
-			instr("\tadds r2, #4\n")
+			if !folded[j] {
+				fmt.Fprintf(&b, "\tmovs %s, #0\n", unrollAccRegs[j])
+			}
 		}
-		flushPool()
+		b.Write(body.Bytes())
+		fmt.Fprintf(&b, "\tstmia r2!, {%s}\n", strings.Join(unrollAccRegs[:n], ", "))
+		naive += 4 * n // str + adds per accumulator
+		flushPool(&b)
 	}
-	instr("\tpop {r4-r7, pc}\n")
+	b.WriteString("\tpop {r4-r7, pc}\n")
 	if poolPending {
 		b.WriteString("\t.pool\n")
 	}

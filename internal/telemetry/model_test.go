@@ -85,7 +85,7 @@ func autoMixModel() *quant.Model {
 // The instrumented image is built the way a Deployment builds its
 // telemetry twin, from the plain image's resolved per-layer encodings.
 // The cases cover every encoding a deployment can segment: unrolled/4,
-// whose entry code goes through the entry optimizer, and a per-layer
+// whose entry code calls the kernel without a descriptor load, and a per-layer
 // mix the auto search resolved under flash pressure included.
 func TestModelTelemetryExact(t *testing.T) {
 	for _, c := range []struct {

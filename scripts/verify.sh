@@ -112,18 +112,31 @@ done
 go test -run 'TestPredecodeParity|TestPredecodeRunParity|TestDecodeAgreesWithEmulator|FuzzPredecodeParity' -count=1 ./internal/armv6m/
 go test -run '^$' -fuzz FuzzPredecodeParity -fuzztime 15s -fuzzminimizetime 2s ./internal/armv6m/
 
-echo "== optimizer parity (unrolled kernels: fuzz seeds + dense pins + golden hash + unrolled/4 dominance)"
-# The peephole-optimized unrolled kernels against their unoptimized
-# form: bit-for-bit accumulator equality, optimized <= unoptimized
-# cycles, exact cycle parity across all three execution tiers at ws
-# 0-2, and strict certification of both forms. `-run` replays the
-# checked-in fuzz seed corpus deterministically; `go test -fuzz
-# FuzzOptimizerParity ./internal/kernels/` explores further locally.
-# TestOptimizerGolden pins the SHA-256 of the optimizer's output, so
-# the deployed unrolled bytes cannot move. TestUnrolledFourDominates
+echo "== unrolled generator == text oracle (byte identity, fuzz seeds + dense and wide pins + golden hash + unrolled/4 dominance)"
+# kernels.Unrolled emits the deployed kernel text directly. The
+# peephole optimizer it replaced, run over the naive generator's text,
+# is the oracle in optimizer_oracle_test.go. TestUnrolledMatchesOracle
+# requires equal text on the golden corpus and seeded shapes up to
+# 1,200 inputs (folded moves, bare rewinds, mid-group pools, inits kept
+# after the pool). FuzzOptimizerParity (its seed corpus, replayed
+# deterministically by -run), TestOptimizerParityDense and
+# TestUnrolledParityWide require the same text, then run both forms on
+# all three execution tiers at ws 0-2: equal accumulators, deployed <=
+# naive cycles, strict certification and WCET == measured for both;
+# `go test -fuzz FuzzOptimizerParity ./internal/kernels/` explores
+# further. TestOptimizerGolden pins the SHA-256 of Unrolled's output,
+# so the deployed unrolled bytes cannot move. TestUnrolledFourDominates
 # pins why the encoding search probes only unrolled/4: it never loses
-# to unrolled/1 or /2 on WCET or flash.
-go test -run 'FuzzOptimizerParity|TestOptimizerParityDense|TestOptimizerGolden' -count=1 ./internal/kernels/
+# to unrolled/1 or /2 on WCET or flash. Each of the three oracle names
+# must match a test, so a renamed test cannot drop out silently.
+for pat in TestUnrolledMatchesOracle FuzzOptimizerParity TestOptimizerGolden; do
+	n=$(go test -list "^$pat\$" ./internal/kernels/ | grep -cE '^(Test|Fuzz)' || true)
+	if [ "$n" -eq 0 ]; then
+		echo "no $pat test in ./internal/kernels/" >&2
+		exit 1
+	fi
+done
+go test -run 'TestUnrolledMatchesOracle|FuzzOptimizerParity|TestOptimizerParityDense|TestUnrolledParityWide|TestOptimizerGolden' -count=1 ./internal/kernels/
 go test -run 'TestUnrolledFourDominates' -count=1 ./internal/modelimg/
 
 echo "== build byte identity (dense CFG recovery == map-based oracle, golden image bytes, annotation scanner == regexps)"
@@ -231,16 +244,16 @@ go run ./cmd/neuroc-bench -exp farm -quick -j 4 -encoding auto > /dev/null
 echo "== farm race-stress (shared-flash board farm under the race detector)"
 go test -race -count=1 ./internal/farm/...
 
-echo "== bench-regression smoke (all three execution tiers still wired up, image-build stage, optimizer and segmenter benchmarks)"
+echo "== bench-regression smoke (all three execution tiers still wired up, image-build stage, unrolled generator and segmenter benchmarks)"
 # One iteration of the Translated/Predecoded/Legacy benchmarks: proves
 # each tier is selected, runs, and stays in parity (the benchmark
 # bodies assert translation attachment and would fail on any execution
 # error). BenchmarkCertify, BenchmarkAssemble and
-# BenchmarkOptimizeUnrolled (the image-build stages, on a 784->128
+# BenchmarkUnrolled (the image-build stages, on a 784->128
 # layer), and BenchmarkHostLayerSpans (one segmented inference, what
 # MeasureLayers pays per row) are compiled and run once too. Real throughput comparisons need -benchtime 1s and
 # an idle host; this is a wiring gate, not a perf gate.
-go test -run '^$' -bench 'Inference|FarmMap|OptimizeUnrolled|HostLayerSpans|Certify|Assemble' -benchtime 1x \
+go test -run '^$' -bench 'Inference|FarmMap|Unrolled|HostLayerSpans|Certify|Assemble' -benchtime 1x \
 	./internal/armv6m/ ./internal/farm/ ./internal/kernels/ ./internal/telemetry/ ./internal/asmcheck/ ./internal/thumb/
 
 echo "== bench-smoke on the translated tier (explicit -tier plumbing end to end)"
