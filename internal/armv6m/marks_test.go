@@ -133,7 +133,8 @@ func TestTranslateMarks(t *testing.T) {
 
 // TestTranslateMarksRefuse: every core state in which a run would not
 // dispatch the marks is refused by RecordMarks with an error naming the
-// reason, and so is a mark on a kept loop's head.
+// reason, and so is a mark on a kept loop's head or anywhere on a column
+// loop.
 func TestTranslateMarksRefuse(t *testing.T) {
 	prog, c := certifySrc(t, gatherDeviationSrc("misaligned-cursor", 1, "r5", "r0", "adds", false), false)
 	head, ok := prog.Symbols["loop"]
@@ -175,6 +176,33 @@ func TestTranslateMarksRefuse(t *testing.T) {
 			}
 			if rec.Hit != 7 {
 				t.Fatal("a refused recorder was modified")
+			}
+		})
+	}
+	// A mark on a column loop's head, on the gather loop inside it, or on
+	// its tail (the store and the closing branch) would retire inside
+	// execColumn: each is refused, naming the column loop.
+	cc := columnCase{counts: []int{2, 0, 1}, cw: 1, iw: 1, op: "adds", x: "r5", v: "r5", t: "r5"}
+	cprog, ccert := certifyColumn(t, cc)
+	span := fmt.Sprintf("[0x%08x, 0x%08x), a column loop", cprog.Symbols["col"], cprog.Symbols["cs"]+12)
+	for _, at := range []struct {
+		name string
+		addr uint32
+	}{
+		{"column-head", cprog.Symbols["col"]},
+		{"column-inner-loop", cprog.Symbols["ck"] + 4},
+		{"column-tail", cprog.Symbols["cs"]},
+		{"column-branch", cprog.Symbols["cs"] + 10},
+	} {
+		t.Run(at.name, func(t *testing.T) {
+			cpu, tt := bootMarked(t, cprog, ccert, 0, []uint32{cprog.Symbols["entry"], at.addr})
+			if tt.Columns() != 1 {
+				t.Fatal("harness does not lower to a column loop")
+			}
+			err := cpu.RecordMarks(&armv6m.MarkRecorder{})
+			var me *armv6m.MarkError
+			if !errors.As(err, &me) || me.Index != 1 || !strings.Contains(err.Error(), "lands on the certified loop or run at "+span) {
+				t.Fatalf("RecordMarks: %v, want mark 1 refused on the column loop %s", err, span)
 			}
 		})
 	}

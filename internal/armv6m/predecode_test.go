@@ -2,11 +2,13 @@ package armv6m_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"github.com/neuro-c/neuroc/internal/armv6m"
+	"github.com/neuro-c/neuroc/internal/encoding"
 	"github.com/neuro-c/neuroc/internal/kernels"
 	"github.com/neuro-c/neuroc/internal/thumb"
 )
@@ -523,13 +525,15 @@ inner:
 	.pool
 `
 
-// benchBlockProgram mirrors the block kernel's connection loop from
+// benchBlockProgram has the block kernel's connection loop from
 // internal/kernels (sparse.go, the `_k` loop) instruction for
 // instruction: an 8-bit block-local index load from flash, a signed
 // activation gather from SRAM through it, and an adds/subs accumulate
-// under a countdown latch — one pass of 64 connections per column,
-// alternating polarity, wrapped in a column loop that stores the
-// accumulator. It is the ternary counterpart of benchProgram.
+// under a countdown latch. Its column code is not the kernel's: 64
+// connections per column, alternating polarity, with no count load and
+// no empty-column branch. It is the ternary counterpart of benchProgram
+// and measures the gather loop alone; blockKernelHarness runs the
+// generated kernel itself.
 var benchBlockProgram = func() string {
 	idx := make([]string, 64)
 	for i := range idx {
@@ -637,6 +641,58 @@ func BenchmarkInferenceBlock(b *testing.B) {
 	b.Run("Translated", func(b *testing.B) { benchRunTranslated(b, benchBlockProgram) })
 	b.Run("Predecoded", func(b *testing.B) { benchRun(b, benchBlockProgram, false) })
 	b.Run("Legacy", func(b *testing.B) { benchRun(b, benchBlockProgram, true) })
+}
+
+// blockKernelHarness renders a harness that runs the generated block
+// kernel (kernels.BlockB, tight loop bounds) once over the block
+// encoding of m, inputs at SRAM's start and accumulators at 0x20000400,
+// and halts.
+func blockKernelHarness(m *encoding.Matrix) string {
+	e := encoding.EncodeBlock(m, 0)
+	maxCount := 1
+	var recs, tables strings.Builder
+	table := func(label string, width int, vals []int) string {
+		if len(vals) == 0 {
+			vals = []int{0}
+		}
+		dir := ".byte"
+		if width == 2 {
+			dir = ".hword"
+		}
+		fmt.Fprintf(&tables, "\t.align 4\n%s:\n\t%s %s\n", label, dir, joinInts(vals))
+		return label
+	}
+	for bi := range e.Blocks {
+		blk := e.Block(bi)
+		for _, c := range append(slices.Clone(blk.PosCounts), blk.NegCounts...) {
+			maxCount = max(maxCount, c)
+		}
+		fmt.Fprintf(&recs, "\t.word %d, %s, %s, %s, %s\n", bi*e.BlockSize,
+			table(fmt.Sprintf("b%dpc", bi), e.CountWidth, blk.PosCounts), table(fmt.Sprintf("b%dpi", bi), 1, blk.PosIndices),
+			table(fmt.Sprintf("b%dnc", bi), e.CountWidth, blk.NegCounts), table(fmt.Sprintf("b%dni", bi), 1, blk.NegIndices))
+	}
+	name, src := kernels.BlockB(e.CountWidth, m.Out, maxCount, len(e.Blocks))
+	desc := make([]string, kernels.DescSize/4)
+	for i := range desc {
+		desc[i] = "0"
+	}
+	desc[kernels.DescIn/4], desc[kernels.DescAcc/4] = "0x20000000", "0x20000400"
+	desc[kernels.DescInDim/4], desc[kernels.DescOutDim/4] = fmt.Sprint(m.In), fmt.Sprint(m.Out)
+	desc[kernels.DescK0/4], desc[kernels.DescK1/4] = fmt.Sprint(len(e.Blocks)), "brec"
+	return "entry:\n\tldr r0, =desc\n\tbl " + name + "\n\tbkpt #0\n\t.pool\n" + src +
+		"\t.align 4\ndesc:\n\t.word " + strings.Join(desc, ", ") + "\nbrec:\n" + recs.String() + tables.String()
+}
+
+// BenchmarkInferenceBlockKernel is BenchmarkInference on the generated
+// block kernel (blockKernelHarness) for a seeded 784→128 ternary layer
+// at 8% density: per column a count load, an empty-column branch, the
+// gather loop and the accumulator store, which the translated tier runs
+// in execColumn.
+func BenchmarkInferenceBlockKernel(b *testing.B) {
+	src := blockKernelHarness(randTernary(2, 784, 128, 0.08))
+	b.Run("Translated", func(b *testing.B) { benchRunTranslated(b, src) })
+	b.Run("Predecoded", func(b *testing.B) { benchRun(b, src, false) })
+	b.Run("Legacy", func(b *testing.B) { benchRun(b, src, true) })
 }
 
 // BenchmarkInferenceUnrolled is BenchmarkInference on a deployed

@@ -14,17 +14,24 @@ import (
 // dispatch: the dense kernel's MAC loop (execMacLoop) and the ternary
 // kernels' gather loop — one index load, one gather, one adds/subs per
 // connection, optionally advancing a moving base (execGatherLoop; the
-// block, mixed and delta inner loops). It also lowers, from the
-// predecode entries alone, the unrolled kernels' straight-line
-// gather-accumulate runs — ldrb; sxtb; then one adds/subs/mov/rsbs per
-// nonzero weight, with window moves between gathers — into a third
-// executor (execRun) that retires a whole run in one branch-free host
-// loop. The predecoded dispatcher (runPredecoded) runs over the table's
-// copy of the predecode entries, where each kept loop's or run's head
-// carries the kind kLoop, so at a head the whole loop or run executes
-// in its executor and the steady-state cost of a kernel's accumulate
-// stage is a few Go statements per emulated instruction. Every other
-// instruction executes exactly as on the predecoded tier.
+// block, mixed and delta inner loops). Around each kept gather loop
+// without a moving base it then matches, from the predecode entries
+// alone, the block and mixed kernels' column loop — count load,
+// accumulator load, the gather loop, accumulator store, column
+// countdown — into a third executor (execColumn) that runs every
+// column of a polarity pass in one call. It also lowers the unrolled
+// kernels' straight-line gather-accumulate runs — ldrb; sxtb; then one
+// adds/subs/mov/rsbs per nonzero weight, with window moves between
+// gathers — into a fourth (execRun) that retires a whole run in one
+// branch-free host loop. The predecoded dispatcher (runPredecoded) runs
+// over the table's copy of the predecode entries, where each kept
+// loop's, column loop's or run's head carries the kind kLoop, so at a
+// head the whole loop or run executes in its executor and the
+// steady-state cost of a kernel's accumulate stage is a few Go
+// statements per emulated instruction. Every other instruction —
+// requantization, the CSC kernels' two-block inner loops, the delta
+// kernels' peeled first connection — executes exactly as on the
+// predecoded tier.
 //
 // The contract is bit-for-bit parity with the fetch/decode test oracle
 // (oracle_test.go), which the predecoded and on-demand tiers hold too,
@@ -37,8 +44,8 @@ import (
 //     problem (non-contiguous instrs, a control transfer before the
 //     latch, an encoding the core would fault on), or a shape no
 //     executor knows is not kept; its PCs run on the predecoded path.
-//     A run's costs are derived from the same formulas (fastFacts) at
-//     the SRAM region its range check guarantees.
+//     A run's or column loop's costs are derived from the same formulas
+//     (fastFacts) at the regions its run-time checks guarantee.
 //   - At run time every loop load re-checks that its address falls in
 //     the certified region. A miss ends the loop before the access: the
 //     completed passes and the abandoned pass's prefix flush exactly
@@ -50,7 +57,12 @@ import (
 //     dispatcher then executes the head through its handler. A run's
 //     loads are all static offsets from its window base, so it checks
 //     their whole interval against SRAM once, at its head: it either
-//     runs whole or makes no progress.
+//     runs whole or makes no progress. A column loop commits column by
+//     column: a column's count, accumulator word, indices and gathers
+//     are all checked, and its instructions against the budget, before
+//     it writes anything, so each column runs whole or the executor
+//     stops with the PC on the column head, where the dispatcher runs
+//     that column per instruction.
 //   - Tracing, checked execution, armed SysTick/pending IRQs, profile
 //     or multiplier mismatches, flash mutation, and the boot-alias
 //     overlap disable the fast path for the whole run. A loop head
@@ -164,8 +176,10 @@ type ttop struct {
 	preB, preW, preFR, preSR, preSW, preN uint64
 }
 
-// tloop is one kept certified loop, or a straight-line run (kind
-// loopRun: one pass, no latch, its constants in the tot* fields).
+// tloop is one kept certified loop, a column loop (kind loopColumn: the
+// tot* fields hold one column's head and tail, both branches not
+// taken), or a straight-line run (kind loopRun: one pass, no latch, its
+// constants in the tot* fields).
 type tloop struct {
 	head  *pentry // predecode entry of the head, run through its handler on fallback
 	start uint32  // the head: the taken latch's target
@@ -183,10 +197,32 @@ type tloop struct {
 	totB, totW, totFR, totSR, totSW, totN uint64
 	takenExtra                            uint64
 
-	kind  uint8 // loopMac, loopGather or loopRun
+	kind  uint8 // loopMac, loopGather, loopColumn or loopRun
 	bound uint64
 
+	col *tcol // loopColumn only
 	run *trun // loopRun only
+}
+
+// tcol is a column loop compiled for execColumn: the block and mixed
+// kernels' per-column code around a kept gather loop (lowerColumn).
+type tcol struct {
+	// Head and tail: count N loaded through cursor Cc (ldrh when chalf),
+	// accumulator A loaded from and stored to P, column counter H
+	// stepped through T; each cursor advances by its step.
+	n, cc, a, p, h, t  uint8
+	chalf              bool
+	cstep, pstep, tdec uint32
+	// The gather loop: index X loaded through cursor I (ldrh when
+	// ihalf), value V gathered at B+X in region gcls, accumulated into A
+	// by adds (subs when sub). c* are one pass's constants, latch not
+	// taken, and cTaken the taken latch's extra.
+	x, i, v, b                uint8
+	ihalf, sub                bool
+	istep                     uint32
+	icls, gcls                uint8
+	cB, cW, cFR, cSR, cSW, cN uint64
+	cTaken                    uint64
 }
 
 // trun is a straight-line gather-accumulate run compiled for execRun.
@@ -238,7 +274,11 @@ const (
 	loopMac    uint8 = iota + 1 // detectMacLoop; runs in execMacLoop
 	loopGather                  // detectGatherLoop; runs in execGatherLoop
 	loopRun                     // lowerRun; a straight-line run, executed in execRun
+	loopColumn                  // lowerColumn; a column loop around a gather loop, executed in execColumn
 )
+
+// loopNames names each executor's loops in MarkError texts.
+var loopNames = [...]string{loopMac: "MAC loop", loopGather: "gather loop", loopRun: "straight-line run", loopColumn: "column loop"}
 
 // TranslationTable is the certified-loop table for one certified flash
 // image. Immutable after Translate returns; safe to share across any
@@ -265,6 +305,9 @@ func (t *TranslationTable) MacLoops() int { return t.count(loopMac) }
 
 // GatherLoops is the number of loops that run whole in execGatherLoop.
 func (t *TranslationTable) GatherLoops() int { return t.count(loopGather) }
+
+// Columns is the number of column loops that run whole in execColumn.
+func (t *TranslationTable) Columns() int { return t.count(loopColumn) }
 
 // Runs is the number of straight-line gather-accumulate runs that
 // execute whole in execRun.
@@ -315,24 +358,29 @@ func (c *CPU) loopTable() *TranslationTable {
 }
 
 // fastFacts re-derives the exact cost formula and bus-counter deltas
-// the emulator charges for one retire of a kind the MAC and gather
-// loops and the straight-line runs are made of, given the proven memory
-// region. ok is false for every other kind, and for a load whose region
-// is not flash or SRAM.
+// the emulator charges for one retire of a kind the MAC, gather and
+// column loops and the straight-line runs are made of, given the proven
+// memory region. ok is false for every other kind, for a load whose
+// region is not flash or SRAM, and for a store whose region is not
+// SRAM.
 func fastFacts(kind uint8, region uint8, mulCyc uint64) (base, wsCo, fr, sr, sw uint64, ok bool) {
 	switch kind {
-	case kAddsImm8, kSubsImm8, kAddsReg, kSubsReg, kCmpReg, kSxtb, kMovHi, tRsbs:
+	case kAddsImm8, kSubsImm8, kAddsReg, kSubsReg, kCmpImm8, kCmpReg, kSxtb, kMovHi, tRsbs:
 		return 1, 1, 1, 0, 0, true
 	case kMuls:
 		return mulCyc, 1, 1, 0, 0, true
 	case kBCond:
 		return 1, 1, 1, 0, 0, true // + refill on the taken edge (TakenExtra)
-	case kLdrbImm, kLdrhImm, kLdrsbReg:
+	case kLdrImm, kLdrbImm, kLdrhImm, kLdrsbReg:
 		switch region {
 		case RegionFlash:
 			return 2, 2, 2, 0, 0, true // fetch ws + data ws
 		case RegionSRAM:
 			return 2, 1, 1, 1, 0, true
+		}
+	case kStrImm:
+		if region == RegionSRAM {
+			return 2, 1, 1, 0, 1, true
 		}
 	}
 	return 0, 0, 0, 0, 0, false
@@ -342,8 +390,9 @@ func fastFacts(kind uint8, region uint8, mulCyc uint64) (base, wsCo, fr, sr, sw 
 // certified self-loops and its predecode table. Blocks that are not
 // certified loops are skipped before lowering; loops that fail
 // validation or match no executor are not kept, and their PCs execute
-// on the predecoded path. The straight-line runs are then found in the
-// predecode entries (lowerRun). Last, each of cfg.Marks is placed. The
+// on the predecoded path. The column loops around the kept gather loops
+// (lowerColumn) and the straight-line runs (lowerRun) are then found in
+// the predecode entries. Last, each of cfg.Marks is placed. The
 // table is returned even when no loop or run is kept; nil only for a
 // nil predecode table.
 func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *TranslationTable {
@@ -366,6 +415,12 @@ func Translate(pt *PredecodeTable, blocks []CertBlock, cfg TranslationConfig) *T
 			continue
 		}
 		t.keep(pt, lp)
+	}
+	for gi := range t.loops { // the certified loops kept above
+		lp, ok := lowerColumn(pt, &t.loops[gi], uint64(cfg.PipelineRefill))
+		if ok && t.entries[(lp.start-pt.base)>>1].kind != kLoop {
+			t.keep(pt, lp)
+		}
 	}
 	for i := 0; i < len(pt.entries); {
 		lp, ok := lowerRun(pt, i)
@@ -405,11 +460,16 @@ func (t *TranslationTable) mark(pt *PredecodeTable, addr uint32) {
 	case off>>1 >= uint32(len(pt.entries)):
 		m.why = "is outside the predecoded image"
 	}
+	// A column loop is named ahead of the gather loop inside it: its
+	// executor is the one that would retire the address.
+	var in *tloop
 	for i := range t.loops {
-		if lp := &t.loops[i]; m.why == "" && addr >= lp.start && addr < lp.next {
-			m.why = fmt.Sprintf("lands on the certified loop or run at [0x%08x, 0x%08x)", lp.start, lp.next)
-			break
+		if lp := &t.loops[i]; addr >= lp.start && addr < lp.next && (in == nil || lp.kind == loopColumn) {
+			in = lp
 		}
+	}
+	if in != nil && m.why == "" {
+		m.why = fmt.Sprintf("lands on the certified loop or run at [0x%08x, 0x%08x), a %s", in.start, in.next, loopNames[in.kind])
 	}
 	if m.why == "" {
 		if t.entries == nil {
@@ -796,6 +856,85 @@ func lowerRun(pt *PredecodeTable, i int) (tloop, bool) {
 	return lp, true
 }
 
+// lowerColumn lowers the column loop around the kept gather loop in:
+// the block and mixed kernels' per-column code, the five predecode
+// entries before the gather loop's head and the six at its exit S,
+//
+//	C: ldrb|ldrh N,[Cc,#0]; adds Cc,#w; ldr A,[P,#0]; cmp N,#0; beq S
+//	   <in: latch subs N,#1; bne; accumulates into A; no moving base>
+//	S: str A,[P,#0]; adds P,#p; mov T,H; subs T,#d; mov H,T; bne C
+//
+// N, Cc, A, P, H and the gather loop's index cursor I and base B are
+// pairwise distinct and distinct from its X and V; T is distinct from
+// all of them but X and V (the block kernel uses r5 for all three), and
+// is written last, so it wins over both. A column with count n retires
+// 11 + 6n instructions: the loop's constants are one column's head and
+// tail with both branches not taken (fastFacts, the count in flash and
+// the accumulator word in SRAM, which execColumn checks), and the
+// gather loop's own pass constants. ok is false for any other shape.
+func lowerColumn(pt *PredecodeTable, in *tloop, refill uint64) (tloop, bool) {
+	if in.kind != loopGather || len(in.ops) != 5 {
+		return tloop{}, false
+	}
+	ld, g, acc, latch := &in.ops[0], &in.ops[2], &in.ops[3], &in.ops[4]
+	k := int((in.start - pt.base) >> 1)
+	s := int((in.next - pt.base) >> 1)
+	if latch.imm != 1 || latch.cond != 0x1 || k < 5 || s+6 > len(pt.entries) {
+		return tloop{}, false
+	}
+	ents := pt.entries
+	start := in.start - 10
+	// Eleven 16-bit instructions: five from C up to the gather loop, six
+	// from S on.
+	for _, i := range [11]int{k - 5, k - 4, k - 3, k - 2, k - 1, s, s + 1, s + 2, s + 3, s + 4, s + 5} {
+		if ents[i].next != pt.base+uint32(2*i)+2 {
+			return tloop{}, false
+		}
+	}
+	cl, ca, la, cm, bq := &ents[k-5], &ents[k-4], &ents[k-3], &ents[k-2], &ents[k-1]
+	st, pa, m1, dc, m2, bn := &ents[s], &ents[s+1], &ents[s+2], &ents[s+3], &ents[s+4], &ents[s+5]
+	col := &tcol{n: latch.rd, cc: cl.rn, a: acc.rd, p: la.rn, h: m1.rm, t: m1.rd,
+		chalf: cl.kind == kLdrhImm, cstep: ca.imm, pstep: pa.imm, tdec: dc.imm,
+		x: ld.rd, i: ld.rn, v: g.rd, b: g.rn,
+		ihalf: ld.kind == kLdrhImm, sub: acc.kind == kSubsReg, istep: in.ops[1].imm,
+		icls: ld.cls, gcls: g.cls,
+		cB: in.totB, cW: in.totW, cFR: in.totFR, cSR: in.totSR, cSW: in.totSW, cN: in.totN, cTaken: in.takenExtra}
+	if (cl.kind != kLdrbImm && cl.kind != kLdrhImm) || cl.imm != 0 || cl.rd != col.n ||
+		ca.kind != kAddsImm8 || ca.rd != col.cc ||
+		la.kind != kLdrImm || la.imm != 0 || la.rd != col.a ||
+		cm.kind != kCmpImm8 || cm.imm != 0 || cm.rn != col.n ||
+		bq.kind != kBCond || bq.cond != 0x0 || bq.tgt != in.next ||
+		st.kind != kStrImm || st.imm != 0 || st.rd != col.a || st.rn != col.p ||
+		pa.kind != kAddsImm8 || pa.rd != col.p ||
+		m1.kind != kMovHi || col.h >= SP ||
+		dc.kind != kSubsImm8 || dc.rd != col.t ||
+		m2.kind != kMovHi || m2.rd != col.h || m2.rm != col.t ||
+		bn.kind != kBCond || bn.cond != 0x1 || bn.tgt != start {
+		return tloop{}, false
+	}
+	roles := [7]uint8{col.n, col.cc, col.a, col.p, col.h, col.i, col.b}
+	for i, r := range roles {
+		if r == col.x || r == col.v || r == col.t {
+			return tloop{}, false
+		}
+		for _, q := range roles[i+1:] {
+			if r == q {
+				return tloop{}, false
+			}
+		}
+	}
+	lp := tloop{head: cl, start: start, next: in.next + 12, kind: loopColumn, col: col,
+		nInstr: 11, totN: 11, takenExtra: refill}
+	for _, f := range [11]struct{ kind, region uint8 }{
+		{cl.kind, RegionFlash}, {kAddsImm8, RegionNone}, {kLdrImm, RegionSRAM}, {kCmpImm8, RegionNone}, {kBCond, RegionNone},
+		{kStrImm, RegionSRAM}, {kAddsImm8, RegionNone}, {kMovHi, RegionNone}, {kSubsImm8, RegionNone}, {kMovHi, RegionNone}, {kBCond, RegionNone},
+	} {
+		b, w, fr, sr, sw, _ := fastFacts(f.kind, f.region, 0)
+		lp.totB, lp.totW, lp.totFR, lp.totSR, lp.totSW = lp.totB+b, lp.totW+w, lp.totFR+fr, lp.totSR+sr, lp.totSW+sw
+	}
+	return lp, true
+}
+
 // runLoop runs the attached table's loop or run i from its head, at the
 // PC, when the budget covers a full pass (a run: all of it), and
 // returns the instructions retired: 0 when the budget does not cover a
@@ -811,6 +950,8 @@ func (c *CPU) runLoop(i uint32, budget uint64) uint64 {
 		return c.execMacLoop(lp, budget)
 	case loopGather:
 		return c.execGatherLoop(lp, budget)
+	case loopColumn:
+		return c.execColumn(lp, budget)
 	}
 	return c.execRun(lp)
 }
@@ -973,22 +1114,8 @@ func (c *CPU) execGatherLoop(lp *tloop, budget uint64) uint64 {
 	moving := len(ops) == 6
 	sub := acc.kind == kSubsReg
 	step, dec, cond := ops[1].imm, latch.imm, latch.cond
-	// Each load reads one region, chosen here: its bytes, base address,
-	// and the exclusive offset limit of an in-bounds access.
-	bus := c.Bus
-	iMem, iBase := bus.Flash, bus.FlashBase
-	if ld.cls == RegionSRAM {
-		iMem, iBase = bus.SRAM, bus.SRAMBase
-	}
-	iLim := uint32(len(iMem))
-	if half {
-		iLim--
-	}
-	gMem, gBase := bus.Flash, bus.FlashBase
-	if g.cls == RegionSRAM {
-		gMem, gBase = bus.SRAM, bus.SRAMBase
-	}
-	gLim := uint32(len(gMem))
+	iMem, iBase, iLim := c.Bus.loadRegion(ld.cls, half)
+	gMem, gBase, gLim := c.Bus.loadRegion(g.cls, false)
 	rx, rp, rv, rb, ra, rn := ld.rd&15, ld.rn&15, g.rd&15, g.rn&15, acc.rd&15, latch.rd&15
 	xv, pv, vv, bv, av, nv := c.R[rx], c.R[rp], c.R[rv], c.R[rb], c.R[ra], c.R[rn]
 	fN, fZ, fC, fV := c.N, c.Z, c.C, c.V
@@ -1047,6 +1174,117 @@ func (c *CPU) execGatherLoop(lp *tloop, budget uint64) uint64 {
 	c.R[rp], c.R[rb], c.R[ra], c.R[rn] = pv, bv, av, nv
 	c.N, c.Z, c.C, c.V = fN, fZ, fC, fV
 	return c.loopExit(lp, k, taken, dev)
+}
+
+// execColumn executes a whole column loop (lowerColumn) in host locals,
+// one column at a time: the count load, the accumulator load, every
+// connection of the gather loop, the accumulator store and the column
+// countdown, with no dispatch and no per-column counter traffic. A
+// column commits only once its count (in flash, ldrh aligned), its
+// accumulator word (in SRAM, word aligned), every index and every
+// gather (in their certified regions) have been read in bounds and its
+// 11 + 6·count instructions fit in the remaining budget; otherwise the
+// executor stops with the PC on the column head, and the dispatcher
+// runs that column per instruction. Only the flags of the last subs
+// T,#d are live at a column boundary. Counters flush once, at exit.
+func (c *CPU) execColumn(lp *tloop, budget uint64) uint64 {
+	col := lp.col
+	bus := c.Bus
+	flash, fBase, cLim := bus.loadRegion(RegionFlash, col.chalf)
+	sram, sBase := bus.SRAM, bus.SRAMBase
+	var aLim uint32
+	if len(sram) >= 4 {
+		aLim = uint32(len(sram)) - 3
+	}
+	iMem, iBase, iLim := bus.loadRegion(col.icls, col.ihalf)
+	gMem, gBase, gLim := bus.loadRegion(col.gcls, false)
+	chalf, ihalf, sub := col.chalf, col.ihalf, col.sub
+	istep := col.istep
+	ccv, pv, hv, iv, bv := c.R[col.cc], c.R[col.p], c.R[col.h], c.R[col.i], c.R[col.b]
+	xv, vv := c.R[col.x], c.R[col.v]
+	var av, hOld uint32 // the last committed column's accumulator and H before its subs
+	var k, conns, empty, used uint64
+	taken := true
+columns:
+	for taken {
+		o := ccv - fBase
+		if o >= cLim || (chalf && ccv&1 != 0) {
+			break
+		}
+		n := uint32(flash[o])
+		if chalf {
+			n |= uint32(flash[o+1]) << 8
+		}
+		need := lp.nInstr + uint64(n)*col.cN
+		ao := pv - sBase
+		if used+need > budget || ao >= aLim || pv&3 != 0 {
+			break
+		}
+		sum := uint32(sram[ao]) | uint32(sram[ao+1])<<8 | uint32(sram[ao+2])<<16 | uint32(sram[ao+3])<<24
+		ip, x, v := iv, xv, vv
+		for j := n; j > 0; j-- {
+			o := ip - iBase
+			if o >= iLim || (ihalf && ip&1 != 0) {
+				break columns
+			}
+			if ihalf {
+				x = uint32(iMem[o]) | uint32(iMem[o+1])<<8
+			} else {
+				x = uint32(iMem[o])
+			}
+			ip += istep
+			o = bv + x - gBase
+			if o >= gLim {
+				break columns
+			}
+			v = uint32(int32(int8(gMem[o])))
+			if sub {
+				sum -= v
+			} else {
+				sum += v
+			}
+		}
+		sram[ao], sram[ao+1], sram[ao+2], sram[ao+3] = byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24)
+		av, iv, xv, vv = sum, ip, x, v
+		ccv += col.cstep
+		pv += col.pstep
+		hOld = hv
+		hv -= col.tdec
+		taken = hv != 0
+		k++
+		conns += uint64(n)
+		if n == 0 {
+			empty++
+		}
+		used += need
+	}
+	if k == 0 {
+		return 0
+	}
+	// T is written last: it may be X or V.
+	c.R[col.x], c.R[col.v] = xv, vv
+	c.R[col.n], c.R[col.a], c.R[col.cc], c.R[col.p], c.R[col.i], c.R[col.h] = 0, av, ccv, pv, iv, hv
+	c.R[col.t] = hv
+	d := col.tdec
+	c.C = hOld >= d
+	c.V = ((hOld^d)&(hOld^hv))>>31 != 0
+	c.N, c.Z = hv&0x8000_0000 != 0, hv == 0
+	takenB := k // bne taken
+	if taken {
+		c.R[PC] = lp.start
+	} else {
+		c.R[PC] = lp.next
+		takenB--
+	}
+	ws := uint64(bus.FlashWaitStates)
+	c.Cycles += k*(lp.totB+lp.totW*ws) + conns*(col.cB+col.cW*ws) +
+		(conns-(k-empty))*col.cTaken + (empty+takenB)*lp.takenExtra
+	bus.FlashReads += k*lp.totFR + conns*col.cFR
+	bus.SRAMReads += k*lp.totSR + conns*col.cSR
+	bus.SRAMWrites += k*lp.totSW + conns*col.cSW
+	n := k*lp.totN + conns*col.cN
+	c.Instructions += n
+	return n
 }
 
 // execRun executes a whole straight-line gather-accumulate run
@@ -1130,6 +1368,21 @@ func condFlags(cond uint8, fN, fZ, fC, fV bool) bool {
 	default:
 		return fZ || fN != fV
 	}
+}
+
+// loadRegion returns the region a loop load reads, flash or (for
+// RegionSRAM) SRAM: its bytes, base address, and the exclusive offset
+// limit of an in-bounds byte access, or halfword access when half.
+func (b *Bus) loadRegion(cls uint8, half bool) (mem []byte, base, lim uint32) {
+	mem, base = b.Flash, b.FlashBase
+	if cls == RegionSRAM {
+		mem, base = b.SRAM, b.SRAMBase
+	}
+	lim = uint32(len(mem))
+	if half {
+		lim--
+	}
+	return mem, base, lim
 }
 
 // MarkRecorder receives the cycle totals at an attached translation

@@ -44,8 +44,9 @@ var fuzzMenu = []string{
 
 // genFuzzProgram renders a certifiable harness from fuzz bytes: a
 // counted inner loop with a byte-chosen body, an optional countdown
-// loop, an optional gather loop (genGatherLoop), an optional call to an
-// unrolled kernel (genUnrolledCall), and a BKPT exit.
+// loop, an optional gather loop (genGatherLoop), an optional column
+// loop (genColumnLoop), an optional call to an unrolled kernel
+// (genUnrolledCall), and a BKPT exit.
 func genFuzzProgram(data []byte) string {
 	rd := func(i int) int { return int(data[i%len(data)]) }
 	trip := rd(1)%15 + 1
@@ -73,6 +74,9 @@ func genFuzzProgram(data []byte) string {
 	var tables, kern string
 	if rd(0)&2 != 0 {
 		tables = genGatherLoop(&b, rd)
+	}
+	if rd(0)&8 != 0 {
+		tables += genColumnLoop(&b, rd)
 	}
 	if rd(0)&4 != 0 {
 		kern = genUnrolledCall(&b, rd)
@@ -181,6 +185,69 @@ func genGatherLoop(b *strings.Builder, rd func(int) int) string {
 	return tables
 }
 
+// genColumnLoop appends the block kernel's column loop around a gather
+// loop (the shape the translated tier runs whole in execColumn) and
+// returns the flash tables it reads. Fuzz bytes choose the count and
+// index widths (ldrb/ldrh), adds/subs, which of X, V and the countdown
+// temporary T share a register, 1-6 columns with counts 0-4, the
+// indices, and the gather base: SRAM's start, or a point near SRAM's
+// end, where large indices leave SRAM in mid-column.
+func genColumnLoop(b *strings.Builder, rd func(int) int) string {
+	mode := rd(104)
+	cw, iw := 1+mode&1, 1+mode>>1&1
+	op := "adds"
+	if mode&4 != 0 {
+		op = "subs"
+	}
+	regs := [4][3]string{{"r5", "r5", "r5"}, {"r5", "r0", "r5"}, {"r5", "r0", "r0"}, {"r0", "r5", "r5"}}[mode>>3&3]
+	counts := make([]string, rd(105)%6+1)
+	maxc, conns := 1, 0
+	for i := range counts {
+		n := rd(106+i) % 5
+		counts[i] = fmt.Sprint(n)
+		maxc, conns = max(maxc, n), conns+n
+	}
+	idx := []string{"0"} // a table is never empty
+	for j := 0; j < conns; j++ {
+		n := rd(112 + j)
+		if iw == 2 {
+			n |= rd(140+j) << 8 & 0x3fff
+		}
+		idx = append(idx, fmt.Sprint(n))
+	}
+	base := "0x20000000"
+	if mode&32 != 0 {
+		base = "0x20003f80"
+	}
+	dirs := map[int][2]string{1: {"ldrb", ".byte"}, 2: {"ldrh", ".hword"}}
+	fmt.Fprintf(b, "\tldr r3, =ctab\n\tldr r4, =itab\n\tldr r1, =%s\n\tldr r2, =0x20000200\n", base)
+	fmt.Fprintf(b, "\tldr r0, =%d\n\tmov r11, r0\n", len(counts))
+	fmt.Fprintf(b, `cloop:
+	%s r6, [r3]            @ asmcheck: load flash
+	adds r3, #%d
+	ldr r7, [r2]
+	cmp r6, #0
+	beq cstore
+ckloop:
+	%s %s, [r4]            @ asmcheck: load flash
+	adds r4, #%d
+	ldrsb %s, [r1, %s]     @ asmcheck: load sram
+	%s r7, r7, %s
+	subs r6, #1
+	bne ckloop             @ asmcheck: loop %d
+cstore:
+	str r7, [r2]
+	adds r2, #4
+	mov %s, r11
+	subs %s, #1
+	mov r11, %s
+	bne cloop              @ asmcheck: loop %d
+`, dirs[cw][0], cw, dirs[iw][0], regs[0], iw, regs[1], regs[0], op, regs[1], maxc,
+		regs[2], regs[2], regs[2], len(counts))
+	return "\t.align 4\nctab:\n\t" + dirs[cw][1] + " " + strings.Join(counts, ", ") + "\n" +
+		"\t.align 4\nitab:\n\t" + dirs[iw][1] + " " + strings.Join(idx, ", ") + "\n"
+}
+
 func FuzzTranslateParity(f *testing.F) {
 	// Seeds: MAC-loop body, store-heavy body, ALU-only body, both-loops,
 	// and a degenerate single-iteration case.
@@ -204,6 +271,19 @@ func FuzzTranslateParity(f *testing.F) {
 	// gather loop and an unrolled kernel.
 	f.Add([]byte{6, 9, 2, 4, 3, 1, 0, 5, 7, 8, 11, 2, 1, 6, 3, 4})
 	f.Add([]byte{7, 9, 2, 4, 3, 1, 0, 5, 7, 8, 11, 2, 1, 6, 3, 5})
+	// Column loops (bit 3 of the first byte), alone, after a gather loop
+	// and before an unrolled kernel, at every wait-state setting.
+	for i, first := range []byte{8, 9, 10, 11, 13, 24} {
+		r := rng.New(uint64(200 + i))
+		data := make([]byte, 170)
+		for j := range data {
+			data[j] = byte(r.Intn(256))
+		}
+		// A gather loop before the column loop reads ldrb indices from
+		// SRAM's start, so it cannot fault first.
+		data[0], data[12], data[26] = first, data[12]&^1, 0
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip("empty input")

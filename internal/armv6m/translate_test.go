@@ -385,23 +385,28 @@ func translateProg(t testing.TB, prog *thumb.Program, c *cert.Certificate) *armv
 // TestTranslateLoopCoverage pins which loops and runs the fast path
 // carries: the dense kernel's inner loop must lower to one whole-loop
 // MAC executor, every block, mixed and delta kernel's two inner loops
-// (one per polarity pass) to whole-loop gather executors, every
-// unrolled kernel to at least one straight-line run, and the csc,
-// requant and im2col kernels to a table with no loop — which must
+// (one per polarity pass) to whole-loop gather executors, the block and
+// mixed kernels' two column loops around them to column executors,
+// every unrolled kernel to at least one straight-line run, and the
+// csc, requant and im2col kernels to a table with no loop — which must
 // still exist, so the translated tier is honoured for every certified
-// image. No kernel but the unrolled ones has a run. If a refactor
-// silently demotes a hot loop or run to per-instruction dispatch, this
-// fails before the benchmark regression does.
+// image. No kernel but the unrolled ones has a run, and none but the
+// block and mixed ones a column loop. If a refactor silently demotes a
+// hot loop or run to per-instruction dispatch, this fails before the
+// benchmark regression does.
 func TestTranslateLoopCoverage(t *testing.T) {
 	seen := map[string]int{}
 	for _, v := range kernels.Variants() {
 		var kind string
-		var mac, gather int
+		var mac, gather, columns int
 		switch {
 		case v.Name == "k_dense":
 			kind, mac = "dense", 1
 		case gatherKernel(v.Name):
 			kind, gather = "gather", 2
+			if !strings.HasPrefix(v.Name, "k_delta_") {
+				columns = 2
+			}
 		case unrolledKernel(v.Name):
 			kind = "unrolled"
 		case strings.HasPrefix(v.Name, "k_csc_"), v.Name == "k_requant", v.Name == "k_im2col":
@@ -418,6 +423,9 @@ func TestTranslateLoopCoverage(t *testing.T) {
 		if tt.MacLoops() != mac || tt.GatherLoops() != gather {
 			t.Errorf("%s: %d MAC loops, %d gather loops; want %d and %d",
 				v.Name, tt.MacLoops(), tt.GatherLoops(), mac, gather)
+		}
+		if tt.Columns() != columns {
+			t.Errorf("%s: %d column loops; want %d", v.Name, tt.Columns(), columns)
 		}
 		if (tt.Runs() > 0) != (kind == "unrolled") {
 			t.Errorf("%s: %d straight-line runs; want them exactly on unrolled kernels", v.Name, tt.Runs())

@@ -70,22 +70,17 @@ echo "== translation parity (certified-loop fast path bit-identical to the fetch
 # telemetry parity, budget lockstep, holed-certificate and stale-table
 # fallback, device/farm tier selection, and the fuzz seeds (the full
 # corpus replays in the plain `go test` stages above), then 15 s of
-# fuzzing that reaches the whole-loop MAC and gather executors. A
-# package where the pattern matches no test fails the stage, so a
-# renamed test cannot drop out silently.
-for pkg in ./internal/armv6m/ ./internal/device/ ./internal/farm/; do
-	n=$(go test -list 'TestTranslate|TestTier|FuzzTranslateParity' "$pkg" | grep -cE '^(Test|Fuzz)' || true)
-	if [ "$n" -eq 0 ]; then
-		echo "no TestTranslate/TestTier/FuzzTranslateParity test in $pkg" >&2
-		exit 1
-	fi
-done
-# The straight-line run executor's tests must be there too.
-n=$(go test -list 'TestTranslateSweep' ./internal/armv6m/ | grep -cE '^Test' || true)
-if [ "$n" -eq 0 ]; then
-	echo "no TestTranslateSweep test in ./internal/armv6m/" >&2
-	exit 1
-fi
+# fuzzing that reaches the whole-loop MAC, gather and column executors
+# and the straight-line runs. Every test of the stage is listed by its
+# exact name (scripts/require-tests.sh), so a renamed test fails the
+# stage instead of dropping out silently.
+sh scripts/require-tests.sh ./internal/armv6m/ TestTranslateParityKernels TestTranslateParityTelemetry \
+	TestTranslateBudgetLockstep TestTranslateFallbackMidRun TestTranslateStaleTableFallsBack \
+	TestTranslateLoopCoverage TestTranslateGatherDeviation TestTranslateFirstOpDeviation \
+	TestTranslateColumnParity TestTranslateSweepParityVariants TestTranslateSweepParityRandom \
+	TestTranslateSweepLeavesSRAM TestTranslateSweepCertificate TestTranslateSweepExitFlags FuzzTranslateParity
+sh scripts/require-tests.sh ./internal/device/ TestTierParityAndSelection
+sh scripts/require-tests.sh ./internal/farm/ TestTierTranslatedEveryEncoding TestTierParityAcrossFarm
 go test -run 'TestTranslate|TestTier|FuzzTranslateParity' -count=1 \
 	./internal/armv6m/ ./internal/device/ ./internal/farm/
 go test -run '^$' -fuzz FuzzTranslateParity -fuzztime 15s ./internal/armv6m/
@@ -100,15 +95,11 @@ echo "== engine parity (table-driven and on-demand cores bit-identical to the fe
 # SysTick preemption, tracing and wait states; TestDecodeAgreesWithEmulator
 # pins Decode (the disassembler's and asmcheck's view) to the emulator's
 # fault entries and trace classes over every first halfword; then 15 s
-# of FuzzPredecodeParity on all three cores. Each of the four names
-# must match a test, so a renamed test cannot drop out silently.
-for pat in TestPredecodeParity TestPredecodeRunParity TestDecodeAgreesWithEmulator FuzzPredecodeParity; do
-	n=$(go test -list "^$pat" ./internal/armv6m/ | grep -cE '^(Test|Fuzz)' || true)
-	if [ "$n" -eq 0 ]; then
-		echo "no $pat test in ./internal/armv6m/" >&2
-		exit 1
-	fi
-done
+# of FuzzPredecodeParity on all three cores. Each test is listed by its
+# exact name, so a renamed test cannot drop out silently.
+sh scripts/require-tests.sh ./internal/armv6m/ TestPredecodeParityKernels TestPredecodeParitySysTick \
+	TestPredecodeParityTrace TestPredecodeParityWaitStates TestPredecodeRunParity \
+	TestDecodeAgreesWithEmulator FuzzPredecodeParity
 go test -run 'TestPredecodeParity|TestPredecodeRunParity|TestDecodeAgreesWithEmulator|FuzzPredecodeParity' -count=1 ./internal/armv6m/
 go test -run '^$' -fuzz FuzzPredecodeParity -fuzztime 15s -fuzzminimizetime 2s ./internal/armv6m/
 
@@ -127,15 +118,11 @@ echo "== unrolled generator == text oracle (byte identity, fuzz seeds + dense an
 # further. TestOptimizerGolden pins the SHA-256 of Unrolled's output,
 # so the deployed unrolled bytes cannot move. TestUnrolledFourDominates
 # pins why the encoding search probes only unrolled/4: it never loses
-# to unrolled/1 or /2 on WCET or flash. Each of the three oracle names
-# must match a test, so a renamed test cannot drop out silently.
-for pat in TestUnrolledMatchesOracle FuzzOptimizerParity TestOptimizerGolden; do
-	n=$(go test -list "^$pat\$" ./internal/kernels/ | grep -cE '^(Test|Fuzz)' || true)
-	if [ "$n" -eq 0 ]; then
-		echo "no $pat test in ./internal/kernels/" >&2
-		exit 1
-	fi
-done
+# to unrolled/1 or /2 on WCET or flash. Each test is listed by its
+# exact name, so a renamed test cannot drop out silently.
+sh scripts/require-tests.sh ./internal/kernels/ TestUnrolledMatchesOracle FuzzOptimizerParity \
+	TestOptimizerParityDense TestUnrolledParityWide TestOptimizerGolden
+sh scripts/require-tests.sh ./internal/modelimg/ TestUnrolledFourDominates
 go test -run 'TestUnrolledMatchesOracle|FuzzOptimizerParity|TestOptimizerParityDense|TestUnrolledParityWide|TestOptimizerGolden' -count=1 ./internal/kernels/
 go test -run 'TestUnrolledFourDominates' -count=1 ./internal/modelimg/
 
@@ -151,15 +138,11 @@ echo "== build byte identity (dense CFG recovery == map-based oracle, golden ima
 # TestAnnotation* checks the scanner against the two regexps it
 # replaced. Then 15 s of FuzzCheck, which checks the same CFG parity
 # on raw, overlapping and truncated code (a short minimization keeps a
-# new input from stalling the run). A package where the pattern matches
-# no test fails the stage.
-for pkg in ./internal/asmcheck/ ./internal/modelimg/ ./internal/thumb/; do
-	n=$(go test -list 'TestCFGMatchesOracle|TestBuildGolden|TestAnnotation' "$pkg" | grep -cE '^Test' || true)
-	if [ "$n" -eq 0 ]; then
-		echo "no TestCFGMatchesOracle/TestBuildGolden/TestAnnotation test in $pkg" >&2
-		exit 1
-	fi
-done
+# new input from stalling the run). Each test is listed by its exact
+# name.
+sh scripts/require-tests.sh ./internal/asmcheck/ TestCFGMatchesOracle
+sh scripts/require-tests.sh ./internal/modelimg/ TestBuildGolden
+sh scripts/require-tests.sh ./internal/thumb/ TestAnnotationScanner TestAnnotationAssemble
 go test -run 'TestCFGMatchesOracle|TestBuildGolden|TestAnnotation' -count=1 \
 	./internal/asmcheck/ ./internal/modelimg/ ./internal/thumb/
 go test -run '^$' -fuzz FuzzCheck -fuzztime 15s -fuzzminimizetime 2s ./internal/asmcheck/
@@ -170,13 +153,11 @@ echo "== encoding search exactness (Pareto-frontier search == exhaustive oracle,
 # seeded models with 1-7 ternary layers, flash-pressure models and the
 # seven-layer case the old greedy fallback got wrong; the flash lower
 # bound the search skips builds by stays at or below every real image;
-# and an undeployable layer reports its most compact candidate. The
-# stage fails when the pattern matches no test.
-n=$(go test -list 'TestSearch|TestAutoSearch' ./internal/modelimg/ | grep -cE '^Test' || true)
-if [ "$n" -eq 0 ]; then
-	echo "no TestSearch/TestAutoSearch test in ./internal/modelimg/" >&2
-	exit 1
-fi
+# and an undeployable layer reports its most compact candidate. Each
+# test is listed by its exact name.
+sh scripts/require-tests.sh ./internal/modelimg/ TestSearchMatchesOracle TestSearchMatchesOracleSevenLayers \
+	TestSearchSevenLayerFlashPressure TestSearchFlashBoundSound TestSearchNotDeployableNamesMostCompact \
+	TestSearchNotDeployableAnyMix TestSearchEncodingsRoundTrip TestAutoSearchNeverDominated
 go test -run 'TestSearch|TestAutoSearch' -count=1 ./internal/modelimg/
 
 echo "== layer attribution parity (boundary marks on the fast path == trace-hook oracle == telemetry twin)"
@@ -191,17 +172,11 @@ echo "== layer attribution parity (boundary marks on the fast path == trace-hook
 # (TestRunBoundaries*, TestTranslateMarks*), and random marks must change
 # nothing against the fetch/decode oracle (FuzzTranslateParity seeds);
 # MeasureLayers must equal the twin's farm aggregate and MeasureEnergy
-# must price the deployed cycles, under concurrent callers. The stage
-# fails when a pattern matches no test in its package.
-for spec in 'TestHostLayerSpansOracle ./internal/telemetry/' 'TestRunBoundariesRefuses ./internal/device/' \
-	'TestTranslateMarksRefuse ./internal/armv6m/' 'TestTranslateMarks$ ./internal/armv6m/' 'FuzzTranslateParity ./internal/armv6m/'; do
-	set -- $spec
-	n=$(go test -list "^$1" "$2" | grep -cE '^(Test|Fuzz)' || true)
-	if [ "$n" -eq 0 ]; then
-		echo "no $1 test in $2" >&2
-		exit 1
-	fi
-done
+# must price the deployed cycles, under concurrent callers. The gated
+# tests are listed by their exact names.
+sh scripts/require-tests.sh ./internal/telemetry/ TestHostLayerSpansOracle
+sh scripts/require-tests.sh ./internal/device/ TestRunBoundariesRefuses
+sh scripts/require-tests.sh ./internal/armv6m/ TestTranslateMarksRefuse TestTranslateMarks FuzzTranslateParity
 go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy|TestHostLayerSpansOracle|TestRunBoundaries|TestTranslateMarks|FuzzTranslateParity' \
 	./internal/telemetry/ ./internal/device/ ./internal/armv6m/ .
 
@@ -219,15 +194,12 @@ echo "== training bit-identity (sparse ternary kernels == dense GEMMs, QAT step 
 # parameters and SaveModel bytes, pinned from the dense kernels they
 # replaced (the 784-input case exercises Adam's split). -cpu 1,4 shows the row split
 # never moves a bit; the race run covers the goroutines MatMulTernary,
-# MatMulAT and Adam start. A package where the pattern matches no test
-# fails the stage.
-for pkg in ./internal/tensor/ ./internal/encoding/ ./internal/quant/ ./internal/nn/ .; do
-	n=$(go test -list 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestMatMulAT|TestApplyMatchesSwitchReference|TestTernaryForwardMatchesApply|TestAdamSplitMatchesSerial|TestFitFewerRowsThanBatch|TestTrainingGolden' "$pkg" | grep -cE '^Test' || true)
-	if [ "$n" -eq 0 ]; then
-		echo "no training bit-identity test in $pkg" >&2
-		exit 1
-	fi
-done
+# MatMulAT and Adam start. Each test is listed by its exact name.
+sh scripts/require-tests.sh ./internal/tensor/ TestTernaryKernelsMatchDense TestTernarizeThreshold TestMatMulAT
+sh scripts/require-tests.sh ./internal/encoding/ TestApplyMatchesSwitchReference
+sh scripts/require-tests.sh ./internal/quant/ TestTernaryForwardMatchesApply
+sh scripts/require-tests.sh ./internal/nn/ TestAdamSplitMatchesSerial TestFitFewerRowsThanBatch
+sh scripts/require-tests.sh . TestTrainingGolden
 go test -run 'TestTernaryKernelsMatchDense|TestTernarizeThreshold|TestMatMulAT|TestApplyMatchesSwitchReference|TestTernaryForwardMatchesApply|TestAdamSplitMatchesSerial|TestFitFewerRowsThanBatch|TestTrainingGolden' \
 	-count=1 -cpu 1,4 ./internal/tensor/ ./internal/encoding/ ./internal/quant/ ./internal/nn/ .
 go test -race -count=10 ./internal/nn/ ./internal/tensor/
@@ -281,11 +253,7 @@ echo "== metricscheck"
 go run ./cmd/metricscheck bench_quick.json
 # The gate's own reader: a repeated experiment name must fail both the
 # validator and the comparison instead of one record hiding the other.
-n=$(go test -list 'TestMetricsGateRejectsDuplicateNames' ./internal/bench/ | grep -cE '^Test' || true)
-if [ "$n" -eq 0 ]; then
-	echo "no TestMetricsGateRejectsDuplicateNames test in ./internal/bench/" >&2
-	exit 1
-fi
+sh scripts/require-tests.sh ./internal/bench/ TestMetricsGateRejectsDuplicateNames
 go test -run 'TestMetricsGateRejectsDuplicateNames' -count=1 ./internal/bench/
 
 echo "== timeline-smoke (neuroc-timeline/v1 shape + span-tree invariants)"
