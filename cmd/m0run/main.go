@@ -39,18 +39,6 @@
 //
 //	m0run -model model.ncq1 -checked
 //	m0run -model model.ncq1 -batch inputs.raw -checked
-//
-// Execution tiers (see docs/EMULATOR.md): -tier pins the emulator tier
-// (auto, legacy, predecoded, translated). All tiers run the same
-// instruction handlers and are bit-identical; they differ only in host
-// speed (legacy decodes every fetch on demand instead of using the
-// decode-once table). Combinations that cannot honor the
-// requested tier are audited up front: tracing flags downgrade
-// -tier translated with a stderr notice, and meaningless combinations
-// (-tier translated -checked) are rejected:
-//
-//	m0run -model model.ncq1 -tier translated
-//	m0run -model model.ncq1 -batch inputs.raw -tier translated -j 8
 package main
 
 import (
@@ -97,7 +85,6 @@ func main() {
 	layers := flag.Bool("layers", false, "build with on-device telemetry markers and print per-layer cycle attribution (requires -model; with -batch, aggregated across the batch)")
 	energyRep := flag.Bool("energy", false, "price the measured cycles with the board's calibrated energy model and print a per-layer µJ report (requires -model; implies telemetry markers; with -batch, aggregated across the batch)")
 	energyJSON := flag.String("energy-json", "", "write the neuroc-energy/v1 report as JSON to this file (requires -energy)")
-	tierFlag := flag.String("tier", "auto", "execution tier: auto (fastest available), legacy (no table: decode every fetch on demand), predecoded, or translated (requires a certified image)")
 	batch := flag.String("batch", "", "raw file of concatenated input records (model input dim each): run all of them on the board farm (requires -model)")
 	workers := flag.Int("j", 0, "board-farm workers for -batch (0 = all host cores); results are bit-identical for any value")
 	listen := flag.String("listen", "", "serve live batch metrics over HTTP on this address while -batch runs (/metrics Prometheus text, /metrics.json snapshot)")
@@ -133,18 +120,7 @@ func main() {
 	if *listen != "" && *batch == "" {
 		fatal(fmt.Errorf("-listen requires -batch: live metrics are published per farm item"))
 	}
-	tier, err := device.ParseTier(*tierFlag)
-	if err != nil {
-		fatal(err)
-	}
 	profiling := *prof || *traceN > 0 || *folded != "" || *profJSON != ""
-	effTier, tierNotices, err := tierAudit(tier, *checked, profiling, *model != "")
-	if err != nil {
-		fatal(err)
-	}
-	for _, n := range tierNotices {
-		fmt.Fprintln(os.Stderr, "m0run:", n)
-	}
 	if *batch != "" {
 		if conflicts := batchFlagConflicts(*prof, *traceN, *folded, *profJSON, *in, *dumpAddr); len(conflicts) != 0 {
 			fatal(fmt.Errorf("-batch is incompatible with %s: the farm runs boards in parallel without "+
@@ -195,7 +171,7 @@ func main() {
 		if image == nil {
 			fatal(fmt.Errorf("-batch requires -model (the input record size is the model's input dimension)"))
 		}
-		runBatch(image, *batch, *workers, *maxInstr, *ws, effTier, *checked, *energyRep, *energyJSON, *timelineFlag, *listen)
+		runBatch(image, *batch, *workers, *maxInstr, *ws, *checked, *energyRep, *energyJSON, *timelineFlag, *listen)
 		return
 	}
 
@@ -220,15 +196,6 @@ func main() {
 		}
 	}
 	cpu.Bus.FlashWaitStates = *ws
-
-	// tierAudit has already rejected or downgraded every combination the
-	// tier could not honour.
-	switch effTier {
-	case device.TierLegacy:
-		cpu.DisablePredecode = true
-	case device.TierPredecoded:
-		cpu.DisableTranslation = true
-	}
 
 	var trace *armv6m.Trace
 	if profiling || *checked {
@@ -432,49 +399,18 @@ func writeTo(path string, emit func(w io.Writer) error) {
 	fmt.Fprintf(os.Stderr, "m0run: wrote %s\n", path)
 }
 
-// runTierName reports the tier the run actually executed on, so the
-// printed host-throughput figures are never attributed to a tier that
-// silently fell back.
+// runTierName reports the tier the run actually executed on: a traced
+// run retires through the tracing interpreter, and the fast path needs
+// a certificate's translation table.
 func runTierName(cpu *armv6m.CPU, traced bool) string {
 	switch {
-	case cpu.DisablePredecode:
-		return "legacy"
 	case traced:
 		return "predecoded (tracing interpreter)"
-	case cpu.TranslationAttached() && !cpu.DisableTranslation:
+	case cpu.TranslationAttached():
 		return "translated"
 	default:
 		return "predecoded"
 	}
-}
-
-// tierAudit validates -tier against the observability flags before
-// anything runs, the same way batchFlagConflicts audits -batch. Three
-// outcomes: the tier is honored; it is downgraded with a stderr notice
-// when a tracing flag forces the stepping interpreter (which cannot
-// retire through the translated tier); or the combination is rejected
-// outright as meaningless. Pure so main_test.go can table-test it.
-func tierAudit(tier device.Tier, checked, profiling, haveModel bool) (device.Tier, []string, error) {
-	if tier != device.TierTranslated {
-		return tier, nil, nil
-	}
-	if checked {
-		return "", nil, fmt.Errorf("-tier translated is incompatible with -checked: checked execution " +
-			"validates the tracing interpreter against the very certificate the translated tier is " +
-			"compiled from; drop one of the flags")
-	}
-	if !haveModel {
-		return "", nil, fmt.Errorf("-tier translated requires -model: raw -img files carry no " +
-			"neuroc-cert/v1 certificate to translate")
-	}
-	if profiling {
-		return device.TierPredecoded, []string{
-			"-trace/-profile/-folded/-profile-json retire through the tracing interpreter; running on " +
-				"the predecoded tier, NOT the requested translated tier (reported host MIPS are the " +
-				"traced path's)",
-		}, nil
-	}
-	return tier, nil, nil
 }
 
 // batchFlagConflicts lists the single-run observability flags that are
@@ -509,7 +445,7 @@ func batchFlagConflicts(prof bool, traceN uint64, folded, profJSON, in, dumpAddr
 // per-input predictions, cycle counts, and aggregate statistics. A
 // budget-exhausted or faulting input exits non-zero after the whole
 // batch is reported (one bad input never hides the others).
-func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, ws int, tier device.Tier, checked, energyRep bool, energyJSON, timelinePath, listen string) {
+func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, ws int, checked, energyRep bool, energyJSON, timelinePath, listen string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -527,15 +463,10 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 		}
 		inputs[i] = in
 	}
-	tierLabel := string(tier)
-	if tier == device.TierAuto {
-		tierLabel = "auto"
-	}
 	opts := farm.Options{
 		Workers: workers,
 		Budget:  maxInstr,
 		Checked: checked,
-		Tier:    tier,
 		Configure: func(d *device.Device) {
 			d.CPU.Bus.FlashWaitStates = ws
 		},
@@ -555,7 +486,7 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 		if w <= 0 {
 			w = runtime.NumCPU()
 		}
-		col.StartBatch(len(inputs), w, tierLabel)
+		col.StartBatch(len(inputs), w, "auto")
 		opts.Observe = func(i int, res *farm.Result) {
 			col.Observe(res.Cycles, res.HostDurNS, res.Err != nil, res.TelemetryDropped)
 			if image.Telemetry && res.Err == nil {
@@ -583,10 +514,7 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 	}
 	fmt.Printf("batch: %d inputs, %d failed, %d workers, wall %v (%.0f inf/s)\n",
 		stats.Items, stats.Failed, stats.Workers, stats.Wall.Round(time.Millisecond), stats.Throughput())
-	tierName := string(tier)
-	if tier == device.TierAuto {
-		tierName = "auto"
-	}
+	tierName := "auto"
 	if checked {
 		tierName += " (checked: tracing interpreter)"
 	}
@@ -622,7 +550,7 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 			em := device.EnergyModel()
 			tl, err := telemetry.BuildTimeline(image, results, telemetry.TimelineConfig{
 				FlashWaitStates: ws,
-				Tier:            tierLabel,
+				Tier:            "auto",
 				Energy:          &em,
 				IncludeWall:     true,
 			})

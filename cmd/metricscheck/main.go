@@ -1,24 +1,23 @@
 // Command metricscheck validates and compares metrics JSON files
 // emitted by `neuroc-bench -metrics` (neuroc-metrics/v1).
 //
-// Validate one file — it must parse, carry the schema, and every
-// experiment record must contain the required keys. Energy keys
-// (uj_per_inference, the energy calibration block, per-layer uj) are
-// optional but type-checked wherever present: each must be a finite,
-// non-negative JSON number, so a NaN-as-string or negative figure fails
-// validation rather than flowing into downstream tooling:
+// Validate one file — it must parse, carry the schema, define no key
+// the schema does not, and every experiment record must contain the
+// required keys. Energy keys (uj_per_inference, the energy calibration
+// block, per-layer uj) are optional but type-checked wherever present:
+// each must be a finite, non-negative JSON number, so a NaN-as-string or
+// negative figure fails validation rather than flowing into downstream
+// tooling:
 //
 //	metricscheck bench_quick.json
 //
-// Compare a fresh run against a committed baseline — deterministic keys
-// (cycle counts, instructions, accuracy, footprints, per-layer cycles,
-// and the energy keys, which are priced from exact cycle counts by a
-// fixed model) must match EXACTLY; host wall-clock keys (wall_ms,
-// infers_per_sec, speedup, host_mips, predecode_build_ms) are checked
-// against a relative band, or ignored when -tolerance is 0:
+// Compare a fresh run against a committed baseline — every key is
+// deterministic (cycle counts, instructions, accuracy, footprints,
+// per-layer cycles, and the energy keys, which are priced from exact
+// cycle counts by a fixed model) and must match EXACTLY. Host speed is
+// not in the document; cmd/neuroc-perf measures it over repeated runs:
 //
 //	metricscheck -compare BENCH_BASELINE.json bench_quick.json
-//	metricscheck -compare -tolerance 0.5 old.json new.json
 //
 // Validate a run-timeline document (neuroc-timeline/v1, emitted by
 // `neuroc-bench -timeline` / `m0run -timeline`) — schema, the Chrome
@@ -44,11 +43,10 @@ import (
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two metrics files: baseline then candidate")
-	tolerance := flag.Float64("tolerance", 0, "relative band for wall-clock keys under -compare (0.5 = ±50%; 0 ignores them)")
 	timeline := flag.Bool("timeline", false, "validate a neuroc-timeline/v1 trace instead of a metrics file")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: metricscheck metrics.json")
-		fmt.Fprintln(os.Stderr, "       metricscheck -compare [-tolerance F] baseline.json candidate.json")
+		fmt.Fprintln(os.Stderr, "       metricscheck -compare baseline.json candidate.json")
 		fmt.Fprintln(os.Stderr, "       metricscheck -timeline timeline.json")
 		flag.PrintDefaults()
 	}
@@ -78,7 +76,7 @@ func main() {
 			os.Exit(2)
 		}
 		baseline, candidate := mustValidate(args[0]), mustValidate(args[1])
-		if err := bench.CompareMetricsJSON(baseline, candidate, *tolerance); err != nil {
+		if err := bench.CompareMetricsJSON(baseline, candidate); err != nil {
 			fmt.Fprintf(os.Stderr, "metricscheck: %s vs %s: %v\n", args[0], args[1], err)
 			os.Exit(1)
 		}

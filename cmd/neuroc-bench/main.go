@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"github.com/neuro-c/neuroc/internal/bench"
-	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/modelimg"
 	"github.com/neuro-c/neuroc/internal/obs"
 	"github.com/neuro-c/neuroc/internal/report"
@@ -77,7 +76,7 @@ var experiments = []struct {
 	{"cores", "same image on Cortex-M0 vs Cortex-M0+ profiles", func(r *bench.Runner, w io.Writer) {
 		r.Cores().Fprint(w)
 	}},
-	{"farm", "board-farm parallel on-emulator test-set accuracy + speedup", func(r *bench.Runner, w io.Writer) {
+	{"farm", "board-farm parallel on-emulator test-set accuracy", func(r *bench.Runner, w io.Writer) {
 		r.FarmBench().Fprint(w)
 	}},
 }
@@ -90,7 +89,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	metrics := flag.String("metrics", "", "write structured per-experiment metrics JSON to this file")
 	workers := flag.Int("j", 0, "board-farm workers for device measurements (0 = all host cores); results are bit-identical for any value")
-	tierFlag := flag.String("tier", "auto", "emulator execution tier for device measurements (auto, legacy, predecoded, translated); results are bit-identical for any tier")
 	encFlag := flag.String("encoding", "block", "deployment encoding for model experiments (block, csc, delta, mixed, unrolled, auto)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a host pprof heap profile to this file on exit")
@@ -112,17 +110,12 @@ func main() {
 		return
 	}
 
-	tier, err := device.ParseTier(*tierFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "neuroc-bench:", err)
-		os.Exit(1)
-	}
 	enc, err := modelimg.ParseEncoding(*encFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "neuroc-bench:", err)
 		os.Exit(1)
 	}
-	cfg := bench.Config{Quick: *quick, Seed: *seed, Workers: *workers, Tier: tier, Encoding: enc}
+	cfg := bench.Config{Quick: *quick, Seed: *seed, Workers: *workers, Encoding: enc}
 	if *verbose {
 		cfg.Log = os.Stderr
 	}

@@ -32,19 +32,6 @@ type Deployment struct {
 	// farm only changes host wall-clock time.
 	Workers int
 
-	// Tier pins the emulator execution tier for batch evaluations
-	// (device.Tier: legacy decodes every fetch on demand, predecoded
-	// runs from the decode-once table, translated adds the certified
-	// loops; all run the same instruction handlers). The zero value
-	// keeps the fastest available tier. Profile is a traced
-	// single-board run: it always retires through the tracing
-	// interpreter regardless of Tier — its attribution needs
-	// per-instruction hooks the translated tier cannot provide.
-	// MeasureLayers and MeasureEnergy run untraced on a private board on
-	// the translated fast path regardless of Tier: the layer-boundary
-	// marks they read live in the translation table.
-	Tier device.Tier
-
 	// Observe, when non-nil, is passed to every batch evaluation's farm
 	// run (farm.Options.Observe): the live-metrics hook. It is called
 	// concurrently from the farm workers and must be safe for that; nil
@@ -110,7 +97,7 @@ func (d *Deployment) testInputs(ds *Dataset, first, n int) ([][]int8, error) {
 // runFarm evaluates inputs on fi across the board farm with the
 // deployment's batch options.
 func (d *Deployment) runFarm(fi *device.FlashImage, inputs [][]int8) ([]farm.Result, *farm.Stats, error) {
-	return farm.Run(fi, inputs, farm.Options{Workers: d.Workers, Tier: d.Tier, Observe: d.Observe})
+	return farm.Run(fi, inputs, farm.Options{Workers: d.Workers, Observe: d.Observe})
 }
 
 // QuantizedSizeBytes estimates the flash footprint without building the

@@ -71,9 +71,18 @@ func genFuzzProgram(data []byte) string {
 		b.WriteString("\tsubs r7, #1\n")
 		fmt.Fprintf(&b, "\tbne loop2              @ asmcheck: loop %d\n", down)
 	}
-	var tables, kern string
+	// A gather loop that can fault goes after the column loop and the
+	// unrolled call, so its fault never keeps them from running.
+	var tables, kern, late string
 	if rd(0)&2 != 0 {
-		tables = genGatherLoop(&b, rd)
+		var g strings.Builder
+		var faults bool
+		tables, faults = genGatherLoop(&g, rd)
+		if faults {
+			late = g.String()
+		} else {
+			b.WriteString(g.String())
+		}
 	}
 	if rd(0)&8 != 0 {
 		tables += genColumnLoop(&b, rd)
@@ -81,6 +90,7 @@ func genFuzzProgram(data []byte) string {
 	if rd(0)&4 != 0 {
 		kern = genUnrolledCall(&b, rd)
 	}
+	b.WriteString(late)
 	b.WriteString("\tbkpt #0\n\t.pool\n")
 	b.WriteString(kern)
 	b.WriteString(tables)
@@ -111,7 +121,7 @@ func genUnrolledCall(b *strings.Builder, rd func(int) int) string {
 
 // genGatherLoop appends the ternary kernels' gather loop (the shape the
 // translated tier runs whole in execGatherLoop) and returns the flash
-// tables it reads. Fuzz bytes choose the index width (ldrb/ldrh), the
+// tables it reads and whether the loop can fault. Fuzz bytes choose the index width (ldrb/ldrh), the
 // index table's region (flash, or SRAM filled by proven stores), the
 // optional moving base, adds/subs, X == V, the trip count, and the
 // indices. The gather base is SRAM's start, a point near SRAM's end
@@ -119,7 +129,7 @@ func genUnrolledCall(b *strings.Builder, rd func(int) int) string {
 // slot and certified as SRAM by annotation (every gather deviates); an
 // odd ldrh stride misaligns the second index load. So some loops run
 // clean, and others leave their certified facts at either load.
-func genGatherLoop(b *strings.Builder, rd func(int) int) string {
+func genGatherLoop(b *strings.Builder, rd func(int) int) (tables string, faults bool) {
 	mode := rd(12)
 	width := 1 + mode&1
 	moving := mode&4 != 0
@@ -132,6 +142,13 @@ func genGatherLoop(b *strings.Builder, rd func(int) int) string {
 		v = "r5"
 	}
 	count := rd(13)%6 + 1
+	// The gathers' offsets into their region: SRAM's start or a point
+	// near its end, or for the flash table a bound on its offset (the
+	// harness image ends within its first 16 KB).
+	off, limit := []int{0, 0x3f80, certBase - armv6m.FlashBase + 0x4000}[rd(26)%3], armv6m.SRAMSize
+	if rd(26)%3 == 2 {
+		limit = armv6m.FlashSize
+	}
 	idx := make([]string, count)
 	for i := range idx {
 		n := rd(14 + i)
@@ -139,15 +156,20 @@ func genGatherLoop(b *strings.Builder, rd func(int) int) string {
 			n |= rd(20+i) << 8 & 0x7fff
 		}
 		idx[i] = fmt.Sprint(n)
+		faults = faults || off+n >= limit
+		if moving {
+			off += n
+		}
 	}
 	ld, dir, step := "ldrb", ".byte", width
 	if width == 2 {
 		ld, dir = "ldrh", ".hword"
 		if mode&32 != 0 {
 			step = 3
+			faults = faults || count > 1
 		}
 	}
-	tables := "\t.align 4\ngtbl:\n\t" + dir + " " + strings.Join(idx, ", ") + "\n"
+	tables = "\t.align 4\ngtbl:\n\t" + dir + " " + strings.Join(idx, ", ") + "\n"
 	region := "flash"
 	if mode&2 != 0 {
 		// The index table in SRAM, written by proven stores.
@@ -182,7 +204,7 @@ func genGatherLoop(b *strings.Builder, rd func(int) int) string {
 	fmt.Fprintf(b, "\t%s r7, r7, %s\n", op, v)
 	b.WriteString("\tsubs r6, #1\n")
 	fmt.Fprintf(b, "\tbne gloop              @ asmcheck: loop %d\n", count)
-	return tables
+	return tables, faults
 }
 
 // genColumnLoop appends the block kernel's column loop around a gather
@@ -257,7 +279,7 @@ func FuzzTranslateParity(f *testing.F) {
 	f.Add([]byte{255, 200, 7, 3, 4, 2, 0, 6, 5, 1, 150})
 	f.Add([]byte{0, 0, 0})
 	// Unrolled kernels on random matrices (bit 2 of the first byte),
-	// alone and after a gather loop, at every wait-state setting.
+	// alone and beside a gather loop, at every wait-state setting.
 	for i, first := range []byte{4, 5, 6, 7, 12, 6, 14} {
 		r := rng.New(uint64(100 + i))
 		data := make([]byte, 104)

@@ -33,12 +33,6 @@ type Config struct {
 	// wall-clock time.
 	Workers int
 
-	// Tier pins the emulator execution tier for device measurements
-	// (`neuroc-bench -tier`); the zero value keeps the fastest available
-	// tier. All tiers are bit-identical — the tier only changes host
-	// wall-clock figures.
-	Tier device.Tier
-
 	// Encoding selects the deployment encoding for trained-model
 	// experiments (`neuroc-bench -encoding`). The zero value is the
 	// paper's block scheme; UseUnrolled deploys the straight-line
@@ -191,8 +185,7 @@ type measurement struct {
 	instructions uint64
 	flashBytes   int
 	ramBytes     int
-	// stats is the underlying farm run's aggregate (latency
-	// distributions, percentiles, wall figures).
+	// stats is the underlying farm run's aggregate.
 	stats *farm.Stats
 }
 
@@ -273,14 +266,11 @@ func (r *Runner) measureMicroOpts(name string, m *quant.Model, opts modelimg.Bui
 		LatencyMS: meas.ms, FlashBytes: meas.flashBytes, RAMBytes: meas.ramBytes,
 		Deployable: true,
 	}
-	// Distribution keys for the microbenchmark's farm run, with the
-	// input-invariance check every farm-backed record gets.
-	if meas.stats != nil {
-		if err := latencyDist(&met, meas.stats); err != nil {
-			err = fmt.Errorf("bench: %s: %w", name, err)
-			r.record(Metric{Name: name, Kind: "micro", Encoding: label, Error: err.Error()})
-			return nil, nil, err
-		}
+	// The input-invariance check every farm-backed record gets.
+	if err := inputInvariant(meas.stats); err != nil {
+		err = fmt.Errorf("bench: %s: %w", name, err)
+		r.record(Metric{Name: name, Kind: "micro", Encoding: label, Error: err.Error()})
+		return nil, nil, err
 	}
 	r.record(met)
 	return meas, img, nil

@@ -258,23 +258,30 @@ func TestFarmBenchQuick(t *testing.T) {
 			t.Errorf("pool %s: accuracy differs from -j 1", row[0])
 		}
 	}
-	// Metrics must carry the farm records with wall-clock and speedup.
+	// Metrics must carry one farm record per pool, each evaluated on the
+	// whole split, with the same cycles and accuracy at every pool size.
 	mf := r.Metrics()
-	found := 0
+	var farms []Metric
 	for _, m := range mf.Experiments {
-		if m.Kind != "farm" {
-			continue
+		if m.Kind == "farm" {
+			farms = append(farms, m)
 		}
-		found++
-		if m.Workers <= 0 || m.WallMS <= 0 || m.Speedup <= 0 || m.DeviceAccuracyN == 0 {
+	}
+	if len(farms) < 2 {
+		t.Fatalf("farm metrics recorded = %d, want >= 2", len(farms))
+	}
+	for _, m := range farms {
+		if m.Workers <= 0 || m.DeviceAccuracyN == 0 || m.Error != "" {
 			t.Errorf("farm metric %s incomplete: %+v", m.Name, m)
 		}
 		if m.AccuracyDevice != m.Accuracy {
 			t.Errorf("farm metric %s: device accuracy %v != accuracy %v", m.Name, m.AccuracyDevice, m.Accuracy)
 		}
-	}
-	if found < 2 {
-		t.Errorf("farm metrics recorded = %d, want >= 2", found)
+		if m.Cycles != farms[0].Cycles || m.Accuracy != farms[0].Accuracy || m.DeviceAccuracyN != farms[0].DeviceAccuracyN {
+			t.Errorf("farm metric %s: cycles %d, accuracy %v over %d differ from %s's %d, %v over %d",
+				m.Name, m.Cycles, m.Accuracy, m.DeviceAccuracyN,
+				farms[0].Name, farms[0].Cycles, farms[0].Accuracy, farms[0].DeviceAccuracyN)
+		}
 	}
 }
 

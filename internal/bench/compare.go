@@ -1,32 +1,30 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 )
 
 // Metrics comparison: the regression gate behind `metricscheck
-// -compare old new`. Everything the emulator computes is deterministic
-// — cycle counts, instruction counts, accuracy, footprints — so those
-// keys must match the baseline EXACTLY; any drift is a real behavior
-// change (a cycle-model edit, a codegen change, a training change), not
-// noise. Host wall-clock keys (wall_ms, infers_per_sec, speedup,
-// host_mips, predecode_build_ms) legitimately vary run to run and are
-// only checked against a relative band when a tolerance is given.
+// -compare old new`. Every key of neuroc-metrics/v1 is deterministic —
+// cycle counts, instructions, seeded-training accuracy, footprints,
+// per-layer cycles, energy priced from cycles — so every key must match
+// the baseline EXACTLY; any drift is a real behavior change (a
+// cycle-model edit, a codegen change, a training change), not noise.
+// Host speed is not part of the document: cmd/neuroc-perf measures it
+// over repeated runs.
 
 // CompareMetricsJSON compares a freshly generated metrics document
-// against a baseline. Deterministic keys must be identical; wall-clock
-// keys must be within tolerance (relative, e.g. 0.5 = ±50%), or are
-// ignored when tolerance <= 0. The error, when non-nil, lists every
+// against a baseline key by key. Both must decode strictly (no key the
+// schema does not define). The error, when non-nil, lists every
 // difference found.
-func CompareMetricsJSON(oldData, newData []byte, tolerance float64) error {
-	var oldF, newF MetricsFile
-	if err := json.Unmarshal(oldData, &oldF); err != nil {
+func CompareMetricsJSON(oldData, newData []byte) error {
+	oldF, err := decodeMetrics(oldData)
+	if err != nil {
 		return fmt.Errorf("metrics: baseline: %w", err)
 	}
-	if err := json.Unmarshal(newData, &newF); err != nil {
+	newF, err := decodeMetrics(newData)
+	if err != nil {
 		return fmt.Errorf("metrics: candidate: %w", err)
 	}
 	if oldF.Schema != MetricsSchema || newF.Schema != MetricsSchema {
@@ -59,7 +57,7 @@ func CompareMetricsJSON(oldData, newData []byte, tolerance float64) error {
 			diffs = append(diffs, fmt.Sprintf("%s: present in baseline, missing from candidate", o.Name))
 			continue
 		}
-		diffs = append(diffs, compareMetric(o, n, tolerance)...)
+		diffs = append(diffs, compareMetric(o, n)...)
 	}
 	for i := range newF.Experiments {
 		if !seen[newF.Experiments[i].Name] {
@@ -89,7 +87,7 @@ func duplicateNames(exps []Metric) []string {
 }
 
 // compareMetric diffs one experiment pair.
-func compareMetric(o, n *Metric, tolerance float64) []string {
+func compareMetric(o, n *Metric) []string {
 	var diffs []string
 	exact := func(key string, ov, nv interface{}) {
 		if ov != nv {
@@ -111,7 +109,6 @@ func compareMetric(o, n *Metric, tolerance float64) []string {
 	exact("params", o.Params, n.Params)
 	exact("deployable", o.Deployable, n.Deployable)
 	exact("workers", o.Workers, n.Workers)
-	exact("tier", o.Tier, n.Tier)
 	exact("error", o.Error, n.Error)
 	// Energy keys are priced from exact cycle counts by a fixed model:
 	// fully deterministic, so they gate exactly like cycles do.
@@ -131,29 +128,6 @@ func compareMetric(o, n *Metric, tolerance float64) []string {
 				diffs = append(diffs, fmt.Sprintf("%s.layers[%d]: baseline %+v, candidate %+v", o.Name, i, o.Layers[i], n.Layers[i]))
 			}
 		}
-	}
-	if tolerance > 0 {
-		banded := func(key string, ov, nv float64) {
-			if ov == nv {
-				return
-			}
-			ref := math.Max(math.Abs(ov), math.Abs(nv))
-			if math.Abs(nv-ov) > tolerance*ref {
-				diffs = append(diffs, fmt.Sprintf("%s.%s: baseline %g, candidate %g (outside ±%.0f%%)",
-					o.Name, key, ov, nv, tolerance*100))
-			}
-		}
-		banded("wall_ms", o.WallMS, n.WallMS)
-		banded("infers_per_sec", o.InfersPerSec, n.InfersPerSec)
-		banded("speedup", o.Speedup, n.Speedup)
-		banded("host_mips", o.HostMIPS, n.HostMIPS)
-		banded("predecode_build_ms", o.PredecodeBuildMS, n.PredecodeBuildMS)
-		banded("translate_build_ms", o.TranslateBuildMS, n.TranslateBuildMS)
-		banded("latency_wall_p50_ms", o.LatencyWallP50MS, n.LatencyWallP50MS)
-		banded("latency_wall_p95_ms", o.LatencyWallP95MS, n.LatencyWallP95MS)
-		banded("latency_wall_p99_ms", o.LatencyWallP99MS, n.LatencyWallP99MS)
-		banded("latency_wall_p999_ms", o.LatencyWallP999MS, n.LatencyWallP999MS)
-		banded("listen_overhead_ms", o.ListenOverheadMS, n.ListenOverheadMS)
 	}
 	return diffs
 }

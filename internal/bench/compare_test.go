@@ -24,8 +24,7 @@ func metricsDoc(t *testing.T, mutate func(*MetricsFile)) []byte {
 			{
 				Name: "farm-digits", Kind: "farm", Cycles: 14305, Instructions: 13368,
 				CPI: 1.07, LatencyMS: 1.788, Deployable: true,
-				Workers: 4, WallMS: 120, InfersPerSec: 800, Speedup: 3.4,
-				HostMIPS: 150, PredecodeBuildMS: 0.5,
+				Workers: 4,
 			},
 		},
 	}
@@ -41,7 +40,7 @@ func metricsDoc(t *testing.T, mutate func(*MetricsFile)) []byte {
 
 func TestCompareMetricsIdentical(t *testing.T) {
 	base := metricsDoc(t, nil)
-	if err := CompareMetricsJSON(base, metricsDoc(t, nil), 0); err != nil {
+	if err := CompareMetricsJSON(base, metricsDoc(t, nil)); err != nil {
 		t.Errorf("identical documents differ: %v", err)
 	}
 }
@@ -49,7 +48,7 @@ func TestCompareMetricsIdentical(t *testing.T) {
 func TestCompareMetricsCatchesCycleDrift(t *testing.T) {
 	base := metricsDoc(t, nil)
 	drifted := metricsDoc(t, func(f *MetricsFile) { f.Experiments[0].Cycles++ })
-	err := CompareMetricsJSON(base, drifted, 0)
+	err := CompareMetricsJSON(base, drifted)
 	if err == nil || !strings.Contains(err.Error(), "cycles") {
 		t.Errorf("one-cycle drift not caught: %v", err)
 	}
@@ -58,7 +57,7 @@ func TestCompareMetricsCatchesCycleDrift(t *testing.T) {
 func TestCompareMetricsCatchesLayerDrift(t *testing.T) {
 	base := metricsDoc(t, nil)
 	drifted := metricsDoc(t, func(f *MetricsFile) { f.Experiments[0].Layers[1].Cycles-- })
-	err := CompareMetricsJSON(base, drifted, 0)
+	err := CompareMetricsJSON(base, drifted)
 	if err == nil || !strings.Contains(err.Error(), "layers[1]") {
 		t.Errorf("per-layer drift not caught: %v", err)
 	}
@@ -66,7 +65,7 @@ func TestCompareMetricsCatchesLayerDrift(t *testing.T) {
 
 // Energy keys are deterministic (priced from exact cycles by a fixed
 // model), so the compare gate treats them like cycle counts: any drift
-// is an error at tolerance 0.
+// is an error.
 func TestCompareMetricsCatchesEnergyDrift(t *testing.T) {
 	withEnergy := func(f *MetricsFile) {
 		f.Experiments[0].UJPerInference = 10.728
@@ -77,7 +76,7 @@ func TestCompareMetricsCatchesEnergyDrift(t *testing.T) {
 		withEnergy(f)
 		f.Experiments[0].UJPerInference += 0.001
 	})
-	err := CompareMetricsJSON(base, drifted, 0)
+	err := CompareMetricsJSON(base, drifted)
 	if err == nil || !strings.Contains(err.Error(), "uj_per_inference") {
 		t.Errorf("uj drift not caught: %v", err)
 	}
@@ -85,52 +84,40 @@ func TestCompareMetricsCatchesEnergyDrift(t *testing.T) {
 		withEnergy(f)
 		f.Experiments[0].Energy.ClockHz = 48_000_000
 	})
-	err = CompareMetricsJSON(base, blockDrift, 0)
+	err = CompareMetricsJSON(base, blockDrift)
 	if err == nil || !strings.Contains(err.Error(), "energy") {
 		t.Errorf("energy calibration drift not caught: %v", err)
 	}
 	// Baseline without the block vs candidate with it: presence mismatch.
-	err = CompareMetricsJSON(metricsDoc(t, nil), base, 0)
+	err = CompareMetricsJSON(metricsDoc(t, nil), base)
 	if err == nil || !strings.Contains(err.Error(), "energy") {
 		t.Errorf("energy presence mismatch not caught: %v", err)
-	}
-}
-
-func TestCompareMetricsWallClockBand(t *testing.T) {
-	base := metricsDoc(t, nil)
-	slower := metricsDoc(t, func(f *MetricsFile) {
-		f.Experiments[1].WallMS = 170 // ~+42%
-		f.Experiments[1].HostMIPS = 110
-	})
-	// Ignored entirely without a tolerance.
-	if err := CompareMetricsJSON(base, slower, 0); err != nil {
-		t.Errorf("wall-clock drift flagged with tolerance 0: %v", err)
-	}
-	// Inside a ±50% band.
-	if err := CompareMetricsJSON(base, slower, 0.5); err != nil {
-		t.Errorf("42%% wall-clock drift outside a 50%% band: %v", err)
-	}
-	// Outside a ±10% band.
-	err := CompareMetricsJSON(base, slower, 0.1)
-	if err == nil || !strings.Contains(err.Error(), "wall_ms") {
-		t.Errorf("42%% wall-clock drift inside a 10%% band: %v", err)
 	}
 }
 
 func TestCompareMetricsMissingAndExtra(t *testing.T) {
 	base := metricsDoc(t, nil)
 	missing := metricsDoc(t, func(f *MetricsFile) { f.Experiments = f.Experiments[:1] })
-	if err := CompareMetricsJSON(base, missing, 0); err == nil || !strings.Contains(err.Error(), "missing from candidate") {
+	if err := CompareMetricsJSON(base, missing); err == nil || !strings.Contains(err.Error(), "missing from candidate") {
 		t.Errorf("dropped experiment not caught: %v", err)
 	}
 	extra := metricsDoc(t, func(f *MetricsFile) {
 		f.Experiments = append(f.Experiments, Metric{Name: "new-exp", Kind: "micro"})
 	})
-	if err := CompareMetricsJSON(base, extra, 0); err == nil || !strings.Contains(err.Error(), "not in baseline") {
+	if err := CompareMetricsJSON(base, extra); err == nil || !strings.Contains(err.Error(), "not in baseline") {
 		t.Errorf("new experiment not caught: %v", err)
 	}
+	// A key the schema does not define fails on either side instead of
+	// being dropped unread.
+	retired := []byte(strings.Replace(string(base), `"workers":4`, `"workers":4,"wall_ms":120`, 1))
+	if err := CompareMetricsJSON(retired, base); err == nil || !strings.Contains(err.Error(), `baseline: json: unknown field "wall_ms"`) {
+		t.Errorf("retired key in the baseline not caught: %v", err)
+	}
+	if err := CompareMetricsJSON(base, retired); err == nil || !strings.Contains(err.Error(), `candidate: json: unknown field "wall_ms"`) {
+		t.Errorf("retired key in the candidate not caught: %v", err)
+	}
 	quick := metricsDoc(t, func(f *MetricsFile) { f.Quick = false })
-	if err := CompareMetricsJSON(base, quick, 0); err == nil || !strings.Contains(err.Error(), "quick") {
+	if err := CompareMetricsJSON(base, quick); err == nil || !strings.Contains(err.Error(), "quick") {
 		t.Errorf("mode mismatch not caught: %v", err)
 	}
 }

@@ -26,10 +26,10 @@ func (r *Runner) farmPools() []int {
 // digits model over the full (unsubsampled) digits test split, through
 // board-farm pools of increasing size. Every prediction is
 // cross-checked against the host quantized reference, and the identical
-// accuracy across pool sizes demonstrates the farm's bit-determinism;
-// the wall-clock column is what parallelism buys. Wall-clock, host
-// throughput, and speedup versus the single-board run are recorded in
-// the metrics pipeline (kind "farm").
+// accuracy and per-input cycles across pool sizes demonstrate the
+// farm's bit-determinism. Each pool is recorded in the metrics pipeline
+// (kind "farm"); the farm's host speed is measured over repeated runs
+// by cmd/neuroc-perf, not here.
 func (r *Runner) FarmBench() *report.Table {
 	ds := r.Dataset("digits")
 	o := r.runCandidate(ds, r.scalesFor("digits")[0])
@@ -45,7 +45,7 @@ func (r *Runner) FarmBench() *report.Table {
 
 	t := report.New(fmt.Sprintf("Board farm: full digits test set on-emulator (%d samples, %d host cores)",
 		full.TestX.Rows, runtime.NumCPU()),
-		"pool", "on-device acc", "host ref acc", "latency/inf", "wall", "infs/sec", "speedup", "host MIPS")
+		"pool", "on-device acc", "host ref acc", "latency/inf")
 
 	// Live metrics: when a registry is configured (`-listen`), every
 	// farm item is published as it completes. The callback reads only
@@ -59,11 +59,10 @@ func (r *Runner) FarmBench() *report.Table {
 	}
 
 	hostAcc := o.dep.QModel.Accuracy(full.TestX, full.TestY)
-	var baseWallMS float64
 	for _, j := range r.farmPools() {
 		o.dep.Workers = j
 		if c != nil {
-			c.StartBatch(full.TestX.Rows, j, tierName(r.cfg.Tier))
+			c.StartBatch(full.TestX.Rows, j, "auto")
 		}
 		acc, stats, err := o.dep.DeviceAccuracyChecked(full, 0)
 		if err != nil {
@@ -73,83 +72,24 @@ func (r *Runner) FarmBench() *report.Table {
 			panic(fmt.Sprintf("bench: farm accuracy %.4f diverges from host reference %.4f at -j %d",
 				acc, hostAcc, j))
 		}
-		wallMS := float64(stats.Wall.Microseconds()) / 1000
-		speedup := 1.0
-		if baseWallMS == 0 {
-			baseWallMS = wallMS
-		} else if wallMS > 0 {
-			speedup = baseWallMS / wallMS
-		}
-		t.Add(fmt.Sprintf("-j %d", j), report.Pct(acc), report.Pct(hostAcc),
-			report.MS(stats.LatencyMS()),
-			fmt.Sprintf("%.0f ms", wallMS),
-			fmt.Sprintf("%.0f", stats.Throughput()),
-			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprintf("%.0f", stats.HostMIPS()))
+		t.Add(fmt.Sprintf("-j %d", j), report.Pct(acc), report.Pct(hostAcc), report.MS(stats.LatencyMS()))
 		m := Metric{
 			Name: fmt.Sprintf("farm-digits-j%d", j), Kind: "farm",
 			Cycles: stats.MeanCycles, LatencyMS: stats.LatencyMS(),
 			Accuracy: acc, AccuracyFloat: o.floatAcc,
 			AccuracyDevice: acc, DeviceAccuracyN: stats.Items,
 			FlashBytes: o.bytes, RAMBytes: o.dep.Img.RAMBytes,
-			Workers: j, WallMS: wallMS, InfersPerSec: stats.Throughput(),
-			Speedup: speedup, Deployable: true,
-			HostMIPS:         stats.HostMIPS(),
-			PredecodeBuildMS: float64(stats.PredecodeBuild.Microseconds()) / 1000,
-			Tier:             tierName(r.cfg.Tier),
-			TranslateBuildMS: float64(stats.TranslateBuild.Microseconds()) / 1000,
+			Workers: j, Deployable: true,
 		}
-		if err := latencyDist(&m, stats); err != nil {
+		if err := inputInvariant(stats); err != nil {
 			m.Error = fmt.Sprintf("bench: %s: %v", m.Name, err)
 		}
 		r.record(m)
-		r.logf("farm -j %d: acc %.4f, %d samples in %.0f ms (%.0f inf/s, %.2fx, %.0f host MIPS, predecode %.2f ms, %d cycles)",
-			j, acc, stats.Items, wallMS, stats.Throughput(), speedup,
-			stats.HostMIPS(), float64(stats.PredecodeBuild.Microseconds())/1000,
-			stats.MinCycles)
+		r.logf("farm -j %d: acc %.4f, %d samples, %d cycles", j, acc, stats.Items, stats.MinCycles)
 	}
-	// Tier comparison point: the same reference pool pinned to the
-	// predecoded tier. The accuracy and per-input cycles are identical
-	// by construction (exact-gated); only the host-MIPS figure moves,
-	// which is the translated tier's speedup in the metrics trajectory.
-	o.dep.Workers = 4
-	o.dep.Tier = device.TierPredecoded
-	if c != nil {
-		c.StartBatch(full.TestX.Rows, 4, string(device.TierPredecoded))
-	}
-	acc, stats, err := o.dep.DeviceAccuracyChecked(full, 0)
-	if err != nil {
-		panic(fmt.Sprintf("bench: farm predecoded-tier evaluation: %v", err))
-	}
-	if acc != hostAcc {
-		panic(fmt.Sprintf("bench: predecoded-tier accuracy %.4f diverges from host reference %.4f", acc, hostAcc))
-	}
-	predWallMS := float64(stats.Wall.Microseconds()) / 1000
-	predSpeedup := 1.0
-	if predWallMS > 0 {
-		predSpeedup = baseWallMS / predWallMS
-	}
-	pm := Metric{
-		Name: "farm-digits-j4-predecoded", Kind: "farm",
-		Cycles: stats.MeanCycles, LatencyMS: stats.LatencyMS(),
-		Accuracy: acc, AccuracyFloat: o.floatAcc,
-		AccuracyDevice: acc, DeviceAccuracyN: stats.Items,
-		FlashBytes: o.bytes, RAMBytes: o.dep.Img.RAMBytes,
-		Workers: 4, WallMS: predWallMS,
-		InfersPerSec: stats.Throughput(), Speedup: predSpeedup, Deployable: true,
-		HostMIPS:         stats.HostMIPS(),
-		PredecodeBuildMS: float64(stats.PredecodeBuild.Microseconds()) / 1000,
-		Tier:             string(device.TierPredecoded),
-	}
-	if err := latencyDist(&pm, stats); err != nil {
-		pm.Error = fmt.Sprintf("bench: %s: %v", pm.Name, err)
-	}
-	r.record(pm)
-	r.logf("farm -j 4 (predecoded tier): acc %.4f, %.0f host MIPS", acc, stats.HostMIPS())
 	o.dep.Workers = r.cfg.Workers
-	o.dep.Tier = r.cfg.Tier
 	r.buildFarmTimeline(o, full)
-	t.Note = "identical accuracy and per-input cycles at every pool size (bit-deterministic); speedup is host wall-clock only"
+	t.Note = "identical accuracy and per-input cycles at every pool size (bit-deterministic)"
 	return t
 }
 
@@ -159,7 +99,7 @@ func (r *Runner) FarmBench() *report.Table {
 // inference span nests exact layer spans. The twin's marker-corrected
 // layer costs equal the uninstrumented deployment's, and the cycle
 // domain of the resulting document is byte-identical at any pool size
-// and on any tier (tested in internal/telemetry).
+// and on any execution tier (tested in internal/telemetry).
 func (r *Runner) buildFarmTimeline(o *outcome, full *dataset.Dataset) {
 	n := 64
 	if r.cfg.Quick {
@@ -177,9 +117,9 @@ func (r *Runner) buildFarmTimeline(o *outcome, full *dataset.Dataset) {
 		inputs[i] = o.dep.QModel.QuantizeInput(full.TestX.Row(i))
 	}
 	c := r.Collector()
-	opts := farm.Options{Workers: r.cfg.Workers, Tier: r.cfg.Tier}
+	opts := farm.Options{Workers: r.cfg.Workers}
 	if c != nil {
-		c.StartBatch(n, r.cfg.Workers, tierName(r.cfg.Tier))
+		c.StartBatch(n, r.cfg.Workers, "auto")
 		opts.Observe = func(i int, res *farm.Result) {
 			c.Observe(res.Cycles, res.HostDurNS, res.Err != nil, res.TelemetryDropped)
 			spans, derr := telemetry.DecodeImage(twin, res.Telemetry, 0)
@@ -197,7 +137,7 @@ func (r *Runner) buildFarmTimeline(o *outcome, full *dataset.Dataset) {
 	}
 	em := device.EnergyModel()
 	tl, err := telemetry.BuildTimeline(twin, results, telemetry.TimelineConfig{
-		Tier:        tierName(r.cfg.Tier),
+		Tier:        "auto",
 		Energy:      &em,
 		IncludeWall: true,
 	})
@@ -206,16 +146,6 @@ func (r *Runner) buildFarmTimeline(o *outcome, full *dataset.Dataset) {
 	}
 	r.timeline = tl
 	r.logf("farm timeline: %d inferences, %d trace events", n, len(tl.TraceEvents))
-}
-
-// tierName renders a device.Tier for the metrics document, naming the
-// zero value explicitly so the exact-gated "tier" key never reads as
-// silently absent.
-func tierName(t device.Tier) string {
-	if t == device.TierAuto {
-		return "auto"
-	}
-	return string(t)
 }
 
 // fullDataset returns the complete (never subsampled) dataset for name,

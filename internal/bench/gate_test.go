@@ -53,10 +53,10 @@ func TestMetricsGateRejectsDuplicateNames(t *testing.T) {
 	if err := ValidateMetricsJSON(dup); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("ValidateMetricsJSON: error = %v, want substring %q", err, want)
 	}
-	if err := CompareMetricsJSON(base, dup, 0); err == nil || !strings.Contains(err.Error(), "candidate: "+want) {
+	if err := CompareMetricsJSON(base, dup); err == nil || !strings.Contains(err.Error(), "candidate: "+want) {
 		t.Errorf("CompareMetricsJSON(baseline, duplicate): error = %v, want substring %q", err, "candidate: "+want)
 	}
-	if err := CompareMetricsJSON(dup, base, 0); err == nil || !strings.Contains(err.Error(), "baseline: "+want) {
+	if err := CompareMetricsJSON(dup, base); err == nil || !strings.Contains(err.Error(), "baseline: "+want) {
 		t.Errorf("CompareMetricsJSON(duplicate, baseline): error = %v, want substring %q", err, "baseline: "+want)
 	}
 }
@@ -64,8 +64,7 @@ func TestMetricsGateRejectsDuplicateNames(t *testing.T) {
 // FuzzValidateMetricsJSON feeds arbitrary bytes to the readers behind
 // metricscheck. ValidateMetricsJSON, CompareMetricsJSON and
 // obs.ValidateTimelineJSON must return rather than panic, and a
-// document that validates must compare equal to itself, with and
-// without a wall-clock band. The seeds are the committed baseline, a
+// document that validates must compare equal to itself. The seeds are the committed baseline, a
 // minimal document, the baseline with a duplicated name, and a small
 // timeline.
 func FuzzValidateMetricsJSON(f *testing.F) {
@@ -100,10 +99,8 @@ func FuzzValidateMetricsJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = obs.ValidateTimelineJSON(data)
 		valid := ValidateMetricsJSON(data) == nil
-		for _, tol := range []float64{0, 0.5} {
-			if err := CompareMetricsJSON(data, data, tol); valid && err != nil {
-				t.Fatalf("a valid document differs from itself at tolerance %v: %v", tol, err)
-			}
+		if err := CompareMetricsJSON(data, data); valid && err != nil {
+			t.Fatalf("a valid document differs from itself: %v", err)
 		}
 	})
 }

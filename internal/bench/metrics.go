@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -50,46 +52,16 @@ type Metric struct {
 	AccuracyDevice  float64 `json:"accuracy_device,omitempty"`
 	DeviceAccuracyN int     `json:"accuracy_device_n,omitempty"`
 
-	// Farm evaluation records (kind "farm"): pool size, host wall-clock
-	// for the batch, host-side inference throughput, and wall-clock
-	// speedup over the single-board run of the same batch.
-	Workers      int     `json:"workers,omitempty"`
-	WallMS       float64 `json:"wall_ms,omitempty"`
-	InfersPerSec float64 `json:"infers_per_sec,omitempty"`
-	Speedup      float64 `json:"speedup,omitempty"`
+	// Workers is the board-farm pool size of a farm record (kind
+	// "farm"); the records of every pool size carry identical cycles
+	// and accuracy.
+	Workers int `json:"workers,omitempty"`
 
-	// Per-inference host wall-clock distribution over the record's
-	// batch. These and the listen overhead are host measurements —
-	// banded, never exact-gated. (Cycles need no distribution: every
-	// farm-backed record is checked input-invariant, min == max.)
-	LatencyWallP50MS  float64 `json:"latency_wall_p50_ms,omitempty"`
-	LatencyWallP95MS  float64 `json:"latency_wall_p95_ms,omitempty"`
-	LatencyWallP99MS  float64 `json:"latency_wall_p99_ms,omitempty"`
-	LatencyWallP999MS float64 `json:"latency_wall_p999_ms,omitempty"`
-	// ListenOverheadMS is the host time the run spent inside live-
-	// metrics observer callbacks (farm.Stats.ObserveOverhead); zero
-	// when no -listen endpoint was attached.
-	ListenOverheadMS float64 `json:"listen_overhead_ms,omitempty"`
-
-	// Emulation-throughput observability: millions of emulated
-	// instructions retired per host second across the pool, and the
-	// one-time host cost of predecoding the flash image into the
-	// shared execution table. Optional — only farm records carry them.
-	HostMIPS         float64 `json:"host_mips,omitempty"`
-	PredecodeBuildMS float64 `json:"predecode_build_ms,omitempty"`
-
-	// Tier is the execution tier the record ran on ("auto", "legacy",
-	// "predecoded", "translated"); exact-gated, so a silent tier change
-	// fails metricscheck -compare. TranslateBuildMS is the one-time host
-	// cost of building the certified-loop table (wall-clock, band-gated
-	// like predecode_build_ms).
-	Tier             string  `json:"tier,omitempty"`
-	TranslateBuildMS float64 `json:"translate_build_ms,omitempty"`
-
-	// Layers is the per-layer cycle attribution measured on-device by
-	// the telemetry marker pipeline (internal/telemetry), corrected for
-	// the marker overhead so entries match the uninstrumented image
-	// exactly. Only deployable model records carry it.
+	// Layers is the per-layer cycle attribution measured on the
+	// deployed image itself: Deployment.MeasureLayers segments its
+	// untraced run at boundary marks on the image's layer calls
+	// (device.RunBoundaries), cycle-exact. Only deployable model records
+	// carry it.
 	Layers []LayerMetric `json:"layers,omitempty"`
 
 	// UJPerInference prices the record's measured cycle count with the
@@ -133,22 +105,13 @@ type MetricsFile struct {
 	Experiments []Metric `json:"experiments"`
 }
 
-// latencyDist fills m's latency-distribution keys from a farm run:
-// banded wall-domain percentiles and the observer overhead. It returns
-// an error, filling nothing, when the batch's cycle counts vary with the
-// input, which the branch-free kernels rule out; the caller names the
-// experiment.
-func latencyDist(m *Metric, stats *farm.Stats) error {
+// inputInvariant checks that a farm run's cycle counts do not vary with
+// the input, which the branch-free kernels rule out; the caller names
+// the experiment.
+func inputInvariant(stats *farm.Stats) error {
 	if stats.MinCycles != stats.MaxCycles {
 		return fmt.Errorf("cycles vary with the input (%d..%d)", stats.MinCycles, stats.MaxCycles)
 	}
-	if stats.WallHist != nil && stats.WallHist.Count() > 0 {
-		m.LatencyWallP50MS = float64(stats.WallHist.Quantile(0.50)) / 1e6
-		m.LatencyWallP95MS = float64(stats.WallHist.Quantile(0.95)) / 1e6
-		m.LatencyWallP99MS = float64(stats.WallHist.Quantile(0.99)) / 1e6
-		m.LatencyWallP999MS = float64(stats.WallHist.Quantile(0.999)) / 1e6
-	}
-	m.ListenOverheadMS = float64(stats.ObserveOverhead.Microseconds()) / 1000
 	return nil
 }
 
@@ -199,7 +162,8 @@ func (r *Runner) WriteMetricsJSON(w io.Writer) error {
 
 // ValidateMetricsJSON checks that data parses as a metrics document
 // with the right schema, at least one experiment, every required key
-// present on every experiment, and no two experiments sharing a name.
+// present on every experiment, no key the schema does not define, and
+// no two experiments sharing a name.
 // It is the CI gate behind `neuroc-bench -quick -metrics`: a runner
 // change that drops a key or stops emitting records fails here rather
 // than in downstream tooling. A document it accepts decodes as the
@@ -225,28 +189,6 @@ func ValidateMetricsJSON(data []byte) error {
 		for _, k := range requiredMetricKeys {
 			if _, ok := e[k]; !ok {
 				return fmt.Errorf("metrics: experiment %d missing required key %q", i, k)
-			}
-		}
-		// Optional observability keys must be numbers when present.
-		for _, k := range []string{"host_mips", "predecode_build_ms", "translate_build_ms"} {
-			raw, ok := e[k]
-			if !ok {
-				continue
-			}
-			var v float64
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return fmt.Errorf("metrics: experiment %d key %q is not a number: %s", i, k, raw)
-			}
-		}
-		// Wall-domain latency keys: finite non-negative numbers (banded
-		// in comparisons, but a NaN or negative value is still a bug).
-		for _, k := range []string{"latency_wall_p50_ms", "latency_wall_p95_ms", "latency_wall_p99_ms", "latency_wall_p999_ms", "listen_overhead_ms"} {
-			raw, ok := e[k]
-			if !ok {
-				continue
-			}
-			if err := checkEnergyNumber(raw); err != nil {
-				return fmt.Errorf("metrics: experiment %d key %q: %w", i, k, err)
 			}
 		}
 		// Energy keys: finite non-negative numbers wherever they appear.
@@ -298,10 +240,11 @@ func ValidateMetricsJSON(data []byte) error {
 			}
 		}
 	}
-	// The comparison reads the typed records: they must decode, and a
-	// repeated name would hide all but one of its records there.
-	var f MetricsFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	// The comparison reads the typed records: they must decode with no
+	// key left over, and a repeated name would hide all but one of its
+	// records there.
+	f, err := decodeMetrics(data)
+	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
 	if f.Schema != MetricsSchema {
@@ -311,6 +254,23 @@ func ValidateMetricsJSON(data []byte) error {
 		return fmt.Errorf("metrics: %s", dups[0])
 	}
 	return nil
+}
+
+// decodeMetrics decodes a metrics document strictly: a key that
+// neuroc-metrics/v1 does not define, at the top level, in a record, in
+// its layers or in its energy block, is an error rather than silently
+// dropped, and so is anything after the document.
+func decodeMetrics(data []byte) (*MetricsFile, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var f MetricsFile
+	if err := dec.Decode(&f); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("data after the document")
+	}
+	return &f, nil
 }
 
 // checkEnergyNumber requires raw to decode as a finite, non-negative

@@ -8,7 +8,6 @@ import (
 
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/farm"
-	"github.com/neuro-c/neuroc/internal/obs"
 )
 
 // TestFig5RecordsMetrics checks that a training-free device-measured
@@ -84,6 +83,10 @@ func TestValidateMetricsJSONRejects(t *testing.T) {
 		{"energy-not-object", validExp(`"energy":42`), "not an object"},
 		{"energy-missing-field", validExp(`"energy":{"active_power_w":0.006,"clock_hz":8000000}`), `"uj_per_inference"`},
 		{"energy-bad-field", validExp(`"energy":{"active_power_w":-0.006,"clock_hz":8000000,"uj_per_inference":1}`), "negative"},
+		{"retired-key", validExp(`"wall_ms":10.67`), `unknown field "wall_ms"`},
+		{"unknown-top-key", `{"schema":"neuroc-metrics/v1","tolerance":0.5,"experiments":[{"name":"x","kind":"micro","cycles":1,"instructions":1,"cpi":1,"latency_ms":1,"accuracy":0,"flash_bytes":1,"ram_bytes":1}]}`, `unknown field "tolerance"`},
+		{"unknown-layer-key", validExp(`"layers":[{"index":0,"kernel":"k","encoding":"block","cycles":1,"latency_ms":0,"share":1,"flash_bytes":1,"tier":"auto"}]`), `unknown field "tier"`},
+		{"unknown-energy-key", validExp(`"energy":{"active_power_w":0.006,"clock_hz":8000000,"uj_per_inference":1,"host_mips":1}`), `unknown field "host_mips"`},
 	}
 	for _, c := range cases {
 		err := ValidateMetricsJSON([]byte(c.data))
@@ -143,24 +146,15 @@ func TestMetricCPIRecomputed(t *testing.T) {
 	}
 }
 
-// TestLatencyDistRejectsVaryingCycles: a farm batch whose cycles vary
-// with the input is an error for the caller to name, not a panic, and
-// fills no distribution key; an input-invariant batch fills them.
-func TestLatencyDistRejectsVaryingCycles(t *testing.T) {
-	h := &obs.Hist{}
-	h.Record(2_000_000)
-	m := Metric{Name: "micro-x"}
-	err := latencyDist(&m, &farm.Stats{MinCycles: 100, MaxCycles: 104, WallHist: h})
+// TestInputInvariantRejectsVaryingCycles: a farm batch whose cycles vary
+// with the input is an error for the caller to name, not a panic; an
+// input-invariant batch passes.
+func TestInputInvariantRejectsVaryingCycles(t *testing.T) {
+	err := inputInvariant(&farm.Stats{MinCycles: 100, MaxCycles: 104})
 	if err == nil || !strings.Contains(err.Error(), "cycles vary with the input (100..104)") {
 		t.Fatalf("err = %v, want the varying-cycles error", err)
 	}
-	if m.LatencyWallP50MS != 0 {
-		t.Errorf("a rejected batch filled p50 = %v", m.LatencyWallP50MS)
-	}
-	if err := latencyDist(&m, &farm.Stats{MinCycles: 100, MaxCycles: 100, WallHist: h}); err != nil {
+	if err := inputInvariant(&farm.Stats{MinCycles: 100, MaxCycles: 100}); err != nil {
 		t.Fatal(err)
-	}
-	if m.LatencyWallP50MS <= 0 {
-		t.Errorf("an input-invariant batch left p50 = %v", m.LatencyWallP50MS)
 	}
 }

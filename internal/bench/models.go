@@ -72,7 +72,6 @@ func (r *Runner) runCandidate(ds *dataset.Dataset, c candidate) *outcome {
 	}
 	o.dep = dep
 	dep.Workers = r.cfg.Workers
-	dep.Tier = r.cfg.Tier
 	o.quantAcc = dep.Accuracy(ds)
 	o.bytes = dep.ProgramBytes()
 	ms, cycles, instrs, err := dep.MeasureStats(ds, 3)

@@ -110,17 +110,6 @@ const (
 	TierTranslated Tier = "translated"
 )
 
-// ParseTier validates a tier name from a CLI flag or config file.
-func ParseTier(s string) (Tier, error) {
-	switch t := Tier(s); t {
-	case TierAuto, TierLegacy, TierPredecoded, TierTranslated:
-		return t, nil
-	case "auto":
-		return TierAuto, nil
-	}
-	return "", fmt.Errorf("device: unknown tier %q (want auto, legacy, predecoded, or translated)", s)
-}
-
 // Device is a booted board holding a loaded image.
 type Device struct {
 	CPU *armv6m.CPU

@@ -217,14 +217,3 @@ func TestSharedTranslationTable(t *testing.T) {
 		}
 	}
 }
-
-func TestParseTier(t *testing.T) {
-	for _, s := range []string{"", "auto", "legacy", "predecoded", "translated"} {
-		if _, err := device.ParseTier(s); err != nil {
-			t.Errorf("ParseTier(%q): %v", s, err)
-		}
-	}
-	if _, err := device.ParseTier("jit"); err == nil {
-		t.Error("ParseTier accepted an unknown tier")
-	}
-}

@@ -199,18 +199,19 @@ func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats
 	if workers > len(inputs) && len(inputs) > 0 {
 		workers = len(inputs)
 	}
-	if _, err := device.ParseTier(string(opts.Tier)); err != nil {
-		return nil, nil, fmt.Errorf("farm: %w", err)
-	}
-	if opts.Tier == device.TierTranslated {
-		// No input could succeed under an unhonorable tier request, so
-		// fail the whole batch before spawning workers.
+	// No input could succeed under an unknown or unhonorable tier, so
+	// fail the whole batch before spawning workers.
+	switch opts.Tier {
+	case device.TierAuto, device.TierLegacy, device.TierPredecoded:
+	case device.TierTranslated:
 		if opts.Checked {
 			return nil, nil, fmt.Errorf("farm: translated tier cannot run checked")
 		}
 		if fi.Trans == nil {
 			return nil, nil, fmt.Errorf("farm: translated tier requires an image certificate")
 		}
+	default:
+		return nil, nil, fmt.Errorf("farm: unknown tier %q", string(opts.Tier))
 	}
 	start := time.Now()
 	results := make([]Result, len(inputs))

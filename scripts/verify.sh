@@ -228,23 +228,15 @@ echo "== bench-regression smoke (all three execution tiers still wired up, image
 go test -run '^$' -bench 'Inference|FarmMap|Unrolled|HostLayerSpans|Certify|Assemble' -benchtime 1x \
 	./internal/armv6m/ ./internal/farm/ ./internal/kernels/ ./internal/telemetry/ ./internal/asmcheck/ ./internal/thumb/
 
-echo "== bench-smoke on the translated tier (explicit -tier plumbing end to end)"
-# The farm experiment pinned to -tier translated: exercises the tier
-# flag through neuroc-bench -> Config -> Deployment -> farm -> device,
-# and panics inside the run on any accuracy/cycle divergence from the
-# host reference. No metrics file: the tier key would differ from the
-# auto-tier baseline by construction.
-go run ./cmd/neuroc-bench -exp farm -quick -j 4 -tier translated > /dev/null
-
 echo "== bench-smoke (quick device-measured experiments + metrics JSON)"
 # table1/fig2/fig3/fig5/pareto are the training-free experiments: they
 # deploy and measure on the emulated M0 in seconds, which is what the
 # smoke gate needs. pareto covers the unrolled encodings and the auto
 # search (its records gate the unrolled-beats-block property in the
 # baseline). farm adds the board-farm parallel evaluation: full digits
-# test-set accuracy on-emulator, with wall-clock and speedup recorded
-# into the same neuroc-metrics/v1 file (the -j 4 run is bit-identical
-# to -j 1; only wall-clock changes, and only on multi-core hosts).
+# test-set accuracy on-emulator at -j 1 and -j 4, recorded into the same
+# neuroc-metrics/v1 file (the two records differ only in their name and
+# workers keys).
 # `neuroc-bench -quick -metrics bench_quick.json` (all experiments)
 # produces the same file at CI-training scale.
 go run ./cmd/neuroc-bench -exp table1,fig2,fig3,fig5,pareto,farm -quick -j 4 -metrics bench_quick.json -timeline timeline_quick.json > /dev/null
@@ -265,14 +257,15 @@ echo "== timeline-smoke (neuroc-timeline/v1 shape + span-tree invariants)"
 go run ./cmd/metricscheck -timeline timeline_quick.json
 
 echo "== metrics regression gate (deterministic keys vs committed baseline)"
-# Every emulator-computed key (cycle counts, instructions, accuracy,
-# footprints, per-layer telemetry cycles, and the energy keys priced
-# from them) must match BENCH_BASELINE.json EXACTLY — the emulator is
+# Every key of the document (cycle counts, instructions, accuracy,
+# footprints, per-layer cycles, and the energy keys priced from them)
+# must match BENCH_BASELINE.json EXACTLY — the emulator is
 # deterministic and the energy model is a fixed calibration, so any
-# drift is a real behavior change. Wall-clock keys are ignored at
-# tolerance 0. After an intentional cycle-model, codegen, or energy-
-# calibration change, regenerate the baseline with the bench-smoke
-# command above and commit it with the change.
+# drift is a real behavior change. The document carries no host
+# wall-clock key, and a key the schema does not define fails the gate.
+# After an intentional cycle-model, codegen, or energy-calibration
+# change, regenerate the baseline with the bench-smoke command above
+# and commit it with the change.
 # The verdict is captured to metricscheck_compare.txt so CI can upload
 # it as an artifact even when the gate fails. Deliberately not a pipe
 # into tee: under set -e that would gate on tee's exit status, not
