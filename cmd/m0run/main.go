@@ -13,13 +13,16 @@
 //	m0run -model model.ncq1 -profile-json p.json
 //	m0run -img kernel.bin -trace 50             # first 50 instructions
 //
-// Energy attribution (see docs/ENERGY.md): -energy builds the image
-// with telemetry markers and prices the measured per-layer cycles with
-// the board's calibrated energy model, printing a per-layer µJ table;
-// -energy-json writes the structured neuroc-energy/v1 record. Combined
-// with -profile, the hotspot and class tables gain µJ columns:
+// Layer attribution (see docs/TELEMETRY.md): -layers, -energy and
+// -timeline report on the deployed image itself. The layer spans are
+// measured once, by segmenting one untraced inference of the same image
+// on a fresh board at its layer boundaries, and every run they are
+// applied to must cost exactly the measured cycles. -energy prices them
+// with the board's calibrated energy model, printing a per-layer µJ
+// table; -energy-json writes the structured neuroc-energy/v1 record.
+// Combined with -profile, the hotspot and class tables gain µJ columns:
 //
-//	m0run -model model.ncq1 -energy
+//	m0run -model model.ncq1 -layers
 //	m0run -model model.ncq1 -energy -energy-json energy.json
 //	m0run -model model.ncq1 -profile -energy
 //
@@ -82,13 +85,13 @@ func main() {
 	traceN := flag.Uint64("trace", 0, "print the first N executed instructions to stderr")
 	folded := flag.String("folded", "", "write a flamegraph-compatible folded-stack profile to this file")
 	profJSON := flag.String("profile-json", "", "write the full profile as JSON to this file")
-	layers := flag.Bool("layers", false, "build with on-device telemetry markers and print per-layer cycle attribution (requires -model; with -batch, aggregated across the batch)")
-	energyRep := flag.Bool("energy", false, "price the measured cycles with the board's calibrated energy model and print a per-layer µJ report (requires -model; implies telemetry markers; with -batch, aggregated across the batch)")
+	layers := flag.Bool("layers", false, "print per-layer cycle attribution, measured on the deployed image (requires -model; with -batch, aggregated across the batch)")
+	energyRep := flag.Bool("energy", false, "price the measured cycles with the board's calibrated energy model and print a per-layer µJ report (requires -model; with -batch, aggregated across the batch)")
 	energyJSON := flag.String("energy-json", "", "write the neuroc-energy/v1 report as JSON to this file (requires -energy)")
 	batch := flag.String("batch", "", "raw file of concatenated input records (model input dim each): run all of them on the board farm (requires -model)")
 	workers := flag.Int("j", 0, "board-farm workers for -batch (0 = all host cores); results are bit-identical for any value")
 	listen := flag.String("listen", "", "serve live batch metrics over HTTP on this address while -batch runs (/metrics Prometheus text, /metrics.json snapshot)")
-	timelineFlag := flag.String("timeline", "", "write the run's neuroc-timeline/v1 trace (Perfetto-loadable JSON) to this file (requires -layers or -energy: layer spans come from the telemetry markers)")
+	timelineFlag := flag.String("timeline", "", "write the run's neuroc-timeline/v1 trace (Perfetto-loadable JSON) to this file (requires -model: layer spans are measured on the deployed image)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host pprof CPU profile of the emulator to this file")
 	memprofile := flag.String("memprofile", "", "write a host pprof heap profile to this file on exit")
 	flag.Parse()
@@ -102,20 +105,15 @@ func main() {
 	if *img == "" && *model == "" {
 		fatal(fmt.Errorf("-img or -model is required"))
 	}
-	if *layers && *model == "" {
-		fatal(fmt.Errorf("-layers requires -model: layer markers are emitted when the image is built"))
-	}
-	if *energyRep && *model == "" {
-		fatal(fmt.Errorf("-energy requires -model: per-layer attribution needs the telemetry markers emitted at image build"))
+	attribute := *layers || *energyRep || *timelineFlag != ""
+	if attribute && *model == "" {
+		fatal(fmt.Errorf("-layers, -energy and -timeline require -model: layer spans are measured at the layer boundaries of a built image"))
 	}
 	if *energyJSON != "" && !*energyRep {
 		fatal(fmt.Errorf("-energy-json requires -energy"))
 	}
 	if *checked && *model == "" {
 		fatal(fmt.Errorf("-checked requires -model: the certificate is produced when the image is built"))
-	}
-	if *timelineFlag != "" && !*layers && !*energyRep {
-		fatal(fmt.Errorf("-timeline requires -layers or -energy: layer spans are decoded from the telemetry markers those flags build in"))
 	}
 	if *listen != "" && *batch == "" {
 		fatal(fmt.Errorf("-listen requires -batch: live metrics are published per farm item"))
@@ -147,7 +145,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		image, err = modelimg.BuildOpts(qm, modelimg.BuildOptions{Encoding: enc, Telemetry: *layers || *energyRep})
+		image, err = modelimg.BuildOpts(qm, modelimg.BuildOptions{Encoding: enc})
 		if err != nil {
 			var nd *modelimg.ErrNotDeployable
 			if errors.As(err, &nd) && enc == modelimg.UseUnrolled {
@@ -171,18 +169,19 @@ func main() {
 		if image == nil {
 			fatal(fmt.Errorf("-batch requires -model (the input record size is the model's input dimension)"))
 		}
-		runBatch(image, *batch, *workers, *maxInstr, *ws, *checked, *energyRep, *energyJSON, *timelineFlag, *listen)
+		runBatch(image, *batch, *workers, *maxInstr, *ws, *checked, *layers, *energyRep, *energyJSON, *timelineFlag, *listen)
 		return
 	}
 
 	// A -model image boots like every deployed board, from its
 	// FlashImage with the shared predecode and certified-loop tables
-	// attached (the telemetry timer too, for a -layers/-energy build); a
-	// raw -img file has no certificate and runs on a plain core.
+	// attached; a raw -img file has no certificate and runs on a plain
+	// core.
 	var cpu *armv6m.CPU
+	var fi *device.FlashImage
 	if image != nil {
-		fi, err := device.NewFlashImage(image)
-		if err != nil {
+		var err error
+		if fi, err = device.NewFlashImage(image); err != nil {
 			fatal(err)
 		}
 		cpu = fi.NewBoard().CPU
@@ -190,9 +189,6 @@ func main() {
 		cpu = armv6m.New()
 		if err := cpu.Bus.LoadFlash(0, code); err != nil {
 			fatal(err)
-		}
-		if *layers || *energyRep {
-			cpu.EnableTimer()
 		}
 	}
 	cpu.Bus.FlashWaitStates = *ws
@@ -251,6 +247,17 @@ func main() {
 		}
 	}
 
+	// The layer spans are measured on the input this run reads, copied
+	// from SRAM directly so the bus counters stay the run's own.
+	var input []int8
+	if attribute {
+		off := image.InAddr - cpu.Bus.SRAMBase
+		input = make([]int8, image.InDim)
+		for i, b := range cpu.Bus.SRAM[off : off+uint32(image.InDim)] {
+			input[i] = int8(b)
+		}
+	}
+
 	if err := cpu.Reset(); err != nil {
 		fatal(err)
 	}
@@ -294,16 +301,12 @@ func main() {
 	fmt.Printf("\nsp  = 0x%08x  lr = 0x%08x  pc = 0x%08x\n",
 		cpu.R[armv6m.SP], cpu.R[armv6m.LR], cpu.R[armv6m.PC])
 
-	if *layers || *energyRep {
-		res := &device.Result{
-			Cycles:           cpu.Cycles,
-			SleepCycles:      cpu.SleepCycles,
-			Telemetry:        cpu.Bus.Timer.Events,
-			TelemetryDropped: cpu.Bus.Timer.Dropped,
-		}
+	if input != nil {
+		spans, measured := measureSpans(fi, *ws, input)
+		res := &device.Result{Cycles: cpu.Cycles, SleepCycles: cpu.SleepCycles}
 		if *layers {
 			fmt.Println()
-			rep, err := telemetry.BuildReport(image, res, *ws)
+			rep, err := telemetry.BuildReport(spans, measured, res, *ws)
 			if err != nil {
 				fatal(err)
 			}
@@ -313,7 +316,7 @@ func main() {
 		}
 		if *energyRep {
 			fmt.Println()
-			rep, err := telemetry.BuildEnergyReport(image, res, *ws, device.EnergyModel())
+			rep, err := telemetry.BuildEnergyReport(spans, measured, res, *ws, device.EnergyModel())
 			if err != nil {
 				fatal(err)
 			}
@@ -326,11 +329,9 @@ func main() {
 		}
 		if *timelineFlag != "" {
 			em := device.EnergyModel()
-			tl, err := telemetry.BuildTimeline(image, []farm.Result{{
-				Cycles:           cpu.Cycles,
-				Instructions:     cpu.Instructions,
-				Telemetry:        cpu.Bus.Timer.Events,
-				TelemetryDropped: cpu.Bus.Timer.Dropped,
+			tl, err := telemetry.BuildTimeline(image, spans, measured, []farm.Result{{
+				Cycles:       cpu.Cycles,
+				Instructions: cpu.Instructions,
 			}}, telemetry.TimelineConfig{
 				FlashWaitStates: *ws,
 				Tier:            runTierName(cpu, trace != nil),
@@ -399,6 +400,20 @@ func writeTo(path string, emit func(w io.Writer) error) {
 	fmt.Fprintf(os.Stderr, "m0run: wrote %s\n", path)
 }
 
+// measureSpans measures the deployed image's layer spans once: one
+// untraced, unchecked inference of input on a fresh board of fi at ws
+// (telemetry.HostLayerSpans). It returns the spans and the cycles that
+// inference cost.
+func measureSpans(fi *device.FlashImage, ws int, input []int8) ([]telemetry.Span, uint64) {
+	b := fi.NewBoard()
+	b.CPU.Bus.FlashWaitStates = ws
+	spans, res, err := telemetry.HostLayerSpans(b, input)
+	if err != nil {
+		fatal(fmt.Errorf("measuring layer spans: %w", err))
+	}
+	return spans, res.Cycles
+}
+
 // runTierName reports the tier the run actually executed on: a traced
 // run retires through the tracing interpreter, and the fast path needs
 // a certificate's translation table.
@@ -441,27 +456,45 @@ func batchFlagConflicts(prof bool, traceN uint64, folded, profJSON, in, dumpAddr
 	return conflicts
 }
 
+// parseBatch splits a batch file into records of inDim bytes each. The
+// records share one backing array, so it allocates len(data) bytes plus
+// one slice header per record.
+func parseBatch(data []byte, inDim int) ([][]int8, error) {
+	if inDim <= 0 || len(data) == 0 || len(data)%inDim != 0 {
+		return nil, fmt.Errorf("%d bytes, not a positive multiple of the input dim %d", len(data), inDim)
+	}
+	all := make([]int8, len(data))
+	for i, b := range data {
+		all[i] = int8(b)
+	}
+	inputs := make([][]int8, len(data)/inDim)
+	for i := range inputs {
+		inputs[i] = all[i*inDim : (i+1)*inDim : (i+1)*inDim]
+	}
+	return inputs, nil
+}
+
 // runBatch runs every record in path through the board farm and prints
 // per-input predictions, cycle counts, and aggregate statistics. A
 // budget-exhausted or faulting input exits non-zero after the whole
 // batch is reported (one bad input never hides the others).
-func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, ws int, checked, energyRep bool, energyJSON, timelinePath, listen string) {
+func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, ws int, checked, layers, energyRep bool, energyJSON, timelinePath, listen string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	if len(data) == 0 || len(data)%image.InDim != 0 {
-		fatal(fmt.Errorf("batch file %s is %d bytes, not a positive multiple of the input dim %d",
-			path, len(data), image.InDim))
+	inputs, err := parseBatch(data, image.InDim)
+	if err != nil {
+		fatal(fmt.Errorf("batch file %s is %w", path, err))
 	}
-	inputs := make([][]int8, len(data)/image.InDim)
-	for i := range inputs {
-		rec := data[i*image.InDim : (i+1)*image.InDim]
-		in := make([]int8, image.InDim)
-		for j, b := range rec {
-			in[j] = int8(b)
-		}
-		inputs[i] = in
+	fi, err := device.NewFlashImage(image)
+	if err != nil {
+		fatal(err)
+	}
+	var spans []telemetry.Span
+	var measured uint64
+	if layers || energyRep || timelinePath != "" {
+		spans, measured = measureSpans(fi, ws, inputs[0])
 	}
 	opts := farm.Options{
 		Workers: workers,
@@ -488,17 +521,15 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 		}
 		col.StartBatch(len(inputs), w, "auto")
 		opts.Observe = func(i int, res *farm.Result) {
-			col.Observe(res.Cycles, res.HostDurNS, res.Err != nil, res.TelemetryDropped)
-			if image.Telemetry && res.Err == nil {
-				if spans, err := telemetry.DecodeImage(image, res.Telemetry, ws); err == nil {
-					for _, s := range spans {
-						col.ObserveLayer(s.Layer, s.Kernel, s.Cycles)
-					}
+			col.Observe(res.Cycles, res.HostDurNS, res.Err != nil)
+			if res.Err == nil && res.Cycles == measured {
+				for _, s := range spans {
+					col.ObserveLayer(s.Layer, s.Kernel, s.Cycles)
 				}
 			}
 		}
 	}
-	results, stats, batchErr := farm.Map(image, inputs, opts)
+	results, stats, batchErr := farm.Run(fi, inputs, opts)
 	budgetExhausted := false
 	for i, res := range results {
 		if res.Err != nil {
@@ -524,17 +555,19 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 		fmt.Printf("cycles: mean %d, min %d, max %d (mean %.3f ms @ 8 MHz)\n",
 			stats.MeanCycles, stats.MinCycles, stats.MaxCycles, stats.LatencyMS())
 	}
-	if image.Telemetry && stats.Items > stats.Failed {
-		layerStats, err := telemetry.Aggregate(image, results, ws)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		if err := telemetry.WriteStatsTable(os.Stdout, layerStats); err != nil {
-			fatal(err)
+	if spans != nil && stats.Items > stats.Failed {
+		if layers || energyRep {
+			layerStats, err := telemetry.AggregateSpans(spans, measured, results)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println()
+			if err := telemetry.WriteStatsTable(os.Stdout, layerStats); err != nil {
+				fatal(err)
+			}
 		}
 		if energyRep {
-			agg, err := telemetry.AggregateEnergy(image, results, ws, device.EnergyModel())
+			agg, err := telemetry.AggregateSpansEnergy(spans, measured, results, device.EnergyModel())
 			if err != nil {
 				fatal(err)
 			}
@@ -548,7 +581,7 @@ func runBatch(image *modelimg.Image, path string, workers int, maxInstr uint64, 
 		}
 		if timelinePath != "" {
 			em := device.EnergyModel()
-			tl, err := telemetry.BuildTimeline(image, results, telemetry.TimelineConfig{
+			tl, err := telemetry.BuildTimeline(image, spans, measured, results, telemetry.TimelineConfig{
 				FlashWaitStates: ws,
 				Tier:            "auto",
 				Energy:          &em,

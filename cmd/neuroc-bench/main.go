@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -168,17 +169,14 @@ func main() {
 			len(r.Metrics().Experiments), *metrics)
 	}
 	if *timeline != "" {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "neuroc-bench:", err)
+		// Rendered before the file is created, so a run whose timeline
+		// failed leaves no empty file behind; -metrics is already written.
+		var buf bytes.Buffer
+		if err := r.WriteTimelineJSON(&buf); err != nil {
+			fmt.Fprintln(os.Stderr, "neuroc-bench: no timeline written:", err)
 			os.Exit(1)
 		}
-		if err := r.WriteTimelineJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
+		if err := os.WriteFile(*timeline, buf.Bytes(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "neuroc-bench: writing timeline:", err)
 			os.Exit(1)
 		}

@@ -150,9 +150,10 @@ func (d *Deployment) MeasureStats(ds *Dataset, runs int) (ms float64, cycles, in
 
 // TelemetryTwin builds the deployment's telemetry twin: the same
 // quantized model, encoding, and resolved per-layer choices, plus the
-// on-device layer markers. Run timelines execute it — its
-// marker-corrected layer costs equal the uninstrumented deployment's
-// exactly (see internal/telemetry). Every call builds a new image.
+// on-device layer markers. It is the oracle the deployed image's layer
+// spans are tested against — its marker-corrected layer costs equal
+// the deployment's exactly (see internal/telemetry); no shipped tool
+// runs it. Every call builds a new image.
 func (d *Deployment) TelemetryTwin() (*modelimg.Image, error) {
 	img, err := modelimg.BuildOpts(d.QModel, modelimg.BuildOptions{
 		Encoding:  d.Encoding,

@@ -63,8 +63,10 @@ type Runner struct {
 	// collector publishes farm batches into cfg.Obs (lazily built).
 	collector *obs.FarmCollector
 	// timeline is the neuroc-timeline/v1 document the farm experiment
-	// builds (`neuroc-bench -timeline`); nil until FarmBench runs.
-	timeline *obs.Timeline
+	// builds (`neuroc-bench -timeline`); nil until FarmBench runs, or
+	// when building it failed with timelineErr.
+	timeline    *obs.Timeline
+	timelineErr error
 }
 
 // Collector returns the live-metrics collector bound to cfg.Obs, or nil
@@ -82,6 +84,9 @@ func (r *Runner) Collector() *obs.FarmCollector {
 // WriteTimelineJSON emits the run timeline recorded by the farm
 // experiment (`neuroc-bench -exp farm -timeline out.json`).
 func (r *Runner) WriteTimelineJSON(w io.Writer) error {
+	if r.timelineErr != nil {
+		return fmt.Errorf("bench: no timeline recorded: %w", r.timelineErr)
+	}
 	if r.timeline == nil {
 		return fmt.Errorf("bench: no timeline recorded: the farm experiment builds it (-exp farm)")
 	}

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/neuro-c/neuroc/internal/dataset"
+	"github.com/neuro-c/neuroc/internal/tensor"
 )
 
 // quickRunner returns a Runner in quick mode for CI-sized experiment
@@ -281,6 +285,42 @@ func TestFarmBenchQuick(t *testing.T) {
 			t.Errorf("farm metric %s: cycles %d, accuracy %v over %d differ from %s's %d, %v over %d",
 				m.Name, m.Cycles, m.Accuracy, m.DeviceAccuracyN,
 				farms[0].Name, farms[0].Cycles, farms[0].Accuracy, farms[0].DeviceAccuracyN)
+		}
+	}
+}
+
+// TestFarmTimelineErrors: a timeline that cannot be built is an error
+// naming why, never a panic, and WriteTimelineJSON (`neuroc-bench
+// -timeline`) repeats the reason and writes nothing.
+func TestFarmTimelineErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training experiment")
+	}
+	r := quickRunner()
+	o := r.runCandidate(r.Dataset("digits"), r.scalesFor("digits")[0])
+	if o.dep == nil {
+		t.Fatalf("farm model not deployable: %v", o.deployErr)
+	}
+	full := r.fullDataset("digits")
+	empty, narrow := *full, *full
+	empty.TestX = tensor.FromSlice(0, full.TestX.Cols, nil)
+	narrow.TestX = tensor.FromSlice(2, full.TestX.Cols-1, make([]float32, 2*(full.TestX.Cols-1)))
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		want string
+	}{
+		{"empty split", &empty, "empty test split"},
+		{"narrow rows", &narrow, "farm timeline layer spans: device: input length"},
+	} {
+		tl, err := r.buildFarmTimeline(o, c.ds)
+		if tl != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: timeline %v, err %v, want an error containing %q", c.name, tl, err, c.want)
+		}
+		r.timeline, r.timelineErr = tl, err
+		var buf bytes.Buffer
+		if err := r.WriteTimelineJSON(&buf); err == nil || !strings.Contains(err.Error(), c.want) || buf.Len() != 0 {
+			t.Errorf("%s: WriteTimelineJSON wrote %d bytes, err %v, want the build error", c.name, buf.Len(), err)
 		}
 	}
 }

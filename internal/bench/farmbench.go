@@ -7,6 +7,7 @@ import (
 	"github.com/neuro-c/neuroc/internal/dataset"
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/farm"
+	"github.com/neuro-c/neuroc/internal/obs"
 	"github.com/neuro-c/neuroc/internal/report"
 	"github.com/neuro-c/neuroc/internal/telemetry"
 )
@@ -53,7 +54,7 @@ func (r *Runner) FarmBench() *report.Table {
 	c := r.Collector()
 	if c != nil {
 		o.dep.Observe = func(i int, res *farm.Result) {
-			c.Observe(res.Cycles, res.HostDurNS, res.Err != nil, res.TelemetryDropped)
+			c.Observe(res.Cycles, res.HostDurNS, res.Err != nil)
 		}
 		defer func() { o.dep.Observe = nil }()
 	}
@@ -88,64 +89,67 @@ func (r *Runner) FarmBench() *report.Table {
 		r.logf("farm -j %d: acc %.4f, %d samples, %d cycles", j, acc, stats.Items, stats.MinCycles)
 	}
 	o.dep.Workers = r.cfg.Workers
-	r.buildFarmTimeline(o, full)
+	if r.timeline, r.timelineErr = r.buildFarmTimeline(o, full); r.timelineErr != nil {
+		r.logf("farm timeline: %v", r.timelineErr)
+	}
 	t.Note = "identical accuracy and per-input cycles at every pool size (bit-deterministic)"
 	return t
 }
 
-// buildFarmTimeline records the run timeline the farm experiment
-// exports (`neuroc-bench -exp farm -timeline out.json`): a
-// telemetry-twin batch over the head of the full test split, so every
-// inference span nests exact layer spans. The twin's marker-corrected
-// layer costs equal the uninstrumented deployment's, and the cycle
-// domain of the resulting document is byte-identical at any pool size
-// and on any execution tier (tested in internal/telemetry).
-func (r *Runner) buildFarmTimeline(o *outcome, full *dataset.Dataset) {
+// buildFarmTimeline builds the run timeline the farm experiment
+// exports (`neuroc-bench -exp farm -timeline out.json`): a batch of the
+// deployed image over the head of the full test split, every inference
+// nesting the layer spans measured once on that image
+// (telemetry.HostLayerSpans). The cycle domain of the document is
+// byte-identical at any pool size and on any execution tier (tested in
+// internal/telemetry).
+func (r *Runner) buildFarmTimeline(o *outcome, full *dataset.Dataset) (*obs.Timeline, error) {
 	n := 64
 	if r.cfg.Quick {
 		n = 16
 	}
-	if n > full.TestX.Rows {
-		n = full.TestX.Rows
-	}
-	twin, err := o.dep.TelemetryTwin()
-	if err != nil {
-		panic(fmt.Sprintf("bench: farm timeline twin: %v", err))
+	n = min(n, full.TestX.Rows)
+	if n == 0 {
+		return nil, fmt.Errorf("bench: farm timeline: empty test split")
 	}
 	inputs := make([][]int8, n)
 	for i := range inputs {
 		inputs[i] = o.dep.QModel.QuantizeInput(full.TestX.Row(i))
 	}
+	fi := o.dep.Dev.Flash
+	spans, run, err := telemetry.HostLayerSpans(fi.NewBoard(), inputs[0])
+	if err != nil {
+		return nil, fmt.Errorf("bench: farm timeline layer spans: %w", err)
+	}
+	measured := run.Cycles
 	c := r.Collector()
 	opts := farm.Options{Workers: r.cfg.Workers}
 	if c != nil {
 		c.StartBatch(n, r.cfg.Workers, "auto")
 		opts.Observe = func(i int, res *farm.Result) {
-			c.Observe(res.Cycles, res.HostDurNS, res.Err != nil, res.TelemetryDropped)
-			spans, derr := telemetry.DecodeImage(twin, res.Telemetry, 0)
-			if derr != nil {
-				return
-			}
-			for _, s := range spans {
-				c.ObserveLayer(s.Layer, s.Kernel, s.Cycles)
+			c.Observe(res.Cycles, res.HostDurNS, res.Err != nil)
+			if res.Err == nil && res.Cycles == measured {
+				for _, s := range spans {
+					c.ObserveLayer(s.Layer, s.Kernel, s.Cycles)
+				}
 			}
 		}
 	}
-	results, _, err := farm.Map(twin, inputs, opts)
+	results, _, err := farm.Run(fi, inputs, opts)
 	if err != nil {
-		panic(fmt.Sprintf("bench: farm timeline batch: %v", err))
+		return nil, fmt.Errorf("bench: farm timeline batch: %w", err)
 	}
 	em := device.EnergyModel()
-	tl, err := telemetry.BuildTimeline(twin, results, telemetry.TimelineConfig{
+	tl, err := telemetry.BuildTimeline(o.dep.Img, spans, measured, results, telemetry.TimelineConfig{
 		Tier:        "auto",
 		Energy:      &em,
 		IncludeWall: true,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("bench: farm timeline: %v", err))
+		return nil, fmt.Errorf("bench: farm timeline: %w", err)
 	}
-	r.timeline = tl
 	r.logf("farm timeline: %d inferences, %d trace events", n, len(tl.TraceEvents))
+	return tl, nil
 }
 
 // fullDataset returns the complete (never subsampled) dataset for name,

@@ -79,7 +79,7 @@ func FuzzValidateMetricsJSON(f *testing.F) {
 		Name: "batch", Cat: obs.CatBatch, Args: obs.SpanArgs{Cycles: 100},
 		Children: []*obs.Span{{
 			Name: "inference 0", Cat: obs.CatInference,
-			Args: obs.SpanArgs{Cycles: 100, LayerCycles: 80, OverheadCycles: 15, OtherCycles: 5},
+			Args: obs.SpanArgs{Cycles: 100, LayerCycles: 80, OtherCycles: 20},
 			Children: []*obs.Span{
 				{Name: "layer 0 k_a", Cat: obs.CatLayer, Args: obs.SpanArgs{StartCycles: 10, Cycles: 80, Kernel: "k_a"}},
 			},

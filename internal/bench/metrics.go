@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/farm"
@@ -259,7 +261,9 @@ func ValidateMetricsJSON(data []byte) error {
 // decodeMetrics decodes a metrics document strictly: a key that
 // neuroc-metrics/v1 does not define, at the top level, in a record, in
 // its layers or in its energy block, is an error rather than silently
-// dropped, and so is anything after the document.
+// dropped, and so is anything after the document. Keys match their
+// struct tags exactly; encoding/json alone would let a case variant
+// ("WORKERS") through, and read the last of "params" and "Params".
 func decodeMetrics(data []byte) (*MetricsFile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -270,7 +274,63 @@ func decodeMetrics(data []byte) (*MetricsFile, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("data after the document")
 	}
+	tops, err := exactKeys(data, reflect.TypeFor[MetricsFile]())
+	if err != nil {
+		return nil, err
+	}
+	exps, err := exactKeys(tops[0]["experiments"], reflect.TypeFor[Metric]())
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range exps {
+		if _, err := exactKeys(e["layers"], reflect.TypeFor[LayerMetric]()); err != nil {
+			return nil, err
+		}
+		if _, err := exactKeys(e["energy"], reflect.TypeFor[EnergyMetric]()); err != nil {
+			return nil, err
+		}
+	}
 	return &f, nil
+}
+
+// exactKeys requires every key of the JSON objects in raw — one object,
+// an array of them, null or nothing — to be the json tag of a field of
+// struct t, byte for byte, and returns the objects.
+func exactKeys(raw json.RawMessage, t reflect.Type) ([]map[string]json.RawMessage, error) {
+	raw = bytes.TrimSpace(raw)
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	var objs []map[string]json.RawMessage
+	if raw[0] == '[' {
+		if err := json.Unmarshal(raw, &objs); err != nil {
+			return nil, err
+		}
+	} else {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &obj); err != nil {
+			return nil, err
+		}
+		objs = append(objs, obj)
+	}
+	tags := make(map[string]bool, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		tags[name] = true
+	}
+	for _, obj := range objs {
+		var unknown []string
+		for k := range obj {
+			if !tags[k] {
+				unknown = append(unknown, k)
+			}
+		}
+		if len(unknown) > 0 {
+			sort.Strings(unknown)
+			return nil, fmt.Errorf("json: unknown field %q", unknown[0])
+		}
+	}
+	return objs, nil
 }
 
 // checkEnergyNumber requires raw to decode as a finite, non-negative

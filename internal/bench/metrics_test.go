@@ -87,6 +87,11 @@ func TestValidateMetricsJSONRejects(t *testing.T) {
 		{"unknown-top-key", `{"schema":"neuroc-metrics/v1","tolerance":0.5,"experiments":[{"name":"x","kind":"micro","cycles":1,"instructions":1,"cpi":1,"latency_ms":1,"accuracy":0,"flash_bytes":1,"ram_bytes":1}]}`, `unknown field "tolerance"`},
 		{"unknown-layer-key", validExp(`"layers":[{"index":0,"kernel":"k","encoding":"block","cycles":1,"latency_ms":0,"share":1,"flash_bytes":1,"tier":"auto"}]`), `unknown field "tier"`},
 		{"unknown-energy-key", validExp(`"energy":{"active_power_w":0.006,"clock_hz":8000000,"uj_per_inference":1,"host_mips":1}`), `unknown field "host_mips"`},
+		{"case-variant-key", validExp(`"WORKERS":4`), `unknown field "WORKERS"`},
+		{"case-variant-duplicate", validExp(`"params":1,"Params":2`), `unknown field "Params"`},
+		{"case-variant-layer-key", validExp(`"layers":[{"index":0,"kernel":"k","encoding":"block","Cycles":1,"latency_ms":0,"share":1,"flash_bytes":1}]`), `unknown field "Cycles"`},
+		{"case-variant-energy-key", validExp(`"energy":{"active_power_w":0.006,"Clock_Hz":8000000,"clock_hz":8000000,"uj_per_inference":1}`), `unknown field "Clock_Hz"`},
+		{"case-variant-top-key", `{"schema":"neuroc-metrics/v1","Seed":3,"experiments":[{"name":"x","kind":"micro","cycles":1,"instructions":1,"cpi":1,"latency_ms":1,"accuracy":0,"flash_bytes":1,"ram_bytes":1}]}`, `unknown field "Seed"`},
 	}
 	for _, c := range cases {
 		err := ValidateMetricsJSON([]byte(c.data))

@@ -24,7 +24,6 @@ import (
 	"github.com/neuro-c/neuroc/internal/armv6m"
 	"github.com/neuro-c/neuroc/internal/device"
 	"github.com/neuro-c/neuroc/internal/modelimg"
-	"github.com/neuro-c/neuroc/internal/obs"
 )
 
 // Options configures a Run (or Map) batch.
@@ -65,9 +64,8 @@ type Options struct {
 	// the worker that ran it, right after results[i] is written — the
 	// live-metrics hook (obs.FarmCollector). It runs concurrently from
 	// every worker and must be safe for that; the pointee is fully
-	// written and never touched again by the farm. The time spent
-	// inside Observe calls is accounted in Stats.ObserveOverhead. A nil
-	// Observe adds nothing to the per-inference hot path.
+	// written and never touched again by the farm. A nil Observe adds
+	// nothing to the per-inference hot path.
 	Observe func(i int, r *Result)
 }
 
@@ -135,22 +133,6 @@ type Stats struct {
 	// into the execution table shared by every worker: the FlashImage's
 	// Table.BuildTime(), paid when the image was flashed, not per batch.
 	PredecodeBuild time.Duration
-
-	// TranslateBuild is the one-time host cost of building the shared
-	// certified-loop table from the image's certificate (zero when the
-	// image carries none): the FlashImage's Trans.BuildTime().
-	TranslateBuild time.Duration
-
-	// WallHist is the per-inference host wall-nanosecond distribution
-	// over successful items (wall domain, banded; see internal/obs).
-	// Cycle counts need no distribution: the kernels are branch-free,
-	// so MinCycles == MaxCycles on every batch.
-	WallHist *obs.Hist
-
-	// ObserveOverhead is the total host time spent inside
-	// Options.Observe callbacks, summed across workers; zero when no
-	// observer is installed. It bounds what live metrics cost the run.
-	ObserveOverhead time.Duration
 }
 
 // LatencyMS is the mean emulated latency per successful inference.
@@ -215,11 +197,6 @@ func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats
 	}
 	start := time.Now()
 	results := make([]Result, len(inputs))
-	// Per-worker histograms: each worker records its own items without
-	// synchronization, and the merge after the barrier is exact bucket
-	// addition (tested: obs.TestHistMergeProperty).
-	wallHists := make([]obs.Hist, workers)
-	var observeNS atomic.Int64
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -252,15 +229,12 @@ func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats
 						Telemetry:        res.Telemetry,
 						TelemetryDropped: res.TelemetryDropped,
 					}
-					wallHists[w].Record(uint64(dur.Nanoseconds()))
 				}
 				results[i].Worker = w
 				results[i].HostStartNS = itemStart.Sub(start).Nanoseconds()
 				results[i].HostDurNS = dur.Nanoseconds()
 				if opts.Observe != nil {
-					obsStart := time.Now()
 					opts.Observe(i, &results[i])
-					observeNS.Add(time.Since(obsStart).Nanoseconds())
 				}
 			}
 		}(w)
@@ -269,15 +243,7 @@ func Run(fi *device.FlashImage, inputs [][]int8, opts Options) ([]Result, *Stats
 
 	stats := &Stats{
 		Items: len(inputs), Workers: workers, Wall: time.Since(start),
-		PredecodeBuild:  fi.Table.BuildTime(),
-		WallHist:        &obs.Hist{},
-		ObserveOverhead: time.Duration(observeNS.Load()),
-	}
-	if fi.Trans != nil {
-		stats.TranslateBuild = fi.Trans.BuildTime()
-	}
-	for w := range wallHists {
-		stats.WallHist.Merge(&wallHists[w])
+		PredecodeBuild: fi.Table.BuildTime(),
 	}
 	var firstErr error
 	for i := range results {

@@ -387,9 +387,9 @@ func TestRunReusesFlashImage(t *testing.T) {
 				t.Fatalf("-j %d input %d: Run %+v, Map %+v", workers, i, got[i], ref[i])
 			}
 		}
-		if stats.PredecodeBuild != fi.Table.BuildTime() || stats.TranslateBuild != fi.Trans.BuildTime() {
-			t.Errorf("-j %d: build costs %v/%v, want the image's %v/%v", workers,
-				stats.PredecodeBuild, stats.TranslateBuild, fi.Table.BuildTime(), fi.Trans.BuildTime())
+		if stats.PredecodeBuild != fi.Table.BuildTime() {
+			t.Errorf("-j %d: predecode build %v, want the image's %v", workers,
+				stats.PredecodeBuild, fi.Table.BuildTime())
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // FarmCollector publishes a board-farm batch into a Registry: live
 // progress, per-inference latency distributions in both domains,
-// per-layer cycle and µJ breakdowns, and drop/failure counters. It is
+// per-layer cycle and µJ breakdowns, and a failure counter. It is
 // the bridge farm.Map's per-item observer hook feeds; all methods are
 // safe for concurrent use by any number of workers.
 type FarmCollector struct {
@@ -19,7 +19,6 @@ type FarmCollector struct {
 
 	inferences Counter
 	failures   Counter
-	dropped    Counter
 	energyUJ   FloatCounter
 	batchItems Gauge
 	batchDone  Gauge
@@ -40,7 +39,6 @@ func NewFarmCollector(reg *Registry, ujPerCycle float64) *FarmCollector {
 		UJPerCycle: ujPerCycle,
 		inferences: reg.Counter("neuroc_inferences_total", "completed inferences (successes)"),
 		failures:   reg.Counter("neuroc_inference_failures_total", "inferences that faulted or exhausted their budget"),
-		dropped:    reg.Counter("neuroc_telemetry_dropped_total", "telemetry mailbox events lost to the capture cap"),
 		energyUJ:   reg.FloatCounter("neuroc_energy_uj_total", "accumulated active energy across successful inferences (µJ, priced from exact cycles)"),
 		batchItems: reg.Gauge("neuroc_batch_items", "inputs in the current batch"),
 		batchDone:  reg.Gauge("neuroc_batch_done", "inputs completed so far in the current batch"),
@@ -61,11 +59,8 @@ func (c *FarmCollector) StartBatch(items, workers int, tier string) {
 }
 
 // Observe records one completed inference.
-func (c *FarmCollector) Observe(cycles uint64, wallNS int64, failed bool, dropped uint64) {
+func (c *FarmCollector) Observe(cycles uint64, wallNS int64, failed bool) {
 	c.batchDone.Add(1)
-	if dropped > 0 {
-		c.dropped.Add(int64(dropped))
-	}
 	if failed {
 		c.failures.Inc()
 		return
@@ -80,7 +75,7 @@ func (c *FarmCollector) Observe(cycles uint64, wallNS int64, failed bool, droppe
 	}
 }
 
-// ObserveLayer records one decoded layer span (telemetry batches).
+// ObserveLayer records one layer span of a completed inference.
 func (c *FarmCollector) ObserveLayer(layer int, kernel string, cycles uint64) {
 	c.mu.Lock()
 	for len(c.layerCycles) <= layer {
@@ -90,7 +85,7 @@ func (c *FarmCollector) ObserveLayer(layer int, kernel string, cycles uint64) {
 			ls = append(ls, Label{"kernel", kernel})
 		}
 		c.layerCycles = append(c.layerCycles, c.reg.Histogram(
-			"neuroc_layer_cycles", "per-layer device cycles, marker-corrected (cycle domain)", ls...))
+			"neuroc_layer_cycles", "per-layer device cycles (cycle domain)", ls...))
 		c.layerUJ = append(c.layerUJ, c.reg.FloatCounter(
 			"neuroc_layer_uj_total", "accumulated per-layer active energy (µJ, priced from exact cycles)", ls...))
 	}

@@ -19,7 +19,7 @@
 //
 // obs deliberately imports nothing outside the standard library, so the
 // measurement pipeline (internal/farm, internal/telemetry) can feed it
-// without import cycles. Span *construction* from telemetry data lives
-// next to the decoders in internal/telemetry; this package owns the
+// without import cycles. Span *construction* from layer spans lives in
+// internal/telemetry; this package owns the
 // span model, the serialization, and the validators.
 package obs

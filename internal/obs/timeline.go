@@ -16,9 +16,8 @@ import (
 //     timeline is the *virtual serial* execution — inferences
 //     concatenated in input order on one track — so its bytes are
 //     identical at any worker count and on any execution tier, and the
-//     telemetry exactness contract (sum of layer spans + overhead +
-//     other == inference, sum of inferences == batch) holds to the
-//     cycle.
+//     layer attribution (sum of layer spans + other == inference, sum
+//     of inferences == batch) holds to the cycle.
 //   - Wall domain: WallStartNS/WallDurNS/Worker, host wall-clock with
 //     one track per worker. Included only when requested (the CLI
 //     default); never golden-pinned or gated.
@@ -45,12 +44,11 @@ type SpanArgs struct {
 	StartCycles uint64 `json:"start_cycles"`
 	Cycles      uint64 `json:"cycles"`
 
-	// Inference spans: the telemetry exactness split (layer_cycles +
-	// overhead_cycles + other_cycles == cycles, exactly). Zero-valued
-	// (omitted) on batches without layer telemetry.
-	LayerCycles    uint64 `json:"layer_cycles,omitempty"`
-	OverheadCycles uint64 `json:"overhead_cycles,omitempty"`
-	OtherCycles    uint64 `json:"other_cycles,omitempty"`
+	// Inference spans: the layer attribution split (layer_cycles +
+	// other_cycles == cycles, exactly). Zero-valued (omitted) on
+	// batches without layer spans.
+	LayerCycles uint64 `json:"layer_cycles,omitempty"`
+	OtherCycles uint64 `json:"other_cycles,omitempty"`
 
 	Kernel   string  `json:"kernel,omitempty"`   // layer spans: accumulate kernel symbol
 	Encoding string  `json:"encoding,omitempty"` // resolved adjacency encoding
@@ -206,9 +204,8 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 //   - exactly one batch span; inference spans contained in it,
 //     contiguous, in input order, summing exactly to the batch cycles
 //   - layer spans contained in their inference; per inference the
-//     telemetry exactness contract holds: sum of layer-span cycles ==
-//     layer_cycles and layer_cycles + overhead_cycles + other_cycles ==
-//     cycles, all exact
+//     attribution is exact: sum of layer-span cycles == layer_cycles and
+//     layer_cycles + other_cycles == cycles
 //
 // Wall-domain events (pid 2) are shape-checked only (they are host
 // measurements, not invariants).
@@ -295,8 +292,8 @@ func ValidateTimelineJSON(data []byte) error {
 				return fmt.Errorf("timeline: inference %d layer spans sum to %d cycles, args say layer_cycles=%d",
 					i, layerSum, inf.LayerCycles)
 			}
-			if got := inf.LayerCycles + inf.OverheadCycles + inf.OtherCycles; got != inf.Cycles {
-				return fmt.Errorf("timeline: inference %d: layer+overhead+other = %d, want exactly cycles %d",
+			if got := inf.LayerCycles + inf.OtherCycles; got != inf.Cycles {
+				return fmt.Errorf("timeline: inference %d: layer+other = %d, want exactly cycles %d",
 					i, got, inf.Cycles)
 			}
 		}

@@ -24,9 +24,11 @@ type LayerStats struct {
 
 // batch is the one fold from per-inference layer spans to batch
 // statistics. The telemetry twin's decoded event streams (Aggregate,
-// AggregateEnergy) and the host-segmented spans of an uninstrumented
-// image (HostAggregate, HostAggregateEnergy) both go through it, so
-// equal spans and cycle totals fold to equal figures, bit for bit.
+// AggregateEnergy), the host-segmented spans of every input
+// (HostAggregate, HostAggregateEnergy) and one measurement applied to a
+// farm run of the deployed image (AggregateSpans, AggregateSpansEnergy)
+// all go through it, so equal spans and cycle totals fold to equal
+// figures, bit for bit.
 type batch struct {
 	layers []LayerStats
 	items  int
@@ -106,6 +108,37 @@ func hostBatch(d *device.Device, inputs [][]int8) (*batch, error) {
 		b.add(spans, res.Cycles, res.SleepCycles)
 	}
 	return b, nil
+}
+
+// spanBatch applies the deployed image's layer spans, measured once
+// (HostLayerSpans, measured total cycles), to every successful item of
+// a farm run of that image. Failed items are skipped; a successful item
+// of any other cost is an error naming it.
+func spanBatch(spans []Span, measured uint64, results []farm.Result) (*batch, error) {
+	b := &batch{layers: make([]LayerStats, len(spans))}
+	for i, s := range spans {
+		b.layers[i] = LayerStats{Index: i, Kernel: s.Kernel}
+	}
+	for i := range results {
+		if results[i].Err != nil {
+			continue
+		}
+		if err := checkRow(fmt.Sprintf("item %d", i), results[i].Cycles, measured); err != nil {
+			return nil, err
+		}
+		b.add(spans, results[i].Cycles, results[i].SleepCycles)
+	}
+	return b, nil
+}
+
+// AggregateSpans folds a farm run of the deployed image into per-layer
+// statistics from one measurement of its layer spans (see spanBatch).
+func AggregateSpans(spans []Span, measured uint64, results []farm.Result) ([]LayerStats, error) {
+	b, err := spanBatch(spans, measured, results)
+	if err != nil {
+		return nil, err
+	}
+	return b.stats(), nil
 }
 
 // Aggregate decodes every successful item of a telemetry-image farm run

@@ -19,7 +19,7 @@ const EnergySchema = "neuroc-energy/v1"
 // integer cycle count through the same deterministic float expression
 // (energy.Model.ActiveUJ), so figures computed from equal cycle counts
 // are bit-identical. Sums are proven on the cycle domain — layer +
-// overhead + other == total holds exactly in integers — and the total
+// other == total holds exactly in integers — and the total
 // energy is priced from the total count directly, never as a float sum
 // of parts, so the whole-inference energy equals the closed-form
 // P_active·cycles/f value bit-for-bit when nothing sleeps.
@@ -28,12 +28,12 @@ const EnergySchema = "neuroc-energy/v1"
 type LayerEnergyRecord struct {
 	Index  int     `json:"index"`
 	Kernel string  `json:"kernel"`
-	Cycles uint64  `json:"cycles"` // corrected (instrumentation-free) cost
-	UJ     float64 `json:"uj"`     // active energy of those cycles
-	Share  float64 `json:"share"`  // fraction of total inference energy
+	Cycles uint64  `json:"cycles"`
+	UJ     float64 `json:"uj"`    // active energy of those cycles
+	Share  float64 `json:"share"` // fraction of total inference energy
 }
 
-// EnergyReport prices one inference's decoded telemetry, the
+// EnergyReport prices one inference's layer attribution, the
 // neuroc-energy/v1 record. The cycle fields mirror Report; the µJ
 // fields are those cycles priced by the board's energy model.
 type EnergyReport struct {
@@ -59,21 +59,17 @@ type EnergyReport struct {
 	// DutyActive is the measured active fraction (1 when nothing slept).
 	DutyActive float64 `json:"duty_active"`
 
-	LayerCycles    uint64  `json:"layer_cycles"`
-	OverheadCycles uint64  `json:"overhead_cycles"`
-	OtherCycles    uint64  `json:"other_cycles"`
-	LayerUJ        float64 `json:"layer_uj"`    // priced from LayerCycles
-	OverheadUJ     float64 `json:"overhead_uj"` // priced from OverheadCycles
-	OtherUJ        float64 `json:"other_uj"`    // priced from OtherCycles
+	LayerCycles uint64  `json:"layer_cycles"`
+	OtherCycles uint64  `json:"other_cycles"`
+	LayerUJ     float64 `json:"layer_uj"` // priced from LayerCycles
+	OtherUJ     float64 `json:"other_uj"` // priced from OtherCycles
 
 	Layers []LayerEnergyRecord `json:"layers"`
 }
 
-// BuildEnergyReport decodes one inference result against its image and
-// prices it with m. Like BuildReport, a dropped-event capture is
-// rejected: under-attributed layers would silently under-report energy.
-func BuildEnergyReport(img *modelimg.Image, res *device.Result, ws int, m energy.Model) (*EnergyReport, error) {
-	base, err := BuildReport(img, res, ws)
+// BuildEnergyReport is BuildReport priced with m.
+func BuildEnergyReport(spans []Span, measured uint64, res *device.Result, ws int, m energy.Model) (*EnergyReport, error) {
+	base, err := BuildReport(spans, measured, res, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +83,6 @@ func BuildEnergyReport(img *modelimg.Image, res *device.Result, ws int, m energy
 		ActiveCycles:    res.ActiveCycles(),
 		SleepCycles:     res.SleepCycles,
 		LayerCycles:     base.LayerCycles,
-		OverheadCycles:  base.OverheadCycles,
 		OtherCycles:     base.OtherCycles,
 	}
 	r.ActiveUJ = m.ActiveUJ(r.ActiveCycles)
@@ -97,7 +92,6 @@ func BuildEnergyReport(img *modelimg.Image, res *device.Result, ws int, m energy
 		r.DutyActive = float64(r.ActiveCycles) / float64(r.TotalCycles)
 	}
 	r.LayerUJ = m.ActiveUJ(r.LayerCycles)
-	r.OverheadUJ = m.ActiveUJ(r.OverheadCycles)
 	r.OtherUJ = m.ActiveUJ(r.OtherCycles)
 	for _, l := range base.Layers {
 		rec := LayerEnergyRecord{
@@ -131,7 +125,6 @@ func (r *EnergyReport) WriteTable(w io.Writer) error {
 			l.Index, l.Kernel, l.Cycles, l.UJ, l.Share*100)
 	}
 	fmt.Fprintf(tw, "\t[layers]\t%d\t%.4f\t\n", r.LayerCycles, r.LayerUJ)
-	fmt.Fprintf(tw, "\t[markers]\t%d\t%.4f\t\n", r.OverheadCycles, r.OverheadUJ)
 	fmt.Fprintf(tw, "\t[other]\t%d\t%.4f\t\n", r.OtherCycles, r.OtherUJ)
 	if r.SleepCycles > 0 {
 		fmt.Fprintf(tw, "\t[sleep]\t%d\t%.4f\t\n", r.SleepCycles, r.SleepUJ)
@@ -188,6 +181,15 @@ func AggregateEnergy(img *modelimg.Image, results []farm.Result, ws int, m energ
 // the cycles the deployed image spends.
 func HostAggregateEnergy(d *device.Device, inputs [][]int8, m energy.Model) (*EnergyAggregate, error) {
 	b, err := hostBatch(d, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return b.energy(m), nil
+}
+
+// AggregateSpansEnergy is AggregateSpans priced with m.
+func AggregateSpansEnergy(spans []Span, measured uint64, results []farm.Result, m energy.Model) (*EnergyAggregate, error) {
+	b, err := spanBatch(spans, measured, results)
 	if err != nil {
 		return nil, err
 	}

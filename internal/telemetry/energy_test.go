@@ -15,12 +15,13 @@ import (
 )
 
 // TestModelEnergyReportExact is the energy acceptance test at model
-// level: across all four encodings, the neuroc-energy/v1 report must
-// (a) close its cycle accounting exactly, (b) price the whole inference
-// as the closed-form P_active·cycles/f value bit-for-bit (no sleep, no
-// component adders in the calibrated default), (c) price every layer
-// from its corrected cycle count through the same expression, and
-// (d) agree bit-for-bit between the predecoded and legacy interpreters.
+// level: across all four encodings, the neuroc-energy/v1 report of the
+// deployed image must (a) close its cycle accounting exactly, (b) price
+// the whole inference as the closed-form P_active·cycles/f value
+// bit-for-bit (no sleep, no component adders in the calibrated
+// default), (c) price every layer from its cycle count through the same
+// expression, and (d) agree bit-for-bit between runs on the predecoded
+// and legacy interpreters.
 func TestModelEnergyReportExact(t *testing.T) {
 	m := testModel()
 	em := device.EnergyModel()
@@ -29,11 +30,12 @@ func TestModelEnergyReportExact(t *testing.T) {
 	} {
 		for _, ws := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%v/ws%d", enc, ws), func(t *testing.T) {
-				img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: enc, Telemetry: true})
+				img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: enc})
 				if err != nil {
 					t.Fatal(err)
 				}
 				in := randInput(rng.New(7), m.Layers[0].In)
+				spans, measured := measureSpans(t, img, ws, in)
 
 				report := func(legacy bool) *EnergyReport {
 					dev, err := device.New(img)
@@ -46,7 +48,7 @@ func TestModelEnergyReportExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep, err := BuildEnergyReport(img, res, ws, em)
+					rep, err := BuildEnergyReport(spans, measured, res, ws, em)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -63,9 +65,9 @@ func TestModelEnergyReportExact(t *testing.T) {
 				}
 
 				// (a) Integer cycle accounting is closed.
-				if fast.LayerCycles+fast.OverheadCycles+fast.OtherCycles != fast.TotalCycles {
-					t.Errorf("cycles do not sum: %d + %d + %d != %d",
-						fast.LayerCycles, fast.OverheadCycles, fast.OtherCycles, fast.TotalCycles)
+				if fast.LayerCycles+fast.OtherCycles != fast.TotalCycles {
+					t.Errorf("cycles do not sum: %d + %d != %d",
+						fast.LayerCycles, fast.OtherCycles, fast.TotalCycles)
 				}
 				var layerSum uint64
 				for _, l := range fast.Layers {
@@ -98,7 +100,6 @@ func TestModelEnergyReportExact(t *testing.T) {
 					}
 				}
 				if fast.LayerUJ != em.ActiveUJ(fast.LayerCycles) ||
-					fast.OverheadUJ != em.ActiveUJ(fast.OverheadCycles) ||
 					fast.OtherUJ != em.ActiveUJ(fast.OtherCycles) {
 					t.Error("component µJ rows not priced from their cycle counts")
 				}
@@ -215,7 +216,7 @@ func TestFarmEnergyAggregate(t *testing.T) {
 
 // TestMailboxOverflowReportsLoudly is the end-to-end overflow test: a
 // capture cap smaller than the event count must surface as a nonzero
-// drop count on the result and as hard errors from every attribution
+// drop count on the result and as hard errors from every twin decoding
 // entry point — never as silently under-attributed layers.
 func TestMailboxOverflowReportsLoudly(t *testing.T) {
 	m := testModel()
@@ -241,11 +242,8 @@ func TestMailboxOverflowReportsLoudly(t *testing.T) {
 	if len(res.Telemetry) != 3 {
 		t.Fatalf("captured %d events at cap 3", len(res.Telemetry))
 	}
-	if _, err := BuildReport(img, res, 0); err == nil || !strings.Contains(err.Error(), "dropped") {
-		t.Errorf("BuildReport on truncated capture: err = %v, want loud drop error", err)
-	}
-	if _, err := BuildEnergyReport(img, res, 0, device.EnergyModel()); err == nil || !strings.Contains(err.Error(), "dropped") {
-		t.Errorf("BuildEnergyReport on truncated capture: err = %v, want loud drop error", err)
+	if _, err := DecodeImage(img, res.Telemetry, 0); err == nil {
+		t.Error("DecodeImage accepted a truncated capture")
 	}
 
 	// Farm path: the same cap on every board; aggregation must refuse.
@@ -275,7 +273,7 @@ func TestMailboxOverflowReportsLoudly(t *testing.T) {
 
 func TestEnergyReportTableRenders(t *testing.T) {
 	m := testModel()
-	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseCSC, Telemetry: true})
+	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseCSC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +281,13 @@ func TestEnergyReportTableRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dev.Run(randInput(rng.New(2), m.Layers[0].In))
+	in := randInput(rng.New(2), m.Layers[0].In)
+	res, err := dev.Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := BuildEnergyReport(img, res, 0, device.EnergyModel())
+	spans, measured := measureSpans(t, img, 0, in)
+	rep, err := BuildEnergyReport(spans, measured, res, 0, device.EnergyModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +300,9 @@ func TestEnergyReportTableRenders(t *testing.T) {
 			t.Errorf("energy table missing %q:\n%s", want, buf.String())
 		}
 	}
+	if bytes.Contains(buf.Bytes(), []byte("[markers]")) {
+		t.Errorf("deployed-image energy table has a markers row:\n%s", buf.String())
+	}
 	var js bytes.Buffer
 	if err := rep.WriteJSON(&js); err != nil {
 		t.Fatal(err)
@@ -309,4 +312,21 @@ func TestEnergyReportTableRenders(t *testing.T) {
 			t.Errorf("energy JSON missing %q", want)
 		}
 	}
+}
+
+// measureSpans measures img's layer spans the way the shipped tools do:
+// one inference of in on a fresh board at ws (HostLayerSpans). It
+// returns the spans and the cycles that inference cost.
+func measureSpans(t *testing.T, img *modelimg.Image, ws int, in []int8) ([]Span, uint64) {
+	t.Helper()
+	d, err := device.New(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.CPU.Bus.FlashWaitStates = ws
+	spans, res, err := HostLayerSpans(d, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans, res.Cycles
 }

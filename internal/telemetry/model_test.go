@@ -170,14 +170,14 @@ func TestModelTelemetryExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hostOff, _, err := HostLayerCycles(devOff, in)
+				hostOff, _, err := HostLayerSpans(devOff, in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, s := range spans {
-					if s.Cycles != hostOff[i] {
+					if s.Cycles != hostOff[i].Cycles {
 						t.Errorf("layer %d: device-attributed %d cycles, host-attributed %d",
-							i, s.Cycles, hostOff[i])
+							i, s.Cycles, hostOff[i].Cycles)
 					}
 					if s.Kernel != imgOn.Layers[i].Kernel {
 						t.Errorf("layer %d: kernel %q, want %q", i, s.Kernel, imgOn.Layers[i].Kernel)
@@ -186,25 +186,31 @@ func TestModelTelemetryExact(t *testing.T) {
 
 				// Host attribution of the instrumented image differs from
 				// the device's by exactly the two markers each layer holds.
-				hostOn, _, err := HostLayerCycles(devOn, in)
+				hostOn, _, err := HostLayerSpans(devOn, in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, s := range spans {
-					if s.Cycles != hostOn[i]-2*MarkerCost(ws) {
+					if s.Cycles != hostOn[i].Cycles-2*MarkerCost(ws) {
 						t.Errorf("layer %d: span %d, host-on %d - 2*marker %d",
-							i, s.Cycles, hostOn[i], MarkerCost(ws))
+							i, s.Cycles, hostOn[i].Cycles, MarkerCost(ws))
 					}
 				}
 
-				// The report's cycle accounting is closed.
-				rep, err := BuildReport(imgOn, resOn, ws)
+				// The deployed image's report is closed and carries the
+				// twin's layer costs.
+				rep, err := BuildReport(hostOff, resOff.Cycles, resOff, ws)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.LayerCycles+rep.OverheadCycles+rep.OtherCycles != rep.TotalCycles {
-					t.Errorf("report does not sum: %d + %d + %d != %d",
-						rep.LayerCycles, rep.OverheadCycles, rep.OtherCycles, rep.TotalCycles)
+				if rep.LayerCycles+rep.OtherCycles != rep.TotalCycles || rep.TotalCycles != resOff.Cycles {
+					t.Errorf("report does not sum: %d + %d != %d (run %d)",
+						rep.LayerCycles, rep.OtherCycles, rep.TotalCycles, resOff.Cycles)
+				}
+				for i, s := range spans {
+					if rep.Layers[i].Cycles != s.Cycles {
+						t.Errorf("layer %d: report %d cycles, twin %d", i, rep.Layers[i].Cycles, s.Cycles)
+					}
 				}
 				if rep.Schema != Schema || len(rep.Layers) != n {
 					t.Errorf("report schema %q with %d layers", rep.Schema, len(rep.Layers))

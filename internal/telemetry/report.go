@@ -1,16 +1,14 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
 	"github.com/neuro-c/neuroc/internal/device"
-	"github.com/neuro-c/neuroc/internal/modelimg"
 )
 
-// Schema identifies the JSON record BuildReport emits.
+// Schema identifies the JSON record a Report marshals to.
 const Schema = "neuroc-telemetry/v1"
 
 // LayerRecord is one layer's row in a Report.
@@ -19,35 +17,29 @@ type LayerRecord struct {
 	Kernel      string  `json:"kernel"`
 	EnterCycles uint64  `json:"enter_cycles"`
 	ExitCycles  uint64  `json:"exit_cycles"`
-	Cycles      uint64  `json:"cycles"` // corrected (instrumentation-free) cost
+	Cycles      uint64  `json:"cycles"`
 	LatencyMS   float64 `json:"latency_ms"`
 	Share       float64 `json:"share"` // fraction of total inference cycles
 }
 
-// Report is the decoded telemetry for one inference, the
-// neuroc-telemetry/v1 record.
+// Report is the per-layer attribution of one inference of the deployed
+// image, the neuroc-telemetry/v1 record.
 type Report struct {
 	Schema          string        `json:"schema"`
 	ClockHz         int           `json:"clock_hz"`
 	FlashWaitStates int           `json:"flash_wait_states"`
-	TotalCycles     uint64        `json:"total_cycles"`    // whole instrumented inference
-	LayerCycles     uint64        `json:"layer_cycles"`    // sum of corrected layer costs
-	OverheadCycles  uint64        `json:"overhead_cycles"` // Overhead(n, ws), exact
-	OtherCycles     uint64        `json:"other_cycles"`    // entry glue outside the layers
-	DroppedEvents   uint64        `json:"dropped_events,omitempty"`
+	TotalCycles     uint64        `json:"total_cycles"` // whole inference
+	LayerCycles     uint64        `json:"layer_cycles"` // sum of layer costs
+	OtherCycles     uint64        `json:"other_cycles"` // entry glue outside the layers
 	Layers          []LayerRecord `json:"layers"`
 }
 
-// BuildReport decodes one inference result against its image. The
-// result must carry a complete telemetry capture; dropped events make
-// attribution unsound and are rejected.
-func BuildReport(img *modelimg.Image, res *device.Result, ws int) (*Report, error) {
-	if res.TelemetryDropped > 0 {
-		return nil, fmt.Errorf("telemetry: %d events dropped at the capture cap, attribution incomplete",
-			res.TelemetryDropped)
-	}
-	spans, err := DecodeImage(img, res.Telemetry, ws)
-	if err != nil {
+// BuildReport applies the deployed image's layer spans to one run of it.
+// spans and measured are one measurement of the image at ws
+// (HostLayerSpans and its total cycles); res is the run they describe,
+// which must have cost exactly measured cycles.
+func BuildReport(spans []Span, measured uint64, res *device.Result, ws int) (*Report, error) {
+	if err := checkRow("run", res.Cycles, measured); err != nil {
 		return nil, err
 	}
 	r := &Report{
@@ -55,36 +47,31 @@ func BuildReport(img *modelimg.Image, res *device.Result, ws int) (*Report, erro
 		ClockHz:         device.ClockHz,
 		FlashWaitStates: ws,
 		TotalCycles:     res.Cycles,
-		OverheadCycles:  Overhead(len(spans), ws),
 	}
 	for _, s := range spans {
 		r.LayerCycles += s.Cycles
-		rec := LayerRecord{
+		r.Layers = append(r.Layers, LayerRecord{
 			Index:       s.Layer,
 			Kernel:      s.Kernel,
 			EnterCycles: s.Enter,
 			ExitCycles:  s.Exit,
 			Cycles:      s.Cycles,
 			LatencyMS:   device.CyclesToMS(s.Cycles),
-		}
-		if res.Cycles > 0 {
-			rec.Share = float64(s.Cycles) / float64(res.Cycles)
-		}
-		r.Layers = append(r.Layers, rec)
+			Share:       float64(s.Cycles) / float64(res.Cycles),
+		})
 	}
-	if accounted := r.LayerCycles + r.OverheadCycles; accounted > r.TotalCycles {
-		return nil, fmt.Errorf("telemetry: layers (%d) + overhead (%d) exceed total cycles (%d)",
-			r.LayerCycles, r.OverheadCycles, r.TotalCycles)
-	}
-	r.OtherCycles = r.TotalCycles - r.LayerCycles - r.OverheadCycles
+	r.OtherCycles = r.TotalCycles - r.LayerCycles
 	return r, nil
 }
 
-// WriteJSON emits the neuroc-telemetry/v1 record.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// checkRow requires a run or farm row the measured layer spans are
+// applied to to have cost exactly the measured total: the spans are
+// facts of the image only while every inference of it costs the same.
+func checkRow(row string, cycles, measured uint64) error {
+	if cycles != measured {
+		return fmt.Errorf("telemetry: %s cost %d cycles, the layer measurement %d", row, cycles, measured)
+	}
+	return nil
 }
 
 // WriteTable renders the per-layer table for terminals (m0run -layers).
@@ -96,7 +83,6 @@ func (r *Report) WriteTable(w io.Writer) error {
 			l.Index, l.Kernel, l.Cycles, l.LatencyMS, l.Share*100)
 	}
 	fmt.Fprintf(tw, "\t[layers]\t%d\t%.3f\t\n", r.LayerCycles, device.CyclesToMS(r.LayerCycles))
-	fmt.Fprintf(tw, "\t[markers]\t%d\t%.3f\t\n", r.OverheadCycles, device.CyclesToMS(r.OverheadCycles))
 	fmt.Fprintf(tw, "\t[other]\t%d\t%.3f\t\n", r.OtherCycles, device.CyclesToMS(r.OtherCycles))
 	fmt.Fprintf(tw, "\t[total]\t%d\t%.3f\t\n", r.TotalCycles, device.CyclesToMS(r.TotalCycles))
 	return tw.Flush()

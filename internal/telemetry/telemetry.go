@@ -1,14 +1,21 @@
-// Package telemetry decodes the on-device layer-marker stream captured
-// by the emulated timer peripheral (armv6m.Timer) into per-layer cycle
-// attribution — the host half of the paper's TIM2 measurement pipeline.
+// Package telemetry attributes an inference's cycles to the model's
+// layers, the host half of the paper's TIM2 measurement.
 //
-// A telemetry image (modelimg.BuildOptions.Telemetry) brackets every
-// layer call with enter/exit stores to the peripheral mailbox; the
-// peripheral stamps each store with the exact retire-time cycle count.
-// Because the marker sequence is fixed (see internal/kernels
-// telemetry.go), its cost is a closed-form constant and the decoder can
-// subtract it exactly: a decoded Span.Cycles equals, cycle for cycle,
-// what the same layer costs in an uninstrumented image.
+// Every shipped tool takes layer spans from the deployed image itself:
+// HostLayerSpans segments one untraced inference at the image's layer
+// boundaries (device.RunBoundaries), and because a layer's cost does not
+// depend on the input, that one measurement is applied to every run or
+// farm row of the image (BuildReport, BuildEnergyReport, BuildTimeline,
+// AggregateSpans), each of which must cost exactly the measured total.
+//
+// The telemetry twin is the oracle those spans are tested against: an
+// image built with modelimg.BuildOptions.Telemetry brackets every layer
+// call with enter/exit stores to the peripheral mailbox, and the
+// peripheral stamps each store with the exact retire-time cycle count,
+// as TIM2 would on the board. Because the marker sequence is fixed (see
+// internal/kernels telemetry.go), its cost is a closed-form constant and
+// Decode subtracts it exactly: a decoded Span.Cycles equals, cycle for
+// cycle, what the same layer costs in the deployed image.
 //
 // The timestamp convention: an event's cycle stamp is taken after the
 // storing instruction fully retires. The enter marker's own cost
@@ -43,18 +50,18 @@ func Overhead(nLayers, ws int) uint64 {
 	return PrologueCost(ws) + uint64(nLayers)*2*MarkerCost(ws)
 }
 
-// Span is one decoded layer execution.
+// Span is one layer execution.
 type Span struct {
 	Layer  int    `json:"layer"`
 	Kernel string `json:"kernel,omitempty"` // accumulate kernel symbol, when known
 
-	// Enter and Exit are the raw mailbox timestamps (cycles at marker
-	// retire).
+	// Enter and Exit are the cycle totals at the layer's boundaries
+	// (HostLayerSpans) or the raw mailbox timestamps (Decode).
 	Enter uint64 `json:"enter"`
 	Exit  uint64 `json:"exit"`
 
-	// Cycles is the corrected layer cost, Exit - Enter - MarkerCost:
-	// exactly what the layer costs with instrumentation off.
+	// Cycles is the layer cost: Exit - Enter on the deployed image,
+	// Exit - Enter - MarkerCost for a decoded twin, equal either way.
 	Cycles uint64 `json:"cycles"`
 }
 

@@ -202,7 +202,7 @@ func TestOverheadFormula(t *testing.T) {
 func TestReportTableRenders(t *testing.T) {
 	r := &Report{
 		Schema: Schema, ClockHz: device.ClockHz,
-		TotalCycles: 1000, LayerCycles: 900, OverheadCycles: 20, OtherCycles: 80,
+		TotalCycles: 1000, LayerCycles: 900, OtherCycles: 100,
 		Layers: []LayerRecord{
 			{Index: 0, Kernel: "k_block_c1", Cycles: 600, Share: 0.6},
 			{Index: 1, Kernel: "k_csc_c1_i1", Cycles: 300, Share: 0.3},
@@ -213,9 +213,12 @@ func TestReportTableRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"k_block_c1", "k_csc_c1_i1", "[markers]", "[total]"} {
+	for _, want := range []string{"k_block_c1", "k_csc_c1_i1", "[layers]", "[other]", "[total]"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
+	}
+	if bytes.Contains(buf.Bytes(), []byte("[markers]")) {
+		t.Errorf("deployed-image table has a markers row:\n%s", out)
 	}
 }

@@ -11,17 +11,18 @@ import (
 )
 
 // Run-timeline construction: the bridge from the exact substrates (farm
-// results, mailbox telemetry) to the obs span model. The cycle-domain
-// tree is the virtual serial execution — inferences concatenated in
-// input order — so its serialized form is byte-identical at any worker
-// count and on any execution tier; layer spans come from the telemetry
-// decoder and inherit its exactness contract (marker-corrected costs
-// that sum, with the fixed overhead and entry glue, to the inference
-// total, cycle for cycle).
+// results, the deployed image's measured layer spans) to the obs span
+// model. The cycle-domain tree is the virtual serial execution —
+// inferences concatenated in input order — so its serialized form is
+// byte-identical at any worker count and on any execution tier. Every
+// inference nests the same layer spans, measured once on the deployed
+// image (HostLayerSpans) and laid out from the inference's cycle start;
+// they sum, with the entry glue, to the inference total, cycle for
+// cycle.
 
 // TimelineConfig configures BuildTimeline.
 type TimelineConfig struct {
-	// FlashWaitStates is the ws the batch ran at (marker correction).
+	// FlashWaitStates is the ws the batch ran at.
 	FlashWaitStates int
 	// Tier labels the batch span ("auto", "legacy", ...). Informational.
 	Tier string
@@ -32,11 +33,12 @@ type TimelineConfig struct {
 	IncludeWall bool
 }
 
-// BuildBatchSpans folds a farm run into a batch span tree. Failed items
-// carry no cycles and are skipped; for telemetry images every
-// successful item must decode completely (a dropped event would make
-// the layer spans unsound, exactly as in BuildReport).
-func BuildBatchSpans(img *modelimg.Image, results []farm.Result, cfg TimelineConfig) (*obs.Span, error) {
+// BuildBatchSpans folds a farm run of img into a batch span tree whose
+// inferences nest img's layer spans, measured once (HostLayerSpans,
+// measured total cycles). Failed items carry no cycles and are skipped;
+// a successful item of any other cost than measured is an error naming
+// it.
+func BuildBatchSpans(img *modelimg.Image, spans []Span, measured uint64, results []farm.Result, cfg TimelineConfig) (*obs.Span, error) {
 	root := &obs.Span{Name: "batch", Cat: obs.CatBatch, Args: obs.SpanArgs{Tier: cfg.Tier}}
 	var cursor uint64
 	for i := range results {
@@ -53,41 +55,22 @@ func BuildBatchSpans(img *modelimg.Image, results []farm.Result, cfg TimelineCon
 			WallDurNS:   res.HostDurNS,
 			Worker:      res.Worker,
 		}
-		if img.Telemetry {
-			if res.TelemetryDropped > 0 {
-				return nil, fmt.Errorf("timeline: item %d dropped %d telemetry events, layer spans incomplete",
-					i, res.TelemetryDropped)
-			}
-			spans, err := DecodeImage(img, res.Telemetry, cfg.FlashWaitStates)
-			if err != nil {
-				return nil, fmt.Errorf("timeline: item %d: %w", i, err)
-			}
-			for _, s := range spans {
-				layer := &obs.Span{
-					Name: fmt.Sprintf("layer %d %s", s.Layer, s.Kernel),
-					Cat:  obs.CatLayer,
-					Args: obs.SpanArgs{
-						// The corrected body occupies [Enter, Enter+Cycles)
-						// within the inference (the enter marker's own cost
-						// lands before Enter, the exit marker's after).
-						StartCycles: cursor + s.Enter,
-						Cycles:      s.Cycles,
-						Kernel:      s.Kernel,
-					},
-				}
-				if s.Layer < len(img.Encodings) {
-					layer.Args.Encoding = img.Encodings[s.Layer].String()
-				}
-				inf.Args.LayerCycles += s.Cycles
-				inf.Children = append(inf.Children, layer)
-			}
-			inf.Args.OverheadCycles = Overhead(len(spans), cfg.FlashWaitStates)
-			if accounted := inf.Args.LayerCycles + inf.Args.OverheadCycles; accounted > res.Cycles {
-				return nil, fmt.Errorf("timeline: item %d: layers (%d) + overhead (%d) exceed total cycles (%d)",
-					i, inf.Args.LayerCycles, inf.Args.OverheadCycles, res.Cycles)
-			}
-			inf.Args.OtherCycles = res.Cycles - inf.Args.LayerCycles - inf.Args.OverheadCycles
+		if err := checkRow(fmt.Sprintf("item %d", i), res.Cycles, measured); err != nil {
+			return nil, err
 		}
+		for _, s := range spans {
+			layer := &obs.Span{
+				Name: fmt.Sprintf("layer %d %s", s.Layer, s.Kernel),
+				Cat:  obs.CatLayer,
+				Args: obs.SpanArgs{StartCycles: cursor + s.Enter, Cycles: s.Cycles, Kernel: s.Kernel},
+			}
+			if s.Layer < len(img.Encodings) {
+				layer.Args.Encoding = img.Encodings[s.Layer].String()
+			}
+			inf.Args.LayerCycles += s.Cycles
+			inf.Children = append(inf.Children, layer)
+		}
+		inf.Args.OtherCycles = res.Cycles - inf.Args.LayerCycles
 		cursor += res.Cycles
 		root.Children = append(root.Children, inf)
 	}
@@ -111,8 +94,8 @@ func priceSpans(s *obs.Span, m *energy.Model) {
 
 // BuildTimeline is BuildBatchSpans plus serialization to the
 // neuroc-timeline/v1 document.
-func BuildTimeline(img *modelimg.Image, results []farm.Result, cfg TimelineConfig) (*obs.Timeline, error) {
-	root, err := BuildBatchSpans(img, results, cfg)
+func BuildTimeline(img *modelimg.Image, spans []Span, measured uint64, results []farm.Result, cfg TimelineConfig) (*obs.Timeline, error) {
+	root, err := BuildBatchSpans(img, spans, measured, results, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/neuro-c/neuroc/internal/device"
@@ -17,14 +19,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the timeline golden file")
 
 // timelineFixture runs a fixed 10-input batch of the test model through
-// the farm and builds its cycle-domain timeline. The tier label is
+// the farm and builds its cycle-domain timeline from the layer spans
+// measured once on the same image. The tier label is
 // pinned to "fixture" so documents from different execution tiers are
 // comparable byte for byte — the label is informational, never a
 // measurement.
 func timelineFixture(t *testing.T, workers int, tier device.Tier) []byte {
 	t.Helper()
 	m := testModel()
-	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseBlock, Telemetry: true})
+	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +40,9 @@ func timelineFixture(t *testing.T, workers int, tier device.Tier) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans, measured := measureSpans(t, img, 0, inputs[0])
 	em := device.EnergyModel()
-	tl, err := BuildTimeline(img, results, TimelineConfig{Tier: "fixture", Energy: &em})
+	tl, err := BuildTimeline(img, spans, measured, results, TimelineConfig{Tier: "fixture", Energy: &em})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +109,11 @@ func TestTimelineTierByteIdentical(t *testing.T) {
 
 // TestTimelineSpanInvariants walks the built span tree directly: layer
 // spans are contained in their inference, Σ layer cycles equals the
-// LayerCycles arg, and layers + overhead + other equals the inference
-// total exactly — the telemetry exactness contract carried into spans.
+// LayerCycles arg, and layers + other equals the inference total
+// exactly — the attribution's exactness carried into spans.
 func TestTimelineSpanInvariants(t *testing.T) {
 	m := testModel()
-	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseDelta, Telemetry: true})
+	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseDelta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +126,9 @@ func TestTimelineSpanInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans, measured := measureSpans(t, img, 0, inputs[3])
 	em := device.EnergyModel()
-	root, err := BuildBatchSpans(img, results, TimelineConfig{Tier: "auto", Energy: &em})
+	root, err := BuildBatchSpans(img, spans, measured, results, TimelineConfig{Tier: "auto", Energy: &em})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +162,9 @@ func TestTimelineSpanInvariants(t *testing.T) {
 		if layerSum != inf.Args.LayerCycles {
 			t.Fatalf("inference %d: Σ layer spans %d != LayerCycles %d", i, layerSum, inf.Args.LayerCycles)
 		}
-		if inf.Args.LayerCycles+inf.Args.OverheadCycles+inf.Args.OtherCycles != inf.Args.Cycles {
-			t.Fatalf("inference %d: %d + %d + %d != %d", i,
-				inf.Args.LayerCycles, inf.Args.OverheadCycles, inf.Args.OtherCycles, inf.Args.Cycles)
+		if inf.Args.LayerCycles+inf.Args.OtherCycles != inf.Args.Cycles {
+			t.Fatalf("inference %d: %d + %d != %d", i,
+				inf.Args.LayerCycles, inf.Args.OtherCycles, inf.Args.Cycles)
 		}
 		cursor += inf.Args.Cycles
 		total += inf.Args.Cycles
@@ -174,7 +179,7 @@ func TestTimelineSpanInvariants(t *testing.T) {
 // cycle domain exactly and only shape-checks the banded wall events.
 func TestTimelineWallDomain(t *testing.T) {
 	m := testModel()
-	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseBlock, Telemetry: true})
+	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +192,8 @@ func TestTimelineWallDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := BuildTimeline(img, results, TimelineConfig{Tier: "auto", IncludeWall: true})
+	spans, measured := measureSpans(t, img, 0, inputs[0])
+	tl, err := BuildTimeline(img, spans, measured, results, TimelineConfig{Tier: "auto", IncludeWall: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,19 +209,23 @@ func TestTimelineWallDomain(t *testing.T) {
 	}
 }
 
-// TestTimelineRejectsUnsound inputs: failed-only batches and dropped
-// telemetry must refuse to build rather than emit an unsound document.
+// TestTimelineRejectsUnsound inputs: failed-only batches and rows whose
+// cycles differ from the layer measurement must refuse to build rather
+// than emit an unsound document.
 func TestTimelineRejectsUnsound(t *testing.T) {
 	m := testModel()
-	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseBlock, Telemetry: true})
+	img, err := modelimg.BuildOpts(m, modelimg.BuildOptions{Encoding: modelimg.UseBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildBatchSpans(img, nil, TimelineConfig{}); err == nil {
+	in := randInput(rng.New(5), img.InDim)
+	spans, measured := measureSpans(t, img, 0, in)
+	if _, err := BuildBatchSpans(img, spans, measured, nil, TimelineConfig{}); err == nil {
 		t.Error("empty batch built a timeline")
 	}
-	res := []farm.Result{{Cycles: 100, TelemetryDropped: 3}}
-	if _, err := BuildBatchSpans(img, res, TimelineConfig{}); err == nil {
-		t.Error("dropped telemetry built a timeline")
+	res := []farm.Result{{Cycles: measured}, {Cycles: measured + 3}}
+	want := fmt.Sprintf("item 1 cost %d cycles, the layer measurement %d", measured+3, measured)
+	if _, err := BuildBatchSpans(img, spans, measured, res, TimelineConfig{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("row off the measurement: err = %v, want %q", err, want)
 	}
 }

@@ -160,25 +160,36 @@ sh scripts/require-tests.sh ./internal/modelimg/ TestSearchMatchesOracle TestSea
 	TestSearchNotDeployableAnyMix TestSearchEncodingsRoundTrip TestAutoSearchNeverDominated
 go test -run 'TestSearch|TestAutoSearch' -count=1 ./internal/modelimg/
 
-echo "== layer attribution parity (boundary marks on the fast path == trace-hook oracle == telemetry twin)"
-# MeasureLayers and MeasureEnergy segment the deployed image on the host
-# instead of running the telemetry twin, reading the cycle totals at the
-# layer boundaries off marks in the translation table on the untraced
-# fast path. Host spans of the plain image must equal the twin's decoded
-# spans cycle for cycle under every encoding (unrolled/4 and an
-# auto-resolved per-layer mix included) at ws 0-2, and the trace-hook
-# segmenter's spans and counters (TestHostLayerSpansOracle); every board
-# state that cannot record the marks must be refused by name
-# (TestRunBoundaries*, TestTranslateMarks*), and random marks must change
-# nothing against the fetch/decode oracle (FuzzTranslateParity seeds);
-# MeasureLayers must equal the twin's farm aggregate and MeasureEnergy
-# must price the deployed cycles, under concurrent callers. The gated
-# tests are listed by their exact names.
-sh scripts/require-tests.sh ./internal/telemetry/ TestHostLayerSpansOracle
+echo "== layer attribution on the deployed image (every shipped consumer == telemetry twin, boundary marks == trace-hook oracle)"
+# Every shipped tool attributes layers on the deployed image: the spans
+# are measured once (HostLayerSpans, boundary marks read on the untraced
+# fast path) and applied to every run or farm row, which must cost the
+# measured cycles. Reports, energy reports, timelines and batch
+# aggregates built that way must equal the telemetry twin's decoded
+# spans under every encoding (unrolled/4, an auto-resolved per-layer mix
+# and the dense MLP included) at ws 0-2, each deployed inference must
+# cost the twin's total less the marker overhead, and a row off the
+# measurement must be refused by name (TestDeployedAttributionMatchesTwin);
+# host spans must equal the trace-hook segmenter's spans and counters
+# (TestHostLayerSpansOracle); every board state that cannot record the
+# marks must be refused by name (TestRunBoundaries*, TestTranslateMarks*),
+# and random marks must change nothing against the fetch/decode oracle
+# (FuzzTranslateParity seeds); MeasureLayers must equal the twin's farm
+# aggregate and MeasureEnergy must price the deployed cycles, under
+# concurrent callers. m0run -layers must flash the image the plain
+# command flashes and report its own halt-line total
+# (TestLayersReportDeployedImage), and its batch-file parser must never
+# panic and allocate in proportion to the file (FuzzParseBatch, seeds,
+# then 10 s of fuzzing). The gated tests are listed by their exact
+# names.
+sh scripts/require-tests.sh ./internal/telemetry/ TestHostLayerSpansOracle TestDeployedAttributionMatchesTwin
 sh scripts/require-tests.sh ./internal/device/ TestRunBoundariesRefuses
 sh scripts/require-tests.sh ./internal/armv6m/ TestTranslateMarksRefuse TestTranslateMarks FuzzTranslateParity
-go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy|TestHostLayerSpansOracle|TestRunBoundaries|TestTranslateMarks|FuzzTranslateParity' \
+sh scripts/require-tests.sh ./cmd/m0run/ TestLayersReportDeployedImage FuzzParseBatch
+go test -race -count=1 -run 'TestModelTelemetryExact|TestHostLayerSpansTwinParity|TestMeasureEnergy|TestHostLayerSpansOracle|TestDeployedAttributionMatchesTwin|TestRunBoundaries|TestTranslateMarks|FuzzTranslateParity' \
 	./internal/telemetry/ ./internal/device/ ./internal/armv6m/ .
+go test -count=1 -run 'TestLayersReportDeployedImage|FuzzParseBatch' ./cmd/m0run/
+go test -run '^$' -fuzz FuzzParseBatch -fuzztime 10s ./cmd/m0run/
 
 echo "== training bit-identity (sparse ternary kernels == dense GEMMs, QAT step kernels, host reference, training golden)"
 # The sparse forward and input-gradient kernels against MatMul/MatMulBT
